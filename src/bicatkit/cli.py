@@ -19,6 +19,7 @@ from .core import (
 )
 from .elevator import load_computad, normalize, parse_expr, render
 from .ho import (
+    SCHEMA_VERSION,
     enumerate_probes,
     extend_pseudofunctor,
     ho_eq,
@@ -31,8 +32,6 @@ from .localize import default_probe_targets, localize, replay_certificate
 from .presentation import ParseError, load_presentation_with_sigma, load_pseudofunctor
 from .queries import QueryError, parse_query
 from .sigma import make_sigma, sigma_report
-
-SCHEMA_VERSION = 1
 
 EXIT_OK = 0
 EXIT_FAIL = 1

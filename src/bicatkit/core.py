@@ -2,8 +2,10 @@
 
 Everything is a lookup table over string ids: objects, arrows (with a source
 and a target object), 2-cells (between parallel arrows), vertical composition,
-whiskering by arrows, unitors and associators.  All axiom checks are exhaustive
-loops over table entries, so validity is decidable at desk scale.
+whiskering by arrows, unitors and associators.  Construction builds an
+incidence index (arrows by endpoint, cells by 1-cell and by the endpoints of
+their 1-cells, composable pairs and triples), and every axiom check loops over
+the index, so each axiom visits exactly its witnesses.
 
 Conventions.  Composition is written right-to-left: ``hcomp1[(g, f)]`` is the
 composite "g after f" and needs dst(f) == src(g); ``vcomp[(b, a)]`` is "b after
@@ -14,7 +16,7 @@ h*(g*f) => (h*g)*f.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Hashable, Iterable
 
 
 class StructureError(Exception):
@@ -94,16 +96,27 @@ class Bicategory:
         self.assoc = dict(assoc)
         self.strict = bool(strict)
         self._identity_cells = frozenset(self.idc.values())
-        self._cells_between: dict[tuple[str, str], tuple[str, ...]] = {}
-        for c in sorted(self.cells):
-            key = self.cells[c]
-            self._cells_between.setdefault(key, ())
-            self._cells_between[key] += (c,)
-        self._arrows_between: dict[tuple[str, str], tuple[str, ...]] = {}
-        for a in sorted(self.arrows):
-            key = self.arrows[a]
-            self._arrows_between.setdefault(key, ())
-            self._arrows_between[key] += (a,)
+        # The incidence index.  Every list is sorted by id.  Arrows are filed
+        # under their endpoint ids as given and cells under their 1-cell ids;
+        # a cell whose 1-cell is unknown has no objects to be filed under, so
+        # it stays out of the by-object lists and validation reports it.
+        sorted_arrows = sorted(self.arrows)
+        sorted_cells = sorted(self.cells)
+        self._arrows_between = _group(sorted_arrows, self.arrows.get)
+        self._out_arrows = _group(sorted_arrows, lambda f: self.arrows[f][0])
+        self._in_arrows = _group(sorted_arrows, lambda f: self.arrows[f][1])
+        self._cells_between = _group(sorted_cells, self.cells.get)
+        self._cells_from = _group(sorted_cells, lambda a: self.cells[a][0])
+        self._cells_to = _group(sorted_cells, lambda a: self.cells[a][1])
+        typed_cells = [a for a in sorted_cells if self.cells[a][0] in self.arrows]
+        self._out_cells = _group(typed_cells, lambda a: self.arrows[self.cells[a][0]][0])
+        self._in_cells = _group(typed_cells, lambda a: self.arrows[self.cells[a][0]][1])
+        self._pairs = tuple(
+            (g, f) for g in sorted_arrows for f in self.in_arrows(self.arrows[g][0])
+        )
+        self._triples = tuple(
+            (h, g, f) for h, g in self._pairs for f in self.in_arrows(self.arrows[g][0])
+        )
         self._inv_cache: dict[str, str | None] = {}
         self._qe_cache: dict[str, bool] = {}
 
@@ -123,6 +136,14 @@ class Bicategory:
 
     def arrows_between(self, x: str, y: str) -> tuple[str, ...]:
         return self._arrows_between.get((x, y), ())
+
+    def out_arrows(self, x: str) -> tuple[str, ...]:
+        """Arrows with source x."""
+        return self._out_arrows.get(x, ())
+
+    def in_arrows(self, y: str) -> tuple[str, ...]:
+        """Arrows with target y."""
+        return self._in_arrows.get(y, ())
 
     def composable1(self, g: str, f: str) -> bool:
         return self.arrow_dst(f) == self.arrow_src(g)
@@ -155,6 +176,22 @@ class Bicategory:
 
     def cells_between(self, f: str, g: str) -> tuple[str, ...]:
         return self._cells_between.get((f, g), ())
+
+    def cells_from(self, f: str) -> tuple[str, ...]:
+        """Cells f => _."""
+        return self._cells_from.get(f, ())
+
+    def cells_to(self, g: str) -> tuple[str, ...]:
+        """Cells _ => g."""
+        return self._cells_to.get(g, ())
+
+    def out_cells(self, x: str) -> tuple[str, ...]:
+        """Cells whose 1-cells start at x."""
+        return self._out_cells.get(x, ())
+
+    def in_cells(self, y: str) -> tuple[str, ...]:
+        """Cells whose 1-cells end at y."""
+        return self._in_cells.get(y, ())
 
     def is_identity_cell(self, a: str) -> bool:
         return a in self._identity_cells
@@ -225,35 +262,43 @@ class Bicategory:
 
     # -- enumeration helpers ----------------------------------------------
 
-    def composable_arrow_pairs(self) -> Iterator[tuple[str, str]]:
-        for g in sorted(self.arrows):
-            for f in sorted(self.arrows):
-                if self.composable1(g, f):
-                    yield g, f
+    def composable_arrow_pairs(self) -> tuple[tuple[str, str], ...]:
+        """Every (g, f) with dst(f) == src(g), in id order."""
+        return self._pairs
 
-    def composable_arrow_triples(self) -> Iterator[tuple[str, str, str]]:
-        for h in sorted(self.arrows):
-            for g in sorted(self.arrows):
-                if not self.composable1(h, g):
-                    continue
-                for f in sorted(self.arrows):
-                    if self.composable1(g, f):
-                        yield h, g, f
+    def composable_arrow_triples(self) -> tuple[tuple[str, str, str], ...]:
+        """Every (h, g, f) with h after g after f, in id order."""
+        return self._triples
+
+
+def _group(ids: list[str], key: Callable[[str], Hashable]) -> dict[Hashable, tuple[str, ...]]:
+    """ids filed under key(id), each group keeping the order of ids."""
+    groups: dict[Hashable, list[str]] = {}
+    for i in ids:
+        groups.setdefault(key(i), []).append(i)
+    return {k: tuple(v) for k, v in groups.items()}
 
 
 def validate_bicategory(bic: Bicategory) -> ValidationReport:
-    """Exhaustively check every structural axiom of the tables."""
+    """Check every structural axiom of the tables, walking each axiom's
+    witnesses through the incidence index."""
     out: list[Violation] = []
     add = out.append
     arrows = bic.arrows
     cells = bic.cells
+    hcomp1, vcomp, lwhisk, rwhisk = bic.hcomp1, bic.vcomp, bic.lwhisk, bic.rwhisk
+    assoc, idc, id1 = bic.assoc, bic.idc, bic.id1
+    out_arrows, in_arrows = bic.out_arrows, bic.in_arrows
+    cells_from, out_cells = bic.cells_from, bic.out_cells
+    sorted_arrows = sorted(arrows)
+    sorted_cells = sorted(cells)
 
     # reference integrity and identity pointers
     for f, (x, y) in sorted(arrows.items()):
         if x not in bic.objects or y not in bic.objects:
             add(Violation("arrow-typing", (f, x, y)))
     for x in bic.objects:
-        i = bic.id1.get(x)
+        i = id1.get(x)
         if i is None or i not in arrows:
             add(Violation("id1-missing", (x,)))
         elif arrows[i] != (x, x):
@@ -263,8 +308,8 @@ def validate_bicategory(bic: Bicategory) -> ValidationReport:
             add(Violation("cell-typing", (a, f, g)))
         elif arrows[f] != arrows[g]:
             add(Violation("cell-parallel", (a, f, g)))
-    for f in sorted(arrows):
-        i = bic.idc.get(f)
+    for f in sorted_arrows:
+        i = idc.get(f)
         if i is None or i not in cells:
             add(Violation("idc-missing", (f,)))
         elif cells[i] != (f, f):
@@ -274,160 +319,137 @@ def validate_bicategory(bic: Bicategory) -> ValidationReport:
         return ValidationReport(tuple(out))
 
     # hcomp1: defined iff composable, total, boundary-correct
-    for (g, f), h in sorted(bic.hcomp1.items()):
+    for (g, f), h in sorted(hcomp1.items()):
         if g not in arrows or f not in arrows or h not in arrows:
             add(Violation("hcomp1-ref", (g, f, str(h))))
             continue
         if not bic.composable1(g, f):
             add(Violation("hcomp1-typing", (g, f), left="not composable"))
-        elif arrows[h] != (bic.arrow_src(f), bic.arrow_dst(g)):
+        elif arrows[h] != (arrows[f][0], arrows[g][1]):
             add(Violation("hcomp1-typing", (g, f), left=h))
     for g, f in bic.composable_arrow_pairs():
-        if (g, f) not in bic.hcomp1:
+        if (g, f) not in hcomp1:
             add(Violation("hcomp1-totality", (g, f)))
     if any(v.axiom.startswith("hcomp1") for v in out):
         return ValidationReport(tuple(out))
 
     # vcomp: category structure on every hom
-    for (b, a), c in sorted(bic.vcomp.items()):
+    for (b, a), c in sorted(vcomp.items()):
         if b not in cells or a not in cells or c not in cells:
             add(Violation("vcomp-ref", (b, a, str(c))))
             continue
-        if bic.cell_dst(a) != bic.cell_src(b):
+        if cells[a][1] != cells[b][0]:
             add(Violation("vcomp-typing", (b, a), left="not composable"))
-        elif cells[c] != (bic.cell_src(a), bic.cell_dst(b)):
+        elif cells[c] != (cells[a][0], cells[b][1]):
             add(Violation("vcomp-typing", (b, a), left=c))
-    for b in sorted(cells):
-        for a in sorted(cells):
-            if bic.cell_dst(a) == bic.cell_src(b) and (b, a) not in bic.vcomp:
+    for b in sorted_cells:
+        for a in bic.cells_to(cells[b][0]):
+            if (b, a) not in vcomp:
                 add(Violation("vcomp-totality", (b, a)))
     if any(v.axiom.startswith("vcomp-") for v in out):
         return ValidationReport(tuple(out))
-    for a in sorted(cells):
+    for a in sorted_cells:
         f, g = cells[a]
-        if bic.vcomp[(a, bic.idc[f])] != a:
-            add(Violation("vcomp-unit", (a,), left=bic.vcomp[(a, bic.idc[f])], right=a))
-        if bic.vcomp[(bic.idc[g], a)] != a:
-            add(Violation("vcomp-unit", (a,), left=bic.vcomp[(bic.idc[g], a)], right=a))
-    for a in sorted(cells):
-        for b in sorted(cells):
-            if bic.cell_dst(a) != bic.cell_src(b):
-                continue
-            for c in sorted(cells):
-                if bic.cell_dst(b) != bic.cell_src(c):
-                    continue
-                lhs = bic.vcomp[(c, bic.vcomp[(b, a)])]
-                rhs = bic.vcomp[(bic.vcomp[(c, b)], a)]
+        if vcomp[(a, idc[f])] != a:
+            add(Violation("vcomp-unit", (a,), left=vcomp[(a, idc[f])], right=a))
+        if vcomp[(idc[g], a)] != a:
+            add(Violation("vcomp-unit", (a,), left=vcomp[(idc[g], a)], right=a))
+    for a in sorted_cells:
+        for b in cells_from(cells[a][1]):
+            for c in cells_from(cells[b][1]):
+                lhs = vcomp[(c, vcomp[(b, a)])]
+                rhs = vcomp[(vcomp[(c, b)], a)]
                 if lhs != rhs:
                     add(Violation("vcomp-assoc", (c, b, a), left=lhs, right=rhs))
 
     # whisker tables: typing and totality
-    for (g, a), c in sorted(bic.lwhisk.items()):
+    for (g, a), c in sorted(lwhisk.items()):
         if g not in arrows or a not in cells or c not in cells:
             add(Violation("lwhisk-ref", (g, a, str(c))))
             continue
         f1, f2 = cells[a]
-        if bic.arrow_dst(f1) != bic.arrow_src(g):
+        if arrows[f1][1] != arrows[g][0]:
             add(Violation("lwhisk-typing", (g, a), left="not composable"))
             continue
-        want = (bic.hcomp1.get((g, f1)), bic.hcomp1.get((g, f2)))
+        want = (hcomp1.get((g, f1)), hcomp1.get((g, f2)))
         if None in want or cells[c] != want:
             add(Violation("lwhisk-typing", (g, a), left=c))
-    for g in sorted(arrows):
-        for a in sorted(cells):
-            f1, _ = cells[a]
-            if bic.arrow_dst(f1) == bic.arrow_src(g) and (g, a) not in bic.lwhisk:
+    for g in sorted_arrows:
+        for a in bic.in_cells(arrows[g][0]):
+            if (g, a) not in lwhisk:
                 add(Violation("lwhisk-totality", (g, a)))
-    for (a, f), c in sorted(bic.rwhisk.items()):
+    for (a, f), c in sorted(rwhisk.items()):
         if f not in arrows or a not in cells or c not in cells:
             add(Violation("rwhisk-ref", (a, f, str(c))))
             continue
         g1, g2 = cells[a]
-        if bic.arrow_dst(f) != bic.arrow_src(g1):
+        if arrows[f][1] != arrows[g1][0]:
             add(Violation("rwhisk-typing", (a, f), left="not composable"))
             continue
-        want = (bic.hcomp1.get((g1, f)), bic.hcomp1.get((g2, f)))
+        want = (hcomp1.get((g1, f)), hcomp1.get((g2, f)))
         if None in want or cells[c] != want:
             add(Violation("rwhisk-typing", (a, f), left=c))
-    for a in sorted(cells):
-        g1, _ = cells[a]
-        for f in sorted(arrows):
-            if bic.arrow_dst(f) == bic.arrow_src(g1) and (a, f) not in bic.rwhisk:
+    for a in sorted_cells:
+        for f in in_arrows(arrows[cells[a][0]][0]):
+            if (a, f) not in rwhisk:
                 add(Violation("rwhisk-totality", (a, f)))
     if any("whisk" in v.axiom for v in out):
         return ValidationReport(tuple(out))
 
     # W1: both whisker orders of a horizontal composite agree
-    for a in sorted(cells):
+    for a in sorted_cells:
         f1, f2 = cells[a]
-        x, y = arrows[f1]
-        for b in sorted(cells):
+        for b in out_cells(arrows[f1][1]):
             g1, g2 = cells[b]
-            if bic.arrow_src(g1) != y:
-                continue
-            lhs = bic.vcomp[(bic.lwhisk[(g2, a)], bic.rwhisk[(b, f1)])]
-            rhs = bic.vcomp[(bic.rwhisk[(b, f2)], bic.lwhisk[(g1, a)])]
+            lhs = vcomp[(lwhisk[(g2, a)], rwhisk[(b, f1)])]
+            rhs = vcomp[(rwhisk[(b, f2)], lwhisk[(g1, a)])]
             if lhs != rhs:
                 add(Violation("W1", (b, a), left=lhs, right=rhs))
 
     # W2 / H1: whiskered identities are identities
     for g, f in bic.composable_arrow_pairs():
-        gf = bic.hcomp1[(g, f)]
-        if bic.lwhisk[(g, bic.idc[f])] != bic.idc[gf]:
-            add(Violation("W2", (g, f), left=bic.lwhisk[(g, bic.idc[f])], right=bic.idc[gf]))
-        if bic.rwhisk[(bic.idc[g], f)] != bic.idc[gf]:
-            add(Violation("W2", (g, f), left=bic.rwhisk[(bic.idc[g], f)], right=bic.idc[gf]))
+        gf = hcomp1[(g, f)]
+        if lwhisk[(g, idc[f])] != idc[gf]:
+            add(Violation("W2", (g, f), left=lwhisk[(g, idc[f])], right=idc[gf]))
+        if rwhisk[(idc[g], f)] != idc[gf]:
+            add(Violation("W2", (g, f), left=rwhisk[(idc[g], f)], right=idc[gf]))
 
     # W3: whiskering is functorial in the cell
-    for a in sorted(cells):
-        for b in sorted(cells):
-            if bic.cell_dst(a) != bic.cell_src(b):
-                continue
-            ba = bic.vcomp[(b, a)]
-            x = bic.arrow_src(bic.cell_src(a))
-            y = bic.arrow_dst(bic.cell_src(a))
-            for g in sorted(arrows):
-                if bic.arrow_src(g) != y:
-                    continue
-                lhs = bic.vcomp[(bic.lwhisk[(g, b)], bic.lwhisk[(g, a)])]
-                if lhs != bic.lwhisk[(g, ba)]:
-                    add(Violation("W3", (g, b, a), left=lhs, right=bic.lwhisk[(g, ba)]))
-            for f in sorted(arrows):
-                if bic.arrow_dst(f) != x:
-                    continue
-                lhs = bic.vcomp[(bic.rwhisk[(b, f)], bic.rwhisk[(a, f)])]
-                if lhs != bic.rwhisk[(ba, f)]:
-                    add(Violation("W3", (b, a, f), left=lhs, right=bic.rwhisk[(ba, f)]))
+    for a in sorted_cells:
+        x, y = arrows[cells[a][0]]
+        for b in cells_from(cells[a][1]):
+            ba = vcomp[(b, a)]
+            for g in out_arrows(y):
+                lhs = vcomp[(lwhisk[(g, b)], lwhisk[(g, a)])]
+                if lhs != lwhisk[(g, ba)]:
+                    add(Violation("W3", (g, b, a), left=lhs, right=lwhisk[(g, ba)]))
+            for f in in_arrows(x):
+                lhs = vcomp[(rwhisk[(b, f)], rwhisk[(a, f)])]
+                if lhs != rwhisk[(ba, f)]:
+                    add(Violation("W3", (b, a, f), left=lhs, right=rwhisk[(ba, f)]))
 
     if any(v.axiom in ("W1", "W2", "W3") for v in out):
         return ValidationReport(tuple(out))
 
     # H2: interchange for the derived horizontal composition
-    for a in sorted(cells):  # a: f1 => f2
+    hcomp2 = bic.hcomp2
+    for a in sorted_cells:  # a: f1 => f2
         f1, f2 = cells[a]
-        y = bic.arrow_dst(f1)
-        for c in sorted(cells):  # c: f2 => f3
-            if bic.cell_src(c) != f2:
-                continue
-            for b in sorted(cells):  # b: g1 => g2
-                g1, g2 = cells[b]
-                if bic.arrow_src(g1) != y:
-                    continue
-                for d in sorted(cells):  # d: g2 => g3
-                    if bic.cell_src(d) != g2:
-                        continue
-                    lhs = bic.vcomp[(bic.hcomp2(d, c), bic.hcomp2(b, a))]
-                    rhs = bic.hcomp2(bic.vcomp[(d, b)], bic.vcomp[(c, a)])
+        for c in cells_from(f2):  # c: f2 => f3
+            for b in out_cells(arrows[f1][1]):  # b: g1 => g2
+                for d in cells_from(cells[b][1]):  # d: g2 => g3
+                    lhs = vcomp[(hcomp2(d, c), hcomp2(b, a))]
+                    rhs = hcomp2(vcomp[(d, b)], vcomp[(c, a)])
                     if lhs != rhs:
                         add(Violation("H2", (d, c, b, a), left=lhs, right=rhs))
 
     # unitors: typing, invertibility, naturality
-    for f in sorted(arrows):
+    for f in sorted_arrows:
         x, y = arrows[f]
         lam = bic.lunitor.get(f)
         rho = bic.runitor.get(f)
-        fid = bic.hcomp1[(f, bic.id1[x])]
-        idf = bic.hcomp1[(bic.id1[y], f)]
+        fid = hcomp1[(f, id1[x])]
+        idf = hcomp1[(id1[y], f)]
         if lam is None or lam not in cells:
             add(Violation("unitor-missing", (f, "lambda")))
         elif cells[lam] != (fid, f):
@@ -442,23 +464,24 @@ def validate_bicategory(bic: Bicategory) -> ValidationReport:
             add(Violation("unitor-invertible", (f, "rho"), left=rho))
     if any(v.axiom.startswith("unitor") for v in out):
         return ValidationReport(tuple(out))
-    for a in sorted(cells):
+    lunitor, runitor = bic.lunitor, bic.runitor
+    for a in sorted_cells:
         f, g = cells[a]
         x, y = arrows[f]
-        lhs = bic.vcomp[(bic.lunitor[g], bic.rwhisk[(a, bic.id1[x])])]
-        rhs = bic.vcomp[(a, bic.lunitor[f])]
+        lhs = vcomp[(lunitor[g], rwhisk[(a, id1[x])])]
+        rhs = vcomp[(a, lunitor[f])]
         if lhs != rhs:
             add(Violation("Nlambda", (a,), left=lhs, right=rhs))
-        lhs = bic.vcomp[(bic.runitor[g], bic.lwhisk[(bic.id1[y], a)])]
-        rhs = bic.vcomp[(a, bic.runitor[f])]
+        lhs = vcomp[(runitor[g], lwhisk[(id1[y], a)])]
+        rhs = vcomp[(a, runitor[f])]
         if lhs != rhs:
             add(Violation("Nrho", (a,), left=lhs, right=rhs))
 
     # associator: typing, invertibility, naturality, pentagon, triangle
     for h, g, f in bic.composable_arrow_triples():
-        th = bic.assoc.get((h, g, f))
-        src = bic.hcomp1[(h, bic.hcomp1[(g, f)])]
-        dst = bic.hcomp1[(bic.hcomp1[(h, g)], f)]
+        th = assoc.get((h, g, f))
+        src = hcomp1[(h, hcomp1[(g, f)])]
+        dst = hcomp1[(hcomp1[(h, g)], f)]
         if th is None or th not in cells:
             add(Violation("assoc-missing", (h, g, f)))
         elif cells[th] != (src, dst):
@@ -468,81 +491,69 @@ def validate_bicategory(bic: Bicategory) -> ValidationReport:
     if any(v.axiom.startswith("assoc") for v in out):
         return ValidationReport(tuple(out))
 
-    for a in sorted(cells):
+    for a in sorted_cells:
         f1, f2 = cells[a]
-        y = bic.arrow_dst(f1)
-        for g in sorted(arrows):
-            if bic.arrow_src(g) != y:
-                continue
-            for h in sorted(arrows):
-                if not bic.composable1(h, g):
-                    continue
-                lhs = bic.vcomp[(bic.assoc[(h, g, f2)], bic.lwhisk[(h, bic.lwhisk[(g, a)])])]
-                rhs = bic.vcomp[(bic.lwhisk[(bic.hcomp1[(h, g)], a)], bic.assoc[(h, g, f1)])]
+        for g in out_arrows(arrows[f1][1]):
+            for h in out_arrows(arrows[g][1]):
+                lhs = vcomp[(assoc[(h, g, f2)], lwhisk[(h, lwhisk[(g, a)])])]
+                rhs = vcomp[(lwhisk[(hcomp1[(h, g)], a)], assoc[(h, g, f1)])]
                 if lhs != rhs:
                     add(Violation("Ntheta1", (h, g, a), left=lhs, right=rhs))
-    for b in sorted(cells):
+    for b in sorted_cells:
         g1, g2 = cells[b]
-        for f in sorted(arrows):
-            if bic.arrow_dst(f) != bic.arrow_src(g1):
-                continue
-            for h in sorted(arrows):
-                if bic.arrow_src(h) != bic.arrow_dst(g1):
-                    continue
-                lhs = bic.vcomp[(bic.assoc[(h, g2, f)], bic.lwhisk[(h, bic.rwhisk[(b, f)])])]
-                rhs = bic.vcomp[(bic.rwhisk[(bic.lwhisk[(h, b)], f)], bic.assoc[(h, g1, f)])]
+        x, y = arrows[g1]
+        for f in in_arrows(x):
+            for h in out_arrows(y):
+                lhs = vcomp[(assoc[(h, g2, f)], lwhisk[(h, rwhisk[(b, f)])])]
+                rhs = vcomp[(rwhisk[(lwhisk[(h, b)], f)], assoc[(h, g1, f)])]
                 if lhs != rhs:
                     add(Violation("Ntheta2", (h, b, f), left=lhs, right=rhs))
-    for c in sorted(cells):
+    for c in sorted_cells:
         h1, h2 = cells[c]
-        for g in sorted(arrows):
-            if bic.arrow_dst(g) != bic.arrow_src(h1):
-                continue
-            for f in sorted(arrows):
-                if not bic.composable1(g, f):
-                    continue
-                gf = bic.hcomp1[(g, f)]
-                lhs = bic.vcomp[(bic.assoc[(h2, g, f)], bic.rwhisk[(c, gf)])]
-                rhs = bic.vcomp[(bic.rwhisk[(bic.rwhisk[(c, g)], f)], bic.assoc[(h1, g, f)])]
+        for g in in_arrows(arrows[h1][0]):
+            for f in in_arrows(arrows[g][0]):
+                gf = hcomp1[(g, f)]
+                lhs = vcomp[(assoc[(h2, g, f)], rwhisk[(c, gf)])]
+                rhs = vcomp[(rwhisk[(rwhisk[(c, g)], f)], assoc[(h1, g, f)])]
                 if lhs != rhs:
                     add(Violation("Ntheta3", (c, g, f), left=lhs, right=rhs))
 
-    for k in sorted(arrows):
-        for h, g, f in bic.composable_arrow_triples():
-            if not bic.composable1(k, h):
-                continue
-            gf = bic.hcomp1[(g, f)]
-            hg = bic.hcomp1[(h, g)]
-            kh = bic.hcomp1[(k, h)]
-            lhs = bic.vcomp[(bic.assoc[(kh, g, f)], bic.assoc[(k, h, gf)])]
-            rhs = bic.vcomp[
-                (
-                    bic.rwhisk[(bic.assoc[(k, h, g)], f)],
-                    bic.vcomp[(bic.assoc[(k, hg, f)], bic.lwhisk[(k, bic.assoc[(h, g, f)])])],
-                )
-            ]
-            if lhs != rhs:
-                add(Violation("pentagon", (k, h, g, f), left=lhs, right=rhs))
+    for k in sorted_arrows:
+        for h in in_arrows(arrows[k][0]):
+            kh = hcomp1[(k, h)]
+            for g in in_arrows(arrows[h][0]):
+                hg = hcomp1[(h, g)]
+                for f in in_arrows(arrows[g][0]):
+                    gf = hcomp1[(g, f)]
+                    lhs = vcomp[(assoc[(kh, g, f)], assoc[(k, h, gf)])]
+                    rhs = vcomp[
+                        (
+                            rwhisk[(assoc[(k, h, g)], f)],
+                            vcomp[(assoc[(k, hg, f)], lwhisk[(k, assoc[(h, g, f)])])],
+                        )
+                    ]
+                    if lhs != rhs:
+                        add(Violation("pentagon", (k, h, g, f), left=lhs, right=rhs))
 
     for g, f in bic.composable_arrow_pairs():
-        y = bic.arrow_dst(f)
-        lhs = bic.vcomp[(bic.rwhisk[(bic.lunitor[g], f)], bic.assoc[(g, bic.id1[y], f)])]
-        rhs = bic.lwhisk[(g, bic.runitor[f])]
+        y = arrows[f][1]
+        lhs = vcomp[(rwhisk[(lunitor[g], f)], assoc[(g, id1[y], f)])]
+        rhs = lwhisk[(g, runitor[f])]
         if lhs != rhs:
             add(Violation("triangle", (g, f), left=lhs, right=rhs))
 
     # strictness, when claimed
     if bic.strict:
-        for f in sorted(arrows):
+        for f in sorted_arrows:
             x, y = arrows[f]
-            if bic.hcomp1[(f, bic.id1[x])] != f or bic.hcomp1[(bic.id1[y], f)] != f:
+            if hcomp1[(f, id1[x])] != f or hcomp1[(id1[y], f)] != f:
                 add(Violation("strict-unital", (f,)))
-            if bic.lunitor[f] != bic.idc[f] or bic.runitor[f] != bic.idc[f]:
+            if lunitor[f] != idc[f] or runitor[f] != idc[f]:
                 add(Violation("strict-unitors", (f,)))
         for h, g, f in bic.composable_arrow_triples():
-            if bic.hcomp1[(h, bic.hcomp1[(g, f)])] != bic.hcomp1[(bic.hcomp1[(h, g)], f)]:
+            if hcomp1[(h, hcomp1[(g, f)])] != hcomp1[(hcomp1[(h, g)], f)]:
                 add(Violation("strict-assoc", (h, g, f)))
-            elif bic.assoc[(h, g, f)] not in bic._identity_cells:
+            elif assoc[(h, g, f)] not in bic._identity_cells:
                 add(Violation("strict-assoc-cell", (h, g, f)))
 
     return ValidationReport(tuple(out))
@@ -575,7 +586,16 @@ class PseudofunctorData:
         self.cell_map = dict(cell_map)
         self.xi = dict(xi or {})
         self.phi = dict(phi or {})
-        # identity structural cells may be left implicit when well-typed
+        try:
+            self._fill_implicit_structure()
+        except KeyError as exc:
+            raise StructureError(
+                f"{name}: {exc.args[0]!r} is unmapped or unknown"
+            ) from None
+
+    def _fill_implicit_structure(self) -> None:
+        """Identity structural cells may be left implicit when well-typed."""
+        name, source, target = self.name, self.source, self.target
         for x in source.objects:
             if x not in self.xi:
                 fx = self.obj_map[x]
@@ -622,7 +642,7 @@ def validate_pseudofunctor(fun: PseudofunctorData) -> ValidationReport:
     c, d = fun.source, fun.target
 
     for x in c.objects:
-        if fun.obj_map.get(x) not in d.arrows and fun.obj_map.get(x) not in d.objects:
+        if fun.obj_map.get(x) not in d.objects:
             add(Violation("map-obj", (x,)))
     for f, (x, y) in sorted(c.arrows.items()):
         ff = fun.arr_map.get(f)
@@ -721,10 +741,8 @@ def validate_pseudofunctor(fun: PseudofunctorData) -> ValidationReport:
     # Nphi: phi is natural in both cells
     for a in sorted(c.cells):
         f1, f2 = c.cells[a]
-        for b in sorted(c.cells):
+        for b in c.out_cells(c.arrow_dst(f1)):
             g1, g2 = c.cells[b]
-            if c.arrow_src(g1) != c.arrow_dst(f1):
-                continue
             lhs = d.vertical(
                 fun.cell_map[c.hcomp2(b, a)], fun.phi[(g1, f1)]
             )
@@ -780,10 +798,13 @@ def factorize(
     name = f"{c.name}_{fun.name}"
 
     cells: dict[str, tuple[str, str]] = {}
+    cells_to: dict[str, list[str]] = {}
     for f in sorted(c.arrows):
         for g in c.arrows_between(*c.arrows[f]):
             for dc in d.cells_between(fun.arr_map[f], fun.arr_map[g]):
-                cells[_cf_cell(f, g, dc)] = (f, g)
+                cell = _cf_cell(f, g, dc)
+                cells[cell] = (f, g)
+                cells_to.setdefault(g, []).append(cell)
     idc = {f: _cf_cell(f, f, d.idc[fun.arr_map[f]]) for f in c.arrows}
 
     def parts(cell: str) -> tuple[str, str, str]:
@@ -793,10 +814,8 @@ def factorize(
     vcomp: dict[tuple[str, str], str] = {}
     for b in cells:
         fb, gb, db = parts(b)
-        for a in cells:
-            fa, ga, da = parts(a)
-            if ga != fb:
-                continue
+        for a in cells_to.get(fb, ()):
+            fa, _, da = parts(a)
             vcomp[(b, a)] = _cf_cell(fa, gb, d.vertical(db, da))
 
     lwhisk: dict[tuple[str, str], str] = {}
@@ -804,18 +823,12 @@ def factorize(
     for a in cells:
         fa, ga, da = parts(a)
         x, y = c.arrows[fa]
-        for g in sorted(c.arrows):
-            if c.arrow_src(g) == y:
-                val = comp_sub_f(
-                    fun, d.idc[fun.arr_map[g]], da, g, fa, g, ga
-                )
-                lwhisk[(g, a)] = _cf_cell(c.hcomp1[(g, fa)], c.hcomp1[(g, ga)], val)
-        for f in sorted(c.arrows):
-            if c.arrow_dst(f) == x:
-                val = comp_sub_f(
-                    fun, da, d.idc[fun.arr_map[f]], fa, f, ga, f
-                )
-                rwhisk[(a, f)] = _cf_cell(c.hcomp1[(fa, f)], c.hcomp1[(ga, f)], val)
+        for g in c.out_arrows(y):
+            val = comp_sub_f(fun, d.idc[fun.arr_map[g]], da, g, fa, g, ga)
+            lwhisk[(g, a)] = _cf_cell(c.hcomp1[(g, fa)], c.hcomp1[(g, ga)], val)
+        for f in c.in_arrows(x):
+            val = comp_sub_f(fun, da, d.idc[fun.arr_map[f]], fa, f, ga, f)
+            rwhisk[(a, f)] = _cf_cell(c.hcomp1[(fa, f)], c.hcomp1[(ga, f)], val)
 
     lunitor = {}
     runitor = {}

@@ -142,24 +142,6 @@ def retraction_cylinder(
     )
 
 
-def derive_cylinder(kind: str, *args) -> Cylinder:
-    """Dispatcher over the named cylinder constructions.
-
-    kinds: inverse(cylinder), identity(bicategory, object),
-    retraction(sigma, section, retraction, splitting cell).
-    """
-    if kind == "inverse":
-        (cyl,) = args
-        return inverse_cylinder(cyl)
-    if kind == "identity":
-        bic, obj = args
-        return identity_cylinder(bic, obj)
-    if kind == "retraction":
-        sigma, s, r, alpha = args
-        return retraction_cylinder(sigma, s, r, alpha)
-    raise StructureError(f"unknown cylinder construction {kind!r}")
-
-
 @dataclass(frozen=True)
 class TransformOrigin:
     kind: str  # post | pre | lwhisk | rwhisk | invert
@@ -229,15 +211,6 @@ def cylinder_homotopy(cyl: Cylinder) -> Homotopy:
     bic = cyl.bic
     bic.require_strict("cylinder homotopy")
     return make_homotopy(cyl, bic.id1[cyl.w], bic.idc[cyl.d0], bic.idc[cyl.d1])
-
-
-def is_cylinder_homotopy(h: Homotopy) -> bool:
-    bic = h.bic
-    return (
-        h.h == bic.id1[h.cyl.w]
-        and h.eta == bic.idc[h.cyl.d0]
-        and h.eps == bic.idc[h.cyl.d1]
-    )
 
 
 def mu_homotopies(bic: Bicategory, mu: str) -> tuple[Homotopy, Homotopy]:
@@ -320,22 +293,11 @@ class ICell:
     def g(self) -> str:
         return self.bic.cell_dst(self.cell)
 
-    def representative(self) -> Homotopy:
-        return mu_homotopies(self.bic, self.cell)[0]
-
     def to_json(self) -> dict:
         return {"kind": "icell", "cell": self.cell}
 
 
 HomotopyTerm = Union[Homotopy, ICell]
-
-
-def term_endpoints(term: HomotopyTerm) -> tuple[str, str]:
-    return (term.f, term.g)
-
-
-def term_bic(term: HomotopyTerm) -> Bicategory:
-    return term.bic
 
 
 # -- hat operators ---------------------------------------------------------

@@ -103,5 +103,6 @@ def test_stored_hocells_deserialize(split_sigma, split_probeset):
     cert = localize(split_sigma, split_probeset)
     blob = json.dumps(cert.to_json())
     for eq in json.loads(blob)["equivalences"]:
-        cell = hocell_from_json(split_sigma, eq["to_id_src"]["hocell"])
-        assert (cell.f, cell.g)
+        stored = eq["to_id_src"]["hocell"]
+        cell = hocell_from_json(split_sigma, stored)
+        assert (cell.f, cell.g) == (stored["f"], stored["g"])

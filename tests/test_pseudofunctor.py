@@ -232,3 +232,39 @@ def test_xi_phi_must_be_given_when_not_forced(split, iso):
             arr_map={"id_X": "id_A", "id_Y": "id_B", "s": "u", "r": "v", "e": "u"},
             cell_map={},
         )
+
+
+def test_map_obj_rejects_an_arrow_as_image_of_an_object(split):
+    bic = split.bicategory
+    fun = PseudofunctorData(
+        name="obj-to-arrow",
+        source=bic,
+        target=bic,
+        obj_map={"X": "s", "Y": "Y"},  # s is an arrow of the target, not an object
+        arr_map={f: f for f in bic.arrows},
+        cell_map={a: a for a in bic.cells},
+        xi={x: bic.idc[bic.id1[x]] for x in bic.objects},
+        phi={(g, f): bic.idc[bic.hcomp1[(g, f)]] for g, f in bic.composable_arrow_pairs()},
+    )
+    rep = validate_pseudofunctor(fun)
+    assert rep.violations[0].axiom == "map-obj"
+    assert rep.violations[0].witness == ("X",)
+
+
+@pytest.mark.parametrize(
+    "obj_map, arr_map, missing",
+    [
+        ({"X": "A"}, {"id_X": "id_A", "id_Y": "id_B", "s": "u", "r": "v", "e": "id_B"}, "'Y'"),
+        ({"X": "A", "Y": "B"}, {"id_X": "id_A", "id_Y": "id_B", "s": "u", "r": "v"}, "'e'"),
+    ],
+)
+def test_unmapped_ids_raise_structure_error(split, iso, obj_map, arr_map, missing):
+    with pytest.raises(StructureError, match=missing):
+        PseudofunctorData(
+            name="partial",
+            source=split.bicategory,
+            target=iso.bicategory,
+            obj_map=obj_map,
+            arr_map=arr_map,
+            cell_map={},
+        )
