@@ -23,7 +23,6 @@ from .ho import (
     enumerate_probes,
     extend_pseudofunctor,
     ho_eq,
-    make_probe_set,
     perturbation_breaks,
 )
 from .homotopy import HatError, hat
@@ -116,6 +115,8 @@ def _cmd_validate(args) -> int:
         _emit(args, {"schema_version": SCHEMA_VERSION, "subject": fun.name, **rep.to_json()},
               _report_text(f"pseudofunctor {fun.name}", rep))
         return EXIT_OK if rep.ok else EXIT_FAIL
+    if args.input is None:
+        raise _Usage("validate needs an input or --functor")
     pres = _load_bicategory(args.input)
     rep = validate_bicategory(pres.bicategory)
     _emit(args, {"schema_version": SCHEMA_VERSION, "subject": pres.bicategory.name, **rep.to_json()},
@@ -168,7 +169,10 @@ def _cmd_localize(args) -> int:
         sigma, _probe_targets(sigma, args.probes), include_self=args.probes is None
     )
     if args.replay:
-        cert = json.loads(_read(args.replay))
+        try:
+            cert = json.loads(_read(args.replay))
+        except json.JSONDecodeError as exc:
+            raise _Usage(f"{args.replay} is not JSON: {exc}") from exc
         ok, problems = replay_certificate(sigma, cert, probes)
         payload = {"schema_version": SCHEMA_VERSION, "replay_ok": ok, "problems": problems}
         _emit(args, payload, ("replay ok\n" if ok else "replay FAILED:\n  " + "\n  ".join(problems) + "\n"))
@@ -190,15 +194,8 @@ def _cmd_ho_eq(args) -> int:
     doc = parse_query(sigma, _read(args.query))
     if "lhs" not in doc.sequences or "rhs" not in doc.sequences:
         raise _Usage("query must define sequences 'lhs' and 'rhs'")
-    probes = make_probe_set(
-        sigma,
-        list(
-            enumerate_probes(
-                sigma,
-                _probe_targets(sigma, args.probes),
-                include_self=args.probes is None,
-            ).probes
-        ),
+    probes = enumerate_probes(
+        sigma, _probe_targets(sigma, args.probes), include_self=args.probes is None
     )
     try:
         verdict = ho_eq(doc.sequences["lhs"], doc.sequences["rhs"], probes, budget=args.budget)
@@ -315,14 +312,20 @@ def _cmd_elevator(args) -> int:
     return EXIT_OK if equal else EXIT_FAIL
 
 
+def _bound(text: str) -> int:
+    """argparse type of --max-len and --budget: an integer >= 1."""
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, not {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="bicatkit", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, with_out=True):
+    def common(p):
         p.add_argument("--format", choices=("text", "json"), default="text")
-        if with_out:
-            p.add_argument("--out", help="write the report to a file")
+        p.add_argument("--out", help="write the report to a file")
 
     p = sub.add_parser("validate", help="check bicategory or pseudofunctor axioms")
     p.add_argument("input", nargs="?", help="bicategory presentation (.bic or fixture name)")
@@ -335,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sigma-check", help="3-for-2 and w-split table for the marked class")
     p.add_argument("input")
     p.add_argument("--sigma", help="comma-separated arrow names (default: file's sigma)")
-    p.add_argument("--max-len", type=int, default=4)
+    p.add_argument("--max-len", type=_bound, default=4)
     common(p)
     p.set_defaults(fn=_cmd_sigma_check)
 
@@ -343,8 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("--sigma")
     p.add_argument("--probes", help="comma-separated probe target names or .bic paths")
-    p.add_argument("--max-len", type=int, default=4)
-    p.add_argument("--budget", type=int, default=8)
+    p.add_argument("--max-len", type=_bound, default=4)
+    p.add_argument("--budget", type=_bound, default=8)
     p.add_argument("--replay", help="re-verify a stored certificate")
     common(p)
     p.set_defaults(fn=_cmd_localize)
@@ -354,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("query", help="query document defining lhs and rhs")
     p.add_argument("--sigma")
     p.add_argument("--probes")
-    p.add_argument("--budget", type=int, default=8)
+    p.add_argument("--budget", type=_bound, default=8)
     common(p)
     p.set_defaults(fn=_cmd_ho_eq)
 

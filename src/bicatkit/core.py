@@ -16,7 +16,9 @@ h*(g*f) => (h*g)*f.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable
+from typing import Callable, Hashable, Iterable, TypeVar
+
+_T = TypeVar("_T")
 
 
 class StructureError(Exception):
@@ -271,9 +273,9 @@ class Bicategory:
         return self._triples
 
 
-def _group(ids: list[str], key: Callable[[str], Hashable]) -> dict[Hashable, tuple[str, ...]]:
+def _group(ids: Iterable[_T], key: Callable[[_T], Hashable]) -> dict[Hashable, tuple[_T, ...]]:
     """ids filed under key(id), each group keeping the order of ids."""
-    groups: dict[Hashable, list[str]] = {}
+    groups: dict[Hashable, list[_T]] = {}
     for i in ids:
         groups.setdefault(key(i), []).append(i)
     return {k: tuple(v) for k, v in groups.items()}

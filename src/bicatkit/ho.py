@@ -22,6 +22,7 @@ from .core import (
     Bicategory,
     PseudofunctorData,
     StructureError,
+    _group,
     validate_pseudofunctor,
 )
 from .homotopy import (
@@ -169,24 +170,45 @@ def ho_inverse(k: HoCell) -> HoCell:
     return ho_cell(k.sigma, out, k.g, k.f)
 
 
+def require_json(value: object, shape: object, where: str = "") -> None:
+    """Raise a StructureError naming the first field where value departs from
+    shape.  A shape is a type, a one-element list (a list of that shape) or a
+    dict (an object with at least those keys)."""
+    if isinstance(shape, dict) and type(value) is dict:
+        for key, sub in shape.items():
+            path = f"{where}.{key}" if where else key
+            if key not in value:
+                raise StructureError(f"field {path!r} is missing")
+            require_json(value[key], sub, path)
+    elif isinstance(shape, list) and type(value) is list:
+        for i, item in enumerate(value):
+            require_json(item, shape[0], f"{where}[{i}]")
+    elif type(value) is not shape:
+        raise StructureError(f"field {where!r} has the wrong type")
+
+
+HOCELL_JSON = {"f": str, "g": str, "terms": [dict]}
+_CYLINDER_JSON = dict.fromkeys(("d0", "d1", "x", "s", "alpha0", "alpha1"), str)
+_HOMOTOPY_JSON = {"cylinder": _CYLINDER_JSON, "h": str, "eta": str, "eps": str}
+
+
 def hocell_from_json(sigma: SigmaClass, data: dict) -> HoCell:
+    """The HoCell that to_json stored; StructureError names a field that is
+    missing, mistyped or unknown to the bicategory."""
     bic = sigma.bic
+    require_json(data, HOCELL_JSON, "hocell")
     terms: list[HomotopyTerm] = []
-    for td in data["terms"]:
+    for i, td in enumerate(data["terms"]):
+        at = f"hocell.terms[{i}]"
         if td.get("kind") == "icell":
+            require_json(td, {"cell": str}, at)
+            if td["cell"] not in bic.cells:
+                raise StructureError(f"{at}: unknown cell {td['cell']!r}")
             terms.append(ICell(bic, td["cell"]))
             continue
-        cd = td["cylinder"]
-        cyl = make_cylinder(
-            bic,
-            cd["d0"],
-            cd["d1"],
-            cd["x"],
-            cd["s"],
-            cd["alpha0"],
-            cd["alpha1"],
-            sigma=sigma,
-        )
+        require_json(td, _HOMOTOPY_JSON, at)
+        # the stored cylinder fields are make_cylinder's parameter names
+        cyl = make_cylinder(bic, **{k: td["cylinder"][k] for k in _CYLINDER_JSON}, sigma=sigma)
         terms.append(make_homotopy(cyl, td["h"], td["eta"], td["eps"]))
     return ho_cell(sigma, terms, data["f"], data["g"])
 
@@ -212,12 +234,17 @@ def make_probe_set(sigma: SigmaClass, functors: list[PseudofunctorData]) -> Prob
             raise StructureError(f"probe {fun.name!r} is not a 2-functor")
         if not validate_pseudofunctor(fun).ok:
             raise StructureError(f"probe {fun.name!r} fails validation")
-        for s in sigma.sorted_members():
-            if not is_quasiequivalence(fun.target, fun.arr_map[s]):
-                raise StructureError(
-                    f"probe {fun.name!r} sends {s!r} outside the quasiequivalences"
-                )
+        _require_admissible(fun, sigma)
     return ProbeSet(tuple(functors))
+
+
+def _require_admissible(fun: PseudofunctorData, sigma: SigmaClass) -> None:
+    """Raise unless fun sends every marked arrow to a quasiequivalence."""
+    for s in sigma.sorted_members():
+        if not is_quasiequivalence(fun.target, fun.arr_map[s]):
+            raise StructureError(
+                f"{fun.name!r} sends {s!r} outside the quasiequivalences"
+            )
 
 
 def enumerate_2functors(
@@ -660,8 +687,8 @@ def sample_homotopies(sigma: SigmaClass, cap: int = 200) -> list[Homotopy]:
     for d0 in sorted(bic.arrows):
         x, w = bic.arrows[d0]
         for d1 in bic.arrows_between(x, w):
-            for s in sorted(sigma.members):
-                if bic.arrow_src(s) != w:
+            for s in bic.out_arrows(w):
+                if s not in sigma:
                     continue
                 z = bic.arrow_dst(s)
                 for diag in bic.arrows_between(x, z):
@@ -674,9 +701,7 @@ def sample_homotopies(sigma: SigmaClass, cap: int = 200) -> list[Homotopy]:
                                 continue
                             cyl = make_cylinder(bic, d0, d1, diag, s, a0, a1, sigma)
                             out.append(cylinder_homotopy(cyl))
-                            for h in sorted(bic.arrows):
-                                if bic.arrow_src(h) != w:
-                                    continue
+                            for h in bic.out_arrows(w):
                                 hd0 = bic.hcomp1[(h, d0)]
                                 hd1 = bic.hcomp1[(h, d1)]
                                 for ffrom in bic.arrows_between(
@@ -704,11 +729,7 @@ def extend_2functor(
     family of cells, that the forced values are functorial."""
     if not fun.is_2functor:
         raise StructureError(f"{fun.name!r} is not a 2-functor")
-    for s in sigma.sorted_members():
-        if not is_quasiequivalence(fun.target, fun.arr_map[s]):
-            raise StructureError(
-                f"{fun.name!r} sends {s!r} outside the quasiequivalences"
-            )
+    _require_admissible(fun, sigma)
     ext = ExtensionG(fun, sigma)
     bic = sigma.bic
     d = fun.target
@@ -723,12 +744,11 @@ def extend_2functor(
     agrees = all(
         ext.value(i_cell(sigma, mu)) == fun.cell_map[mu] for mu in sorted(bic.cells)
     )
+    family_from = _group(family, lambda k: k.f)
     pairs = 0
     vert_ok = True
     for k1 in family:
-        for k2 in family:
-            if k1.g != k2.f:
-                continue
+        for k2 in family_from.get(k1.g, ()):
             pairs += 1
             comp = ho_vcomp(k2, k1)
             if ext.value(comp) != d.vertical(ext.value(k2), ext.value(k1)):
@@ -736,19 +756,17 @@ def extend_2functor(
     whisk = 0
     whisk_ok = True
     for k in family:
-        y = bic.arrow_dst(k.f)
-        x = bic.arrow_src(k.f)
-        for r in sorted(bic.arrows):
-            if bic.arrow_src(r) == y:
-                whisk += 1
-                lhs = ext.value(ho_whisk("left", r, k))
-                if lhs != d.whisker_l(fun.arr_map[r], ext.value(k)):
-                    whisk_ok = False
-            if bic.arrow_dst(r) == x:
-                whisk += 1
-                lhs = ext.value(ho_whisk("right", r, k))
-                if lhs != d.whisker_r(ext.value(k), fun.arr_map[r]):
-                    whisk_ok = False
+        x, y = bic.arrows[k.f]
+        for r in bic.out_arrows(y):
+            whisk += 1
+            lhs = ext.value(ho_whisk("left", r, k))
+            if lhs != d.whisker_l(fun.arr_map[r], ext.value(k)):
+                whisk_ok = False
+        for r in bic.in_arrows(x):
+            whisk += 1
+            lhs = ext.value(ho_whisk("right", r, k))
+            if lhs != d.whisker_r(ext.value(k), fun.arr_map[r]):
+                whisk_ok = False
     units_ok = all(
         ext.value(ho_identity(sigma, f)) == d.idc[fun.arr_map[f]]
         for f in sorted(bic.arrows)
@@ -794,11 +812,10 @@ def perturbation_breaks(ext: ExtensionG, k: HoCell, other_value: str) -> bool:
             return True
     # whisker functoriality detects the rest
     bic = ext.sigma.bic
-    for r in sorted(bic.arrows):
-        if bic.arrow_src(r) == bic.arrow_dst(k.f):
-            moved = ho_whisk("left", r, k)
-            if val(moved) != d.whisker_l(fun.arr_map[r], val(k)):
-                return True
+    for r in bic.out_arrows(bic.arrow_dst(k.f)):
+        moved = ho_whisk("left", r, k)
+        if val(moved) != d.whisker_l(fun.arr_map[r], val(k)):
+            return True
     return False
 
 
@@ -809,16 +826,11 @@ def extend_pseudofunctor(
     extend the 2-functor head, then push values through the tail."""
     from .core import factorize
 
-    rep = validate_pseudofunctor(fun)
-    if not rep.ok:
+    if not validate_pseudofunctor(fun).ok:
         raise StructureError(f"{fun.name!r} fails validation")
-    for s in sigma.sorted_members():
-        if not is_quasiequivalence(fun.target, fun.arr_map[s]):
-            raise StructureError(
-                f"{fun.name!r} sends {s!r} outside the quasiequivalences"
-            )
     if fun.is_2functor:
         return extend_2functor(fun, sigma, cap=cap)
+    _require_admissible(fun, sigma)
     _, f1, f2 = factorize(fun)
     head_ext = extend_2functor(f2, sigma, cap=cap)
     return ExtensionG(

@@ -17,6 +17,7 @@ from .homotopy import cylinder_homotopy, retraction_cylinder
 from .ho import (
     SCHEMA_VERSION,
     EqVerdict,
+    HOCELL_JSON,
     HoCell,
     ProbeSet,
     enumerate_probes,
@@ -29,6 +30,7 @@ from .ho import (
     ho_whisk,
     hocell_from_json,
     i_cell,
+    require_json,
 )
 from .sigma import (
     SigmaClass,
@@ -280,40 +282,57 @@ def localize(
     return cert
 
 
+# the fields replay reads, beyond schema_version and status
+_SIDE_JSON = {"hocell": HOCELL_JSON, "inverse": HOCELL_JSON}
+_CERT_JSON = {
+    "sigma": [str],
+    "budget": int,
+    "decompositions": [{"arrow": str, "chain": [str], "cell": str}],
+    "equivalences": [{"arrow": str, "to_id_src": _SIDE_JSON, "to_id_dst": _SIDE_JSON}],
+}
+
+
 def replay_certificate(
     sigma: SigmaClass, cert_json: dict, probes: ProbeSet | None = None
 ) -> tuple[bool, list[str]]:
     """Re-check every recorded derivation of a certificate against the loaded
     bicategory (and a probe set, freshly enumerated unless supplied)."""
     bic = sigma.bic
-    problems: list[str] = []
+    if not isinstance(cert_json, dict):
+        return False, ["certificate is not a JSON object"]
     if cert_json.get("schema_version") != SCHEMA_VERSION:
-        problems.append("schema_version mismatch")
-        return False, problems
+        return False, ["schema_version mismatch"]
     if cert_json.get("status") != "ok":
-        problems.append(f"certificate status is {cert_json.get('status')!r}")
-        return False, problems
-    if set(cert_json.get("sigma", [])) != set(sigma.members):
+        return False, [f"certificate status is {cert_json.get('status')!r}"]
+    try:
+        require_json(cert_json, _CERT_JSON)
+    except StructureError as exc:
+        return False, [str(exc)]
+    budget = cert_json["budget"]
+    if budget < 1:
+        return False, ["field 'budget' is below 1"]
+    problems: list[str] = []
+    if set(cert_json["sigma"]) != set(sigma.members):
         problems.append("marked class does not match the certificate")
     if check_three_for_two(sigma) is not None:
         problems.append("3-for-2 no longer holds")
     if probes is None:
         probes = enumerate_probes(sigma, default_probe_targets(sigma))
-    budget = int(cert_json.get("budget", 8))
 
-    for dec in cert_json.get("decompositions", []):
+    for dec in cert_json["decompositions"]:
         arrow, chain, cell = dec["arrow"], dec["chain"], dec["cell"]
-        if chain is None:
-            problems.append(f"stored decomposition for {arrow} is empty")
+        try:
+            composite = bic.compose_path(chain)
+        except StructureError as exc:
+            problems.append(f"decomposition chain for {arrow}: {exc}")
             continue
-        composite = bic.compose_path(chain)
         if bic.cells.get(cell) != (composite, arrow) or not bic.is_invertible(cell):
             problems.append(f"decomposition iso for {arrow} does not re-check")
         for g in chain:
             if g not in sigma or not find_w_split(bic, g).is_w_split:
                 problems.append(f"chain arrow {g} for {arrow} is not a w-split member")
 
-    for entry in cert_json.get("equivalences", []):
+    for entry in cert_json["equivalences"]:
         arrow = entry["arrow"]
         for side_name in ("to_id_src", "to_id_dst"):
             side = entry[side_name]

@@ -20,7 +20,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .core import Bicategory, PseudofunctorData, StructureError
+from .core import Bicategory, PseudofunctorData, StructureError, _group
 
 _SECTIONS = (
     "objects",
@@ -228,26 +228,17 @@ class _DocBuilder:
             if (a, f) in rwhisk:
                 raise ParseError(f"duplicate rwhisk entry {a} * {f}", lineno)
             rwhisk[(a, f)] = c
-        # forced whisker entries: identity cells (W2), and identity arrows
-        # in the strict case
-        for g in arrows:
-            for a, (f1, f2) in cells.items():
-                if arrows[f1][1] != arrows[g][0]:
-                    continue
-                if (g, a) not in lwhisk:
-                    if a == idc[f1] and f1 == f2 and (g, f1) in hcomp1:
-                        lwhisk[(g, a)] = idc[hcomp1[(g, f1)]]
-                    elif self.strict and g == id1[arrows[f1][1]]:
-                        lwhisk[(g, a)] = a
-        for a, (g1, g2) in cells.items():
-            for f in arrows:
-                if arrows[f][1] != arrows[g1][0]:
-                    continue
-                if (a, f) not in rwhisk:
-                    if a == idc[g1] and g1 == g2 and (g1, f) in hcomp1:
-                        rwhisk[(a, f)] = idc[hcomp1[(g1, f)]]
-                    elif self.strict and f == id1[arrows[g1][0]]:
-                        rwhisk[(a, f)] = a
+        # forced whisker entries: identity cells (W2) first, so they win over
+        # the identity-arrow entries of the strict case
+        for (g, f), h in hcomp1.items():
+            if arrows[f][1] == arrows[g][0]:
+                lwhisk.setdefault((g, idc[f]), idc[h])
+                rwhisk.setdefault((idc[g], f), idc[h])
+        if self.strict:
+            for a, (f, _) in cells.items():
+                x, y = arrows[f]
+                lwhisk.setdefault((id1[y], a), a)
+                rwhisk.setdefault((a, id1[x]), a)
 
         lunitor: dict[str, str] = {}
         runitor: dict[str, str] = {}
@@ -280,22 +271,14 @@ class _DocBuilder:
             for f in arrows:
                 lunitor.setdefault(f, idc[f])
                 runitor.setdefault(f, idc[f])
-            for h in arrows:
-                for g in arrows:
-                    if arrows[g][1] != arrows[h][0]:
-                        continue
-                    for f in arrows:
-                        if arrows[f][1] != arrows[g][0]:
-                            continue
-                        key = (h, g, f)
-                        if key in assoc:
-                            continue
-                        inner = hcomp1.get((g, f))
-                        if inner is None:
-                            continue
-                        whole = hcomp1.get((h, inner))
-                        if whole is not None:
-                            assoc[key] = idc[whole]
+            out_arrows = _group(arrows, lambda f: arrows[f][0])
+            for (g, f), inner in hcomp1.items():
+                if arrows[f][1] != arrows[g][0]:
+                    continue
+                for h in out_arrows.get(arrows[g][1], ()):
+                    whole = hcomp1.get((h, inner))
+                    if whole is not None:
+                        assoc.setdefault((h, g, f), idc[whole])
 
         sigma: list[str] = []
         for lineno, line in sec["sigma"]:

@@ -1,15 +1,16 @@
 """Property checkers for a marked arrow class: 3-for-2, w-splitness and its
 decompositions, quasiequivalences and equivalences.
 
-All searches are exhaustive over the tables and deterministic (sorted id
-order), so witnesses are reproducible.
+Every search walks the bicategory's incidence index, so it visits only the
+arrows and cells that compose, and is deterministic (sorted id order), so
+witnesses are reproducible.
 """
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
 
-from .core import Bicategory, StructureError
+from .core import Bicategory, StructureError, _group
 
 
 @dataclass(frozen=True)
@@ -120,14 +121,9 @@ class WSplitResult:
 
 
 def _splitting_cell(bic: Bicategory, r: str, s: str) -> str | None:
-    """First invertible cell r*s => id, if r*s lands on the right object."""
-    if not bic.composable1(r, s):
-        return None
-    x = bic.arrow_src(s)
-    if bic.arrow_dst(r) != x:
-        return None
+    """First invertible cell r*s => id_X, for s : X -> Y and r : Y -> X."""
     rs = bic.hcomp1[(r, s)]
-    for c in bic.cells_between(rs, bic.id1[x]):
+    for c in bic.cells_between(rs, bic.id1[bic.arrow_src(s)]):
         if bic.is_invertible(c):
             return c
     return None
@@ -163,22 +159,22 @@ class Decomposition:
 
 def w_split_decompose(sigma: SigmaClass, f: str, max_len: int) -> Decomposition | None:
     """Breadth-first search for a chain of w-split class members whose
-    composite is isomorphic to f; None when no chain of length <= max_len works."""
+    composite is isomorphic to f; None when no chain of length <= max_len works.
+
+    Each composite is queued once, with the first chain that reaches it.  That
+    chain is a shortest one, and whether a composite succeeds, and what it
+    leads to, depends on the composite alone, so later chains add nothing."""
     if max_len < 1:
         raise StructureError("max_len must be >= 1")
     bic = sigma.bic
     x, y = bic.arrows[f]
-    pieces = [
-        g
-        for g in sigma.sorted_members()
-        if find_w_split(bic, g).is_w_split
-    ]
+    pieces_from = _group(
+        [g for g in sigma.sorted_members() if find_w_split(bic, g).is_w_split],
+        bic.arrow_src,
+    )
     # frontier entries: (composite arrow, chain outermost-first)
-    queue: deque[tuple[str, tuple[str, ...]]] = deque()
-    seen: set[tuple[str, int]] = set()
-    for g in pieces:
-        if bic.arrow_src(g) == x:
-            queue.append((g, (g,)))
+    queue = deque((g, (g,)) for g in pieces_from.get(x, ()))
+    seen = {g for g, _ in queue}
     while queue:
         composite, chain = queue.popleft()
         if bic.arrow_dst(composite) == y:
@@ -187,16 +183,11 @@ def w_split_decompose(sigma: SigmaClass, f: str, max_len: int) -> Decomposition 
                     return Decomposition(f, chain, c)
         if len(chain) >= max_len:
             continue
-        for g in pieces:
-            if bic.arrow_src(g) != bic.arrow_dst(composite):
-                continue
+        for g in pieces_from.get(bic.arrow_dst(composite), ()):
             nxt = bic.hcomp1[(g, composite)]
-            key = (nxt, len(chain) + 1)
-            new_chain = (g,) + chain
-            if (nxt, len(chain) + 1) in seen:
-                continue
-            seen.add(key)
-            queue.append((nxt, new_chain))
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append((nxt, (g,) + chain))
     return None
 
 
@@ -206,42 +197,28 @@ def is_quasiequivalence(bic: Bicategory, f: str) -> bool:
     Checked as a bijection between cell sets for every arrow pair, with the
     result memoized on the bicategory.
     """
-    cached = bic._qe_cache.get(f)
-    if cached is not None:
-        return cached
+    if f not in bic._qe_cache:
+        bic._qe_cache[f] = _is_quasiequivalence(bic, f)
+    return bic._qe_cache[f]
+
+
+def _is_quasiequivalence(bic: Bicategory, f: str) -> bool:
     x, y = bic.arrows[f]
-
-    def bijective(pairs: list[tuple[str, str]], image: dict[str, str]) -> bool:
-        seen: dict[str, str] = {}
-        for a, fa in pairs:
-            if fa in seen:
+    # post-composition f * (-): hom(z, x) -> hom(z, y)
+    for a in bic.in_arrows(x):
+        for b in bic.arrows_between(bic.arrow_src(a), x):
+            fa, fb = bic.hcomp1[(f, a)], bic.hcomp1[(f, b)]
+            images = [bic.whisker_l(f, c) for c in bic.cells_between(a, b)]
+            if sorted(images) != list(bic.cells_between(fa, fb)):
                 return False
-            seen[fa] = a
-        # fullness: every cell between the two image arrows is hit
-        return set(seen) == set(image)
-
-    ok = True
-    for z in bic.objects:
-        # post-composition f * (-): hom(z, x) -> hom(z, y)
-        for a in bic.arrows_between(z, x):
-            for b in bic.arrows_between(z, x):
-                fa, fb = bic.hcomp1[(f, a)], bic.hcomp1[(f, b)]
-                pairs = [(c, bic.whisker_l(f, c)) for c in bic.cells_between(a, b)]
-                targets = {c: c for c in bic.cells_between(fa, fb)}
-                if not bijective(pairs, targets):
-                    ok = False
-        # pre-composition (-) * f: hom(y, z) -> hom(x, z)
-        for u in bic.arrows_between(y, z):
-            for v in bic.arrows_between(y, z):
-                uf, vf = bic.hcomp1[(u, f)], bic.hcomp1[(v, f)]
-                pairs = [(c, bic.whisker_r(c, f)) for c in bic.cells_between(u, v)]
-                targets = {c: c for c in bic.cells_between(uf, vf)}
-                if not bijective(pairs, targets):
-                    ok = False
-        if not ok:
-            break
-    bic._qe_cache[f] = ok
-    return ok
+    # pre-composition (-) * f: hom(y, z) -> hom(x, z)
+    for u in bic.out_arrows(y):
+        for v in bic.arrows_between(y, bic.arrow_dst(u)):
+            uf, vf = bic.hcomp1[(u, f)], bic.hcomp1[(v, f)]
+            images = [bic.whisker_r(c, f) for c in bic.cells_between(u, v)]
+            if sorted(images) != list(bic.cells_between(uf, vf)):
+                return False
+    return True
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,487 @@
+"""The scan-and-filter code that the incidence-index walks replaced, kept as
+the reference for ``tests/test_index_differential.py``.
+
+Each function is the old one copied verbatim, with three departures:
+``ReferenceDocBuilder.build`` is the old ``_DocBuilder.build`` (parser fill
+included) as a method of a subclass; ``is_quasiequivalence`` does not read or
+write the bicategory's memo, which the code under test shares; and the old
+functions call each other here rather than their replacements.
+"""
+from __future__ import annotations
+
+from collections import deque
+
+from bicatkit.core import Bicategory, PseudofunctorData, StructureError
+from bicatkit.ho import (
+    ExtensionG,
+    ExtensionReport,
+    HoCell,
+    ho_cell,
+    ho_identity,
+    ho_vcomp,
+    ho_whisk,
+    i_cell,
+)
+from bicatkit.homotopy import (
+    Homotopy,
+    cylinder_homotopy,
+    f_hat,
+    make_cylinder,
+    make_homotopy,
+)
+from bicatkit.presentation import (
+    Presentation,
+    ParseError,
+    _DocBuilder,
+    _match,
+    _names,
+    _NAME,
+)
+from bicatkit.sigma import Decomposition, SigmaClass, find_w_split
+
+
+class ReferenceDocBuilder(_DocBuilder):
+    def build(self) -> Presentation:
+        sec = self.sections
+        objects: list[str] = []
+        for lineno, line in sec["objects"]:
+            for n in _names(line, lineno):
+                if n in objects:
+                    raise ParseError(f"duplicate object {n!r}", lineno)
+                objects.append(n)
+        if not objects:
+            raise ParseError("no objects declared", 1)
+
+        arrows: dict[str, tuple[str, str]] = {}
+        arrow_line: dict[str, int] = {}
+        for lineno, line in sec["arrows"]:
+            nm, src, dst = _match(
+                line, lineno, rf"({_NAME})\s*:\s*({_NAME})\s*->\s*({_NAME})", "name : src -> dst"
+            )
+            if nm in arrows:
+                raise ParseError(f"duplicate arrow {nm!r}", lineno)
+            arrows[nm] = (src, dst)
+            arrow_line[nm] = lineno
+        for nm, (src, dst) in arrows.items():
+            for obj in (src, dst):
+                if obj not in objects:
+                    raise ParseError(
+                        f"arrow {nm!r} references undeclared object {obj!r}",
+                        arrow_line[nm],
+                    )
+        id1: dict[str, str] = {}
+        for x in objects:
+            nm = f"id_{x}"
+            if nm in arrows:
+                if arrows[nm] != (x, x):
+                    raise ParseError(
+                        f"arrow {nm!r} must be {x} -> {x}", arrow_line[nm]
+                    )
+            else:
+                arrows[nm] = (x, x)
+            id1[x] = nm
+
+        def need_arrow(nm: str, lineno: int) -> None:
+            if nm not in arrows:
+                raise ParseError(f"dangling reference to arrow {nm!r}", lineno)
+
+        hcomp1: dict[tuple[str, str], str] = {}
+        for lineno, line in sec["compose"]:
+            g, f, h = _match(
+                line, lineno, rf"({_NAME})\s*\.\s*({_NAME})\s*=\s*({_NAME})", "g . f = h"
+            )
+            for nm in (g, f, h):
+                need_arrow(nm, lineno)
+            if (g, f) in hcomp1:
+                raise ParseError(f"duplicate compose entry {g} . {f}", lineno)
+            hcomp1[(g, f)] = h
+        if self.strict:
+            for f, (x, y) in arrows.items():
+                hcomp1.setdefault((id1[y], f), f)
+                hcomp1.setdefault((f, id1[x]), f)
+
+        cells: dict[str, tuple[str, str]] = {}
+        cell_line: dict[str, int] = {}
+        for lineno, line in sec["cells"]:
+            nm, f, g = _match(
+                line, lineno, rf"({_NAME})\s*:\s*({_NAME})\s*=>\s*({_NAME})", "name : f => g"
+            )
+            if nm in cells:
+                raise ParseError(f"duplicate cell {nm!r}", lineno)
+            need_arrow(f, lineno)
+            need_arrow(g, lineno)
+            cells[nm] = (f, g)
+            cell_line[nm] = lineno
+        idc: dict[str, str] = {}
+        for f in arrows:
+            nm = f"id_{f}"
+            if nm in cells:
+                if cells[nm] != (f, f):
+                    raise ParseError(f"cell {nm!r} must be {f} => {f}", cell_line[nm])
+            else:
+                cells[nm] = (f, f)
+            idc[f] = nm
+
+        def need_cell(nm: str, lineno: int) -> None:
+            if nm not in cells:
+                raise ParseError(f"dangling reference to cell {nm!r}", lineno)
+
+        vcomp: dict[tuple[str, str], str] = {}
+        for lineno, line in sec["vcomp"]:
+            b, a, c = _match(
+                line, lineno, rf"({_NAME})\s*\.\s*({_NAME})\s*=\s*({_NAME})", "b . a = c"
+            )
+            for nm in (b, a, c):
+                need_cell(nm, lineno)
+            if (b, a) in vcomp:
+                raise ParseError(f"duplicate vcomp entry {b} . {a}", lineno)
+            vcomp[(b, a)] = c
+        for a, (f, g) in cells.items():
+            vcomp.setdefault((a, idc[f]), a)
+            vcomp.setdefault((idc[g], a), a)
+
+        lwhisk: dict[tuple[str, str], str] = {}
+        for lineno, line in sec["lwhisk"]:
+            g, a, c = _match(
+                line, lineno, rf"({_NAME})\s*\*\s*({_NAME})\s*=\s*({_NAME})", "g * a = c"
+            )
+            need_arrow(g, lineno)
+            need_cell(a, lineno)
+            need_cell(c, lineno)
+            if (g, a) in lwhisk:
+                raise ParseError(f"duplicate lwhisk entry {g} * {a}", lineno)
+            lwhisk[(g, a)] = c
+        rwhisk: dict[tuple[str, str], str] = {}
+        for lineno, line in sec["rwhisk"]:
+            a, f, c = _match(
+                line, lineno, rf"({_NAME})\s*\*\s*({_NAME})\s*=\s*({_NAME})", "a * f = c"
+            )
+            need_cell(a, lineno)
+            need_arrow(f, lineno)
+            need_cell(c, lineno)
+            if (a, f) in rwhisk:
+                raise ParseError(f"duplicate rwhisk entry {a} * {f}", lineno)
+            rwhisk[(a, f)] = c
+        # forced whisker entries: identity cells (W2), and identity arrows
+        # in the strict case
+        for g in arrows:
+            for a, (f1, f2) in cells.items():
+                if arrows[f1][1] != arrows[g][0]:
+                    continue
+                if (g, a) not in lwhisk:
+                    if a == idc[f1] and f1 == f2 and (g, f1) in hcomp1:
+                        lwhisk[(g, a)] = idc[hcomp1[(g, f1)]]
+                    elif self.strict and g == id1[arrows[f1][1]]:
+                        lwhisk[(g, a)] = a
+        for a, (g1, g2) in cells.items():
+            for f in arrows:
+                if arrows[f][1] != arrows[g1][0]:
+                    continue
+                if (a, f) not in rwhisk:
+                    if a == idc[g1] and g1 == g2 and (g1, f) in hcomp1:
+                        rwhisk[(a, f)] = idc[hcomp1[(g1, f)]]
+                    elif self.strict and f == id1[arrows[g1][0]]:
+                        rwhisk[(a, f)] = a
+
+        lunitor: dict[str, str] = {}
+        runitor: dict[str, str] = {}
+        for lineno, line in sec["unitors"]:
+            kind, f, c = _match(
+                line,
+                lineno,
+                rf"(lambda|rho)\s+({_NAME})\s*=\s*({_NAME})",
+                "lambda f = c | rho f = c",
+            )
+            need_arrow(f, lineno)
+            need_cell(c, lineno)
+            table = lunitor if kind == "lambda" else runitor
+            if f in table:
+                raise ParseError(f"duplicate {kind} entry for {f!r}", lineno)
+            table[f] = c
+        assoc: dict[tuple[str, str, str], str] = {}
+        for lineno, line in sec["assoc"]:
+            h, g, f, c = _match(
+                line,
+                lineno,
+                rf"theta\s+({_NAME})\s+({_NAME})\s+({_NAME})\s*=\s*({_NAME})",
+                "theta h g f = c",
+            )
+            for nm in (h, g, f):
+                need_arrow(nm, lineno)
+            need_cell(c, lineno)
+            assoc[(h, g, f)] = c
+        if self.strict:
+            for f in arrows:
+                lunitor.setdefault(f, idc[f])
+                runitor.setdefault(f, idc[f])
+            for h in arrows:
+                for g in arrows:
+                    if arrows[g][1] != arrows[h][0]:
+                        continue
+                    for f in arrows:
+                        if arrows[f][1] != arrows[g][0]:
+                            continue
+                        key = (h, g, f)
+                        if key in assoc:
+                            continue
+                        inner = hcomp1.get((g, f))
+                        if inner is None:
+                            continue
+                        whole = hcomp1.get((h, inner))
+                        if whole is not None:
+                            assoc[key] = idc[whole]
+
+        sigma: list[str] = []
+        for lineno, line in sec["sigma"]:
+            for nm in _names(line, lineno):
+                need_arrow(nm, lineno)
+                if nm not in sigma:
+                    sigma.append(nm)
+
+        bic = Bicategory(
+            name=self.name,
+            objects=objects,
+            arrows=arrows,
+            id1=id1,
+            hcomp1=hcomp1,
+            cells=cells,
+            idc=idc,
+            vcomp=vcomp,
+            lwhisk=lwhisk,
+            rwhisk=rwhisk,
+            lunitor=lunitor,
+            runitor=runitor,
+            assoc=assoc,
+            strict=self.strict,
+        )
+        return Presentation(bic, tuple(sigma))
+
+
+def w_split_decompose(sigma: SigmaClass, f: str, max_len: int) -> Decomposition | None:
+    """Breadth-first search for a chain of w-split class members whose
+    composite is isomorphic to f; None when no chain of length <= max_len works."""
+    if max_len < 1:
+        raise StructureError("max_len must be >= 1")
+    bic = sigma.bic
+    x, y = bic.arrows[f]
+    pieces = [
+        g
+        for g in sigma.sorted_members()
+        if find_w_split(bic, g).is_w_split
+    ]
+    # frontier entries: (composite arrow, chain outermost-first)
+    queue: deque[tuple[str, tuple[str, ...]]] = deque()
+    seen: set[tuple[str, int]] = set()
+    for g in pieces:
+        if bic.arrow_src(g) == x:
+            queue.append((g, (g,)))
+    while queue:
+        composite, chain = queue.popleft()
+        if bic.arrow_dst(composite) == y:
+            for c in bic.cells_between(composite, f):
+                if bic.is_invertible(c):
+                    return Decomposition(f, chain, c)
+        if len(chain) >= max_len:
+            continue
+        for g in pieces:
+            if bic.arrow_src(g) != bic.arrow_dst(composite):
+                continue
+            nxt = bic.hcomp1[(g, composite)]
+            key = (nxt, len(chain) + 1)
+            new_chain = (g,) + chain
+            if (nxt, len(chain) + 1) in seen:
+                continue
+            seen.add(key)
+            queue.append((nxt, new_chain))
+    return None
+
+
+def is_quasiequivalence(bic: Bicategory, f: str) -> bool:
+    """Both composition functors with f are full and faithful on every hom.
+
+    Checked as a bijection between cell sets for every arrow pair, with the
+    result memoized on the bicategory.
+    """
+    x, y = bic.arrows[f]
+
+    def bijective(pairs: list[tuple[str, str]], image: dict[str, str]) -> bool:
+        seen: dict[str, str] = {}
+        for a, fa in pairs:
+            if fa in seen:
+                return False
+            seen[fa] = a
+        # fullness: every cell between the two image arrows is hit
+        return set(seen) == set(image)
+
+    ok = True
+    for z in bic.objects:
+        # post-composition f * (-): hom(z, x) -> hom(z, y)
+        for a in bic.arrows_between(z, x):
+            for b in bic.arrows_between(z, x):
+                fa, fb = bic.hcomp1[(f, a)], bic.hcomp1[(f, b)]
+                pairs = [(c, bic.whisker_l(f, c)) for c in bic.cells_between(a, b)]
+                targets = {c: c for c in bic.cells_between(fa, fb)}
+                if not bijective(pairs, targets):
+                    ok = False
+        # pre-composition (-) * f: hom(y, z) -> hom(x, z)
+        for u in bic.arrows_between(y, z):
+            for v in bic.arrows_between(y, z):
+                uf, vf = bic.hcomp1[(u, f)], bic.hcomp1[(v, f)]
+                pairs = [(c, bic.whisker_r(c, f)) for c in bic.cells_between(u, v)]
+                targets = {c: c for c in bic.cells_between(uf, vf)}
+                if not bijective(pairs, targets):
+                    ok = False
+        if not ok:
+            break
+    return ok
+
+
+def sample_homotopies(sigma: SigmaClass, cap: int = 200) -> list[Homotopy]:
+    """Deterministic enumeration of homotopies at desk scale: every cylinder
+    (all parallel pairs, diagonals, marked arrows and comparison cells), its
+    tautological homotopy, and every homotopy over it, capped."""
+    bic = sigma.bic
+    out: list[Homotopy] = []
+    for d0 in sorted(bic.arrows):
+        x, w = bic.arrows[d0]
+        for d1 in bic.arrows_between(x, w):
+            for s in sorted(sigma.members):
+                if bic.arrow_src(s) != w:
+                    continue
+                z = bic.arrow_dst(s)
+                for diag in bic.arrows_between(x, z):
+                    sd0, sd1 = bic.hcomp1[(s, d0)], bic.hcomp1[(s, d1)]
+                    for a0 in bic.cells_between(sd0, diag):
+                        if not bic.is_invertible(a0):
+                            continue
+                        for a1 in bic.cells_between(sd1, diag):
+                            if not bic.is_invertible(a1):
+                                continue
+                            cyl = make_cylinder(bic, d0, d1, diag, s, a0, a1, sigma)
+                            out.append(cylinder_homotopy(cyl))
+                            for h in sorted(bic.arrows):
+                                if bic.arrow_src(h) != w:
+                                    continue
+                                hd0 = bic.hcomp1[(h, d0)]
+                                hd1 = bic.hcomp1[(h, d1)]
+                                for ffrom in bic.arrows_between(
+                                    x, bic.arrow_dst(h)
+                                ):
+                                    for eta in bic.cells_between(ffrom, hd0):
+                                        for gto in bic.arrows_between(
+                                            x, bic.arrow_dst(h)
+                                        ):
+                                            for eps in bic.cells_between(hd1, gto):
+                                                out.append(
+                                                    make_homotopy(cyl, h, eta, eps)
+                                                )
+                                                if len(out) >= cap:
+                                                    return out
+                            if len(out) >= cap:
+                                return out
+    return out
+
+
+def extend_2functor(
+    fun: PseudofunctorData, sigma: SigmaClass, cap: int = 60
+) -> ExtensionG:
+    """Extend a 2-functor along the projection and verify, on a materialized
+    family of cells, that the forced values are functorial."""
+    if not fun.is_2functor:
+        raise StructureError(f"{fun.name!r} is not a 2-functor")
+    for s in sigma.sorted_members():
+        if not is_quasiequivalence(fun.target, fun.arr_map[s]):
+            raise StructureError(
+                f"{fun.name!r} sends {s!r} outside the quasiequivalences"
+            )
+    ext = ExtensionG(fun, sigma)
+    bic = sigma.bic
+    d = fun.target
+
+    family: list[HoCell] = []
+    for mu in sorted(bic.cells):
+        family.append(i_cell(sigma, mu))
+    for hom in sample_homotopies(sigma, cap=cap):
+        family.append(ho_cell(sigma, (hom,)))
+    ext.materialized = family
+
+    agrees = all(
+        ext.value(i_cell(sigma, mu)) == fun.cell_map[mu] for mu in sorted(bic.cells)
+    )
+    pairs = 0
+    vert_ok = True
+    for k1 in family:
+        for k2 in family:
+            if k1.g != k2.f:
+                continue
+            pairs += 1
+            comp = ho_vcomp(k2, k1)
+            if ext.value(comp) != d.vertical(ext.value(k2), ext.value(k1)):
+                vert_ok = False
+    whisk = 0
+    whisk_ok = True
+    for k in family:
+        y = bic.arrow_dst(k.f)
+        x = bic.arrow_src(k.f)
+        for r in sorted(bic.arrows):
+            if bic.arrow_src(r) == y:
+                whisk += 1
+                lhs = ext.value(ho_whisk("left", r, k))
+                if lhs != d.whisker_l(fun.arr_map[r], ext.value(k)):
+                    whisk_ok = False
+            if bic.arrow_dst(r) == x:
+                whisk += 1
+                lhs = ext.value(ho_whisk("right", r, k))
+                if lhs != d.whisker_r(ext.value(k), fun.arr_map[r]):
+                    whisk_ok = False
+    units_ok = all(
+        ext.value(ho_identity(sigma, f)) == d.idc[fun.arr_map[f]]
+        for f in sorted(bic.arrows)
+    )
+    ext.report = ExtensionReport(
+        agrees, vert_ok, whisk_ok, units_ok, len(bic.cells), pairs, whisk
+    )
+    return ext
+
+
+def perturbation_breaks(ext: ExtensionG, k: HoCell, other_value: str) -> bool:
+    """True when overriding the extension's value on k with other_value breaks
+    a verified equation (restriction along the projection, the forced value of
+    marked cylinder classes, or vertical/whisker functoriality).  Defined for
+    2-functor extensions, where whiskering needs no conjugation."""
+    if ext.head is not None:
+        raise StructureError("perturbation check runs on the 2-functor leg")
+    fun = ext.fun
+    d = fun.target
+    if other_value == ext.value(k):
+        return False
+
+    def val(cell: HoCell) -> str:
+        return other_value if cell.terms == k.terms else ext.value(cell)
+
+    # restriction along the projection
+    for mu in sorted(ext.sigma.bic.cells):
+        ic = i_cell(ext.sigma, mu)
+        if ic.terms == k.terms and val(ic) != fun.cell_map[mu]:
+            return True
+    # identity classes have forced values
+    if not k.terms:
+        return val(k) != d.idc[fun.arr_map[k.f]]
+    # decomposition pins singleton homotopy classes to their hat composites
+    if len(k.terms) == 1 and isinstance(k.terms[0], Homotopy):
+        if val(k) != f_hat(fun, k.terms[0]):
+            return True
+    # vertical functoriality against the identity-free split of the sequence
+    if len(k.terms) >= 2:
+        left = ho_cell(ext.sigma, k.terms[:1])
+        right = ho_cell(ext.sigma, k.terms[1:])
+        if val(k) != d.vertical(val(right), val(left)):
+            return True
+    # whisker functoriality detects the rest
+    bic = ext.sigma.bic
+    for r in sorted(bic.arrows):
+        if bic.arrow_src(r) == bic.arrow_dst(k.f):
+            moved = ho_whisk("left", r, k)
+            if val(moved) != d.whisker_l(fun.arr_map[r], val(k)):
+                return True
+    return False

@@ -109,6 +109,82 @@ def test_localize_and_replay(capsys, split_file, tmp_path):
     assert code == 0 and "replay ok" in out
 
 
+@pytest.fixture(scope="module")
+def split_cert(tmp_path_factory):
+    """A split document and the certificate `localize` writes for it."""
+    root = tmp_path_factory.mktemp("cert")
+    doc = root / "split.bic"
+    doc.write_text(fixture_text("split.bic"))
+    cert = root / "cert.json"
+    argv = ["localize", str(doc), "--max-len", "2", "--format", "json", "--out", str(cert)]
+    assert main(argv) == 0
+    return str(doc), json.loads(cert.read_text())
+
+
+def replay(capsys, tmp_path, split_cert, body):
+    doc, _ = split_cert
+    path = tmp_path / "tampered.json"
+    path.write_text(body)
+    return run(capsys, "localize", doc, "--replay", str(path))
+
+
+def test_replay_of_text_that_is_not_json_is_usage(capsys, tmp_path, split_cert):
+    code, _, err = replay(capsys, tmp_path, split_cert, '{"status": "ok",\n  oops}')
+    assert code == 3
+    assert "line 2 column 3" in err
+
+
+def test_replay_of_json_that_is_not_an_object_fails(capsys, tmp_path, split_cert):
+    code, out, _ = replay(capsys, tmp_path, split_cert, "[1, 2]")
+    assert code == 1
+    assert "replay FAILED" in out and "not a JSON object" in out
+
+
+def test_replay_names_a_missing_decomposition_field(capsys, tmp_path, split_cert):
+    cert = json.loads(json.dumps(split_cert[1]))
+    del cert["decompositions"][1]["arrow"]
+    code, out, _ = replay(capsys, tmp_path, split_cert, json.dumps(cert))
+    assert code == 1
+    assert "replay FAILED" in out and "'decompositions[1].arrow' is missing" in out
+
+
+def test_replay_names_a_mistyped_budget(capsys, tmp_path, split_cert):
+    cert = dict(split_cert[1], budget="x")
+    code, out, _ = replay(capsys, tmp_path, split_cert, json.dumps(cert))
+    assert code == 1
+    assert "replay FAILED" in out and "'budget' has the wrong type" in out
+
+
+def test_replay_names_a_mistyped_stored_term(capsys, tmp_path, split_cert):
+    cert = json.loads(json.dumps(split_cert[1]))
+    terms = cert["equivalences"][0]["to_id_src"]["hocell"]["terms"]
+    terms[0] = {"kind": "icell", "cell": ["not", "a", "name"]}
+    code, out, _ = replay(capsys, tmp_path, split_cert, json.dumps(cert))
+    assert code == 1
+    assert "'hocell.terms[0].cell' has the wrong type" in out
+
+
+def test_validate_without_input_is_usage(capsys):
+    code, _, err = run(capsys, "validate")
+    assert code == 3
+    assert "needs an input or --functor" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ("sigma-check", "--max-len", "0"),
+        ("localize", "--max-len", "0"),
+        ("localize", "--budget", "-1"),
+    ),
+    ids=("sigma-check-max-len", "localize-max-len", "localize-budget"),
+)
+def test_bounds_below_one_are_usage(capsys, split_file, argv):
+    code, _, err = run(capsys, argv[0], split_file, *argv[1:])
+    assert code == 3
+    assert "must be an integer >= 1" in err
+
+
 def test_localize_underclosed_sigma_fails_with_witness(capsys, split_file):
     code, out, _ = run(capsys, "localize", split_file, "--sigma", "s,r")
     assert code == 1

@@ -1,5 +1,6 @@
 import pytest
 
+from bench import families
 from bicatkit.core import StructureError, identity_pseudofunctor
 from bicatkit.homotopy import (
     ICell,
@@ -30,8 +31,9 @@ from bicatkit.ho import (
     perturbation_breaks,
     sample_homotopies,
 )
-from bicatkit.library import load_fixture_bicategory
-from bicatkit.presentation import load_pseudofunctor
+from bicatkit.library import BICATEGORIES, load_fixture, load_fixture_bicategory
+from bicatkit.localize import default_probe_targets
+from bicatkit.presentation import load_presentation_with_sigma, load_pseudofunctor
 from bicatkit.sigma import make_sigma
 
 
@@ -424,3 +426,30 @@ def test_extend_modification_and_perturbation(twocell):
     bad = ModificationData("pert", theta, theta, {"U": "id_id_U", "V": "j"})
     _, rep = extend_2cell_data("modification", bad, sigma)
     assert not rep.ok and any("PM" in f for f in rep.failures)
+
+
+def _probe_subjects():
+    for name in BICATEGORIES:
+        pres = load_fixture(name)
+        yield make_sigma(pres.bicategory, pres.sigma_names)
+    for family, n in (("chain", 3), ("chain_z2", 3), ("chaotic", 4), ("chaotic_z2", 3)):
+        doc = families.generate(family, n, 1, marked=True)
+        pres = load_presentation_with_sigma(doc.text(), doc.name)
+        yield make_sigma(pres.bicategory, pres.sigma_names)
+
+
+def test_enumerated_probes_pass_make_probe_set():
+    # the CLI uses enumerate_probes' result without make_probe_set's checks;
+    # they must hold for every probe it returns, with the default targets
+    # and with every fixture named as a target, as `--probes` does
+    fixtures = [load_fixture_bicategory(n) for n in BICATEGORIES]
+    checked = 0
+    for sigma in _probe_subjects():
+        for targets, include_self in (
+            (default_probe_targets(sigma), True),
+            (fixtures, False),
+        ):
+            found = enumerate_probes(sigma, targets, include_self=include_self).probes
+            assert make_probe_set(sigma, list(found)).probes == found
+            checked += len(found)
+    assert checked > 1000

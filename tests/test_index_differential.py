@@ -1,0 +1,257 @@
+"""The incidence-index walks against the scan-and-filter code they replaced.
+
+``tests/reference_scans.py`` holds the old code: the parser's fill of forced
+table entries, ``w_split_decompose``, ``is_quasiequivalence``,
+``sample_homotopies``, ``extend_2functor`` and ``perturbation_breaks``.  Both
+sides must give equal tables and parse errors, equal decompositions at every
+``max_len`` from 1 to 4, equal quasiequivalence verdicts for every arrow,
+equal homotopy samples, and equal extension reports and perturbation results,
+on the bundled fixtures and on the benchmark's generated families, clean and
+with every mutation kind, strict and not.
+"""
+import itertools
+import random
+
+import pytest
+
+from bench import families
+from bicatkit.core import StructureError
+from bicatkit.ho import (
+    enumerate_probes,
+    extend_2functor,
+    ho_cell,
+    perturbation_breaks,
+    sample_homotopies,
+)
+from bicatkit.homotopy import ICell
+from bicatkit.library import BICATEGORIES, fixture_text
+from bicatkit.localize import default_probe_targets
+from bicatkit.presentation import ParseError, load_presentation_with_sigma
+from bicatkit.sigma import (
+    Decomposition,
+    is_quasiequivalence,
+    make_sigma,
+    w_split_decompose,
+)
+
+from tests import reference_scans as ref
+
+# chain_z2 needs 4 objects for a composable triple of non-identity arrows
+SIZES = {"chain": (3, 4, 6), "chain_z2": (4, 5), "chaotic": (2, 3, 4), "chaotic_z2": (2, 3, 4)}
+# g * (-) sends both cells on f to id_h: full but not faithful, so g is no
+# quasiequivalence, although the image set equals the target set
+COLLAPSE_DOC = """
+objects: A B C
+arrows:
+  f : A -> B
+  g : B -> C
+  h : A -> C
+compose:
+  g . f = h
+cells:
+  z : f => f
+vcomp:
+  z . z = id_f
+lwhisk:
+  g * z = id_h
+sigma: f g
+"""
+TABLE_FIELDS = (
+    "name", "objects", "arrows", "id1", "hcomp1", "cells", "idc", "vcomp",
+    "lwhisk", "rwhisk", "lunitor", "runitor", "assoc", "strict",
+)
+
+
+def parse_both(text, name):
+    """(new, old) parse results: a Presentation or the ParseError text."""
+    out = []
+    for parse in (
+        lambda: load_presentation_with_sigma(text, name),
+        lambda: ref.ReferenceDocBuilder(name, text).build(),
+    ):
+        try:
+            out.append(parse())
+        except ParseError as exc:
+            out.append(f"ParseError: {exc}")
+    return out
+
+
+def assert_same_parse(text, name):
+    new, old = parse_both(text, name)
+    if isinstance(old, str):
+        assert new == old, name
+        return None
+    assert not isinstance(new, str), (name, new)
+    assert new.sigma_names == old.sigma_names, name
+    for field in TABLE_FIELDS:
+        assert getattr(new.bicategory, field) == getattr(old.bicategory, field), (name, field)
+    return new
+
+
+def as_non_strict(text):
+    return text.replace("strict true", "strict false")
+
+
+def documents():
+    """(name, text) of the fixtures and of the generated families at the
+    sizes above, clean and with every mutation kind."""
+    for name in BICATEGORIES:
+        yield name, fixture_text(f"{name}.bic")
+    yield "collapse", COLLAPSE_DOC
+    for family, seed in itertools.product(families.FAMILIES, (1, 2)):
+        for n in SIZES[family]:
+            doc = families.generate(family, n, seed, marked=seed == 2)
+            yield doc.name, doc.text()
+            for m in families.mutations_for(family):
+                mutant = families.mutate(doc, m.name, seed)
+                yield mutant.name, mutant.text()
+
+
+def line_mutants(text, rng, count):
+    """Documents that differ from text in one line: dropped, doubled, or with
+    one name replaced by another name of the document."""
+    lines = text.splitlines()
+    names = sorted(set(doc_names(text)))
+    for _ in range(count):
+        out = list(lines)
+        i = rng.randrange(len(out))
+        kind = rng.randrange(3)
+        if kind == 0:
+            del out[i]
+        elif kind == 1:
+            out.insert(i, out[i])
+        else:
+            toks = out[i].split(" ")
+            j = rng.randrange(len(toks))
+            toks[j] = rng.choice(names)
+            out[i] = " ".join(toks)
+        yield "\n".join(out) + "\n"
+
+
+def doc_names(text):
+    for line in text.splitlines():
+        for tok in line.replace(":", " ").split():
+            if tok not in ("->", "=>", ".", "*", "=", "strict", "true", "false"):
+                yield tok
+
+
+@pytest.mark.parametrize("strict", (True, False), ids=("strict", "non-strict"))
+def test_parser_fill_matches_reference(strict):
+    parsed = 0
+    for name, text in documents():
+        if not strict:
+            text = as_non_strict(text)
+        parsed += assert_same_parse(text, name) is not None
+    assert parsed > 100
+
+
+@pytest.mark.parametrize("strict", (True, False), ids=("strict", "non-strict"))
+def test_parser_line_mutants_match_reference(strict):
+    rng = random.Random(f"line-mutants:{strict}")
+    seeds = [(n, fixture_text(f"{n}.bic")) for n in BICATEGORIES]
+    seeds += [
+        (doc.name, doc.text())
+        for doc in (families.generate(f, 3, 1, marked=True) for f in families.FAMILIES)
+    ]
+    errors = 0
+    for name, text in seeds:
+        if not strict:
+            text = as_non_strict(text)
+        for mutant in line_mutants(text, rng, 40):
+            errors += assert_same_parse(mutant, name) is None
+    assert errors >= 20, f"only {errors} mutants fail to parse"
+
+
+def outcome(fn, *args):
+    """fn(*args), or "error" when it raises on a missing table entry.  On a
+    table that fails validation the two sides may visit the missing entries
+    in another order, so which entry, and which exception, is not compared."""
+    try:
+        return fn(*args)
+    except (StructureError, KeyError):
+        return "error"
+
+
+def sigma_cases():
+    """(label, sigma) over every document: the document's own sigma, all
+    arrows, and seeded halves and quarters of the arrows, which leave many
+    arrows to be reached by chains of several marked ones."""
+    for name, text in documents():
+        pres = load_presentation_with_sigma(text, name)
+        arrows = sorted(pres.bicategory.arrows)
+        rng = random.Random(name)
+        half = rng.sample(arrows, len(arrows) // 2)
+        quarter = rng.sample(arrows, len(arrows) // 4)
+        for label, chosen in (
+            ("own", pres.sigma_names), ("all", arrows), ("half", half), ("quarter", quarter)
+        ):
+            # a fresh table per case, so no memo is shared between cases
+            fresh = load_presentation_with_sigma(text, name).bicategory
+            yield f"{name}/{label}", make_sigma(fresh, chosen)
+
+
+def test_sigma_searches_match_reference():
+    cases = errors = chains = 0
+    for label, sigma in sigma_cases():
+        bic = sigma.bic
+        for f in sorted(bic.arrows):
+            got = outcome(is_quasiequivalence, bic, f)
+            assert got == outcome(ref.is_quasiequivalence, bic, f), (label, f)
+            errors += got == "error"
+            for max_len in (1, 2, 3, 4):
+                got = outcome(w_split_decompose, sigma, f, max_len)
+                assert got == outcome(ref.w_split_decompose, sigma, f, max_len), (
+                    label, f, max_len,
+                )
+            chains += isinstance(got, Decomposition) and len(got.chain) > 1
+        cases += 1
+    assert cases > 400 and errors > 0
+    assert chains > 100, f"only {chains} decompositions need several marked arrows"
+
+
+def test_homotopy_samples_match_reference():
+    compared = 0
+    for label, sigma in sigma_cases():
+        if len(sigma.bic.arrows) > 12:
+            continue
+        got = outcome(sample_homotopies, sigma, 150)
+        assert got == outcome(ref.sample_homotopies, sigma, 150), label
+        compared += not isinstance(got, str) and len(got) > 0
+    assert compared > 50
+
+
+def probe_cases():
+    """The first probes of each fixture, and of two generated tables whose
+    homs are Z/2, where whiskering carries most of the structure."""
+    docs = [(name, fixture_text(f"{name}.bic")) for name in BICATEGORIES]
+    for family, n in (("chaotic_z2", 2), ("chain_z2", 4)):
+        doc = families.generate(family, n, 3, marked=family.startswith("chaotic"))
+        docs.append((doc.name, doc.text()))
+    for name, text in docs:
+        pres = load_presentation_with_sigma(text, name)
+        sigma = make_sigma(pres.bicategory, pres.sigma_names)
+        probes = enumerate_probes(sigma, default_probe_targets(sigma))
+        for fun in probes.probes[:12]:
+            yield name, sigma, fun
+
+
+def test_extension_and_perturbations_match_reference():
+    probes = perturbations = whisker_decided = 0
+    for name, sigma, fun in probe_cases():
+        new = extend_2functor(fun, sigma, cap=30)
+        old = ref.extend_2functor(fun, sigma, cap=30)
+        assert new.report == old.report, (name, fun.name)
+        assert new.materialized == old.materialized, (name, fun.name)
+        bic, d = sigma.bic, fun.target
+        # a lone identity-cell term is no projected cell, so on it only the
+        # whisker equations can break; the materialized cells fail earlier
+        lone_ids = [ho_cell(sigma, (ICell(bic, bic.idc[f]),)) for f in sorted(bic.arrows)]
+        for k in new.materialized + lone_ids:
+            assert new.value(k) == old.value(k)
+            for other in d.cells_between(fun.arr_map[k.f], fun.arr_map[k.g]):
+                got = perturbation_breaks(new, k, other)
+                assert got == ref.perturbation_breaks(old, k, other), (name, fun.name, str(k))
+                perturbations += 1
+                whisker_decided += got and k in lone_ids
+        probes += 1
+    assert probes > 30 and perturbations > 100 and whisker_decided > 10
