@@ -42,6 +42,10 @@ class _Usage(Exception):
     pass
 
 
+class _Invalid(Exception):
+    """A table a command reads fails validation."""
+
+
 def _read(path: str) -> str:
     try:
         return Path(path).read_text()
@@ -54,6 +58,15 @@ def _load_bicategory(path: str):
     if path in BICATEGORIES:  # bare fixture name
         return load_fixture(path)
     return load_presentation_with_sigma(_read(path), name=name)
+
+
+def _load_valid(path: str):
+    """The presentation of every table a command computes on; one that fails
+    validation exits 1 before any command reads a missing entry."""
+    pres = _load_bicategory(path)
+    if not validate_bicategory(pres.bicategory).ok:
+        raise _Invalid
+    return pres
 
 
 def _emit(args, payload: dict, text: str) -> None:
@@ -77,17 +90,13 @@ def _probe_targets(sigma, spec: str | None):
         name = name.strip()
         if not name:
             continue
-        if name.endswith(".bic"):
-            targets.append(_load_bicategory(name).bicategory)
-        elif probe_dir and (Path(probe_dir) / f"{name}.bic").exists():
-            path = Path(probe_dir) / f"{name}.bic"
-            targets.append(
-                load_presentation_with_sigma(path.read_text(), name=name).bicategory
-            )
-        elif name in BICATEGORIES:
-            targets.append(load_fixture(name).bicategory)
-        else:
-            raise _Usage(f"unknown probe target {name!r}")
+        if not name.endswith(".bic"):
+            in_dir = Path(probe_dir) / f"{name}.bic" if probe_dir else None
+            if in_dir and in_dir.exists():
+                name = str(in_dir)
+            elif name not in BICATEGORIES:
+                raise _Usage(f"unknown probe target {name!r}")
+        targets.append(_load_valid(name).bicategory)
     return targets
 
 
@@ -135,11 +144,7 @@ def _report_text(subject: str, rep) -> str:
 
 
 def _cmd_sigma_check(args) -> int:
-    pres = _load_bicategory(args.input)
-    rep = validate_bicategory(pres.bicategory)
-    if not rep.ok:
-        sys.stderr.write("input fails validation; run validate first\n")
-        return EXIT_FAIL
+    pres = _load_valid(args.input)
     sigma = _sigma_for(args, pres)
     report = sigma_report(sigma, max_len=args.max_len)
     report["schema_version"] = SCHEMA_VERSION
@@ -159,11 +164,7 @@ def _cmd_sigma_check(args) -> int:
 
 
 def _cmd_localize(args) -> int:
-    pres = _load_bicategory(args.input)
-    rep = validate_bicategory(pres.bicategory)
-    if not rep.ok:
-        sys.stderr.write("input fails validation; run validate first\n")
-        return EXIT_FAIL
+    pres = _load_valid(args.input)
     sigma = _sigma_for(args, pres)
     probes = enumerate_probes(
         sigma, _probe_targets(sigma, args.probes), include_self=args.probes is None
@@ -189,7 +190,7 @@ def _cmd_localize(args) -> int:
 
 
 def _cmd_ho_eq(args) -> int:
-    pres = _load_bicategory(args.input)
+    pres = _load_valid(args.input)
     sigma = _sigma_for(args, pres)
     doc = parse_query(sigma, _read(args.query))
     if "lhs" not in doc.sequences or "rhs" not in doc.sequences:
@@ -221,7 +222,7 @@ def _cmd_ho_eq(args) -> int:
 
 
 def _cmd_hat(args) -> int:
-    pres = _load_bicategory(args.input)
+    pres = _load_valid(args.input)
     sigma = _sigma_for(args, pres)
     doc = parse_query(sigma, _read(args.query))
     if doc.hat_target is None:
@@ -241,8 +242,8 @@ def _cmd_hat(args) -> int:
 
 
 def _cmd_extend(args) -> int:
-    src_pres = _load_bicategory(args.source)
-    tgt_pres = _load_bicategory(args.target)
+    src_pres = _load_valid(args.source)
+    tgt_pres = _load_valid(args.target)
     src, tgt = src_pres.bicategory, tgt_pres.bicategory
     fun = load_pseudofunctor(_read(args.functor), src, tgt, name=Path(args.functor).stem)
     rep = validate_pseudofunctor(fun)
@@ -400,6 +401,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except StructureError as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return EXIT_FAIL
+    except _Invalid:
+        sys.stderr.write("input fails validation; run validate first\n")
         return EXIT_FAIL
 
 

@@ -627,15 +627,6 @@ class PseudofunctorData:
             t.is_identity_cell(c) for c in self.phi.values()
         )
 
-    def on_obj(self, x: str) -> str:
-        return self.obj_map[x]
-
-    def on_arr(self, f: str) -> str:
-        return self.arr_map[f]
-
-    def on_cell(self, a: str) -> str:
-        return self.cell_map[a]
-
 
 def validate_pseudofunctor(fun: PseudofunctorData) -> ValidationReport:
     """Check hom-functoriality plus the unit, composition and naturality axioms."""

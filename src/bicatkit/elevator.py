@@ -18,6 +18,7 @@ import re
 from dataclasses import dataclass
 
 from .core import Bicategory, StructureError
+from .presentation import COMPUTAD, Document, ParseError, parse_path
 
 Path = tuple[str, ...]
 
@@ -334,18 +335,6 @@ def evaluate(assign: ModelAssignment, expr: CellExpr) -> str:
 
 # -- text syntax ----------------------------------------------------------
 
-_NAME = r"[A-Za-z0-9_.'-]+"
-
-
-def parse_path(text: str) -> Path:
-    text = text.strip()
-    if text == "1":
-        return ()
-    parts = [p.strip() for p in text.split(".")]
-    if not all(parts):
-        raise StructureError(f"bad path {text!r}")
-    return tuple(parts)
-
 
 def parse_expr(comp: Computad, text: str) -> CellExpr:
     text = text.strip()
@@ -365,45 +354,12 @@ def parse_expr(comp: Computad, text: str) -> CellExpr:
 def load_computad(text: str, name: str = "computad") -> Computad:
     """Computad documents: objects:, arrows: (name : X -> Y) and cells:
     (name : path => path, optionally '@ obj' for scalar cells)."""
-    from .presentation import ParseError, _split_sections  # shared line format
-
-    sections, _ = _split_sections(text)
-    objects: list[str] = []
-    for lineno, line in sections["objects"]:
-        for tok in line.split():
-            if tok in objects:
-                raise ParseError(f"duplicate object {tok!r}", lineno)
-            objects.append(tok)
-    arrows: dict[str, tuple[str, str]] = {}
-    for lineno, line in sections["arrows"]:
-        m = re.fullmatch(rf"({_NAME})\s*:\s*({_NAME})\s*->\s*({_NAME})", line)
-        if not m:
-            raise ParseError("expected 'name : src -> dst'", lineno)
-        nm, src, dst = m.groups()
-        if nm in arrows:
-            raise ParseError(f"duplicate arrow {nm!r}", lineno)
-        arrows[nm] = (src, dst)
-    cells: dict[str, tuple[Path, Path, str] | tuple[Path, Path]] = {}
-    for lineno, line in sections["cells"]:
-        m = re.fullmatch(
-            rf"({_NAME})\s*:\s*([^=@]+?)\s*=>\s*([^=@]+?)(?:\s*@\s*({_NAME}))?", line
-        )
-        if not m:
-            raise ParseError("expected 'name : path => path [@ obj]'", lineno)
-        nm, pin, pout, anchor = m.groups()
-        if nm in cells:
-            raise ParseError(f"duplicate cell {nm!r}", lineno)
-        try:
-            entry: tuple
-            if anchor:
-                entry = (parse_path(pin), parse_path(pout), anchor)
-            else:
-                entry = (parse_path(pin), parse_path(pout))
-        except StructureError as exc:
-            raise ParseError(str(exc), lineno) from exc
-        cells[nm] = entry
+    doc = Document(COMPUTAD, text)
+    objects = doc.read("objects")
+    arrows = doc.read("arrows", {"object": objects})
+    cells = doc.read("cells")
     try:
-        return make_computad(name, objects, arrows, cells)  # type: ignore[arg-type]
+        return make_computad(name, list(objects), arrows, cells)
     except StructureError as exc:
         raise ParseError(str(exc), 1) from exc
 

@@ -48,11 +48,6 @@ class Cylinder:
     alpha0: str
     alpha1: str
 
-    @property
-    def base(self) -> str:
-        """The object the parallel arrows d0, d1 start from."""
-        return self.bic.arrow_src(self.d0)
-
     def alpha_tilde(self) -> str:
         inv = self.bic.inverse(self.alpha1)
         assert inv is not None

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 from .core import Bicategory, StructureError, _group
 
@@ -25,6 +26,15 @@ class SigmaClass:
 
     def sorted_members(self) -> tuple[str, ...]:
         return tuple(sorted(self.members))
+
+    @cached_property
+    def w_split_pieces(self) -> dict[str, tuple[str, ...]]:
+        """The w-split members grouped by source object, searched once per
+        class; the pieces of every decomposition chain."""
+        return _group(
+            [g for g in self.sorted_members() if find_w_split(self.bic, g).is_w_split],
+            self.bic.arrow_src,
+        )
 
 
 def make_sigma(bic: Bicategory, arrows: tuple[str, ...] | list[str]) -> SigmaClass:
@@ -168,10 +178,7 @@ def w_split_decompose(sigma: SigmaClass, f: str, max_len: int) -> Decomposition 
         raise StructureError("max_len must be >= 1")
     bic = sigma.bic
     x, y = bic.arrows[f]
-    pieces_from = _group(
-        [g for g in sigma.sorted_members() if find_w_split(bic, g).is_w_split],
-        bic.arrow_src,
-    )
+    pieces_from = sigma.w_split_pieces
     # frontier entries: (composite arrow, chain outermost-first)
     queue = deque((g, (g,)) for g in pieces_from.get(x, ()))
     seen = {g for g, _ in queue}

@@ -1,17 +1,22 @@
-"""The scan-and-filter code that the incidence-index walks replaced, kept as
-the reference for ``tests/test_index_differential.py``.
+"""The scan-and-filter code that the incidence-index walks replaced, and the
+hand-written section loops that the table-driven document reader replaced,
+kept as the reference for ``tests/test_index_differential.py``.
 
-Each function is the old one copied verbatim, with three departures:
-``ReferenceDocBuilder.build`` is the old ``_DocBuilder.build`` (parser fill
-included) as a method of a subclass; ``is_quasiequivalence`` does not read or
-write the bicategory's memo, which the code under test shares; and the old
-functions call each other here rather than their replacements.
+Each function is the old one copied verbatim, with four departures:
+``ReferenceDocBuilder`` is the old ``_DocBuilder`` (``__init__`` included, its
+``build`` with the old scan fill); ``load_computad`` uses this module's copy
+of the old ``_split_sections`` instead of importing it; ``is_quasiequivalence``
+does not read or write the bicategory's memo, which the code under test
+shares; and the old functions call each other here rather than their
+replacements.
 """
 from __future__ import annotations
 
+import re
 from collections import deque
 
 from bicatkit.core import Bicategory, PseudofunctorData, StructureError
+from bicatkit.elevator import Computad, Path, make_computad, parse_path
 from bicatkit.ho import (
     ExtensionG,
     ExtensionReport,
@@ -29,18 +34,81 @@ from bicatkit.homotopy import (
     make_cylinder,
     make_homotopy,
 )
-from bicatkit.presentation import (
-    Presentation,
-    ParseError,
-    _DocBuilder,
-    _match,
-    _names,
-    _NAME,
-)
+from bicatkit.presentation import ParseError, Presentation
 from bicatkit.sigma import Decomposition, SigmaClass, find_w_split
 
+_SECTIONS = (
+    "objects",
+    "arrows",
+    "compose",
+    "cells",
+    "vcomp",
+    "lwhisk",
+    "rwhisk",
+    "unitors",
+    "assoc",
+    "sigma",
+    "map_obj",
+    "map_arr",
+    "map_cell",
+    "xi",
+    "phi",
+)
 
-class ReferenceDocBuilder(_DocBuilder):
+_NAME = r"[A-Za-z0-9_.'-]+"
+
+
+def _split_sections(text: str) -> tuple[dict[str, list[tuple[int, str]]], bool]:
+    sections: dict[str, list[tuple[int, str]]] = {k: [] for k in _SECTIONS}
+    strict = False
+    strict_seen = False
+    current: str | None = None
+    header = re.compile(rf"^({'|'.join(_SECTIONS)}):(.*)$")
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        m = re.match(r"^strict\s+(true|false)$", line)
+        if m:
+            strict = m.group(1) == "true"
+            strict_seen = True
+            current = None
+            continue
+        m = header.match(line)
+        if m:
+            current = m.group(1)
+            rest = m.group(2).strip()
+            if rest:
+                sections[current].append((lineno, rest))
+            continue
+        if current is None:
+            raise ParseError(f"content outside any section: {line!r}", lineno)
+        sections[current].append((lineno, line))
+    if not strict_seen:
+        strict = True
+    return sections, strict
+
+
+def _names(line: str, lineno: int) -> list[str]:
+    toks = line.split()
+    for t in toks:
+        if not re.fullmatch(_NAME, t):
+            raise ParseError(f"bad name {t!r}", lineno, line.find(t) + 1)
+    return toks
+
+
+def _match(line: str, lineno: int, pattern: str, shape: str) -> tuple[str, ...]:
+    m = re.fullmatch(pattern, line)
+    if not m:
+        raise ParseError(f"expected {shape!r}", lineno)
+    return m.groups()
+
+
+class ReferenceDocBuilder:
+    def __init__(self, name: str, text: str) -> None:
+        self.name = name
+        self.sections, self.strict = _split_sections(text)
+
     def build(self) -> Presentation:
         sec = self.sections
         objects: list[str] = []
@@ -255,6 +323,144 @@ class ReferenceDocBuilder(_DocBuilder):
             strict=self.strict,
         )
         return Presentation(bic, tuple(sigma))
+
+
+def load_pseudofunctor(
+    text: str,
+    source: Bicategory,
+    target: Bicategory,
+    name: str = "functor",
+) -> PseudofunctorData:
+    """Parse a pseudofunctor document against loaded source and target.
+
+    Identity cells map automatically; xi/phi entries omitted from the document
+    default to identity cells (an error if that is ill-typed).
+    """
+    sections, _ = _split_sections(text)
+    for key in ("objects", "arrows", "compose", "cells", "vcomp"):
+        if sections[key]:
+            lineno = sections[key][0][0]
+            raise ParseError(f"section {key!r} not allowed in a pseudofunctor file", lineno)
+
+    obj_map: dict[str, str] = {}
+    for lineno, line in sections["map_obj"]:
+        x, fx = _match(line, lineno, rf"({_NAME})\s*->\s*({_NAME})", "X -> FX")
+        if x not in source.objects:
+            raise ParseError(f"dangling reference to source object {x!r}", lineno)
+        if fx not in target.objects:
+            raise ParseError(f"dangling reference to target object {fx!r}", lineno)
+        if x in obj_map:
+            raise ParseError(f"duplicate map_obj entry for {x!r}", lineno)
+        obj_map[x] = fx
+    arr_map: dict[str, str] = {}
+    for lineno, line in sections["map_arr"]:
+        f, ff = _match(line, lineno, rf"({_NAME})\s*->\s*({_NAME})", "f -> Ff")
+        if f not in source.arrows:
+            raise ParseError(f"dangling reference to source arrow {f!r}", lineno)
+        if ff not in target.arrows:
+            raise ParseError(f"dangling reference to target arrow {ff!r}", lineno)
+        if f in arr_map:
+            raise ParseError(f"duplicate map_arr entry for {f!r}", lineno)
+        arr_map[f] = ff
+    cell_map: dict[str, str] = {}
+    for lineno, line in sections["map_cell"]:
+        a, fa = _match(line, lineno, rf"({_NAME})\s*->\s*({_NAME})", "a -> Fa")
+        if a not in source.cells:
+            raise ParseError(f"dangling reference to source cell {a!r}", lineno)
+        if fa not in target.cells:
+            raise ParseError(f"dangling reference to target cell {fa!r}", lineno)
+        if a in cell_map:
+            raise ParseError(f"duplicate map_cell entry for {a!r}", lineno)
+        cell_map[a] = fa
+
+    missing = [x for x in source.objects if x not in obj_map]
+    if missing:
+        raise ParseError(f"map_obj misses objects {missing}", 1)
+    for x in source.objects:
+        arr_map.setdefault(source.id1[x], target.id1[obj_map[x]])
+    missing = [f for f in source.arrows if f not in arr_map]
+    if missing:
+        raise ParseError(f"map_arr misses arrows {missing}", 1)
+    for f in source.arrows:
+        cell_map.setdefault(source.idc[f], target.idc[arr_map[f]])
+    missing = [a for a in source.cells if a not in cell_map]
+    if missing:
+        raise ParseError(f"map_cell misses cells {missing}", 1)
+
+    xi: dict[str, str] = {}
+    for lineno, line in sections["xi"]:
+        x, c = _match(line, lineno, rf"({_NAME})\s*=\s*({_NAME})", "X = cell")
+        if x not in source.objects:
+            raise ParseError(f"dangling reference to source object {x!r}", lineno)
+        if c not in target.cells:
+            raise ParseError(f"dangling reference to target cell {c!r}", lineno)
+        xi[x] = c
+    phi: dict[tuple[str, str], str] = {}
+    for lineno, line in sections["phi"]:
+        g, f, c = _match(line, lineno, rf"({_NAME})\s*\.\s*({_NAME})\s*=\s*({_NAME})", "g . f = cell")
+        if g not in source.arrows or f not in source.arrows:
+            raise ParseError(f"dangling reference in phi entry {g} . {f}", lineno)
+        if c not in target.cells:
+            raise ParseError(f"dangling reference to target cell {c!r}", lineno)
+        phi[(g, f)] = c
+
+    try:
+        return PseudofunctorData(
+            name=name,
+            source=source,
+            target=target,
+            obj_map=obj_map,
+            arr_map=arr_map,
+            cell_map=cell_map,
+            xi=xi,
+            phi=phi,
+        )
+    except StructureError as exc:
+        raise ParseError(str(exc), 1) from exc
+
+
+def load_computad(text: str, name: str = "computad") -> Computad:
+    """Computad documents: objects:, arrows: (name : X -> Y) and cells:
+    (name : path => path, optionally '@ obj' for scalar cells)."""
+    sections, _ = _split_sections(text)
+    objects: list[str] = []
+    for lineno, line in sections["objects"]:
+        for tok in line.split():
+            if tok in objects:
+                raise ParseError(f"duplicate object {tok!r}", lineno)
+            objects.append(tok)
+    arrows: dict[str, tuple[str, str]] = {}
+    for lineno, line in sections["arrows"]:
+        m = re.fullmatch(rf"({_NAME})\s*:\s*({_NAME})\s*->\s*({_NAME})", line)
+        if not m:
+            raise ParseError("expected 'name : src -> dst'", lineno)
+        nm, src, dst = m.groups()
+        if nm in arrows:
+            raise ParseError(f"duplicate arrow {nm!r}", lineno)
+        arrows[nm] = (src, dst)
+    cells: dict[str, tuple[Path, Path, str] | tuple[Path, Path]] = {}
+    for lineno, line in sections["cells"]:
+        m = re.fullmatch(
+            rf"({_NAME})\s*:\s*([^=@]+?)\s*=>\s*([^=@]+?)(?:\s*@\s*({_NAME}))?", line
+        )
+        if not m:
+            raise ParseError("expected 'name : path => path [@ obj]'", lineno)
+        nm, pin, pout, anchor = m.groups()
+        if nm in cells:
+            raise ParseError(f"duplicate cell {nm!r}", lineno)
+        try:
+            entry: tuple
+            if anchor:
+                entry = (parse_path(pin), parse_path(pout), anchor)
+            else:
+                entry = (parse_path(pin), parse_path(pout))
+        except StructureError as exc:
+            raise ParseError(str(exc), lineno) from exc
+        cells[nm] = entry
+    try:
+        return make_computad(name, objects, arrows, cells)  # type: ignore[arg-type]
+    except StructureError as exc:
+        raise ParseError(str(exc), 1) from exc
 
 
 def w_split_decompose(sigma: SigmaClass, f: str, max_len: int) -> Decomposition | None:

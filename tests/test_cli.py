@@ -1,9 +1,12 @@
 import json
+import random
 
 import pytest
 
 from bicatkit.cli import main
 from bicatkit.library import fixture_text
+
+from tests.test_index_differential import line_mutants
 
 QUERY_EQ = """
 cylinder C = (Y, X, e, id_Y, r, r, id_r, id_r)
@@ -305,3 +308,85 @@ def test_probe_dir_env_var(capsys, split_file, tmp_path, monkeypatch):
     assert code == 0
     payload = json.loads(out)
     assert any("mytarget" in p for p in payload["probes_used"])
+
+
+def _with_extra_cell(fixture, arrow):
+    """The fixture plus a cell on arrow whose vertical square is missing, so
+    the table fails validation while every name a query uses stays."""
+    return fixture_text(fixture) + f"cells:\n  zz : {arrow} => {arrow}\n"
+
+
+def _writer(tmp_path):
+    def put(name, text):
+        (tmp_path / name).write_text(text)
+        return str(tmp_path / name)
+
+    return put
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["ho-eq", "hat", "localize-probes", "extend-source", "extend-target"],
+)
+def test_every_command_validates_the_tables_it_reads(capsys, tmp_path, command):
+    put = _writer(tmp_path)
+    bad_split = put("bad_split.bic", _with_extra_cell("split.bic", "e"))
+    q = put("q.txt", QUERY_EQ + "hat = C\n")
+    src = put("src.bic", fixture_text("chain_src.bic"))
+    tgt = put("tgt.bic", fixture_text("chain_tgt.bic"))
+    bad_src = put("bad_src.bic", _with_extra_cell("chain_src.bic", "a"))
+    bad_tgt = put("bad_tgt.bic", _with_extra_cell("chain_tgt.bic", "a"))
+    pf = put("f.pf", fixture_text("chain_f.pf"))
+    pf_zz = put("g.pf", fixture_text("chain_f.pf") + "map_cell:\n  zz -> id_a\n")
+    bad_iso = put("bad_iso.bic", _with_extra_cell("iso.bic", "u"))
+    argv = {
+        "ho-eq": ["ho-eq", bad_split, q],
+        "hat": ["hat", bad_split, q],
+        "localize-probes": ["localize", "split", "--probes", bad_iso],
+        "extend-source": ["extend", "--functor", pf_zz, "--source", bad_src, "--target", tgt],
+        "extend-target": ["extend", "--functor", pf, "--source", src, "--target", bad_tgt],
+    }[command]
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (1, "", "input fails validation; run validate first\n")
+
+
+def test_line_mutants_exit_with_a_code_through_every_command(capsys, tmp_path):
+    """Documents one line off split.bic, chain_f.pf and a small computad, fed
+    to every command: each run returns an exit code in 0-3 and raises
+    nothing, so a malformed or invalid table never ends in a traceback."""
+    put = _writer(tmp_path)
+    q = put("q.txt", QUERY_EQ + "hat = C\n")
+    split = put("split.bic", fixture_text("split.bic"))
+    src = put("src.bic", fixture_text("chain_src.bic"))
+    tgt = put("tgt.bic", fixture_text("chain_tgt.bic"))
+    ident = put("id.pf", "map_obj:\n  X -> X\n  Y -> Y\nmap_arr:\n  s -> s\n  r -> r\n  e -> e\n")
+    bic, pf, cmp = (put(f"m.{ext}", "") for ext in ("bic", "pf", "cmp"))
+    cases = [
+        (bic, fixture_text("split.bic"), [
+            ["validate", bic],
+            ["sigma-check", bic],
+            ["localize", bic, "--max-len", "2"],
+            ["ho-eq", bic, q],
+            ["hat", bic, q],
+            ["localize", "split", "--probes", bic, "--max-len", "1"],
+            ["extend", "--functor", ident, "--source", bic, "--target", split],
+        ]),
+        (pf, fixture_text("chain_f.pf"), [
+            ["validate", "--functor", pf, "--source", src, "--target", tgt],
+            ["extend", "--functor", pf, "--source", src, "--target", tgt],
+        ]),
+        (cmp, W1_COMPUTAD_DOC, [
+            ["elevator", cmp, "--expr", "1 * be * f1 ; g2 * al * 1",
+             "--expr2", "g1 * al * 1 ; 1 * be * f2"],
+        ]),
+    ]
+    codes = []
+    for path, text, commands in cases:
+        for mutant in line_mutants(text, random.Random(f"cli:{path[-3:]}"), 60):
+            with open(path, "w") as fh:
+                fh.write(mutant)
+            for argv in commands:
+                codes.append(main(argv))
+                capsys.readouterr()
+    assert set(codes) <= {0, 1, 2, 3}
+    assert {0, 1, 3} <= set(codes)

@@ -1,21 +1,27 @@
-"""The incidence-index walks against the scan-and-filter code they replaced.
+"""The incidence-index walks and the table-driven document reader against
+the code they replaced.
 
-``tests/reference_scans.py`` holds the old code: the parser's fill of forced
-table entries, ``w_split_decompose``, ``is_quasiequivalence``,
+``tests/reference_scans.py`` holds the old code: the parser (its section
+loops and its fill of forced table entries), the old ``load_pseudofunctor``
+and ``load_computad``, ``w_split_decompose``, ``is_quasiequivalence``,
 ``sample_homotopies``, ``extend_2functor`` and ``perturbation_breaks``.  Both
-sides must give equal tables and parse errors, equal decompositions at every
-``max_len`` from 1 to 4, equal quasiequivalence verdicts for every arrow,
-equal homotopy samples, and equal extension reports and perturbation results,
-on the bundled fixtures and on the benchmark's generated families, clean and
-with every mutation kind, strict and not.
+sides must give equal tables, maps and computads or the same parse error
+text, equal decompositions at every ``max_len`` from 1 to 4, equal
+quasiequivalence verdicts for every arrow, equal homotopy samples, and equal
+extension reports and perturbation results, on the bundled fixtures and on
+the benchmark's generated families, clean and with every mutation kind,
+strict and not, and on documents one line off them.  The only inputs allowed
+to differ are those the reader newly rejects (see ``newly_rejected``).
 """
 import itertools
 import random
+import re
 
 import pytest
 
 from bench import families
 from bicatkit.core import StructureError
+from bicatkit.elevator import load_computad
 from bicatkit.ho import (
     enumerate_probes,
     extend_2functor,
@@ -24,9 +30,9 @@ from bicatkit.ho import (
     sample_homotopies,
 )
 from bicatkit.homotopy import ICell
-from bicatkit.library import BICATEGORIES, fixture_text
+from bicatkit.library import BICATEGORIES, fixture_text, load_fixture_bicategory
 from bicatkit.localize import default_probe_targets
-from bicatkit.presentation import ParseError, load_presentation_with_sigma
+from bicatkit.presentation import ParseError, load_presentation_with_sigma, load_pseudofunctor
 from bicatkit.sigma import (
     Decomposition,
     is_quasiequivalence,
@@ -56,28 +62,56 @@ lwhisk:
   g * z = id_h
 sigma: f g
 """
+# explicit unitor and associator entries, which the generated families leave
+# to the strict fill
+COHERENCE_DOC = """
+strict false
+objects: X Y
+arrows:
+  f : X -> Y
+  g : Y -> Y
+compose:
+  g . f = f
+  g . g = g
+cells:
+  a : f => f
+  b : g => g
+unitors:
+  lambda f = a
+  rho f = a
+  lambda g = b
+  rho id_X = id_id_X
+assoc:
+  theta g g f = a
+  theta g g g = b
+  theta id_Y g f = id_f
+"""
 TABLE_FIELDS = (
     "name", "objects", "arrows", "id1", "hcomp1", "cells", "idc", "vcomp",
     "lwhisk", "rwhisk", "lunitor", "runitor", "assoc", "strict",
 )
 
 
+def parsed(parse, view=lambda x: x):
+    """view(parse()), or the ParseError text."""
+    try:
+        return view(parse())
+    except ParseError as exc:
+        return f"ParseError: {exc}"
+
+
 def parse_both(text, name):
     """(new, old) parse results: a Presentation or the ParseError text."""
-    out = []
-    for parse in (
-        lambda: load_presentation_with_sigma(text, name),
-        lambda: ref.ReferenceDocBuilder(name, text).build(),
-    ):
-        try:
-            out.append(parse())
-        except ParseError as exc:
-            out.append(f"ParseError: {exc}")
-    return out
+    return (
+        parsed(lambda: load_presentation_with_sigma(text, name)),
+        parsed(lambda: ref.ReferenceDocBuilder(name, text).build()),
+    )
 
 
 def assert_same_parse(text, name):
     new, old = parse_both(text, name)
+    if newly_rejected("bic", new, old):
+        return None
     if isinstance(old, str):
         assert new == old, name
         return None
@@ -98,6 +132,7 @@ def documents():
     for name in BICATEGORIES:
         yield name, fixture_text(f"{name}.bic")
     yield "collapse", COLLAPSE_DOC
+    yield "coherence", COHERENCE_DOC
     for family, seed in itertools.product(families.FAMILIES, (1, 2)):
         for n in SIZES[family]:
             doc = families.generate(family, n, seed, marked=seed == 2)
@@ -149,6 +184,7 @@ def test_parser_fill_matches_reference(strict):
 def test_parser_line_mutants_match_reference(strict):
     rng = random.Random(f"line-mutants:{strict}")
     seeds = [(n, fixture_text(f"{n}.bic")) for n in BICATEGORIES]
+    seeds.append(("coherence", COHERENCE_DOC))
     seeds += [
         (doc.name, doc.text())
         for doc in (families.generate(f, 3, 1, marked=True) for f in families.FAMILIES)
@@ -160,6 +196,78 @@ def test_parser_line_mutants_match_reference(strict):
         for mutant in line_mutants(text, rng, 40):
             errors += assert_same_parse(mutant, name) is None
     assert errors >= 20, f"only {errors} mutants fail to parse"
+
+
+# what only the table-driven reader rejects, per document kind: a repeated
+# assoc, xi or phi key, a computad object that is no name, and a computad
+# arrow to an undeclared object, which the old code reported at line 1
+# through make_computad
+NEWLY_REJECTED = {
+    "bic": "duplicate assoc entry",
+    "pf": "duplicate (xi|phi) entry",
+    "cmp": "bad name|arrow '[^']*' references undeclared object",
+}
+
+
+def newly_rejected(kind, new, old):
+    pattern = rf"ParseError: line \d+, column \d+: ({NEWLY_REJECTED[kind]})"
+    if not (isinstance(new, str) and re.match(pattern, new)):
+        return False
+    if "undeclared object" in new:
+        return isinstance(old, str) and old.startswith("ParseError: line 1, column 1: ")
+    return "bad name" in new or not isinstance(old, str)
+
+
+def functor_view(fun):
+    return fun.obj_map, fun.arr_map, fun.cell_map, fun.xi, fun.phi
+
+
+def test_pseudofunctor_reader_matches_reference():
+    src, tgt = load_fixture_bicategory("chain_src"), load_fixture_bicategory("chain_tgt")
+    # the fixture, and the fixture with explicit xi entries
+    with_xi = fixture_text("chain_f.pf") + "xi:\n  W = id_id_W\n  X = id_id_X\n"
+    rng = random.Random("pf-line-mutants")
+    seen = {"same": 0, "error": 0, "new": 0}
+    docs = [fixture_text("chain_f.pf"), with_xi]
+    for doc in docs + [m for text in docs for m in line_mutants(text, rng, 200)]:
+        new = parsed(lambda: load_pseudofunctor(doc, src, tgt), functor_view)
+        old = parsed(lambda: ref.load_pseudofunctor(doc, src, tgt), functor_view)
+        if new == old:
+            seen["error" if isinstance(new, str) else "same"] += 1
+        else:
+            assert newly_rejected("pf", new, old), (doc, new, old)
+            seen["new"] += 1
+    assert seen["same"] > 50 and seen["error"] > 50 and seen["new"] > 0, seen
+
+
+# the computads of the tests and the benchmark's elevator ladder, with path,
+# scalar and anchored cells
+COMPUTADS = (
+    "objects: X Y Z\narrows:\n  f1 : X -> Y\n  f2 : X -> Y\n  g1 : Y -> Z\n  g2 : Y -> Z\n"
+    "cells:\n  al : f1 => f2\n  be : g1 => g2\n",
+    "objects: X Y\narrows:\n  f : X -> Y\ncells:\n  a : f => f\n  sc : 1 => 1 @ X\n",
+    "objects: X Y Z\narrows:\n  f : X -> Y\n  g : Y -> Z\n  h : X -> Z\n"
+    "cells:\n  m : g.f => h\n  n : h => g.f\n  k : g.f => g.f\n  sc : 1 => 1 @ Y\n",
+    "objects: X0 X1 X2 X3\narrows:\n"
+    + "".join(f"  f{i} : X{i - 1} -> X{i}\n  g{i} : X{i - 1} -> X{i}\n" for i in (1, 2, 3))
+    + "cells:\n"
+    + "".join(f"  a{i} : f{i} => g{i}\n  b{i} : f{i} => g{i}\n" for i in (1, 2, 3)),
+)
+
+
+def test_computad_reader_matches_reference():
+    rng = random.Random("cmp-line-mutants")
+    seen = {"same": 0, "error": 0, "new": 0}
+    for text in COMPUTADS:
+        for doc in [text, *line_mutants(text, rng, 150)]:
+            new = parsed(lambda: load_computad(doc, "c"))
+            old = parsed(lambda: ref.load_computad(doc, "c"))
+            if new == old:
+                seen["error" if isinstance(new, str) else "same"] += 1
+            else:
+                assert newly_rejected("cmp", new, old), (doc, new, old)
+                seen["new"] += 1
+    assert seen["same"] > 100 and seen["error"] > 100 and seen["new"] > 0, seen
 
 
 def outcome(fn, *args):

@@ -1,8 +1,12 @@
+import collections
 import itertools
 
 import pytest
 
+from bench import families
+from bicatkit import sigma as sigma_module
 from bicatkit.core import StructureError
+from bicatkit.presentation import load_presentation_with_sigma
 from bicatkit.sigma import (
     check_three_for_two,
     find_equivalence,
@@ -156,3 +160,24 @@ def test_sigma_report_shape(split_sigma):
     rows = {r["arrow"]: r for r in rep["arrows"]}
     assert rows["e"]["decomposition"]["chain"] == ["s", "r"]
     assert rows["s"]["w_split"]["role"] == "section"
+
+
+def test_w_split_search_runs_once_per_member_and_report(monkeypatch):
+    """sigma_report searches each member once for its own row and once for
+    the decomposition pieces, which every w_split_decompose call shares."""
+    doc = families.generate("chaotic", 4, 1, marked=True)
+    pres = load_presentation_with_sigma(doc.text(), doc.name)
+    sigma = make_sigma(pres.bicategory, pres.sigma_names)
+    calls = collections.Counter()
+    search = sigma_module.find_w_split
+
+    def counted(bic, f):
+        calls[f] += 1
+        return search(bic, f)
+
+    monkeypatch.setattr(sigma_module, "find_w_split", counted)
+    report = sigma_report(sigma, max_len=4)
+    assert len(sigma.members) == 16
+    assert all(row["decomposition"] for row in report["arrows"])
+    assert set(calls) == set(sigma.members)
+    assert max(calls.values()) <= 2, calls
