@@ -260,7 +260,7 @@ def _cmd_extend(args) -> int:
     # verified equation
     tried = 0
     all_break = True
-    if ext.head is None:
+    if fun.is_2functor:
         for k in ext.materialized:
             held = ext.value(k)
             for other in tgt.cells_between(fun.arr_map[k.f], fun.arr_map[k.g]):
@@ -314,7 +314,7 @@ def _cmd_elevator(args) -> int:
 
 
 def _bound(text: str) -> int:
-    """argparse type of --max-len and --budget: an integer >= 1."""
+    """argparse type of --max-len, --budget and --cap: an integer >= 1."""
     if not text.isdigit() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"must be an integer >= 1, not {text!r}")
     return int(text)
@@ -374,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--source", required=True)
     p.add_argument("--target", required=True)
     p.add_argument("--sigma")
-    p.add_argument("--cap", type=int, default=60)
+    p.add_argument("--cap", type=_bound, default=60)
     common(p)
     p.set_defaults(fn=_cmd_extend)
 

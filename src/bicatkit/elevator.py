@@ -337,18 +337,27 @@ def evaluate(assign: ModelAssignment, expr: CellExpr) -> str:
 
 
 def parse_expr(comp: Computad, text: str) -> CellExpr:
+    """Text that does not fit the grammar is a ParseError at its column; a
+    well-formed expression that does not type-check is a StructureError."""
     text = text.strip()
     m = re.fullmatch(r"1\s*:\s*([^@]+?)(?:\s*@\s*(\S+))?", text)
-    if m:
-        path = parse_path(m.group(1))
-        return make_expr(comp, [], path, m.group(2))
-    layers = []
-    for chunk in text.split(";"):
-        parts = [p.strip() for p in chunk.split("*")]
-        if len(parts) != 3:
-            raise StructureError(f"bad layer {chunk.strip()!r}: want path * cell * path")
-        layers.append(Layer(parse_path(parts[0]), parts[1], parse_path(parts[2])))
-    return make_expr(comp, layers)
+    path, layers = None, []
+    column = start = 0
+    try:
+        if m:
+            column = m.start(1)
+            path = parse_path(m.group(1))
+        else:
+            for chunk in text.split(";"):
+                column = start + len(chunk) - len(chunk.lstrip())
+                start += len(chunk) + 1
+                parts = [p.strip() for p in chunk.split("*")]
+                if len(parts) != 3 or not parts[1]:
+                    raise StructureError(f"bad layer {chunk.strip()!r}: want path * cell * path")
+                layers.append(Layer(parse_path(parts[0]), parts[1], parse_path(parts[2])))
+    except StructureError as exc:
+        raise ParseError(str(exc), 1, column + 1) from exc
+    return make_expr(comp, layers, path, m.group(2) if m else None)
 
 
 def load_computad(text: str, name: str = "computad") -> Computad:
@@ -357,7 +366,7 @@ def load_computad(text: str, name: str = "computad") -> Computad:
     doc = Document(COMPUTAD, text)
     objects = doc.read("objects")
     arrows = doc.read("arrows", {"object": objects})
-    cells = doc.read("cells")
+    cells = doc.read("cells", {"object": objects, "arrow": arrows})
     try:
         return make_computad(name, list(objects), arrows, cells)
     except StructureError as exc:

@@ -16,13 +16,17 @@ Sequences are stored first-applied-first.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .core import (
     Bicategory,
+    ModificationData,
     PseudofunctorData,
     StructureError,
+    TransformationData,
     _group,
+    comp_sub_f,
+    validate_modification,
     validate_pseudofunctor,
 )
 from .homotopy import (
@@ -245,6 +249,11 @@ def _require_admissible(fun: PseudofunctorData, sigma: SigmaClass) -> None:
             raise StructureError(
                 f"{fun.name!r} sends {s!r} outside the quasiequivalences"
             )
+
+
+def _require_2functor(fun: PseudofunctorData) -> None:
+    if not fun.is_2functor:
+        raise StructureError(f"{fun.name!r} is not a 2-functor")
 
 
 def enumerate_2functors(
@@ -644,37 +653,22 @@ class ExtensionReport:
         )
 
     def to_json(self) -> dict:
-        return {
-            "ok": self.ok,
-            "agrees_on_cells": self.agrees_on_cells,
-            "functorial_vertical": self.functorial_vertical,
-            "functorial_whisker": self.functorial_whisker,
-            "preserves_units": self.preserves_units,
-            "checked_cells": self.checked_cells,
-            "checked_pairs": self.checked_pairs,
-            "checked_whiskers": self.checked_whiskers,
-        }
+        return {"ok": self.ok, **asdict(self)}
 
 
 @dataclass
 class ExtensionG:
     """A functor out of the homotopy bicategory, determined by its restriction
     along the projection: objects and arrows as the base functor, 2-cell
-    values forced to the composite of term hats.
-
-    On the pseudofunctor route the values are computed through the
-    factorization: head is the 2-functor leg, tail carries them back down."""
+    values forced to the composite of term hats.  One route serves 2-functors
+    and pseudofunctors; the report checks whiskering up to phi."""
 
     fun: PseudofunctorData
     sigma: SigmaClass
-    head: PseudofunctorData | None = None
-    tail: PseudofunctorData | None = None
     report: ExtensionReport | None = None
     materialized: list[HoCell] = field(default_factory=list)
 
     def value(self, k: HoCell) -> str:
-        if self.head is not None and self.tail is not None:
-            return self.tail.cell_map[f_hat_chain(self.head, k)]
         return f_hat_chain(self.fun, k)
 
 
@@ -722,24 +716,20 @@ def sample_homotopies(sigma: SigmaClass, cap: int = 200) -> list[Homotopy]:
     return out
 
 
-def extend_2functor(
-    fun: PseudofunctorData, sigma: SigmaClass, cap: int = 60
-) -> ExtensionG:
-    """Extend a 2-functor along the projection and verify, on a materialized
-    family of cells, that the forced values are functorial."""
-    if not fun.is_2functor:
-        raise StructureError(f"{fun.name!r} is not a 2-functor")
-    _require_admissible(fun, sigma)
-    ext = ExtensionG(fun, sigma)
-    bic = sigma.bic
-    d = fun.target
+def _materialize(sigma: SigmaClass, cap: int) -> list[HoCell]:
+    """The projected cells and the sampled singleton homotopy classes."""
+    family = [i_cell(sigma, mu) for mu in sorted(sigma.bic.cells)]
+    family += [ho_cell(sigma, (hom,)) for hom in sample_homotopies(sigma, cap=cap)]
+    return family
 
-    family: list[HoCell] = []
-    for mu in sorted(bic.cells):
-        family.append(i_cell(sigma, mu))
-    for hom in sample_homotopies(sigma, cap=cap):
-        family.append(ho_cell(sigma, (hom,)))
-    ext.materialized = family
+
+def _verified_extension(fun: PseudofunctorData, sigma: SigmaClass, cap: int) -> ExtensionG:
+    """The extension of an admissible pseudofunctor, with the forced values
+    checked on a materialized family: restriction along the projection,
+    vertical functoriality, whiskering up to phi, and units."""
+    bic, d = sigma.bic, fun.target
+    family = _materialize(sigma, cap)
+    ext = ExtensionG(fun, sigma, materialized=family)
 
     agrees = all(
         ext.value(i_cell(sigma, mu)) == fun.cell_map[mu] for mu in sorted(bic.cells)
@@ -757,15 +747,16 @@ def extend_2functor(
     whisk_ok = True
     for k in family:
         x, y = bic.arrows[k.f]
+        held = ext.value(k)
         for r in bic.out_arrows(y):
             whisk += 1
             lhs = ext.value(ho_whisk("left", r, k))
-            if lhs != d.whisker_l(fun.arr_map[r], ext.value(k)):
+            if lhs != comp_sub_f(fun, d.idc[fun.arr_map[r]], held, r, k.f, r, k.g):
                 whisk_ok = False
         for r in bic.in_arrows(x):
             whisk += 1
             lhs = ext.value(ho_whisk("right", r, k))
-            if lhs != d.whisker_r(ext.value(k), fun.arr_map[r]):
+            if lhs != comp_sub_f(fun, held, d.idc[fun.arr_map[r]], k.f, r, k.g, r):
                 whisk_ok = False
     units_ok = all(
         ext.value(ho_identity(sigma, f)) == d.idc[fun.arr_map[f]]
@@ -777,33 +768,54 @@ def extend_2functor(
     return ext
 
 
+def extend_2functor(
+    fun: PseudofunctorData, sigma: SigmaClass, cap: int = 60
+) -> ExtensionG:
+    """Extend a 2-functor along the projection and verify, on a materialized
+    family of cells, that the forced values are functorial."""
+    _require_2functor(fun)
+    _require_admissible(fun, sigma)
+    return _verified_extension(fun, sigma, cap)
+
+
+def extend_pseudofunctor(
+    fun: PseudofunctorData, sigma: SigmaClass, cap: int = 60
+) -> ExtensionG:
+    """Extend a validated pseudofunctor along the projection.  Values are the
+    composites of term hats, as for 2-functors; whiskering is checked up to
+    phi, which for a 2-functor is the plain whisker."""
+    if not validate_pseudofunctor(fun).ok:
+        raise StructureError(f"{fun.name!r} fails validation")
+    _require_admissible(fun, sigma)
+    return _verified_extension(fun, sigma, cap)
+
+
 def perturbation_breaks(ext: ExtensionG, k: HoCell, other_value: str) -> bool:
     """True when overriding the extension's value on k with other_value breaks
     a verified equation (restriction along the projection, the forced value of
     marked cylinder classes, or vertical/whisker functoriality).  Defined for
     2-functor extensions, where whiskering needs no conjugation."""
-    if ext.head is not None:
-        raise StructureError("perturbation check runs on the 2-functor leg")
     fun = ext.fun
-    d = fun.target
+    if not fun.is_2functor:
+        raise StructureError("perturbation check runs on 2-functor extensions")
+    bic, d = ext.sigma.bic, fun.target
     if other_value == ext.value(k):
         return False
 
     def val(cell: HoCell) -> str:
         return other_value if cell.terms == k.terms else ext.value(cell)
 
-    # restriction along the projection
-    for mu in sorted(ext.sigma.bic.cells):
-        ic = i_cell(ext.sigma, mu)
-        if ic.terms == k.terms and val(ic) != fun.cell_map[mu]:
-            return True
     # identity classes have forced values
     if not k.terms:
         return val(k) != d.idc[fun.arr_map[k.f]]
-    # decomposition pins singleton homotopy classes to their hat composites
-    if len(k.terms) == 1 and isinstance(k.terms[0], Homotopy):
-        if val(k) != f_hat(fun, k.terms[0]):
+    lone = k.terms[0] if len(k.terms) == 1 else None
+    # restriction along the projection: a lone projected cell keeps its image
+    if isinstance(lone, ICell) and not bic.is_identity_cell(lone.cell):
+        if val(k) != fun.cell_map[lone.cell]:
             return True
+    # decomposition pins singleton homotopy classes to their hat composites
+    if isinstance(lone, Homotopy) and val(k) != f_hat(fun, lone):
+        return True
     # vertical functoriality against the identity-free split of the sequence
     if len(k.terms) >= 2:
         left = ho_cell(ext.sigma, k.terms[:1])
@@ -811,36 +823,11 @@ def perturbation_breaks(ext: ExtensionG, k: HoCell, other_value: str) -> bool:
         if val(k) != d.vertical(val(right), val(left)):
             return True
     # whisker functoriality detects the rest
-    bic = ext.sigma.bic
     for r in bic.out_arrows(bic.arrow_dst(k.f)):
         moved = ho_whisk("left", r, k)
         if val(moved) != d.whisker_l(fun.arr_map[r], val(k)):
             return True
     return False
-
-
-def extend_pseudofunctor(
-    fun: PseudofunctorData, sigma: SigmaClass, cap: int = 60
-) -> ExtensionG:
-    """Extension for arbitrary pseudofunctors via the head/tail factorization:
-    extend the 2-functor head, then push values through the tail."""
-    from .core import factorize
-
-    if not validate_pseudofunctor(fun).ok:
-        raise StructureError(f"{fun.name!r} fails validation")
-    if fun.is_2functor:
-        return extend_2functor(fun, sigma, cap=cap)
-    _require_admissible(fun, sigma)
-    _, f1, f2 = factorize(fun)
-    head_ext = extend_2functor(f2, sigma, cap=cap)
-    return ExtensionG(
-        fun,
-        sigma,
-        head=f2,
-        tail=f1,
-        report=head_ext.report,
-        materialized=head_ext.materialized,
-    )
 
 
 @dataclass
@@ -850,7 +837,7 @@ class TwoCellExtensionReport:
     failures: list[str]
 
     def to_json(self) -> dict:
-        return {"kind": self.kind, "ok": self.ok, "failures": self.failures}
+        return asdict(self)
 
 
 def extend_2cell_data(kind: str, data, sigma: SigmaClass, cap: int = 40):
@@ -858,24 +845,22 @@ def extend_2cell_data(kind: str, data, sigma: SigmaClass, cap: int = 40):
     the naturality square) and modifications (rechecked on arrows).  Values are
     unchanged; what is verified is that they stay lawful over the homotopy
     bicategory."""
-    from .core import ModificationData, TransformationData
-
     failures: list[str] = []
     if kind == "transformation":
         assert isinstance(data, TransformationData)
         f_, g_ = data.fun_from, data.fun_to
+        for fun in (f_, g_):
+            _require_2functor(fun)
+            _require_admissible(fun, sigma)
         d = f_.target
-        ext_f = extend_2functor(f_, sigma, cap=cap)
-        ext_g = extend_2functor(g_, sigma, cap=cap)
-        for k in ext_f.materialized:
-            x = sigma.bic.arrow_src(k.f)
-            y = sigma.bic.arrow_dst(k.f)
+        for k in _materialize(sigma, cap):
+            x, y = sigma.bic.arrows[k.f]
             lhs = d.vertical(
                 data.comp_arr[k.g],
-                d.whisker_r(ext_g.value(k), data.comp_obj[x]),
+                d.whisker_r(f_hat_chain(g_, k), data.comp_obj[x]),
             )
             rhs = d.vertical(
-                d.whisker_l(data.comp_obj[y], ext_f.value(k)),
+                d.whisker_l(data.comp_obj[y], f_hat_chain(f_, k)),
                 data.comp_arr[k.f],
             )
             if lhs != rhs:
@@ -883,20 +868,9 @@ def extend_2cell_data(kind: str, data, sigma: SigmaClass, cap: int = 40):
         return data, TwoCellExtensionReport(kind, not failures, failures)
     if kind == "modification":
         assert isinstance(data, ModificationData)
-        theta, eta = data.theta, data.eta
-        f_ = theta.fun_from
-        g_ = theta.fun_to
-        d = f_.target
-        c = f_.source
-        for f in sorted(c.arrows):
-            x, y = c.arrows[f]
-            lhs = d.vertical(
-                d.whisker_r(data.comp[y], f_.arr_map[f]), theta.comp_arr[f]
-            )
-            rhs = d.vertical(
-                eta.comp_arr[f], d.whisker_l(g_.arr_map[f], data.comp[x])
-            )
-            if lhs != rhs:
-                failures.append(f"PM fails on {f}: {lhs} != {rhs}")
+        failures = [
+            f"{v.axiom} fails on {' '.join(v.witness)}: {v.left} != {v.right}"
+            for v in validate_modification(data).violations
+        ]
         return data, TwoCellExtensionReport(kind, not failures, failures)
     raise StructureError(f"unknown extension kind {kind!r}")

@@ -13,8 +13,9 @@ the shape shown when a line does not match it, the kind of each captured name,
 the number of leading names that form the key, and the message a repeated key
 gets.  A name is ``_NEW`` (declared by the entry; the key), a ``_Ref`` (it
 must already be declared in the named space: objects, arrows, cells, or the
-source or target ones of a pseudofunctor), a ``_PATH`` (a computad arrow
-path) or ``None`` (free text).  ``Document.read`` is the one reader every
+source or target ones of a pseudofunctor; a path ``_Ref`` is a computad arrow
+path whose every arrow must be declared) or ``None`` (free text); an optional
+name left out is not checked.  ``Document.read`` is the one reader every
 section goes through: it matches each line, checks its names in order (a
 repeated ``_NEW`` name first, any other repeated key after the references)
 and stores key -> value, so every keyed section rejects duplicates the same
@@ -74,7 +75,6 @@ def parse_path(text: str) -> tuple[str, ...]:
 
 
 _NEW = "new"
-_PATH = "path"
 
 
 @dataclass(frozen=True)
@@ -84,6 +84,7 @@ class _Ref:
     space: str
     # {ref} is the name, {0}, {1}, ... the entry's captured names
     dangling: str = "dangling reference to {space} {ref!r}"
+    path: bool = False  # a computad arrow path, each of its arrows a reference
 
 
 @dataclass(frozen=True)
@@ -190,12 +191,14 @@ PSEUDOFUNCTOR = DocumentKind("pseudofunctor", sections={
     ),
 })
 
+_PATH = _Ref("arrow", "unknown arrow {ref!r} in path", path=True)
+_ANCHOR = _Ref("object", "cell {0!r} anchored at unknown object")
 COMPUTAD = DocumentKind("computad", sections={
     "objects": _OBJECTS,
     "arrows": _ARROWS,
     "cells": _entry(
         rf"{_N}\s*:\s*([^=@]+?)\s*=>\s*([^=@]+?)(?:\s*@\s*{_N})?",
-        "name : path => path [@ obj]", (_NEW, _PATH, _PATH, None), 1, "duplicate cell {0!r}",
+        "name : path => path [@ obj]", (_NEW, _PATH, _PATH, _ANCHOR), 1, "duplicate cell {0!r}",
     ),
 })
 
@@ -260,14 +263,17 @@ class Document:
                     if kind is _NEW:
                         if key in table:
                             raise ParseError(duplicate.format(*groups), lineno)
-                    elif kind is _PATH:
+                        continue
+                    refs = () if groups[i] is None else (groups[i],)
+                    if kind.path:
                         try:
-                            values[i] = parse_path(groups[i])
+                            values[i] = refs = parse_path(groups[i])
                         except StructureError as exc:
                             raise ParseError(str(exc), lineno) from exc
-                    elif groups[i] not in spaces[kind.space]:
-                        msg = kind.dangling.format(*groups, space=kind.space, ref=groups[i])
-                        raise ParseError(msg, lineno)
+                    for ref in refs:
+                        if ref not in spaces[kind.space]:
+                            msg = kind.dangling.format(*groups, space=kind.space, ref=ref)
+                            raise ParseError(msg, lineno)
                 if repeat_last and key in table:
                     raise ParseError(duplicate.format(*groups), lineno)
                 rest = values[width:]

@@ -10,7 +10,9 @@ Lines (comments with #, blank lines ignored):
     rhs = [K]               # any name works on the left of '='
     hat = H                 # target for the hat command; cylinder or homotopy
 
-Sequence entries may be homotopy names or i(cell) for projected cells.
+Sequence entries may be homotopy names or i(cell) for projected cells.  Each
+name is bound once: a second cylinder, homotopy or sequence line for a name,
+or a second hat line, is an error at its line.
 """
 from __future__ import annotations
 
@@ -63,6 +65,10 @@ def parse_query(sigma: SigmaClass, text: str) -> QueryDoc:
             raise QueryError(f"unknown homotopy {name!r}", lineno)
         return doc.homotopies[name]
 
+    def require_unbound(name: str, bound: dict, what: str, lineno: int) -> None:
+        if name in bound:
+            raise QueryError(f"{what} {name!r} is already bound", lineno)
+
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -70,6 +76,7 @@ def parse_query(sigma: SigmaClass, text: str) -> QueryDoc:
         m = re.fullmatch(rf"cylinder\s+({_NAME})\s*=\s*\(([^)]*)\)", line)
         if m:
             name, inner = m.groups()
+            require_unbound(name, doc.cylinders, "cylinder", lineno)
             parts = [p.strip() for p in inner.split(",")]
             if len(parts) != 8:
                 raise QueryError("cylinder literal needs 8 components", lineno)
@@ -89,6 +96,7 @@ def parse_query(sigma: SigmaClass, text: str) -> QueryDoc:
         m = re.fullmatch(rf"homotopy\s+({_NAME})\s*=\s*(.+)", line)
         if m:
             name, rhs = m.groups()
+            require_unbound(name, doc.homotopies, "homotopy", lineno)
             try:
                 doc.homotopies[name] = _parse_homotopy(sigma, rhs, lineno, cyl_of, hom_of)
             except StructureError as exc:
@@ -96,6 +104,8 @@ def parse_query(sigma: SigmaClass, text: str) -> QueryDoc:
             continue
         m = re.fullmatch(rf"hat\s*=\s*({_NAME})", line)
         if m:
+            if doc.hat_target is not None:
+                raise QueryError("hat target is already bound", lineno)
             doc.hat_target = m.group(1)
             if doc.hat_target not in doc.cylinders and doc.hat_target not in doc.homotopies:
                 raise QueryError(f"unknown hat target {doc.hat_target!r}", lineno)
@@ -103,6 +113,7 @@ def parse_query(sigma: SigmaClass, text: str) -> QueryDoc:
         m = re.fullmatch(rf"({_NAME})\s*=\s*id\s+({_NAME})", line)
         if m:
             name, arrow = m.groups()
+            require_unbound(name, doc.sequences, "sequence", lineno)
             if arrow not in bic.arrows:
                 raise QueryError(f"unknown arrow {arrow!r}", lineno)
             doc.sequences[name] = ho_identity(sigma, arrow)
@@ -110,6 +121,7 @@ def parse_query(sigma: SigmaClass, text: str) -> QueryDoc:
         m = re.fullmatch(rf"({_NAME})\s*=\s*\[([^\]]*)\]", line)
         if m:
             name, inner = m.groups()
+            require_unbound(name, doc.sequences, "sequence", lineno)
             entries = [p.strip() for p in inner.split(",") if p.strip()]
             terms: list[HomotopyTerm] = []
             # paper order: rightmost is applied first
@@ -145,18 +157,13 @@ def _parse_homotopy(sigma, rhs, lineno, cyl_of, hom_of) -> Homotopy:
     m = re.fullmatch(rf"invert\(\s*({_NAME})\s*\)", rhs)
     if m:
         return transform_homotopy("invert", "", hom_of(m.group(1), lineno))
-    m = re.fullmatch(rf"lwhisk\(\s*({_NAME})\s*,\s*({_NAME})\s*\)", rhs)
+    # lwhisk(r, H) and post(mu, H) take the homotopy last, rwhisk(H, l) and
+    # pre(H, nu) first
+    m = re.fullmatch(rf"(lwhisk|rwhisk|post|pre)\(\s*({_NAME})\s*,\s*({_NAME})\s*\)", rhs)
     if m:
-        return transform_homotopy("lwhisk", m.group(1), hom_of(m.group(2), lineno))
-    m = re.fullmatch(rf"rwhisk\(\s*({_NAME})\s*,\s*({_NAME})\s*\)", rhs)
-    if m:
-        return transform_homotopy("rwhisk", m.group(2), hom_of(m.group(1), lineno))
-    m = re.fullmatch(rf"post\(\s*({_NAME})\s*,\s*({_NAME})\s*\)", rhs)
-    if m:
-        return transform_homotopy("post", m.group(1), hom_of(m.group(2), lineno))
-    m = re.fullmatch(rf"pre\(\s*({_NAME})\s*,\s*({_NAME})\s*\)", rhs)
-    if m:
-        return transform_homotopy("pre", m.group(2), hom_of(m.group(1), lineno))
+        kind, first, second = m.groups()
+        arg, name = (first, second) if kind in ("lwhisk", "post") else (second, first)
+        return transform_homotopy(kind, arg, hom_of(name, lineno))
     m = re.fullmatch(rf"h([01])\(\s*({_NAME})\s*\)", rhs)
     if m:
         which, mu = m.groups()

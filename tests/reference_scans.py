@@ -1,6 +1,14 @@
-"""The scan-and-filter code that the incidence-index walks replaced, and the
+"""The scan-and-filter code that the incidence-index walks replaced, the
 hand-written section loops that the table-driven document reader replaced,
-kept as the reference for ``tests/test_index_differential.py``.
+and the head/tail extension route that ``f_hat_chain`` on every
+pseudofunctor replaced, kept as the reference for
+``tests/test_index_differential.py`` and ``tests/test_extension_differential.py``.
+
+The extension route is ``ExtensionG`` with its ``head`` and ``tail`` fields
+(the record every function here builds), ``extend_pseudofunctor``,
+``extend_2cell_data`` and the two reports' ``to_json`` bodies;
+``perturbation_breaks`` is the scan version, which the index walk and the
+route change both left equal in result.
 
 Each function is the old one copied verbatim, with four departures:
 ``ReferenceDocBuilder`` is the old ``_DocBuilder`` (``__init__`` included, its
@@ -14,13 +22,21 @@ from __future__ import annotations
 
 import re
 from collections import deque
+from dataclasses import dataclass, field
 
-from bicatkit.core import Bicategory, PseudofunctorData, StructureError
+from bicatkit.core import (
+    Bicategory,
+    PseudofunctorData,
+    StructureError,
+    validate_pseudofunctor,
+)
 from bicatkit.elevator import Computad, Path, make_computad, parse_path
 from bicatkit.ho import (
-    ExtensionG,
     ExtensionReport,
     HoCell,
+    TwoCellExtensionReport,
+    _require_admissible,
+    f_hat_chain,
     ho_cell,
     ho_identity,
     ho_vcomp,
@@ -588,6 +604,49 @@ def sample_homotopies(sigma: SigmaClass, cap: int = 200) -> list[Homotopy]:
     return out
 
 
+@dataclass
+class ExtensionG:
+    """A functor out of the homotopy bicategory, determined by its restriction
+    along the projection: objects and arrows as the base functor, 2-cell
+    values forced to the composite of term hats.
+
+    On the pseudofunctor route the values are computed through the
+    factorization: head is the 2-functor leg, tail carries them back down."""
+
+    fun: PseudofunctorData
+    sigma: SigmaClass
+    head: PseudofunctorData | None = None
+    tail: PseudofunctorData | None = None
+    report: ExtensionReport | None = None
+    materialized: list[HoCell] = field(default_factory=list)
+
+    def value(self, k: HoCell) -> str:
+        if self.head is not None and self.tail is not None:
+            return self.tail.cell_map[f_hat_chain(self.head, k)]
+        return f_hat_chain(self.fun, k)
+
+
+def extension_report_json(report: ExtensionReport) -> dict:
+    """The old ``ExtensionReport.to_json``."""
+    self = report
+    return {
+        "ok": self.ok,
+        "agrees_on_cells": self.agrees_on_cells,
+        "functorial_vertical": self.functorial_vertical,
+        "functorial_whisker": self.functorial_whisker,
+        "preserves_units": self.preserves_units,
+        "checked_cells": self.checked_cells,
+        "checked_pairs": self.checked_pairs,
+        "checked_whiskers": self.checked_whiskers,
+    }
+
+
+def two_cell_report_json(report: TwoCellExtensionReport) -> dict:
+    """The old ``TwoCellExtensionReport.to_json``."""
+    self = report
+    return {"kind": self.kind, "ok": self.ok, "failures": self.failures}
+
+
 def extend_2functor(
     fun: PseudofunctorData, sigma: SigmaClass, cap: int = 60
 ) -> ExtensionG:
@@ -691,3 +750,76 @@ def perturbation_breaks(ext: ExtensionG, k: HoCell, other_value: str) -> bool:
             if val(moved) != d.whisker_l(fun.arr_map[r], val(k)):
                 return True
     return False
+
+
+def extend_pseudofunctor(
+    fun: PseudofunctorData, sigma: SigmaClass, cap: int = 60
+) -> ExtensionG:
+    """Extension for arbitrary pseudofunctors via the head/tail factorization:
+    extend the 2-functor head, then push values through the tail."""
+    from bicatkit.core import factorize
+
+    if not validate_pseudofunctor(fun).ok:
+        raise StructureError(f"{fun.name!r} fails validation")
+    if fun.is_2functor:
+        return extend_2functor(fun, sigma, cap=cap)
+    _require_admissible(fun, sigma)
+    _, f1, f2 = factorize(fun)
+    head_ext = extend_2functor(f2, sigma, cap=cap)
+    return ExtensionG(
+        fun,
+        sigma,
+        head=f2,
+        tail=f1,
+        report=head_ext.report,
+        materialized=head_ext.materialized,
+    )
+
+
+def extend_2cell_data(kind: str, data, sigma: SigmaClass, cap: int = 40):
+    """Extensions of transformations (checked against materialized classes via
+    the naturality square) and modifications (rechecked on arrows).  Values are
+    unchanged; what is verified is that they stay lawful over the homotopy
+    bicategory."""
+    from bicatkit.core import ModificationData, TransformationData
+
+    failures: list[str] = []
+    if kind == "transformation":
+        assert isinstance(data, TransformationData)
+        f_, g_ = data.fun_from, data.fun_to
+        d = f_.target
+        ext_f = extend_2functor(f_, sigma, cap=cap)
+        ext_g = extend_2functor(g_, sigma, cap=cap)
+        for k in ext_f.materialized:
+            x = sigma.bic.arrow_src(k.f)
+            y = sigma.bic.arrow_dst(k.f)
+            lhs = d.vertical(
+                data.comp_arr[k.g],
+                d.whisker_r(ext_g.value(k), data.comp_obj[x]),
+            )
+            rhs = d.vertical(
+                d.whisker_l(data.comp_obj[y], ext_f.value(k)),
+                data.comp_arr[k.f],
+            )
+            if lhs != rhs:
+                failures.append(f"PN2 fails on {k}: {lhs} != {rhs}")
+        return data, TwoCellExtensionReport(kind, not failures, failures)
+    if kind == "modification":
+        assert isinstance(data, ModificationData)
+        theta, eta = data.theta, data.eta
+        f_ = theta.fun_from
+        g_ = theta.fun_to
+        d = f_.target
+        c = f_.source
+        for f in sorted(c.arrows):
+            x, y = c.arrows[f]
+            lhs = d.vertical(
+                d.whisker_r(data.comp[y], f_.arr_map[f]), theta.comp_arr[f]
+            )
+            rhs = d.vertical(
+                eta.comp_arr[f], d.whisker_l(g_.arr_map[f], data.comp[x])
+            )
+            if lhs != rhs:
+                failures.append(f"PM fails on {f}: {lhs} != {rhs}")
+        return data, TwoCellExtensionReport(kind, not failures, failures)
+    raise StructureError(f"unknown extension kind {kind!r}")

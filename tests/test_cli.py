@@ -173,17 +173,23 @@ def test_validate_without_input_is_usage(capsys):
     assert "needs an input or --functor" in err
 
 
+EXTEND_SPLIT = ("extend", "--functor", "f.pf", "--source", "SPLIT", "--target", "SPLIT")
+
+
 @pytest.mark.parametrize(
     "argv",
     (
-        ("sigma-check", "--max-len", "0"),
-        ("localize", "--max-len", "0"),
-        ("localize", "--budget", "-1"),
+        ("sigma-check", "SPLIT", "--max-len", "0"),
+        ("localize", "SPLIT", "--max-len", "0"),
+        ("localize", "SPLIT", "--budget", "-1"),
+        (*EXTEND_SPLIT, "--cap", "0"),
+        (*EXTEND_SPLIT, "--cap", "-3"),
     ),
-    ids=("sigma-check-max-len", "localize-max-len", "localize-budget"),
+    ids=("sigma-check-max-len", "localize-max-len", "localize-budget", "extend-cap-0",
+         "extend-cap-negative"),
 )
 def test_bounds_below_one_are_usage(capsys, split_file, argv):
-    code, _, err = run(capsys, argv[0], split_file, *argv[1:])
+    code, _, err = run(capsys, *(split_file if a == "SPLIT" else a for a in argv))
     assert code == 3
     assert "must be an integer >= 1" in err
 
@@ -291,6 +297,59 @@ def test_elevator_unequal_exit_one(capsys, tmp_path):
         "--expr2", "1 * be * f1",
     )
     assert code == 1 and "NOT equal" in out
+
+
+@pytest.mark.parametrize(
+    "expr, message",
+    (
+        ("1 * al", "line 1, column 1: bad layer '1 * al': want path * cell * path"),
+        ("1 * be * f1 ; g2 ** al * 1", "line 1, column 15: bad layer 'g2 ** al * 1'"),
+        ("1 *  * f1", "bad layer '1 *  * f1'"),
+        ("g1..g2 * al * 1", "line 1, column 1: bad path 'g1..g2'"),
+        ("1 : g1..f1", "line 1, column 5: bad path 'g1..f1'"),
+    ),
+)
+def test_elevator_expression_syntax_errors_are_usage(capsys, tmp_path, expr, message):
+    c = tmp_path / "w1.cmp"
+    c.write_text(W1_COMPUTAD_DOC)
+    code, _, err = run(capsys, "elevator", str(c), "--expr", expr)
+    assert code == 3 and message in err
+
+
+@pytest.mark.parametrize(
+    "expr, message",
+    (
+        ("1 * nope * 1", "unknown generator cell 'nope'"),
+        ("f1 * al * 1", "left whisker does not meet cell"),
+        ("1 * be * q", "unknown arrow 'q' in path"),
+    ),
+)
+def test_elevator_ill_typed_expression_exits_one(capsys, tmp_path, expr, message):
+    c = tmp_path / "w1.cmp"
+    c.write_text(W1_COMPUTAD_DOC)
+    code, _, err = run(capsys, "elevator", str(c), "--expr", expr)
+    assert code == 1 and message in err
+
+
+@pytest.mark.parametrize(
+    "query, message",
+    (
+        ("cylinder C = (Y, X, e, id_Y, r, r, id_r, id_r)", "cylinder 'C' is already bound"),
+        ("homotopy HC = cyl(Cinv)", "homotopy 'HC' is already bound"),
+        ("lhs = id e", "sequence 'lhs' is already bound"),
+        ("rhs = [HC]", "sequence 'rhs' is already bound"),
+        ("hat = C\nhat = Cinv", "hat target is already bound"),
+    ),
+    ids=("cylinder", "homotopy", "sequence-id", "sequence-list", "hat"),
+)
+def test_query_rebinding_is_usage(capsys, split_file, tmp_path, query, message):
+    # QUERY_EQ binds every name once, on lines 2-7; the repeat is the last line
+    text = QUERY_EQ + query + "\n"
+    q = tmp_path / "q.txt"
+    q.write_text(text)
+    code, _, err = run(capsys, "ho-eq", split_file, str(q))
+    assert code == 3
+    assert f"line {len(text.splitlines())}: {message}" in err
 
 
 def test_unknown_command_is_usage(capsys):

@@ -453,3 +453,24 @@ def test_enumerated_probes_pass_make_probe_set():
             assert make_probe_set(sigma, list(found)).probes == found
             checked += len(found)
     assert checked > 1000
+
+
+def test_query_transforms_match_transform_homotopy(split_sigma):
+    from bicatkit.queries import parse_query
+
+    doc = parse_query(
+        split_sigma,
+        "cylinder C = (Y, X, e, id_Y, r, r, id_r, id_r)\n"
+        "homotopy H = cyl(C)\n"
+        "homotopy L = lwhisk(r, H)\n"
+        "homotopy R = rwhisk(H, s)\n"
+        "homotopy P = post(id_id_Y, H)\n"
+        "homotopy N = pre(H, id_e)\n"
+        "homotopy V = invert(H)\n",
+    )
+    h = doc.homotopies["H"]
+    assert doc.homotopies["L"] == transform_homotopy("lwhisk", "r", h)
+    assert doc.homotopies["R"] == transform_homotopy("rwhisk", "s", h)
+    assert doc.homotopies["P"] == transform_homotopy("post", "id_id_Y", h)
+    assert doc.homotopies["N"] == transform_homotopy("pre", "id_e", h)
+    assert doc.homotopies["V"] == transform_homotopy("invert", "", h)

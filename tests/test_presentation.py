@@ -160,6 +160,7 @@ arrows:
   f : X -> X
 cells:
   a : f => f
+  sc : 1 => 1 @ X
 """
 
 
@@ -227,6 +228,10 @@ def test_repeated_key_rejected_in_every_keyed_section(split, iso, kind, line, me
         ("pf", "r . s = id_id_B", "r . q = id_id_B", "dangling reference in phi entry r . q"),
         ("pf", "r . s = id_id_B", "r . s = q", "dangling reference to target cell 'q'"),
         ("cmp", "f : X -> X", "f : Q -> X", "arrow 'f' references undeclared object 'Q'"),
+        ("cmp", "a : f => f", "a : f => q", "unknown arrow 'q' in path"),
+        ("cmp", "a : f => f", "a : f.q.f => f", "unknown arrow 'q' in path"),
+        ("cmp", "a : f => f", "a : q => f", "unknown arrow 'q' in path"),
+        ("cmp", "sc : 1 => 1 @ X", "sc : 1 => 1 @ Q", "cell 'sc' anchored at unknown object"),
     ],
 )
 def test_dangling_reference_rejected_in_every_column(split, iso, kind, line, changed, message):
