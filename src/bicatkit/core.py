@@ -120,7 +120,7 @@ class Bicategory:
             (h, g, f) for h, g in self._pairs for f in self.in_arrows(self.arrows[g][0])
         )
         self._inv_cache: dict[str, str | None] = {}
-        self._qe_cache: dict[str, bool] = {}
+        self._qe_cache: dict[str, dict[tuple[str, str, str], str] | None] = {}
 
     def __repr__(self) -> str:
         return (

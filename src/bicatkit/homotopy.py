@@ -4,8 +4,10 @@ A cylinder packages two parallel arrows d0, d1 into an object W together with
 a marked arrow s out of W and invertible comparison cells alpha0, alpha1; its
 essential content is the composite cell alpha_tilde: s*d0 => s*d1.  A homotopy
 is a would-be 2-cell f => g mediated by a cylinder: cells eta: f => h*d0 and
-eps: h*d1 => g for some arrow h out of W.  When s is a quasiequivalence the
-hat operators deliver genuine 2-cells, and pseudofunctors push all of this
+eps: h*d1 => g for some arrow h out of W.  When s is a quasiequivalence,
+whiskering by s is a bijection on each hom; ``is_quasiequivalence`` verifies
+that bijection and keeps its inverse, and every hat, of a cylinder or of a
+functor's image of one, is read off it.  Pseudofunctors push all of this
 into their targets.
 
 Construction provenance (transform kind or lemma gluing) rides along on a
@@ -18,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Union
 
 from .core import Bicategory, PseudofunctorData, StructureError, comp_sub_f
-from .sigma import SigmaClass, is_quasiequivalence
+from .sigma import SigmaClass, whisker_preimages
 
 
 class HatError(StructureError):
@@ -299,7 +301,8 @@ HomotopyTerm = Union[Homotopy, ICell]
 
 
 def hat(bic: Bicategory, obj: Cylinder | Homotopy) -> str:
-    """For a cylinder: the unique cell c with s*c = alpha_tilde (s must be a
+    """For a cylinder: the unique cell c with s*c = alpha_tilde, read off the
+    whiskering bijection that ``is_quasiequivalence`` verifies (s must be a
     quasiequivalence).  For a homotopy: eps o (h * hat(C)) o eta."""
     if isinstance(obj, Homotopy):
         c_hat = hat(bic, obj.cyl)
@@ -309,77 +312,64 @@ def hat(bic: Bicategory, obj: Cylinder | Homotopy) -> str:
     cyl = obj
     if cyl.bic is not bic:
         raise StructureError("cylinder does not live in the given bicategory")
-    if not is_quasiequivalence(bic, cyl.s):
-        raise HatError(f"arrow {cyl.s!r} is not a quasiequivalence in {bic.name}")
-    target = cyl.alpha_tilde()
-    solutions = [
-        c
-        for c in bic.cells_between(cyl.d0, cyl.d1)
-        if bic.whisker_l(cyl.s, c) == target
-    ]
-    if len(solutions) != 1:
+    c = _preimage(bic, cyl.s, cyl.d0, cyl.d1, cyl.alpha_tilde(), None)
+    if not bic.is_invertible(c):
+        raise HatError(f"hat solution {c!r} is not invertible")
+    return c
+
+
+def _preimage(
+    bic: Bicategory, s: str, d0: str, d1: str, want: str | None, source_s: str | None
+) -> str:
+    """The hat solver: the unique cell c: d0 => d1 with s * c = want.  s is
+    the image of source_s under a functor, or source_s is None."""
+    preimages = whisker_preimages(bic, s)
+    if preimages is None:
+        what = f"arrow {s!r}" if source_s is None else f"image {s!r} of {source_s!r}"
+        raise HatError(f"{what} is not a quasiequivalence in {bic.name}")
+    c = preimages.get((d0, d1, want))
+    if c is None:
         raise HatError(
-            f"hat of cylinder on {cyl.s!r} has {len(solutions)} solutions; "
+            f"hat of cylinder on {s!r} has 0 solutions; "
             "tables are corrupted (uniqueness is guaranteed)"
+            if source_s is None
+            else f"functor hat of cylinder on {source_s!r} has 0 solutions"
         )
-    if not bic.is_invertible(solutions[0]):
-        raise HatError(f"hat solution {solutions[0]!r} is not invertible")
-    return solutions[0]
-
-
-def functor_cylinder_hat(fun: PseudofunctorData, cyl: Cylinder) -> str:
-    """Unique target cell c with Fs *_F c = F(alpha_tilde)."""
-    if cyl.bic is not fun.source:
-        raise StructureError("cylinder does not live in the functor's source")
-    d = fun.target
-    fs = fun.arr_map[cyl.s]
-    if not is_quasiequivalence(d, fs):
-        raise HatError(
-            f"image {fs!r} of {cyl.s!r} is not a quasiequivalence in {d.name}"
-        )
-    want = fun.cell_map[cyl.alpha_tilde()]
-    sols = [
-        c
-        for c in d.cells_between(fun.arr_map[cyl.d0], fun.arr_map[cyl.d1])
-        if comp_sub_f(fun, d.idc[fs], c, cyl.s, cyl.d0, cyl.s, cyl.d1) == want
-    ]
-    if len(sols) != 1:
-        raise HatError(
-            f"functor hat of cylinder on {cyl.s!r} has {len(sols)} solutions"
-        )
-    return sols[0]
+    return c
 
 
 def f_hat(fun: PseudofunctorData, term: HomotopyTerm) -> str:
-    """The target 2-cell a homotopy term induces through a pseudofunctor."""
+    """The target 2-cell a homotopy term induces through a pseudofunctor.  Its
+    cylinder's hat is that of F's image cylinder: the unique target cell c with
+    Fs * c = phi(s, d1)^-1 o F(alpha_tilde) o phi(s, d0).  A composite that the
+    target's tables lack has no preimage."""
     if isinstance(term, ICell):
         return fun.cell_map[term.cell]
-    c_hat = functor_cylinder_hat(fun, term.cyl)
-    d = fun.target
+    cyl, d, amap = term.cyl, fun.target, fun.arr_map
+    if cyl.bic is not fun.source:
+        raise StructureError("cylinder does not live in the functor's source")
+    moved = d.vcomp.get((fun.cell_map[cyl.alpha_tilde()], fun.phi[(cyl.s, cyl.d0)]))
+    want = d.vcomp.get((d.inverse(fun.phi[(cyl.s, cyl.d1)]), moved))
+    c_hat = _preimage(d, amap[cyl.s], amap[cyl.d0], amap[cyl.d1], want, cyl.s)
     mid = comp_sub_f(
         fun,
-        d.idc[fun.arr_map[term.h]],
+        d.idc[amap[term.h]],
         c_hat,
         term.h,
-        term.cyl.d0,
+        cyl.d0,
         term.h,
-        term.cyl.d1,
+        cyl.d1,
     )
     return d.vertical_chain(
         [fun.cell_map[term.eta], mid, fun.cell_map[term.eps]]
     )
 
 
-def apply_functor(
-    fun: PseudofunctorData,
-    obj: Cylinder | Homotopy,
-    target_sigma: SigmaClass | None = None,
-    require_quasiequivalence: bool = False,
-) -> Cylinder | Homotopy:
+def apply_functor(fun: PseudofunctorData, obj: Cylinder | Homotopy) -> Cylinder | Homotopy:
     """Image of a cylinder or homotopy, with phi corrections on the cells."""
     d = fun.target
     if isinstance(obj, Homotopy):
-        fc = apply_functor(fun, obj.cyl, target_sigma, require_quasiequivalence)
+        fc = apply_functor(fun, obj.cyl)
         assert isinstance(fc, Cylinder)
         phi_in = d.inverse(fun.phi[(obj.h, obj.cyl.d0)])
         assert phi_in is not None
@@ -390,21 +380,12 @@ def apply_functor(
             d.vertical(fun.cell_map[obj.eps], fun.phi[(obj.h, obj.cyl.d1)]),
         )
     cyl = obj
-    fs = fun.arr_map[cyl.s]
-    if target_sigma is not None and fs not in target_sigma:
-        raise StructureError(
-            f"image {fs!r} of {cyl.s!r} is not in the target's marked class"
-        )
-    if require_quasiequivalence and not is_quasiequivalence(d, fs):
-        raise StructureError(
-            f"image {fs!r} of {cyl.s!r} is not a quasiequivalence in {d.name}"
-        )
     return make_cylinder(
         d,
         d0=fun.arr_map[cyl.d0],
         d1=fun.arr_map[cyl.d1],
         x=fun.arr_map[cyl.x],
-        s=fs,
+        s=fun.arr_map[cyl.s],
         alpha0=d.vertical(fun.cell_map[cyl.alpha0], fun.phi[(cyl.s, cyl.d0)]),
         alpha1=d.vertical(fun.cell_map[cyl.alpha1], fun.phi[(cyl.s, cyl.d1)]),
     )

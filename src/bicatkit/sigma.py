@@ -201,31 +201,41 @@ def w_split_decompose(sigma: SigmaClass, f: str, max_len: int) -> Decomposition 
 def is_quasiequivalence(bic: Bicategory, f: str) -> bool:
     """Both composition functors with f are full and faithful on every hom.
 
-    Checked as a bijection between cell sets for every arrow pair, with the
-    result memoized on the bicategory.
+    Checked as a bijection between cell sets for every arrow pair; the check
+    keeps the inverse of post-composition (see ``whisker_preimages``).
     """
+    return whisker_preimages(bic, f) is not None
+
+
+def whisker_preimages(bic: Bicategory, f: str) -> dict[tuple[str, str, str], str] | None:
+    """The inverse of whiskering by f, ``(a, b, f * c) -> c`` for every cell
+    c: a => b into src(f), when f is a quasiequivalence; else None.  Memoized
+    on the bicategory."""
     if f not in bic._qe_cache:
         bic._qe_cache[f] = _is_quasiequivalence(bic, f)
     return bic._qe_cache[f]
 
 
-def _is_quasiequivalence(bic: Bicategory, f: str) -> bool:
+def _is_quasiequivalence(bic: Bicategory, f: str) -> dict[tuple[str, str, str], str] | None:
     x, y = bic.arrows[f]
+    preimages: dict[tuple[str, str, str], str] = {}
     # post-composition f * (-): hom(z, x) -> hom(z, y)
     for a in bic.in_arrows(x):
         for b in bic.arrows_between(bic.arrow_src(a), x):
             fa, fb = bic.hcomp1[(f, a)], bic.hcomp1[(f, b)]
-            images = [bic.whisker_l(f, c) for c in bic.cells_between(a, b)]
+            cells = bic.cells_between(a, b)
+            images = [bic.whisker_l(f, c) for c in cells]
             if sorted(images) != list(bic.cells_between(fa, fb)):
-                return False
+                return None
+            preimages.update(((a, b, fc), c) for fc, c in zip(images, cells))
     # pre-composition (-) * f: hom(y, z) -> hom(x, z)
     for u in bic.out_arrows(y):
         for v in bic.arrows_between(y, bic.arrow_dst(u)):
             uf, vf = bic.hcomp1[(u, f)], bic.hcomp1[(v, f)]
             images = [bic.whisker_r(c, f) for c in bic.cells_between(u, v)]
             if sorted(images) != list(bic.cells_between(uf, vf)):
-                return False
-    return True
+                return None
+    return preimages
 
 
 @dataclass(frozen=True)

@@ -1,22 +1,25 @@
 """The scan-and-filter code that the incidence-index walks replaced, the
 hand-written section loops that the table-driven document reader replaced,
-and the head/tail extension route that ``f_hat_chain`` on every
-pseudofunctor replaced, kept as the reference for
-``tests/test_index_differential.py`` and ``tests/test_extension_differential.py``.
+the head/tail extension route that ``f_hat_chain`` on every pseudofunctor
+replaced, and the hat scans that the whiskering bijection replaced, kept as
+the reference for ``tests/test_index_differential.py``,
+``tests/test_extension_differential.py`` and ``tests/test_hat_differential.py``.
 
 The extension route is ``ExtensionG`` with its ``head`` and ``tail`` fields
 (the record every function here builds), ``extend_pseudofunctor``,
 ``extend_2cell_data`` and the two reports' ``to_json`` bodies;
 ``perturbation_breaks`` is the scan version, which the index walk and the
-route change both left equal in result.
+route change both left equal in result.  The hat scans are ``hat``,
+``functor_cylinder_hat`` and ``f_hat``, over the last scan's
+``_is_quasiequivalence``.
 
 Each function is the old one copied verbatim, with four departures:
 ``ReferenceDocBuilder`` is the old ``_DocBuilder`` (``__init__`` included, its
 ``build`` with the old scan fill); ``load_computad`` uses this module's copy
 of the old ``_split_sections`` instead of importing it; ``is_quasiequivalence``
-does not read or write the bicategory's memo, which the code under test
-shares; and the old functions call each other here rather than their
-replacements.
+and the hat scans do not read or write the bicategory's memo, which the code
+under test shares, so the hat scans call ``_is_quasiequivalence`` directly;
+and the old functions call each other here rather than their replacements.
 """
 from __future__ import annotations
 
@@ -28,6 +31,7 @@ from bicatkit.core import (
     Bicategory,
     PseudofunctorData,
     StructureError,
+    comp_sub_f,
     validate_pseudofunctor,
 )
 from bicatkit.elevator import Computad, Path, make_computad, parse_path
@@ -44,9 +48,12 @@ from bicatkit.ho import (
     i_cell,
 )
 from bicatkit.homotopy import (
+    Cylinder,
+    HatError,
     Homotopy,
+    HomotopyTerm,
+    ICell,
     cylinder_homotopy,
-    f_hat,
     make_cylinder,
     make_homotopy,
 )
@@ -556,6 +563,97 @@ def is_quasiequivalence(bic: Bicategory, f: str) -> bool:
         if not ok:
             break
     return ok
+
+
+def _is_quasiequivalence(bic: Bicategory, f: str) -> bool:
+    x, y = bic.arrows[f]
+    # post-composition f * (-): hom(z, x) -> hom(z, y)
+    for a in bic.in_arrows(x):
+        for b in bic.arrows_between(bic.arrow_src(a), x):
+            fa, fb = bic.hcomp1[(f, a)], bic.hcomp1[(f, b)]
+            images = [bic.whisker_l(f, c) for c in bic.cells_between(a, b)]
+            if sorted(images) != list(bic.cells_between(fa, fb)):
+                return False
+    # pre-composition (-) * f: hom(y, z) -> hom(x, z)
+    for u in bic.out_arrows(y):
+        for v in bic.arrows_between(y, bic.arrow_dst(u)):
+            uf, vf = bic.hcomp1[(u, f)], bic.hcomp1[(v, f)]
+            images = [bic.whisker_r(c, f) for c in bic.cells_between(u, v)]
+            if sorted(images) != list(bic.cells_between(uf, vf)):
+                return False
+    return True
+
+
+def hat(bic: Bicategory, obj: Cylinder | Homotopy) -> str:
+    """For a cylinder: the unique cell c with s*c = alpha_tilde (s must be a
+    quasiequivalence).  For a homotopy: eps o (h * hat(C)) o eta."""
+    if isinstance(obj, Homotopy):
+        c_hat = hat(bic, obj.cyl)
+        return bic.vertical_chain(
+            [obj.eta, bic.whisker_l(obj.h, c_hat), obj.eps]
+        )
+    cyl = obj
+    if cyl.bic is not bic:
+        raise StructureError("cylinder does not live in the given bicategory")
+    if not _is_quasiequivalence(bic, cyl.s):
+        raise HatError(f"arrow {cyl.s!r} is not a quasiequivalence in {bic.name}")
+    target = cyl.alpha_tilde()
+    solutions = [
+        c
+        for c in bic.cells_between(cyl.d0, cyl.d1)
+        if bic.whisker_l(cyl.s, c) == target
+    ]
+    if len(solutions) != 1:
+        raise HatError(
+            f"hat of cylinder on {cyl.s!r} has {len(solutions)} solutions; "
+            "tables are corrupted (uniqueness is guaranteed)"
+        )
+    if not bic.is_invertible(solutions[0]):
+        raise HatError(f"hat solution {solutions[0]!r} is not invertible")
+    return solutions[0]
+
+
+def functor_cylinder_hat(fun: PseudofunctorData, cyl: Cylinder) -> str:
+    """Unique target cell c with Fs *_F c = F(alpha_tilde)."""
+    if cyl.bic is not fun.source:
+        raise StructureError("cylinder does not live in the functor's source")
+    d = fun.target
+    fs = fun.arr_map[cyl.s]
+    if not _is_quasiequivalence(d, fs):
+        raise HatError(
+            f"image {fs!r} of {cyl.s!r} is not a quasiequivalence in {d.name}"
+        )
+    want = fun.cell_map[cyl.alpha_tilde()]
+    sols = [
+        c
+        for c in d.cells_between(fun.arr_map[cyl.d0], fun.arr_map[cyl.d1])
+        if comp_sub_f(fun, d.idc[fs], c, cyl.s, cyl.d0, cyl.s, cyl.d1) == want
+    ]
+    if len(sols) != 1:
+        raise HatError(
+            f"functor hat of cylinder on {cyl.s!r} has {len(sols)} solutions"
+        )
+    return sols[0]
+
+
+def f_hat(fun: PseudofunctorData, term: HomotopyTerm) -> str:
+    """The target 2-cell a homotopy term induces through a pseudofunctor."""
+    if isinstance(term, ICell):
+        return fun.cell_map[term.cell]
+    c_hat = functor_cylinder_hat(fun, term.cyl)
+    d = fun.target
+    mid = comp_sub_f(
+        fun,
+        d.idc[fun.arr_map[term.h]],
+        c_hat,
+        term.h,
+        term.cyl.d0,
+        term.h,
+        term.cyl.d1,
+    )
+    return d.vertical_chain(
+        [fun.cell_map[term.eta], mid, fun.cell_map[term.eps]]
+    )
 
 
 def sample_homotopies(sigma: SigmaClass, cap: int = 200) -> list[Homotopy]:

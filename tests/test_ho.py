@@ -1,7 +1,7 @@
 import pytest
 
 from bench import families
-from bicatkit.core import StructureError, identity_pseudofunctor
+from bicatkit.core import PseudofunctorData, StructureError, identity_pseudofunctor
 from bicatkit.homotopy import (
     ICell,
     cylinder_homotopy,
@@ -354,6 +354,32 @@ def test_perturbation_breaks_verified_equations(grpd, grpd_sigma):
                 assert perturbation_breaks(ext, k, other)
                 broken += 1
     assert broken > 0
+
+
+def test_perturbation_pins_lone_identity_cell_terms(triv):
+    # [I(id_id_pt)] = id in Ho, so its value is forced; no whisker equation
+    # separates g from it under this probe
+    sigma = make_sigma(triv.bicategory, triv.sigma_names)
+    probes = enumerate_probes(sigma, default_probe_targets(sigma)).probes
+    fun = next(p for p in probes if p.name == "triv->grpd#0")
+    ext = extend_2functor(fun, sigma)
+    k = ho_cell(sigma, (ICell(triv.bicategory, "id_id_pt"),))
+    assert ext.value(k) == "id_id_P"
+    assert perturbation_breaks(ext, k, "g")
+
+
+def test_units_check_fails_when_an_identity_cell_moves(grpd, grpd_sigma):
+    # an unvalidated 2-functor sending id_id_P to g: neither [I(id_id_P)] nor
+    # the identity cylinder's homotopy goes to an identity
+    bic = grpd.bicategory
+    base = identity_pseudofunctor(bic)
+    bent = PseudofunctorData(
+        "bent", bic, bic, base.obj_map, base.arr_map,
+        {**base.cell_map, "id_id_P": "g"}, base.xi, base.phi,
+    )
+    ext = extend_2functor(bent, grpd_sigma)
+    assert not ext.report.preserves_units and not ext.report.ok
+    assert extend_2functor(base, grpd_sigma).report.preserves_units
 
 
 def test_extend_transformation_between_symmetric_probes(split, split_sigma, iso):

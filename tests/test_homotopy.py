@@ -10,7 +10,6 @@ from bicatkit.homotopy import (
     compose_lemma,
     cylinder_homotopy,
     f_hat,
-    functor_cylinder_hat,
     hat,
     identity_cylinder,
     inverse_cylinder,
@@ -156,7 +155,8 @@ def test_apply_identity_functor_is_noop(split, split_sigma):
 def test_apply_collapse_to_retraction_cylinder(split, split_sigma, iso):
     fun = collapse(split, iso)
     cyl = retraction_cylinder(split_sigma, "s", "r", "id_id_X")
-    img = apply_functor(fun, cyl, require_quasiequivalence=True)
+    img = apply_functor(fun, cyl)
+    assert is_quasiequivalence(iso.bicategory, img.s)
     assert (img.w, img.z, img.d0, img.d1, img.x, img.s) == (
         "B",
         "A",
@@ -303,11 +303,11 @@ def test_f_hat_whisker_and_compose_laws(split, split_sigma, iso, grpd):
                     assert lhs == rhs
 
 
-def test_functor_cylinder_hat_unique_solution(chain_f):
+def test_f_hat_of_functor_cylinder_unique_solution(chain_f):
     src = chain_f.source
     sigma = make_sigma(src, ())
     cyl = make_cylinder(src, "a", "a", "a", "id_X", "id_a", "id_a", sigma=sigma)
-    assert functor_cylinder_hat(chain_f, cyl) == "id_a"
+    assert f_hat(chain_f, cylinder_homotopy(cyl)) == "id_a"
 
 
 def grpd_lemma_instance(grpd):
