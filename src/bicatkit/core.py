@@ -438,10 +438,12 @@ def validate_bicategory(bic: Bicategory) -> ValidationReport:
     for a in sorted_cells:  # a: f1 => f2
         f1, f2 = cells[a]
         for c in cells_from(f2):  # c: f2 => f3
+            ca = vcomp[(c, a)]
             for b in out_cells(arrows[f1][1]):  # b: g1 => g2
+                ba = hcomp2(b, a)
                 for d in cells_from(cells[b][1]):  # d: g2 => g3
-                    lhs = vcomp[(hcomp2(d, c), hcomp2(b, a))]
-                    rhs = hcomp2(vcomp[(d, b)], vcomp[(c, a)])
+                    lhs = vcomp[(hcomp2(d, c), ba)]
+                    rhs = hcomp2(vcomp[(d, b)], ca)
                     if lhs != rhs:
                         add(Violation("H2", (d, c, b, a), left=lhs, right=rhs))
 

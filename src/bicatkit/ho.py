@@ -15,8 +15,8 @@ Sequences are stored first-applied-first.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import asdict, dataclass, field
+from typing import Callable
 
 from .core import (
     Bicategory,
@@ -260,81 +260,125 @@ def _require_2functor(fun: PseudofunctorData) -> None:
 def enumerate_2functors(
     src: Bicategory, dst: Bicategory, name_prefix: str = ""
 ) -> list[PseudofunctorData]:
-    """All 2-functors between two finite tabulated bicategories, by exhaustive
-    backtracking over object, arrow and cell assignments."""
+    """All 2-functors between two finite tabulated bicategories.
+
+    The search is depth first: the objects in order, then the sorted
+    non-identity arrows, then the sorted non-identity cells, each over its
+    candidates in the target's index order.  Each constraint is checked as
+    soon as the last of its unknowns is assigned (forward checking): a
+    non-identity arrow's hom must have a candidate once both its ends are
+    mapped; each source table entry must hold once the last generator it
+    mentions is assigned, `hcomp1` among the arrows and `vcomp`, the
+    whiskers and, unless both sides are strict, the unitors and associators
+    among the cells.  An entry that mentions no generator is checked once
+    the arrow map is complete; on a valid target such an `hcomp1` entry,
+    id . id = id, cannot fail.  A branch thus ends at its first broken
+    constraint, and the results, in their order, are those of checking
+    complete maps only."""
     objs = list(src.objects)
     ids = set(src.id1.values())
     idcs = set(src.idc.values())
     gen_arrows = [f for f in sorted(src.arrows) if f not in ids]
     gen_cells = [a for a in sorted(src.cells) if a not in idcs]
     found: list[PseudofunctorData] = []
+    # the maps under construction, which the checks read
+    omap: dict[str, str] = {}
+    amap: dict[str, str] = {}
+    cmap: dict[str, str] = {}
 
-    def arrows_ok(amap: dict[str, str]) -> bool:
-        for (g, f), c in src.hcomp1.items():
-            if dst.hcomp1.get((amap[g], amap[f])) != amap[c]:
+    def by_last_generator(gens, entries) -> list[list[Callable[[], bool]]]:
+        """Bucket (mentioned ids, check) pairs: bucket i holds the checks whose
+        last generator is gens[i - 1], bucket 0 those that mention none."""
+        at = {x: i for i, x in enumerate(gens, 1)}
+        buckets: list[list[Callable[[], bool]]] = [[] for _ in range(len(gens) + 1)]
+        for mentioned, check in entries:
+            buckets[max(at.get(x, 0) for x in mentioned)].append(check)
+        return buckets
+
+    arrow_checks = by_last_generator(gen_arrows, [
+        ((g, f, c), lambda g=g, f=f, c=c: dst.hcomp1.get((amap[g], amap[f])) == amap[c])
+        for (g, f), c in src.hcomp1.items()
+    ])
+    cell_entries = [
+        ((b, a, c), lambda b=b, a=a, c=c: dst.vcomp.get((cmap[b], cmap[a])) == cmap[c])
+        for (b, a), c in src.vcomp.items()
+    ]
+    cell_entries += [
+        ((a, c), lambda g=g, a=a, c=c: dst.lwhisk.get((amap[g], cmap[a])) == cmap[c])
+        for (g, a), c in src.lwhisk.items()
+    ]
+    cell_entries += [
+        ((a, c), lambda a=a, f=f, c=c: dst.rwhisk.get((cmap[a], amap[f])) == cmap[c])
+        for (a, f), c in src.rwhisk.items()
+    ]
+    if not src.strict or not dst.strict:
+        for f in src.arrows:
+            lam, rho = src.lunitor[f], src.runitor[f]
+            cell_entries.append(((lam,), lambda f=f, lam=lam: cmap[lam] == dst.lunitor[amap[f]]))
+            cell_entries.append(((rho,), lambda f=f, rho=rho: cmap[rho] == dst.runitor[amap[f]]))
+        cell_entries += [
+            ((c,), lambda h=h, g=g, f=f, c=c: cmap[c] == dst.assoc[(amap[h], amap[g], amap[f])])
+            for (h, g, f), c in src.assoc.items()
+        ]
+    cell_checks = by_last_generator(gen_cells, cell_entries)
+    # homs[k]: the ends of non-identity arrows whose later end is objs[k]; a
+    # map of the first k + 1 objects survives if each such hom has a candidate
+    obj_at = {x: k for k, x in enumerate(objs)}
+    homs: list[list[tuple[str, str]]] = [[] for _ in objs]
+    for x, y in sorted({src.arrows[f] for f in gen_arrows}):
+        homs[max(obj_at[x], obj_at[y])].append((x, y))
+
+    def holds(checks: list[Callable[[], bool]]) -> bool:
+        for check in checks:
+            if not check():
                 return False
         return True
 
-    def cells_ok(amap: dict[str, str], cmap: dict[str, str]) -> bool:
-        for (b, a), c in src.vcomp.items():
-            if dst.vcomp.get((cmap[b], cmap[a])) != cmap[c]:
-                return False
-        for (g, a), c in src.lwhisk.items():
-            if dst.lwhisk.get((amap[g], cmap[a])) != cmap[c]:
-                return False
-        for (a, f), c in src.rwhisk.items():
-            if dst.rwhisk.get((cmap[a], amap[f])) != cmap[c]:
-                return False
-        if not src.strict or not dst.strict:
-            for f in src.arrows:
-                if cmap[src.lunitor[f]] != dst.lunitor[amap[f]]:
-                    return False
-                if cmap[src.runitor[f]] != dst.runitor[amap[f]]:
-                    return False
-            for key, c in src.assoc.items():
-                if cmap[c] != dst.assoc[(amap[key[0]], amap[key[1]], amap[key[2]])]:
-                    return False
-        return True
+    def extend_arrows(i: int) -> None:
+        if i == len(gen_arrows):
+            cmap.clear()
+            cmap.update({src.idc[f]: dst.idc[amap[f]] for f in src.arrows})
+            if holds(arrow_checks[0]) and holds(cell_checks[0]):
+                extend_cells(0)
+            return
+        f = gen_arrows[i]
+        x, y = src.arrows[f]
+        for cand in dst.arrows_between(omap[x], omap[y]):
+            amap[f] = cand
+            if holds(arrow_checks[i + 1]):
+                extend_arrows(i + 1)
 
-    for combo in itertools.product(dst.objects, repeat=len(objs)):
-        omap = dict(zip(objs, combo))
-        amap_base = {src.id1[x]: dst.id1[omap[x]] for x in objs}
+    def extend_cells(j: int) -> None:
+        if j == len(gen_cells):
+            fun = PseudofunctorData(
+                name=f"{name_prefix}{src.name}->{dst.name}#{len(found)}",
+                source=src,
+                target=dst,
+                obj_map=dict(omap),
+                arr_map=dict(amap),
+                cell_map=dict(cmap),
+            )
+            found.append(fun)
+            return
+        a = gen_cells[j]
+        f, g = src.cells[a]
+        for cand in dst.cells_between(amap[f], amap[g]):
+            cmap[a] = cand
+            if holds(cell_checks[j + 1]):
+                extend_cells(j + 1)
 
-        def extend_arrows(i: int, amap: dict[str, str]) -> None:
-            if i == len(gen_arrows):
-                if not arrows_ok(amap):
-                    return
-                cmap_base = {src.idc[f]: dst.idc[amap[f]] for f in src.arrows}
-                extend_cells(0, dict(cmap_base), amap)
-                return
-            f = gen_arrows[i]
-            x, y = src.arrows[f]
-            for cand in dst.arrows_between(omap[x], omap[y]):
-                amap[f] = cand
-                extend_arrows(i + 1, amap)
-            amap.pop(f, None)
+    def extend_objects(k: int) -> None:
+        if k == len(objs):
+            amap.clear()
+            amap.update({src.id1[x]: dst.id1[omap[x]] for x in objs})
+            extend_arrows(0)
+            return
+        for cand in dst.objects:
+            omap[objs[k]] = cand
+            if all(dst.arrows_between(omap[x], omap[y]) for x, y in homs[k]):
+                extend_objects(k + 1)
 
-        def extend_cells(j: int, cmap: dict[str, str], amap: dict[str, str]) -> None:
-            if j == len(gen_cells):
-                if cells_ok(amap, cmap):
-                    fun = PseudofunctorData(
-                        name=f"{name_prefix}{src.name}->{dst.name}#{len(found)}",
-                        source=src,
-                        target=dst,
-                        obj_map=dict(omap),
-                        arr_map=dict(amap),
-                        cell_map=dict(cmap),
-                    )
-                    found.append(fun)
-                return
-            a = gen_cells[j]
-            f, g = src.cells[a]
-            for cand in dst.cells_between(amap[f], amap[g]):
-                cmap[a] = cand
-                extend_cells(j + 1, cmap, amap)
-            cmap.pop(a, None)
-
-        extend_arrows(0, dict(amap_base))
+    extend_objects(0)
     return found
 
 

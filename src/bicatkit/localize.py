@@ -10,6 +10,7 @@ inputs give byte-identical JSON.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .core import Bicategory, StructureError
@@ -289,14 +290,34 @@ _CERT_JSON = {
     "budget": int,
     "decompositions": [{"arrow": str, "chain": [str], "cell": str}],
     "equivalences": [{"arrow": str, "to_id_src": _SIDE_JSON, "to_id_dst": _SIDE_JSON}],
+    "probes_used": [str],
 }
+
+
+def _coverage_problems(sigma: SigmaClass, section: str, entries: list[dict]) -> list[str]:
+    """localize writes one entry per marked arrow in each section; name every
+    marked arrow that has none and every arrow with an extra or repeated one."""
+    seen = Counter(entry["arrow"] for entry in entries)
+    problems = [
+        f"{section}: no entry for marked arrow {arrow}"
+        for arrow in sigma.sorted_members()
+        if arrow not in seen
+    ]
+    for arrow, n in sorted(seen.items()):
+        if arrow not in sigma:
+            problems.append(f"{section}: entry for unmarked arrow {arrow}")
+        elif n > 1:
+            problems.append(f"{section}: {n} entries for {arrow}")
+    return problems
 
 
 def replay_certificate(
     sigma: SigmaClass, cert_json: dict, probes: ProbeSet | None = None
 ) -> tuple[bool, list[str]]:
     """Re-check every recorded derivation of a certificate against the loaded
-    bicategory (and a probe set, freshly enumerated unless supplied)."""
+    bicategory (and a probe set, freshly enumerated unless supplied).  The
+    certificate must list exactly that probe set and hold one decomposition
+    and one equivalence for each marked arrow."""
     bic = sigma.bic
     if not isinstance(cert_json, dict):
         return False, ["certificate is not a JSON object"]
@@ -318,6 +339,10 @@ def replay_certificate(
         problems.append("3-for-2 no longer holds")
     if probes is None:
         probes = enumerate_probes(sigma, default_probe_targets(sigma))
+    if cert_json["probes_used"] != sorted(probes.names()):
+        problems.append("field 'probes_used' does not match the probes replay uses")
+    for section in ("decompositions", "equivalences"):
+        problems += _coverage_problems(sigma, section, cert_json[section])
 
     for dec in cert_json["decompositions"]:
         arrow, chain, cell = dec["arrow"], dec["chain"], dec["cell"]

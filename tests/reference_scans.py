@@ -1,9 +1,11 @@
 """The scan-and-filter code that the incidence-index walks replaced, the
 hand-written section loops that the table-driven document reader replaced,
 the head/tail extension route that ``f_hat_chain`` on every pseudofunctor
-replaced, and the hat scans that the whiskering bijection replaced, kept as
-the reference for ``tests/test_index_differential.py``,
-``tests/test_extension_differential.py`` and ``tests/test_hat_differential.py``.
+replaced, the hat scans that the whiskering bijection replaced, and the
+enumerator that checked tables only on complete maps, which forward checking
+replaced, kept as the reference for ``tests/test_index_differential.py``,
+``tests/test_extension_differential.py``, ``tests/test_hat_differential.py``
+and ``tests/test_enumerate_differential.py``.
 
 The extension route is ``ExtensionG`` with its ``head`` and ``tail`` fields
 (the record every function here builds), ``extend_pseudofunctor``,
@@ -23,6 +25,7 @@ and the old functions call each other here rather than their replacements.
 """
 from __future__ import annotations
 
+import itertools
 import re
 from collections import deque
 from dataclasses import dataclass, field
@@ -921,3 +924,84 @@ def extend_2cell_data(kind: str, data, sigma: SigmaClass, cap: int = 40):
                 failures.append(f"PM fails on {f}: {lhs} != {rhs}")
         return data, TwoCellExtensionReport(kind, not failures, failures)
     raise StructureError(f"unknown extension kind {kind!r}")
+
+
+def enumerate_2functors(
+    src: Bicategory, dst: Bicategory, name_prefix: str = ""
+) -> list[PseudofunctorData]:
+    """All 2-functors between two finite tabulated bicategories, by exhaustive
+    backtracking over object, arrow and cell assignments."""
+    objs = list(src.objects)
+    ids = set(src.id1.values())
+    idcs = set(src.idc.values())
+    gen_arrows = [f for f in sorted(src.arrows) if f not in ids]
+    gen_cells = [a for a in sorted(src.cells) if a not in idcs]
+    found: list[PseudofunctorData] = []
+
+    def arrows_ok(amap: dict[str, str]) -> bool:
+        for (g, f), c in src.hcomp1.items():
+            if dst.hcomp1.get((amap[g], amap[f])) != amap[c]:
+                return False
+        return True
+
+    def cells_ok(amap: dict[str, str], cmap: dict[str, str]) -> bool:
+        for (b, a), c in src.vcomp.items():
+            if dst.vcomp.get((cmap[b], cmap[a])) != cmap[c]:
+                return False
+        for (g, a), c in src.lwhisk.items():
+            if dst.lwhisk.get((amap[g], cmap[a])) != cmap[c]:
+                return False
+        for (a, f), c in src.rwhisk.items():
+            if dst.rwhisk.get((cmap[a], amap[f])) != cmap[c]:
+                return False
+        if not src.strict or not dst.strict:
+            for f in src.arrows:
+                if cmap[src.lunitor[f]] != dst.lunitor[amap[f]]:
+                    return False
+                if cmap[src.runitor[f]] != dst.runitor[amap[f]]:
+                    return False
+            for key, c in src.assoc.items():
+                if cmap[c] != dst.assoc[(amap[key[0]], amap[key[1]], amap[key[2]])]:
+                    return False
+        return True
+
+    for combo in itertools.product(dst.objects, repeat=len(objs)):
+        omap = dict(zip(objs, combo))
+        amap_base = {src.id1[x]: dst.id1[omap[x]] for x in objs}
+
+        def extend_arrows(i: int, amap: dict[str, str]) -> None:
+            if i == len(gen_arrows):
+                if not arrows_ok(amap):
+                    return
+                cmap_base = {src.idc[f]: dst.idc[amap[f]] for f in src.arrows}
+                extend_cells(0, dict(cmap_base), amap)
+                return
+            f = gen_arrows[i]
+            x, y = src.arrows[f]
+            for cand in dst.arrows_between(omap[x], omap[y]):
+                amap[f] = cand
+                extend_arrows(i + 1, amap)
+            amap.pop(f, None)
+
+        def extend_cells(j: int, cmap: dict[str, str], amap: dict[str, str]) -> None:
+            if j == len(gen_cells):
+                if cells_ok(amap, cmap):
+                    fun = PseudofunctorData(
+                        name=f"{name_prefix}{src.name}->{dst.name}#{len(found)}",
+                        source=src,
+                        target=dst,
+                        obj_map=dict(omap),
+                        arr_map=dict(amap),
+                        cell_map=dict(cmap),
+                    )
+                    found.append(fun)
+                return
+            a = gen_cells[j]
+            f, g = src.cells[a]
+            for cand in dst.cells_between(amap[f], amap[g]):
+                cmap[a] = cand
+                extend_cells(j + 1, cmap, amap)
+            cmap.pop(a, None)
+
+        extend_arrows(0, dict(amap_base))
+    return found

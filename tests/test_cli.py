@@ -167,6 +167,48 @@ def test_replay_names_a_mistyped_stored_term(capsys, tmp_path, split_cert):
     assert "'hocell.terms[0].cell' has the wrong type" in out
 
 
+def test_replay_checks_probes_used(capsys, tmp_path, split_cert):
+    cert = dict(split_cert[1], probes_used=[])
+    code, out, _ = replay(capsys, tmp_path, split_cert, json.dumps(cert))
+    assert code == 1
+    assert "field 'probes_used' does not match the probes replay uses" in out
+
+
+def tampered_section(cert, section, how):
+    """cert with one section emptied, one entry repeated, or its first entry
+    moved to an arrow that is not marked."""
+    cert = json.loads(json.dumps(cert))
+    entries = cert[section]
+    if how == "emptied":
+        entries.clear()
+    elif how == "repeated":
+        entries.append(entries[-1])
+    else:
+        entries[0]["arrow"] = "q"
+    return cert
+
+
+@pytest.mark.parametrize("section", ["decompositions", "equivalences"])
+@pytest.mark.parametrize(
+    "how,problems",
+    [
+        ("emptied", ["no entry for marked arrow e", "no entry for marked arrow s"]),
+        ("repeated", ["2 entries for s"]),
+        ("unmarked", ["no entry for marked arrow e", "entry for unmarked arrow q"]),
+    ],
+    ids=["emptied", "repeated", "unmarked"],
+)
+def test_replay_requires_one_entry_per_marked_arrow(
+    capsys, tmp_path, split_cert, section, how, problems
+):
+    cert = tampered_section(split_cert[1], section, how)
+    assert [d["arrow"] for d in split_cert[1][section]] == ["e", "id_X", "id_Y", "r", "s"]
+    code, out, _ = replay(capsys, tmp_path, split_cert, json.dumps(cert))
+    assert code == 1 and "replay FAILED" in out
+    for problem in problems:
+        assert f"{section}: {problem}" in out
+
+
 def test_validate_without_input_is_usage(capsys):
     code, _, err = run(capsys, "validate")
     assert code == 3

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from bench import families
@@ -258,6 +260,21 @@ def test_enumerate_2functors_counts(split, iso, grpd, triv):
     # identity plus two collapses
     endos = enumerate_2functors(src, src)
     assert any(f.arr_map == {a: a for a in src.arrows} for f in endos)
+
+
+def test_probe_enumeration_prunes():
+    # checking only complete maps took 80 s on chain(5)xZ/2 and did not finish
+    # in minutes on chaotic(4)xZ/2; this bound may be tightened, not loosened
+    for family, n in (("chain_z2", 5), ("chaotic_z2", 4)):
+        doc = families.generate(family, n, 1, marked=True)
+        pres = load_presentation_with_sigma(doc.text(), doc.name)
+        sigma = make_sigma(pres.bicategory, pres.sigma_names)
+        start = time.perf_counter()
+        probes = enumerate_probes(sigma, default_probe_targets(sigma))
+        assert time.perf_counter() - start < 3.0, family
+        if family == "chaotic_z2":
+            # into itself 2 * 4^4, into iso 2^4, into triv, grpd and split 1 + 2 + 2
+            assert len(probes.probes) == 2 * 4**4 + 2**4 + 5
 
 
 def test_probe_side_conditions_enforced(split, split_sigma):
