@@ -97,13 +97,17 @@ def _probe_targets(sigma, spec: str | None):
             elif name not in BICATEGORIES:
                 raise _Usage(f"unknown probe target {name!r}")
         targets.append(_load_valid(name).bicategory)
+    if not targets:
+        raise _Usage("--probes names no probe target")
     return targets
 
 
 def _sigma_for(args, pres):
     names = pres.sigma_names
-    if getattr(args, "sigma", None):
+    if getattr(args, "sigma", None) is not None:
         names = tuple(n.strip() for n in args.sigma.split(",") if n.strip())
+        if not names:
+            raise _Usage("--sigma names no arrow")
     return make_sigma(pres.bicategory, names)
 
 

@@ -16,7 +16,7 @@ Sequences are stored first-applied-first.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Callable
+from typing import Callable, Iterable
 
 from .core import (
     Bicategory,
@@ -257,128 +257,100 @@ def _require_2functor(fun: PseudofunctorData) -> None:
         raise StructureError(f"{fun.name!r} is not a 2-functor")
 
 
-def enumerate_2functors(
-    src: Bicategory, dst: Bicategory, name_prefix: str = ""
-) -> list[PseudofunctorData]:
+def enumerate_2functors(src: Bicategory, dst: Bicategory) -> list[PseudofunctorData]:
     """All 2-functors between two finite tabulated bicategories.
 
-    The search is depth first: the objects in order, then the sorted
-    non-identity arrows, then the sorted non-identity cells, each over its
-    candidates in the target's index order.  Each constraint is checked as
-    soon as the last of its unknowns is assigned (forward checking): a
-    non-identity arrow's hom must have a candidate once both its ends are
-    mapped; each source table entry must hold once the last generator it
-    mentions is assigned, `hcomp1` among the arrows and `vcomp`, the
-    whiskers and, unless both sides are strict, the unitors and associators
-    among the cells.  An entry that mentions no generator is checked once
-    the arrow map is complete; on a valid target such an `hcomp1` entry,
-    id . id = id, cannot fail.  A branch thus ends at its first broken
-    constraint, and the results, in their order, are those of checking
-    complete maps only."""
+    The search is depth first over one list of unknowns: the objects in
+    order, each over the target's objects; the identity arrows; the sorted
+    non-identity arrows, each over its hom; the identity cells; the sorted
+    non-identity cells, each over its cells, candidates in the target's
+    index order.  The identity arrow id_x has the one candidate id_{F x} and
+    the identity cell id_f the one candidate id_{F f}.  An unknown with one
+    candidate never branches, so the results come in the depth-first order
+    over the objects and the sorted generators alone.  Each constraint is
+    checked as soon as the last unknown it reads is assigned (forward
+    checking): a non-identity arrow's hom must have a candidate, and each
+    source table entry must hold, `hcomp1`, `vcomp`, the whiskers and,
+    unless both sides are strict, the unitors and associators.  A branch
+    thus ends at its first broken constraint, and the results, in their
+    order, are those of checking complete maps only."""
     objs = list(src.objects)
     ids = set(src.id1.values())
     idcs = set(src.idc.values())
-    gen_arrows = [f for f in sorted(src.arrows) if f not in ids]
-    gen_cells = [a for a in sorted(src.cells) if a not in idcs]
     found: list[PseudofunctorData] = []
-    # the maps under construction, which the checks read
+    # the maps under construction, which the candidates and checks read
     omap: dict[str, str] = {}
     amap: dict[str, str] = {}
     cmap: dict[str, str] = {}
+    image = {"object": omap, "arrow": amap, "cell": cmap}
+    unknowns: list[tuple[str, str, Callable[[], Iterable[str]]]] = [
+        ("object", x, lambda: dst.objects) for x in objs
+    ]
+    unknowns += [("arrow", src.id1[x], lambda x=x: (dst.id1[omap[x]],)) for x in objs]
+    unknowns += [
+        ("arrow", f, lambda x=x, y=y: dst.arrows_between(omap[x], omap[y]))
+        for f, (x, y) in sorted(src.arrows.items()) if f not in ids
+    ]
+    unknowns += [("cell", src.idc[f], lambda f=f: (dst.idc[amap[f]],)) for f in src.arrows]
+    unknowns += [
+        ("cell", a, lambda f=f, g=g: dst.cells_between(amap[f], amap[g]))
+        for a, (f, g) in sorted(src.cells.items()) if a not in idcs
+    ]
+    at = {(space, x): i for i, (space, x, _) in enumerate(unknowns)}
+    checks: list[list[Callable[[], bool]]] = [[] for _ in unknowns]
 
-    def by_last_generator(gens, entries) -> list[list[Callable[[], bool]]]:
-        """Bucket (mentioned ids, check) pairs: bucket i holds the checks whose
-        last generator is gens[i - 1], bucket 0 those that mention none."""
-        at = {x: i for i, x in enumerate(gens, 1)}
-        buckets: list[list[Callable[[], bool]]] = [[] for _ in range(len(gens) + 1)]
-        for mentioned, check in entries:
-            buckets[max(at.get(x, 0) for x in mentioned)].append(check)
-        return buckets
+    def file(reads: Iterable[tuple[str, str]], check: Callable[[], bool]) -> None:
+        """File check under the last unknown it reads."""
+        checks[max(map(at.__getitem__, reads))].append(check)
 
-    arrow_checks = by_last_generator(gen_arrows, [
-        ((g, f, c), lambda g=g, f=f, c=c: dst.hcomp1.get((amap[g], amap[f])) == amap[c])
-        for (g, f), c in src.hcomp1.items()
-    ])
-    cell_entries = [
-        ((b, a, c), lambda b=b, a=a, c=c: dst.vcomp.get((cmap[b], cmap[a])) == cmap[c])
-        for (b, a), c in src.vcomp.items()
-    ]
-    cell_entries += [
-        ((a, c), lambda g=g, a=a, c=c: dst.lwhisk.get((amap[g], cmap[a])) == cmap[c])
-        for (g, a), c in src.lwhisk.items()
-    ]
-    cell_entries += [
-        ((a, c), lambda a=a, f=f, c=c: dst.rwhisk.get((cmap[a], amap[f])) == cmap[c])
-        for (a, f), c in src.rwhisk.items()
-    ]
+    for x, y in sorted({ends for f, ends in src.arrows.items() if f not in ids}):
+        file([("object", x), ("object", y)],
+             lambda x=x, y=y: bool(dst.arrows_between(omap[x], omap[y])))
+    for (g, f), c in src.hcomp1.items():
+        file([("arrow", g), ("arrow", f), ("arrow", c)],
+             lambda g=g, f=f, c=c: dst.hcomp1.get((amap[g], amap[f])) == amap[c])
+    for (b, a), c in src.vcomp.items():
+        file([("cell", b), ("cell", a), ("cell", c)],
+             lambda b=b, a=a, c=c: dst.vcomp.get((cmap[b], cmap[a])) == cmap[c])
+    for (g, a), c in src.lwhisk.items():
+        file([("arrow", g), ("cell", a), ("cell", c)],
+             lambda g=g, a=a, c=c: dst.lwhisk.get((amap[g], cmap[a])) == cmap[c])
+    for (a, f), c in src.rwhisk.items():
+        file([("cell", a), ("arrow", f), ("cell", c)],
+             lambda a=a, f=f, c=c: dst.rwhisk.get((cmap[a], amap[f])) == cmap[c])
     if not src.strict or not dst.strict:
         for f in src.arrows:
             lam, rho = src.lunitor[f], src.runitor[f]
-            cell_entries.append(((lam,), lambda f=f, lam=lam: cmap[lam] == dst.lunitor[amap[f]]))
-            cell_entries.append(((rho,), lambda f=f, rho=rho: cmap[rho] == dst.runitor[amap[f]]))
-        cell_entries += [
-            ((c,), lambda h=h, g=g, f=f, c=c: cmap[c] == dst.assoc[(amap[h], amap[g], amap[f])])
-            for (h, g, f), c in src.assoc.items()
-        ]
-    cell_checks = by_last_generator(gen_cells, cell_entries)
-    # homs[k]: the ends of non-identity arrows whose later end is objs[k]; a
-    # map of the first k + 1 objects survives if each such hom has a candidate
-    obj_at = {x: k for k, x in enumerate(objs)}
-    homs: list[list[tuple[str, str]]] = [[] for _ in objs]
-    for x, y in sorted({src.arrows[f] for f in gen_arrows}):
-        homs[max(obj_at[x], obj_at[y])].append((x, y))
+            file([("arrow", f), ("cell", lam)],
+                 lambda f=f, lam=lam: cmap[lam] == dst.lunitor[amap[f]])
+            file([("arrow", f), ("cell", rho)],
+                 lambda f=f, rho=rho: cmap[rho] == dst.runitor[amap[f]])
+        for (h, g, f), c in src.assoc.items():
+            file([("arrow", h), ("arrow", g), ("arrow", f), ("cell", c)],
+                 lambda h=h, g=g, f=f, c=c: cmap[c] == dst.assoc[(amap[h], amap[g], amap[f])])
 
-    def holds(checks: list[Callable[[], bool]]) -> bool:
-        for check in checks:
-            if not check():
-                return False
-        return True
-
-    def extend_arrows(i: int) -> None:
-        if i == len(gen_arrows):
-            cmap.clear()
-            cmap.update({src.idc[f]: dst.idc[amap[f]] for f in src.arrows})
-            if holds(arrow_checks[0]) and holds(cell_checks[0]):
-                extend_cells(0)
-            return
-        f = gen_arrows[i]
-        x, y = src.arrows[f]
-        for cand in dst.arrows_between(omap[x], omap[y]):
-            amap[f] = cand
-            if holds(arrow_checks[i + 1]):
-                extend_arrows(i + 1)
-
-    def extend_cells(j: int) -> None:
-        if j == len(gen_cells):
-            fun = PseudofunctorData(
-                name=f"{name_prefix}{src.name}->{dst.name}#{len(found)}",
+    def assign(i: int) -> None:
+        if i == len(unknowns):
+            found.append(PseudofunctorData(
+                name=f"{src.name}->{dst.name}#{len(found)}",
                 source=src,
                 target=dst,
                 obj_map=dict(omap),
                 arr_map=dict(amap),
                 cell_map=dict(cmap),
-            )
-            found.append(fun)
+            ))
             return
-        a = gen_cells[j]
-        f, g = src.cells[a]
-        for cand in dst.cells_between(amap[f], amap[g]):
-            cmap[a] = cand
-            if holds(cell_checks[j + 1]):
-                extend_cells(j + 1)
+        space, x, candidates = unknowns[i]
+        images, filed = image[space], checks[i]
+        for cand in candidates():
+            images[x] = cand
+            for check in filed:
+                if not check():
+                    break
+            else:
+                assign(i + 1)
 
-    def extend_objects(k: int) -> None:
-        if k == len(objs):
-            amap.clear()
-            amap.update({src.id1[x]: dst.id1[omap[x]] for x in objs})
-            extend_arrows(0)
-            return
-        for cand in dst.objects:
-            omap[objs[k]] = cand
-            if all(dst.arrows_between(omap[x], omap[y]) for x, y in homs[k]):
-                extend_objects(k + 1)
-
-    extend_objects(0)
+    assign(0)
     return found
 
 

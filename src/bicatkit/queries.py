@@ -77,6 +77,7 @@ def parse_query(sigma: SigmaClass, text: str) -> QueryDoc:
         if m:
             name, inner = m.groups()
             require_unbound(name, doc.cylinders, "cylinder", lineno)
+            require_unbound(name, doc.homotopies, "homotopy", lineno)
             parts = [p.strip() for p in inner.split(",")]
             if len(parts) != 8:
                 raise QueryError("cylinder literal needs 8 components", lineno)
@@ -97,6 +98,7 @@ def parse_query(sigma: SigmaClass, text: str) -> QueryDoc:
         if m:
             name, rhs = m.groups()
             require_unbound(name, doc.homotopies, "homotopy", lineno)
+            require_unbound(name, doc.cylinders, "cylinder", lineno)
             try:
                 doc.homotopies[name] = _parse_homotopy(sigma, rhs, lineno, cyl_of, hom_of)
             except StructureError as exc:

@@ -381,8 +381,12 @@ def test_elevator_ill_typed_expression_exits_one(capsys, tmp_path, expr, message
         ("lhs = id e", "sequence 'lhs' is already bound"),
         ("rhs = [HC]", "sequence 'rhs' is already bound"),
         ("hat = C\nhat = Cinv", "hat target is already bound"),
+        # cylinders and homotopies share one name space
+        ("cylinder HC = (Y, X, e, id_Y, r, r, id_r, id_r)", "homotopy 'HC' is already bound"),
+        ("homotopy C = cyl(Cinv)", "cylinder 'C' is already bound"),
     ),
-    ids=("cylinder", "homotopy", "sequence-id", "sequence-list", "hat"),
+    ids=("cylinder", "homotopy", "sequence-id", "sequence-list", "hat",
+         "cylinder-over-homotopy", "homotopy-over-cylinder"),
 )
 def test_query_rebinding_is_usage(capsys, split_file, tmp_path, query, message):
     # QUERY_EQ binds every name once, on lines 2-7; the repeat is the last line
@@ -392,6 +396,27 @@ def test_query_rebinding_is_usage(capsys, split_file, tmp_path, query, message):
     code, _, err = run(capsys, "ho-eq", split_file, str(q))
     assert code == 3
     assert f"line {len(text.splitlines())}: {message}" in err
+
+
+@pytest.mark.parametrize("spec", ("", ",", " , "))
+def test_sigma_naming_no_arrow_is_usage(capsys, split_file, spec):
+    # without the check "" marked the file's class and "," identities only
+    code, _, err = run(capsys, "sigma-check", split_file, "--sigma", spec)
+    assert code == 3 and "--sigma names no arrow" in err
+
+
+@pytest.mark.parametrize("spec", ("", ",", " , "))
+def test_probes_naming_no_target_is_usage(capsys, tmp_path, spec):
+    # without the check the query below came back Unknown with no probes,
+    # where --probes grpd answers Distinct
+    g = tmp_path / "grpd.bic"
+    g.write_text(fixture_text("grpd.bic"))
+    q = tmp_path / "q.txt"
+    q.write_text("homotopy H = h0(g)\nlhs = [H]\nrhs = id id_P\n")
+    code, _, err = run(capsys, "ho-eq", str(g), str(q), "--probes", spec)
+    assert code == 3 and "--probes names no probe target" in err
+    code, _, err = run(capsys, "localize", "split", "--probes", spec)
+    assert code == 3 and "--probes names no probe target" in err
 
 
 def test_unknown_command_is_usage(capsys):

@@ -11,7 +11,9 @@ where it finishes, into themselves, and the smaller families without
 the checks of composites are the only ones; two non-strict tables whose unitors or
 associator are non-identity cells, so that the coherence checks prune; and
 every change of one entry of a small table that still validates, as source
-and as target.
+and as target.  Equal lists do not show how much is tried on the way, so one
+more test counts the search's steps against the partial maps that satisfy
+every constraint they can be checked on.
 """
 from __future__ import annotations
 
@@ -20,6 +22,7 @@ import itertools
 import pytest
 
 from bench import families
+from bicatkit import ho
 from bicatkit.core import Bicategory, validate_bicategory
 from bicatkit.ho import enumerate_2functors
 from bicatkit.library import BICATEGORIES, load_fixture_bicategory
@@ -206,3 +209,99 @@ def test_valid_single_entry_mutants():
         for other in tables + [mutant]:
             assert_same(mutant, other)
             assert_same(other, mutant)
+
+
+class CountedTuple(tuple):
+    """A tuple that counts the loops over it."""
+
+    count = 0
+
+    def __iter__(self):
+        self.count += 1
+        return super().__iter__()
+
+
+class CountedDict(dict):
+    """A dict that counts its lookups."""
+
+    count = 0
+
+    def __getitem__(self, key):
+        self.count += 1
+        return super().__getitem__(key)
+
+
+def cell_entries_hold(src, dst, amap, cmap):
+    """Whether every vcomp and whisker entry of src whose cells cmap maps holds."""
+    return (
+        all(dst.vcomp.get((cmap[b], cmap[a])) == cmap[c]
+            for (b, a), c in src.vcomp.items() if {a, b, c} <= cmap.keys())
+        and all(dst.lwhisk.get((amap[g], cmap[a])) == cmap[c]
+                for (g, a), c in src.lwhisk.items() if {a, c} <= cmap.keys())
+        and all(dst.rwhisk.get((cmap[a], amap[f])) == cmap[c]
+                for (a, f), c in src.rwhisk.items() if {a, c} <= cmap.keys())
+    )
+
+
+def consistent_counts(src, dst):
+    """By brute force, for strict src and dst: the maps of each proper prefix
+    of the objects under which every non-identity arrow with both ends mapped
+    has a hom, the complete such object maps, the arrow maps on them under
+    which every composite holds, and the maps of each proper prefix of the
+    non-identity cells on those under which every vcomp and whisker entry
+    with its cells mapped holds."""
+    objs = list(src.objects)
+    gens = [f for f in sorted(src.arrows) if f not in set(src.id1.values())]
+    ends = [src.arrows[f] for f in gens]
+    cells = [a for a in sorted(src.cells) if a not in set(src.idc.values())]
+
+    def homs_ok(omap):
+        return all(dst.arrows_between(omap[x], omap[y]) for x, y in ends if x in omap and y in omap)
+
+    partial = [
+        [omap for omap in (dict(zip(objs, m)) for m in itertools.product(dst.objects, repeat=k))
+         if homs_ok(omap)]
+        for k in range(len(objs) + 1)
+    ]
+    functors = cell_steps = 0
+    for omap in partial[-1]:
+        for images in itertools.product(*(dst.arrows_between(omap[x], omap[y]) for x, y in ends)):
+            amap = {**{src.id1[x]: dst.id1[omap[x]] for x in objs}, **dict(zip(gens, images))}
+            if any(dst.hcomp1.get((amap[g], amap[f])) != amap[c]
+                   for (g, f), c in src.hcomp1.items()):
+                continue
+            functors += 1
+            idmap = {src.idc[f]: dst.idc[amap[f]] for f in src.arrows}
+            for j in range(len(cells)):
+                homs = [dst.cells_between(*(amap[f] for f in src.cells[a])) for a in cells[:j]]
+                cell_steps += sum(
+                    cell_entries_hold(src, dst, amap, {**idmap, **dict(zip(cells, m))})
+                    for m in itertools.product(*homs)
+                )
+    return sum(len(maps) for maps in partial[:-1]), len(partial[-1]), functors, cell_steps
+
+
+def test_search_extends_exactly_the_consistent_partial_maps(monkeypatch):
+    # the results are not built, so only the search reads the target
+    monkeypatch.setattr(ho, "PseudofunctorData", lambda **kw: kw)
+    fixtures = [load_fixture_bicategory(name) for name in BICATEGORIES]
+    chains = [family_table("chain", 3), family_table("chain_z2", 3)]
+    for src, dst in itertools.product(fixtures + chains, repeat=2):
+        if not (src.strict and dst.strict):
+            continue
+        object_steps, object_maps, functors, cell_steps = consistent_counts(src, dst)
+        counted = replaced(dst, dst.name)
+        counted.objects = CountedTuple(dst.objects)
+        counted.id1, counted.idc = CountedDict(dst.id1), CountedDict(dst.idc)
+        calls = []
+        counted.cells_between = lambda f, g: calls.append((f, g)) or dst.cells_between(f, g)
+        enumerate_2functors(src, counted)
+        # the objects are tried once per partial object map that passes, the
+        # identity arrows' images looked up once per complete one, the
+        # identity cells' once per arrow map with every composite, and the
+        # non-identity cells' candidates listed once per partial cell map
+        # that passes
+        assert counted.objects.count == object_steps, (src.name, dst.name)
+        assert counted.id1.count == len(src.objects) * object_maps, (src.name, dst.name)
+        assert counted.idc.count == len(src.arrows) * functors, (src.name, dst.name)
+        assert len(calls) == cell_steps, (src.name, dst.name)
