@@ -81,15 +81,18 @@ def _emit(args, payload: dict, text: str) -> None:
         sys.stdout.write(body)
 
 
+def _names(spec: str) -> tuple[str, ...]:
+    """The names of a comma list option, blanks dropped and repeats merged
+    into their first occurrence."""
+    return tuple(dict.fromkeys(n.strip() for n in spec.split(",") if n.strip()))
+
+
 def _probe_targets(sigma, spec: str | None):
     if spec is None:
         return default_probe_targets(sigma)
     probe_dir = os.environ.get("BICATKIT_PROBE_DIR")
     targets = []
-    for name in spec.split(","):
-        name = name.strip()
-        if not name:
-            continue
+    for name in _names(spec):
         if not name.endswith(".bic"):
             in_dir = Path(probe_dir) / f"{name}.bic" if probe_dir else None
             if in_dir and in_dir.exists():
@@ -105,10 +108,13 @@ def _probe_targets(sigma, spec: str | None):
 def _sigma_for(args, pres):
     names = pres.sigma_names
     if getattr(args, "sigma", None) is not None:
-        names = tuple(n.strip() for n in args.sigma.split(",") if n.strip())
+        names = _names(args.sigma)
         if not names:
             raise _Usage("--sigma names no arrow")
-    return make_sigma(pres.bicategory, names)
+    try:
+        return make_sigma(pres.bicategory, names)
+    except StructureError as exc:
+        raise _Usage(str(exc)) from exc
 
 
 def _cmd_validate(args) -> int:

@@ -385,12 +385,32 @@ def f_hat_chain(fun: PseudofunctorData, k: HoCell) -> str:
 # -- the equality decider ----------------------------------------------------
 
 
+LAWS = {
+    "syntactic": "identical sequences denote the same class",
+    "lemma-expand": "[H] = [H2, H1] under the gluing hypotheses",
+    "post-split": "[mu o H] = [I(mu)] o [H]",
+    "pre-split": "[H o nu] = [H] o [I(nu)]",
+    "w1-exchange": "[K*f1, g2*H] = [g1*H, K*f2]",
+    "decompose": "[H] = [I(eps)] o (h * [H^C]) o [I(eta)]",
+    "icell-identity": "[I(id_f)] = id_f",
+    "icell-merge": "[I(mu'), I(mu)] = [I(mu' o mu)]",
+    "cylinder-cancel": "(h * [H^C]) o (h * [H^C^-1]) = id",
+    "cylinder-identity": "[h*H^C] = id when d0 = d1 and alpha0 = alpha1 (hat is unique)",
+}
+"""The law each rule of the equality decider applies, keyed by rule id."""
+
+
 @dataclass(frozen=True)
 class TraceStep:
+    """One rewrite of the decider; its law is its rule's entry in ``LAWS``."""
+
     side: str
     rule: str
-    law: str
     detail: str
+
+    @property
+    def law(self) -> str:
+        return LAWS[self.rule]
 
     def to_json(self) -> dict:
         return {"side": self.side, "rule": self.rule, "law": self.law, "detail": self.detail}
@@ -419,18 +439,6 @@ class EqVerdict:
         return out
 
 
-_LAW_ICELL_ID = "[I(id_f)] = id_f"
-_LAW_CYL_ID = "[h*H^C] = id when d0 = d1 and alpha0 = alpha1 (hat is unique)"
-_LAW_ICELL_MERGE = "[I(mu'), I(mu)] = [I(mu' o mu)]"
-_LAW_DECOMPOSE = "[H] = [I(eps)] o (h * [H^C]) o [I(eta)]"
-_LAW_CYL_CANCEL = "(h * [H^C]) o (h * [H^C^-1]) = id"
-_LAW_POST = "[mu o H] = [I(mu)] o [H]"
-_LAW_PRE = "[H o nu] = [H] o [I(nu)]"
-_LAW_LEMMA = "[H] = [H2, H1] under the gluing hypotheses"
-_LAW_W1 = "[K*f1, g2*H] = [g1*H, K*f2]"
-_LAW_SYNTACTIC = "identical sequences denote the same class"
-
-
 def _flatten(
     sigma: SigmaClass,
     terms: tuple[HomotopyTerm, ...],
@@ -448,19 +456,17 @@ def _flatten(
         if isinstance(origin, LemmaOrigin) and len(out) + 2 <= budget:
             replay = compose_lemma(sigma, origin.h1, origin.h2, origin.glue)
             if replay == t:
-                trace.append(
-                    TraceStep(side, "lemma-expand", _LAW_LEMMA, f"{t.f}=>{t.g}")
-                )
+                trace.append(TraceStep(side, "lemma-expand", f"{t.f}=>{t.g}"))
                 go(origin.h1)
                 go(origin.h2)
                 return
         if isinstance(origin, TransformOrigin) and origin.kind == "post":
-            trace.append(TraceStep(side, "post-split", _LAW_POST, origin.arg))
+            trace.append(TraceStep(side, "post-split", origin.arg))
             go(origin.base)
             go(ICell(t.bic, origin.arg))
             return
         if isinstance(origin, TransformOrigin) and origin.kind == "pre":
-            trace.append(TraceStep(side, "pre-split", _LAW_PRE, origin.arg))
+            trace.append(TraceStep(side, "pre-split", origin.arg))
             go(ICell(t.bic, origin.arg))
             go(origin.base)
             return
@@ -477,11 +483,8 @@ def _w1_sort(
     """Directed exchange: a right-whiskered term followed by a left-whiskered
     term in the W1 square pattern is rewritten to the other bracketing."""
     work = list(terms)
-    changed = True
-    rounds = 0
-    while changed and rounds < len(work) * len(work) + 1:
-        changed = False
-        rounds += 1
+    for _ in range(len(work) * len(work) + 1):
+        steps = len(trace)
         for i in range(len(work) - 1):
             t1, t2 = work[i], work[i + 1]
             if not (isinstance(t1, Homotopy) and isinstance(t2, Homotopy)):
@@ -500,10 +503,9 @@ def _w1_sort(
                 continue
             work[i] = transform_homotopy("lwhisk", k_hom.f, h_hom)
             work[i + 1] = transform_homotopy("rwhisk", h_hom.g, k_hom)
-            trace.append(
-                TraceStep(side, "w1-exchange", _LAW_W1, f"{k_hom.f}|{h_hom.g}")
-            )
-            changed = True
+            trace.append(TraceStep(side, "w1-exchange", f"{k_hom.f}|{h_hom.g}"))
+        if len(trace) == steps:
+            break
     return work
 
 
@@ -529,83 +531,70 @@ def _decompose(
         if plain or whiskered:
             out.append(("cyl", t.h, t.cyl))
             continue
-        trace.append(TraceStep(side, "decompose", _LAW_DECOMPOSE, f"{t.f}=>{t.g}"))
+        trace.append(TraceStep(side, "decompose", f"{t.f}=>{t.g}"))
         out.append(("ci", t.eta))
         out.append(("cyl", t.h, t.cyl))
         out.append(("ci", t.eps))
     return out
 
 
+def _pairwise(work: list[tuple], kind: str, rewrite) -> list[tuple]:
+    """One left-to-right pass over adjacent items of ``kind``.  Where
+    ``rewrite(a, b)`` returns a list, that list replaces the pair and the scan
+    resumes after it, so a pass never rewrites an item twice; ``None`` keeps
+    ``a``."""
+    out: list[tuple] = []
+    i = 0
+    while i < len(work):
+        if i + 1 < len(work) and work[i][0] == kind and work[i + 1][0] == kind:
+            new = rewrite(work[i], work[i + 1])
+            if new is not None:
+                out += new
+                i += 2
+                continue
+        out.append(work[i])
+        i += 1
+    return out
+
+
 def _simplify(
     bic: Bicategory, items: list[tuple], side: str, trace: list[TraceStep]
 ) -> list[tuple]:
+    """Rounds of identity drops, i-cell merges and cylinder cancels, until a
+    round adds no step; each rewrite adds exactly one."""
+
+    def merge(first: tuple, second: tuple) -> list[tuple]:
+        val = bic.vertical(second[1], first[1])
+        trace.append(TraceStep(side, "icell-merge", f"{second[1]} o {first[1]}"))
+        return [("ci", val)]
+
+    def cancel(a: tuple, b: tuple) -> list[tuple] | None:
+        # inverse cylinder pairs with the same mediating arrow
+        if a[1] != b[1] or inverse_cylinder(a[2]) != b[2]:
+            return None
+        trace.append(TraceStep(side, "cylinder-cancel", f"{a[2].s} via {a[1]}"))
+        return []
+
     work = list(items)
-    changed = True
-    while changed:
-        changed = False
+    while True:
+        steps = len(trace)
         # drop identity projections and identity-hat cylinder classes
         kept: list[tuple] = []
         for it in work:
             if it[0] == "ci" and bic.is_identity_cell(it[1]):
-                trace.append(TraceStep(side, "icell-identity", _LAW_ICELL_ID, it[1]))
-                changed = True
+                trace.append(TraceStep(side, "icell-identity", it[1]))
             elif (
                 it[0] == "cyl"
                 and it[2].d0 == it[2].d1
                 and it[2].alpha0 == it[2].alpha1
             ):
-                trace.append(TraceStep(side, "cylinder-identity", _LAW_CYL_ID, it[2].s))
-                changed = True
+                trace.append(TraceStep(side, "cylinder-identity", it[2].s))
             else:
                 kept.append(it)
-        work = kept
-        # merge adjacent projections
-        i = 0
-        merged: list[tuple] = []
-        while i < len(work):
-            if (
-                i + 1 < len(work)
-                and work[i][0] == "ci"
-                and work[i + 1][0] == "ci"
-            ):
-                first, second = work[i][1], work[i + 1][1]
-                val = bic.vertical(second, first)
-                trace.append(
-                    TraceStep(side, "icell-merge", _LAW_ICELL_MERGE, f"{second} o {first}")
-                )
-                merged.append(("ci", val))
-                i += 2
-                changed = True
-                continue
-            merged.append(work[i])
-            i += 1
-        work = merged
-        # cancel inverse cylinder pairs with the same mediating arrow
-        i = 0
-        cancelled: list[tuple] = []
-        while i < len(work):
-            if (
-                i + 1 < len(work)
-                and work[i][0] == "cyl"
-                and work[i + 1][0] == "cyl"
-                and work[i][1] == work[i + 1][1]
-                and inverse_cylinder(work[i][2]) == work[i + 1][2]
-            ):
-                trace.append(
-                    TraceStep(
-                        side,
-                        "cylinder-cancel",
-                        _LAW_CYL_CANCEL,
-                        f"{work[i][2].s} via {work[i][1]}",
-                    )
-                )
-                i += 2
-                changed = True
-                continue
-            cancelled.append(work[i])
-            i += 1
-        work = cancelled
-    return work
+        work = _pairwise(kept, "ci", merge)
+        work = _pairwise(work, "cyl", cancel)
+        if len(trace) == steps:
+            return work
 
 
 def _normalize_side(
@@ -630,9 +619,7 @@ def ho_eq(
     if budget < 1:
         raise StructureError("budget must be >= 1")
     if k1.terms == k2.terms:
-        return EqVerdict(
-            "equal", (TraceStep("both", "syntactic", _LAW_SYNTACTIC, ""),)
-        )
+        return EqVerdict("equal", (TraceStep("both", "syntactic", ""),))
     trace: list[TraceStep] = []
     left = _normalize_side(k1, "left", trace, budget)
     right = _normalize_side(k2, "right", trace, budget)

@@ -364,14 +364,13 @@ def replay_certificate(
             try:
                 cell = hocell_from_json(sigma, side["hocell"])
                 inv = hocell_from_json(sigma, side["inverse"])
-                left = ho_eq(ho_vcomp(inv, cell), ho_identity(sigma, cell.f), probes, budget)
+                inv_cell = ho_vcomp(inv, cell)
+                left = ho_eq(inv_cell, ho_identity(sigma, cell.f), probes, budget)
                 right = ho_eq(ho_vcomp(cell, inv), ho_identity(sigma, cell.g), probes, budget)
                 if not (left.is_equal and right.is_equal):
                     problems.append(f"{arrow}/{side_name}: invertibility does not re-derive")
                 for fun in probes.probes:
-                    if f_hat_chain(fun, ho_vcomp(inv, cell)) != fun.target.idc[
-                        fun.arr_map[cell.f]
-                    ]:
+                    if f_hat_chain(fun, inv_cell) != fun.target.idc[fun.arr_map[cell.f]]:
                         problems.append(f"{arrow}/{side_name}: probe {fun.name} separates")
             except StructureError as exc:
                 problems.append(f"{arrow}/{side_name}: {exc}")

@@ -1,11 +1,19 @@
 """The scan-and-filter code that the incidence-index walks replaced, the
 hand-written section loops that the table-driven document reader replaced,
 the head/tail extension route that ``f_hat_chain`` on every pseudofunctor
-replaced, the hat scans that the whiskering bijection replaced, and the
+replaced, the hat scans that the whiskering bijection replaced, the
 enumerator that checked tables only on complete maps, which forward checking
-replaced, kept as the reference for ``tests/test_index_differential.py``,
-``tests/test_extension_differential.py``, ``tests/test_hat_differential.py``
-and ``tests/test_enumerate_differential.py``.
+replaced, and the equality decider that paired each rule with its law at
+every step and wrote each adjacent-pair scan out in full, which ``ho.LAWS``
+and ``ho._pairwise`` replaced, kept as the reference for
+``tests/test_index_differential.py``, ``tests/test_extension_differential.py``,
+``tests/test_hat_differential.py``, ``tests/test_enumerate_differential.py``
+and ``tests/test_decider_differential.py``.
+
+The decider is ``TraceStep`` (the old record, whose ``law`` is a field), the
+ten ``_LAW_*`` strings, ``_flatten``, ``_w1_sort``, ``_decompose``,
+``_simplify``, ``_normalize_side`` and ``ho_eq``; it builds the
+``EqVerdict`` of the code under test, which it did not change.
 
 The extension route is ``ExtensionG`` with its ``head`` and ``tail`` fields
 (the record every function here builds), ``extend_pseudofunctor``,
@@ -39,8 +47,10 @@ from bicatkit.core import (
 )
 from bicatkit.elevator import Computad, Path, make_computad, parse_path
 from bicatkit.ho import (
+    EqVerdict,
     ExtensionReport,
     HoCell,
+    ProbeSet,
     TwoCellExtensionReport,
     _require_admissible,
     f_hat_chain,
@@ -56,9 +66,14 @@ from bicatkit.homotopy import (
     Homotopy,
     HomotopyTerm,
     ICell,
+    LemmaOrigin,
+    TransformOrigin,
+    compose_lemma,
     cylinder_homotopy,
+    inverse_cylinder,
     make_cylinder,
     make_homotopy,
+    transform_homotopy,
 )
 from bicatkit.presentation import ParseError, Presentation
 from bicatkit.sigma import Decomposition, SigmaClass, find_w_split
@@ -1005,3 +1020,245 @@ def enumerate_2functors(
 
         extend_arrows(0, dict(amap_base))
     return found
+
+
+# -- the equality decider with hand-paired laws -------------------------------
+
+
+@dataclass(frozen=True)
+class TraceStep:
+    side: str
+    rule: str
+    law: str
+    detail: str
+
+    def to_json(self) -> dict:
+        return {"side": self.side, "rule": self.rule, "law": self.law, "detail": self.detail}
+
+
+_LAW_ICELL_ID = "[I(id_f)] = id_f"
+_LAW_CYL_ID = "[h*H^C] = id when d0 = d1 and alpha0 = alpha1 (hat is unique)"
+_LAW_ICELL_MERGE = "[I(mu'), I(mu)] = [I(mu' o mu)]"
+_LAW_DECOMPOSE = "[H] = [I(eps)] o (h * [H^C]) o [I(eta)]"
+_LAW_CYL_CANCEL = "(h * [H^C]) o (h * [H^C^-1]) = id"
+_LAW_POST = "[mu o H] = [I(mu)] o [H]"
+_LAW_PRE = "[H o nu] = [H] o [I(nu)]"
+_LAW_LEMMA = "[H] = [H2, H1] under the gluing hypotheses"
+_LAW_W1 = "[K*f1, g2*H] = [g1*H, K*f2]"
+_LAW_SYNTACTIC = "identical sequences denote the same class"
+
+
+def _flatten(
+    sigma: SigmaClass,
+    terms: tuple[HomotopyTerm, ...],
+    side: str,
+    trace: list[TraceStep],
+    budget: int,
+) -> list[HomotopyTerm]:
+    out: list[HomotopyTerm] = []
+
+    def go(t: HomotopyTerm) -> None:
+        if isinstance(t, ICell):
+            out.append(t)
+            return
+        origin = t.origin
+        if isinstance(origin, LemmaOrigin) and len(out) + 2 <= budget:
+            replay = compose_lemma(sigma, origin.h1, origin.h2, origin.glue)
+            if replay == t:
+                trace.append(
+                    TraceStep(side, "lemma-expand", _LAW_LEMMA, f"{t.f}=>{t.g}")
+                )
+                go(origin.h1)
+                go(origin.h2)
+                return
+        if isinstance(origin, TransformOrigin) and origin.kind == "post":
+            trace.append(TraceStep(side, "post-split", _LAW_POST, origin.arg))
+            go(origin.base)
+            go(ICell(t.bic, origin.arg))
+            return
+        if isinstance(origin, TransformOrigin) and origin.kind == "pre":
+            trace.append(TraceStep(side, "pre-split", _LAW_PRE, origin.arg))
+            go(ICell(t.bic, origin.arg))
+            go(origin.base)
+            return
+        out.append(t)
+
+    for t in terms:
+        go(t)
+    return out
+
+
+def _w1_sort(
+    terms: list[HomotopyTerm], side: str, trace: list[TraceStep]
+) -> list[HomotopyTerm]:
+    """Directed exchange: a right-whiskered term followed by a left-whiskered
+    term in the W1 square pattern is rewritten to the other bracketing."""
+    work = list(terms)
+    changed = True
+    rounds = 0
+    while changed and rounds < len(work) * len(work) + 1:
+        changed = False
+        rounds += 1
+        for i in range(len(work) - 1):
+            t1, t2 = work[i], work[i + 1]
+            if not (isinstance(t1, Homotopy) and isinstance(t2, Homotopy)):
+                continue
+            o1, o2 = t1.origin, t2.origin
+            if not (
+                isinstance(o1, TransformOrigin)
+                and o1.kind == "rwhisk"
+                and isinstance(o2, TransformOrigin)
+                and o2.kind == "lwhisk"
+            ):
+                continue
+            k_hom, f1 = o1.base, o1.arg
+            h_hom, g2 = o2.base, o2.arg
+            if g2 != k_hom.g or f1 != h_hom.f:
+                continue
+            work[i] = transform_homotopy("lwhisk", k_hom.f, h_hom)
+            work[i + 1] = transform_homotopy("rwhisk", h_hom.g, k_hom)
+            trace.append(
+                TraceStep(side, "w1-exchange", _LAW_W1, f"{k_hom.f}|{h_hom.g}")
+            )
+            changed = True
+    return work
+
+
+def _decompose(
+    terms: list[HomotopyTerm], side: str, trace: list[TraceStep]
+) -> list[tuple]:
+    """Each homotopy becomes I(eta); h*H^C; I(eps).  Canonical items are
+    ('ci', cell) and ('cyl', h, cylinder)."""
+    out: list[tuple] = []
+    for t in terms:
+        if isinstance(t, ICell):
+            out.append(("ci", t.cell))
+            continue
+        bic = t.bic
+        plain = (
+            t.h == bic.id1[t.cyl.w]
+            and t.eta == bic.idc[t.cyl.d0]
+            and t.eps == bic.idc[t.cyl.d1]
+        )
+        whiskered = t.eta == bic.idc.get(bic.hcomp1.get((t.h, t.cyl.d0))) and (
+            t.eps == bic.idc.get(bic.hcomp1.get((t.h, t.cyl.d1)))
+        )
+        if plain or whiskered:
+            out.append(("cyl", t.h, t.cyl))
+            continue
+        trace.append(TraceStep(side, "decompose", _LAW_DECOMPOSE, f"{t.f}=>{t.g}"))
+        out.append(("ci", t.eta))
+        out.append(("cyl", t.h, t.cyl))
+        out.append(("ci", t.eps))
+    return out
+
+
+def _simplify(
+    bic: Bicategory, items: list[tuple], side: str, trace: list[TraceStep]
+) -> list[tuple]:
+    work = list(items)
+    changed = True
+    while changed:
+        changed = False
+        # drop identity projections and identity-hat cylinder classes
+        kept: list[tuple] = []
+        for it in work:
+            if it[0] == "ci" and bic.is_identity_cell(it[1]):
+                trace.append(TraceStep(side, "icell-identity", _LAW_ICELL_ID, it[1]))
+                changed = True
+            elif (
+                it[0] == "cyl"
+                and it[2].d0 == it[2].d1
+                and it[2].alpha0 == it[2].alpha1
+            ):
+                trace.append(TraceStep(side, "cylinder-identity", _LAW_CYL_ID, it[2].s))
+                changed = True
+            else:
+                kept.append(it)
+        work = kept
+        # merge adjacent projections
+        i = 0
+        merged: list[tuple] = []
+        while i < len(work):
+            if (
+                i + 1 < len(work)
+                and work[i][0] == "ci"
+                and work[i + 1][0] == "ci"
+            ):
+                first, second = work[i][1], work[i + 1][1]
+                val = bic.vertical(second, first)
+                trace.append(
+                    TraceStep(side, "icell-merge", _LAW_ICELL_MERGE, f"{second} o {first}")
+                )
+                merged.append(("ci", val))
+                i += 2
+                changed = True
+                continue
+            merged.append(work[i])
+            i += 1
+        work = merged
+        # cancel inverse cylinder pairs with the same mediating arrow
+        i = 0
+        cancelled: list[tuple] = []
+        while i < len(work):
+            if (
+                i + 1 < len(work)
+                and work[i][0] == "cyl"
+                and work[i + 1][0] == "cyl"
+                and work[i][1] == work[i + 1][1]
+                and inverse_cylinder(work[i][2]) == work[i + 1][2]
+            ):
+                trace.append(
+                    TraceStep(
+                        side,
+                        "cylinder-cancel",
+                        _LAW_CYL_CANCEL,
+                        f"{work[i][2].s} via {work[i][1]}",
+                    )
+                )
+                i += 2
+                changed = True
+                continue
+            cancelled.append(work[i])
+            i += 1
+        work = cancelled
+    return work
+
+
+def _normalize_side(
+    k: HoCell, side: str, trace: list[TraceStep], budget: int
+) -> list[tuple]:
+    flat = _flatten(k.sigma, k.terms, side, trace, budget)
+    flat = _w1_sort(flat, side, trace)
+    items = _decompose(flat, side, trace)
+    return _simplify(k.bic, items, side, trace)
+
+
+def ho_eq(
+    k1: HoCell, k2: HoCell, probes: ProbeSet | None = None, budget: int = 8
+) -> EqVerdict:
+    """Three-valued equality on homotopy-bicategory 2-cells."""
+    if k1.sigma != k2.sigma:
+        raise StructureError("cells live over different marked classes")
+    if (k1.f, k1.g) != (k2.f, k2.g):
+        raise StructureError(
+            f"boundary mismatch: {k1.f}=>{k1.g} vs {k2.f}=>{k2.g}"
+        )
+    if budget < 1:
+        raise StructureError("budget must be >= 1")
+    if k1.terms == k2.terms:
+        return EqVerdict(
+            "equal", (TraceStep("both", "syntactic", _LAW_SYNTACTIC, ""),)
+        )
+    trace: list[TraceStep] = []
+    left = _normalize_side(k1, "left", trace, budget)
+    right = _normalize_side(k2, "right", trace, budget)
+    if left == right:
+        return EqVerdict("equal", tuple(trace))
+    if probes is not None:
+        for fun in probes.probes:
+            v1 = f_hat_chain(fun, k1)
+            v2 = f_hat_chain(fun, k2)
+            if v1 != v2:
+                return EqVerdict("distinct", (), fun.name, v1, v2)
+    return EqVerdict("unknown")

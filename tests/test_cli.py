@@ -419,6 +419,22 @@ def test_probes_naming_no_target_is_usage(capsys, tmp_path, spec):
     assert code == 3 and "--probes names no probe target" in err
 
 
+@pytest.mark.parametrize("command", ("sigma-check", "localize"))
+def test_unknown_sigma_arrow_is_usage(capsys, command):
+    code, _, err = run(capsys, command, "split", "--sigma", "s,nope")
+    assert code == 3 and "error: sigma lists unknown arrow 'nope'" in err
+
+
+def test_repeated_probe_names_count_once(capsys):
+    code, once, _ = run(capsys, "localize", "split", "--probes", "triv", "--format", "json")
+    assert code == 0
+    code, twice, _ = run(
+        capsys, "localize", "split", "--probes", "triv, triv,", "--format", "json"
+    )
+    assert code == 0 and twice == once
+    assert json.loads(once)["probes_used"] == ["split->triv#0"]
+
+
 def test_unknown_command_is_usage(capsys):
     assert main(["no-such-command"]) == 3
 
