@@ -88,9 +88,13 @@ def _names(spec: str) -> tuple[str, ...]:
 
 
 def _probe_targets(sigma, spec: str | None):
+    """The probe targets --probes names.  A table named twice, in any
+    spelling, counts once; two different tables under one name would give
+    their probes the same names."""
     if spec is None:
         return default_probe_targets(sigma)
     probe_dir = os.environ.get("BICATKIT_PROBE_DIR")
+    tables: dict[str, dict] = {}
     targets = []
     for name in _names(spec):
         if not name.endswith(".bic"):
@@ -99,7 +103,14 @@ def _probe_targets(sigma, spec: str | None):
                 name = str(in_dir)
             elif name not in BICATEGORIES:
                 raise _Usage(f"unknown probe target {name!r}")
-        targets.append(_load_valid(name).bicategory)
+        bic = _load_valid(name).bicategory
+        table = {k: v for k, v in vars(bic).items() if not k.startswith("_")}
+        if bic.name in tables:
+            if tables[bic.name] != table:
+                raise _Usage(f"two probe targets named {bic.name!r}")
+            continue
+        tables[bic.name] = table
+        targets.append(bic)
     if not targets:
         raise _Usage("--probes names no probe target")
     return targets

@@ -8,7 +8,11 @@ That relation quantifies over all functors, so equality is decided three-ways:
              rewrite rules, to the same canonical term list.  Every rule
              carries the algebraic law that justifies it into the trace.
 * Distinct-- some probe (an admissible 2-functor into a finite target)
-             evaluates the two sides to different cells.
+             evaluates the two sides to different cells; the first such
+             probe is reported.  A probe's value on a side is its image of
+             the side's hat in the source when every cylinder's marked arrow
+             is a quasiequivalence there, and otherwise the composite of
+             its own hats of the terms.
 * Unknown -- neither; an honest outcome, reported with exit code 2 by the CLI.
 
 Sequences are stored first-applied-first.
@@ -16,7 +20,7 @@ Sequences are stored first-applied-first.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from .core import (
     Bicategory,
@@ -38,6 +42,7 @@ from .homotopy import (
     compose_lemma,
     cylinder_homotopy,
     f_hat,
+    hat,
     identity_cylinder,
     inverse_cylinder,
     make_cylinder,
@@ -382,6 +387,33 @@ def f_hat_chain(fun: PseudofunctorData, k: HoCell) -> str:
     )
 
 
+def probe_values(
+    probes: ProbeSet, k: HoCell
+) -> Iterator[tuple[PseudofunctorData, str]]:
+    """Each probe with its value on k, in probe order, computed when first
+    asked for.  A probe F sends each marked arrow s to a quasiequivalence, so
+    when s is one in the source too, F of the source hat of a cylinder on s
+    solves Fs * c = F(alpha_tilde) and is F's hat of it.  When that holds for
+    every cylinder of k, each value is F of k's hat chain in the source;
+    otherwise each probe hats the terms in its own target."""
+    if not probes.probes:
+        return
+    bic = k.bic
+    if any(
+        isinstance(t, Homotopy) and not is_quasiequivalence(bic, t.cyl.s)
+        for t in k.terms
+    ):
+        for fun in probes.probes:
+            yield fun, f_hat_chain(fun, k)
+        return
+    value = bic.vertical_chain(
+        (t.cell if isinstance(t, ICell) else hat(bic, t) for t in k.terms),
+        on_arrow=k.f,
+    )
+    for fun in probes.probes:
+        yield fun, fun.cell_map[value]
+
+
 # -- the equality decider ----------------------------------------------------
 
 
@@ -626,9 +658,8 @@ def ho_eq(
     if left == right:
         return EqVerdict("equal", tuple(trace))
     if probes is not None:
-        for fun in probes.probes:
-            v1 = f_hat_chain(fun, k1)
-            v2 = f_hat_chain(fun, k2)
+        values = zip(probe_values(probes, k1), probe_values(probes, k2))
+        for (fun, v1), (_, v2) in values:
             if v1 != v2:
                 return EqVerdict("distinct", (), fun.name, v1, v2)
     return EqVerdict("unknown")
@@ -673,6 +704,10 @@ class ExtensionG:
     materialized: list[HoCell] = field(default_factory=list)
 
     def value(self, k: HoCell) -> str:
+        """The composite of F's hats of the terms, each solved in F's target.
+        ``extend`` checks that this map is functorial; F of the source hat
+        chain, which ``probe_values`` reads, is functorial by construction,
+        so those checks would pass whatever F does."""
         return f_hat_chain(self.fun, k)
 
 

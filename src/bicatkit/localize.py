@@ -22,7 +22,7 @@ from .ho import (
     HoCell,
     ProbeSet,
     enumerate_probes,
-    f_hat_chain,
+    f_hat_chain,  # noqa: F401 -- kept bound for tracers that rebind it
     ho_cell,
     ho_eq,
     ho_identity,
@@ -31,6 +31,7 @@ from .ho import (
     ho_whisk,
     hocell_from_json,
     i_cell,
+    probe_values,
     require_json,
 )
 from .sigma import (
@@ -369,8 +370,8 @@ def replay_certificate(
                 right = ho_eq(ho_vcomp(cell, inv), ho_identity(sigma, cell.g), probes, budget)
                 if not (left.is_equal and right.is_equal):
                     problems.append(f"{arrow}/{side_name}: invertibility does not re-derive")
-                for fun in probes.probes:
-                    if f_hat_chain(fun, inv_cell) != fun.target.idc[fun.arr_map[cell.f]]:
+                for fun, value in probe_values(probes, inv_cell):
+                    if value != fun.target.idc[fun.arr_map[cell.f]]:
                         problems.append(f"{arrow}/{side_name}: probe {fun.name} separates")
             except StructureError as exc:
                 problems.append(f"{arrow}/{side_name}: {exc}")

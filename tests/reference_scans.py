@@ -5,10 +5,19 @@ replaced, the hat scans that the whiskering bijection replaced, the
 enumerator that checked tables only on complete maps, which forward checking
 replaced, and the equality decider that paired each rule with its law at
 every step and wrote each adjacent-pair scan out in full, which ``ho.LAWS``
-and ``ho._pairwise`` replaced, kept as the reference for
-``tests/test_index_differential.py``, ``tests/test_extension_differential.py``,
-``tests/test_hat_differential.py``, ``tests/test_enumerate_differential.py``
-and ``tests/test_decider_differential.py``.
+and ``ho._pairwise`` replaced, and the two probe loops that hatted each
+term in each probe's target, which ``ho.probe_values`` replaced, kept as the
+reference for ``tests/test_index_differential.py``,
+``tests/test_extension_differential.py``, ``tests/test_hat_differential.py``,
+``tests/test_enumerate_differential.py``,
+``tests/test_decider_differential.py`` and
+``tests/test_probe_values_differential.py``.
+
+The probe loops are the one at the end of ``ho_eq`` and the one in
+``replay_certificate``; both call ``ho.f_hat_chain`` for every probe.
+``replay_certificate`` calls this module's ``ho_eq`` and takes its other
+helpers (``_coverage_problems``, ``_i_functoriality`` and the JSON shape)
+from ``bicatkit.localize``, where they are unchanged.
 
 The decider is ``TraceStep`` (the old record, whose ``law`` is a field), the
 ten ``_LAW_*`` strings, ``_flatten``, ``_w1_sort``, ``_decompose``,
@@ -75,8 +84,23 @@ from bicatkit.homotopy import (
     make_homotopy,
     transform_homotopy,
 )
+from bicatkit.localize import (
+    SCHEMA_VERSION,
+    _CERT_JSON,
+    _coverage_problems,
+    _i_functoriality,
+    default_probe_targets,
+    enumerate_probes,
+    hocell_from_json,
+    require_json,
+)
 from bicatkit.presentation import ParseError, Presentation
-from bicatkit.sigma import Decomposition, SigmaClass, find_w_split
+from bicatkit.sigma import (
+    Decomposition,
+    SigmaClass,
+    check_three_for_two,
+    find_w_split,
+)
 
 _SECTIONS = (
     "objects",
@@ -1262,3 +1286,72 @@ def ho_eq(
             if v1 != v2:
                 return EqVerdict("distinct", (), fun.name, v1, v2)
     return EqVerdict("unknown")
+
+
+def replay_certificate(
+    sigma: SigmaClass, cert_json: dict, probes: ProbeSet | None = None
+) -> tuple[bool, list[str]]:
+    """Re-check every recorded derivation of a certificate against the loaded
+    bicategory (and a probe set, freshly enumerated unless supplied).  The
+    certificate must list exactly that probe set and hold one decomposition
+    and one equivalence for each marked arrow."""
+    bic = sigma.bic
+    if not isinstance(cert_json, dict):
+        return False, ["certificate is not a JSON object"]
+    if cert_json.get("schema_version") != SCHEMA_VERSION:
+        return False, ["schema_version mismatch"]
+    if cert_json.get("status") != "ok":
+        return False, [f"certificate status is {cert_json.get('status')!r}"]
+    try:
+        require_json(cert_json, _CERT_JSON)
+    except StructureError as exc:
+        return False, [str(exc)]
+    budget = cert_json["budget"]
+    if budget < 1:
+        return False, ["field 'budget' is below 1"]
+    problems: list[str] = []
+    if set(cert_json["sigma"]) != set(sigma.members):
+        problems.append("marked class does not match the certificate")
+    if check_three_for_two(sigma) is not None:
+        problems.append("3-for-2 no longer holds")
+    if probes is None:
+        probes = enumerate_probes(sigma, default_probe_targets(sigma))
+    if cert_json["probes_used"] != sorted(probes.names()):
+        problems.append("field 'probes_used' does not match the probes replay uses")
+    for section in ("decompositions", "equivalences"):
+        problems += _coverage_problems(sigma, section, cert_json[section])
+
+    for dec in cert_json["decompositions"]:
+        arrow, chain, cell = dec["arrow"], dec["chain"], dec["cell"]
+        try:
+            composite = bic.compose_path(chain)
+        except StructureError as exc:
+            problems.append(f"decomposition chain for {arrow}: {exc}")
+            continue
+        if bic.cells.get(cell) != (composite, arrow) or not bic.is_invertible(cell):
+            problems.append(f"decomposition iso for {arrow} does not re-check")
+        for g in chain:
+            if g not in sigma or not find_w_split(bic, g).is_w_split:
+                problems.append(f"chain arrow {g} for {arrow} is not a w-split member")
+
+    for entry in cert_json["equivalences"]:
+        arrow = entry["arrow"]
+        for side_name in ("to_id_src", "to_id_dst"):
+            side = entry[side_name]
+            try:
+                cell = hocell_from_json(sigma, side["hocell"])
+                inv = hocell_from_json(sigma, side["inverse"])
+                inv_cell = ho_vcomp(inv, cell)
+                left = ho_eq(inv_cell, ho_identity(sigma, cell.f), probes, budget)
+                right = ho_eq(ho_vcomp(cell, inv), ho_identity(sigma, cell.g), probes, budget)
+                if not (left.is_equal and right.is_equal):
+                    problems.append(f"{arrow}/{side_name}: invertibility does not re-derive")
+                for fun in probes.probes:
+                    if f_hat_chain(fun, inv_cell) != fun.target.idc[fun.arr_map[cell.f]]:
+                        problems.append(f"{arrow}/{side_name}: probe {fun.name} separates")
+            except StructureError as exc:
+                problems.append(f"{arrow}/{side_name}: {exc}")
+
+    if not _i_functoriality(sigma, probes, budget)["ok"]:
+        problems.append("projection functoriality does not re-check")
+    return not problems, problems

@@ -435,6 +435,28 @@ def test_repeated_probe_names_count_once(capsys):
     assert json.loads(once)["probes_used"] == ["split->triv#0"]
 
 
+def test_one_table_named_twice_counts_once(capsys, tmp_path):
+    copy = tmp_path / "triv.bic"
+    copy.write_text(fixture_text("triv.bic"))
+    code, once, _ = run(capsys, "localize", "split", "--probes", "triv", "--format", "json")
+    assert code == 0
+    for spec in (f"triv,{copy}", f"{copy},triv"):
+        code, twice, _ = run(capsys, "localize", "split", "--probes", spec, "--format", "json")
+        assert code == 0 and twice == once
+
+
+@pytest.mark.parametrize("command", ("localize", "ho-eq"))
+def test_two_tables_under_one_name_are_usage(capsys, tmp_path, command):
+    other = tmp_path / "triv.bic"
+    other.write_text(fixture_text("iso.bic"))
+    q = tmp_path / "q.txt"
+    q.write_text(QUERY_EQ)
+    args = ["localize", "split"] if command == "localize" else ["ho-eq", "split", str(q)]
+    for spec in (f"triv,{other}", f"{other},triv"):
+        code, _, err = run(capsys, *args, "--probes", spec)
+        assert code == 3 and "two probe targets named 'triv'" in err
+
+
 def test_unknown_command_is_usage(capsys):
     assert main(["no-such-command"]) == 3
 

@@ -1,0 +1,286 @@
+"""Probe values read off each side's source hat against the per-probe hats
+they replaced.
+
+``ho.probe_values`` hats a side once in the source, when every cylinder's
+marked arrow is a quasiequivalence there, and reads each probe's value as the
+probe's image of that hat; otherwise it falls back to ``ho.f_hat_chain`` per
+probe.  The reference is the verbatim copy, in ``tests/reference_scans.py``,
+of the two probe loops that called ``f_hat_chain`` for every probe: the one
+in ``ho_eq`` and the one in ``replay_certificate``.
+
+The corpus is chaotic(3), chaotic(3)xZ/2, chain(4), chain(4)xZ/2 and
+chaotic(2)xZ/2 at seeds 1 and 2 with every arrow marked, plus the six
+fixtures.  In ``split`` (and the Z/2 split idempotent of the decider test)
+the marked arrows are not quasiequivalences, so there every side with a
+homotopy takes the fallback.
+"""
+import json
+import random
+from collections import Counter
+
+import pytest
+
+from bench import families
+from bicatkit import ho
+from bicatkit.core import StructureError
+from bicatkit.homotopy import Homotopy, ICell, transform_homotopy
+from bicatkit.library import BICATEGORIES, load_fixture
+from bicatkit.localize import default_probe_targets, localize, replay_certificate
+from bicatkit.presentation import load_presentation_with_sigma
+from bicatkit.sigma import is_quasiequivalence, make_sigma
+
+from tests import reference_scans as ref
+from tests.test_decider_differential import _split_z2_doc, _terms
+
+FAMILY_TABLES = [
+    (family, n, seed)
+    for family, n in (
+        ("chaotic", 3),
+        ("chaotic_z2", 3),
+        ("chain", 4),
+        ("chain_z2", 4),
+        ("chaotic_z2", 2),
+    )
+    for seed in (1, 2)
+]
+CORPUS = FAMILY_TABLES + list(BICATEGORIES)
+SEQUENCES_PER_TABLE = 60
+
+
+def _sigma(table):
+    if isinstance(table, tuple):
+        doc = families.generate(*table, marked=True)
+        pres = load_presentation_with_sigma(doc.text(), doc.name)
+    elif table == "split_z2":
+        pres = load_presentation_with_sigma(_split_z2_doc(), table)
+    else:
+        pres = load_fixture(table)
+    return make_sigma(pres.bicategory, pres.sigma_names)
+
+
+def _name(table) -> str:
+    return table[0] if isinstance(table, tuple) else table
+
+
+def _probes(sigma):
+    return ho.enumerate_probes(sigma, default_probe_targets(sigma))
+
+
+def _fast(k) -> bool:
+    return all(
+        isinstance(t, ICell) or is_quasiequivalence(k.bic, t.cyl.s) for t in k.terms
+    )
+
+
+def _cells(sigma, rng: random.Random) -> list:
+    """Every lone term (each cell, each sampled homotopy and its inverse) and
+    random chains of 1-8 of them, with the formal inverse of each chain that
+    has one."""
+    bic = sigma.bic
+    terms: list = [ICell(bic, c) for c in sorted(bic.cells)]
+    for h in ho.sample_homotopies(sigma, cap=200):
+        terms.append(h)
+        if h.invertible_cells:
+            terms.append(transform_homotopy("invert", "", h))
+    lone = []
+    for t in terms:
+        try:
+            lone.append(ho.ho_cell(sigma, (t,)))
+        except StructureError:  # a cylinder on an unmarked arrow
+            pass
+    by_src: dict[str, list] = {}
+    for k in lone:
+        by_src.setdefault(k.f, []).append(k.terms[0])
+    out = list(lone)
+    for _ in range(SEQUENCES_PER_TABLE):
+        picks = [rng.choice(lone).terms[0]]
+        for _ in range(rng.randint(0, 7)):
+            nxt = by_src.get(picks[-1].g)
+            if not nxt:
+                break
+            picks.append(rng.choice(nxt))
+        k = ho.ho_cell(sigma, picks)
+        out.append(k)
+        try:
+            out.append(ho.ho_inverse(k))
+        except StructureError:
+            pass
+    return out
+
+
+def test_probe_values_match_per_probe_hats():
+    paths: Counter = Counter()
+    for table in CORPUS:
+        sigma = _sigma(table)
+        probes = _probes(sigma)
+        assert probes.probes
+        rng = random.Random(f"{table}:probe-values")
+        for k in _cells(sigma, rng):
+            want = [(fun, ho.f_hat_chain(fun, k)) for fun in probes.probes]
+            assert list(ho.probe_values(probes, k)) == want, (table, str(k))
+            paths[_fast(k), table == "split"] += len(want)
+    # the fallback runs on split and only there; the fast path everywhere else
+    assert paths[False, True] > 0 and paths[True, False] > 0
+    assert paths[False, False] == 0
+
+
+def test_probe_values_hat_each_side_once_when_asked(monkeypatch):
+    sigma = _sigma(("chaotic_z2", 3, 1))
+    probes = _probes(sigma)
+    f, hs = next((f, ts) for f, ts in _terms(sigma, cap=200).items() if len(ts) > 3)
+    k = ho.ho_cell(sigma, [t for t in hs if isinstance(t, Homotopy)][:3], f, f)
+    calls: Counter = Counter()
+    hat = ho.hat
+    monkeypatch.setattr(ho, "hat", lambda *a: calls.update(["hat"]) or hat(*a))
+    values = ho.probe_values(probes, k)
+    assert list(ho.probe_values(ho.ProbeSet(()), k)) == []
+    assert not calls
+    assert len(list(values)) == len(probes.probes) > 1
+    assert calls == {"hat": 3}
+
+
+def _queries(sigma, terms: dict, rng: random.Random):
+    """ho-decide's three kinds: k^-1 k against the identity, z k against k
+    for the last cell z on the arrow, and free pairs."""
+    bic = sigma.bic
+    arrows = sorted(f for f in bic.arrows if len(terms[f]) > 1)
+
+    def seq(f: str, lo: int, hi: int):
+        return ho.ho_cell(sigma, [rng.choice(terms[f]) for _ in range(rng.randint(lo, hi))])
+
+    for _ in range(15):
+        f = rng.choice(arrows)
+        k = seq(f, 4, 12)
+        yield ho.ho_vcomp(ho.ho_inverse(k), k), ho.ho_identity(sigma, f)
+        z = bic.cells_between(f, f)[-1]
+        k = seq(f, 8, 24)
+        yield ho.ho_vcomp(ho.i_cell(sigma, z), k), k
+        yield seq(f, 8, 24), seq(f, 8, 24)
+
+
+def test_ho_eq_verdicts_with_probes_match_reference():
+    verdicts: Counter = Counter()
+    tables = (("chaotic_z2", 3, 1), ("chaotic_z2", 3, 2), ("chaotic", 3, 1))
+    for table in tables + ("split", "split_z2"):
+        sigma = _sigma(table)
+        found = ho.enumerate_probes(sigma, default_probe_targets(sigma), include_self=True)
+        probes = ho.make_probe_set(sigma, list(found.probes))
+        rng = random.Random(f"{table}:probe-verdicts")
+        for k1, k2 in _queries(sigma, _terms(sigma, cap=2000), rng):
+            for budget in (8, 1):
+                got = ho.ho_eq(k1, k2, probes, budget)
+                want = ref.ho_eq(k1, k2, probes, budget)
+                assert json.dumps(got.to_json()) == json.dumps(want.to_json())
+                assert (got.probe, got.left_value, got.right_value) == (
+                    want.probe,
+                    want.left_value,
+                    want.right_value,
+                )
+                verdicts[_name(table), got.verdict] += 1
+    for verdict in ("equal", "distinct", "unknown"):
+        assert verdicts["chaotic_z2", verdict] > 0
+    # a separation found through the per-probe fallback
+    assert verdicts["split_z2", "distinct"] > 0
+
+
+def _hocells(cert: dict):
+    for entry in cert["equivalences"]:
+        for side in ("to_id_src", "to_id_dst"):
+            for which in ("hocell", "inverse"):
+                yield entry[side][which]
+
+
+def _tampered(sigma, cert: dict, rng: random.Random):
+    """Certificates with one side's inverse swapped for the next side's, and
+    with one homotopy term's eta replaced by another cell, of the same
+    boundary where there is one."""
+    bic = sigma.bic
+    sides = [
+        (i, side)
+        for i, entry in enumerate(cert["equivalences"])
+        for side in ("to_id_src", "to_id_dst")
+    ]
+    for (i, side), (j, other) in zip(sides, sides[1:] + sides[:1]):
+        bad = json.loads(json.dumps(cert))
+        bad["equivalences"][i][side]["inverse"] = cert["equivalences"][j][other]["inverse"]
+        yield bad
+    spots = [
+        (n, t)
+        for n, hc in enumerate(_hocells(cert))
+        for t, term in enumerate(hc["terms"])
+        if "eta" in term
+    ]
+    for n, t in rng.sample(spots, min(len(spots), 12)):
+        bad = json.loads(json.dumps(cert))
+        term = list(_hocells(bad))[n]["terms"][t]
+        others = [c for c in bic.cells_between(*bic.cells[term["eta"]]) if c != term["eta"]]
+        term["eta"] = rng.choice(others or sorted(bic.cells))
+        yield bad
+
+
+def test_replay_matches_reference():
+    outcomes: Counter = Counter()
+    tables = (("chaotic", 3, 1), ("chaotic_z2", 3, 1), ("chaotic_z2", 2, 2))
+    for table in tables + ("split", "split_z2", "iso", "triv"):
+        sigma = _sigma(table)
+        probes = _probes(sigma)
+        cert = localize(sigma, probes).to_json()
+        assert cert["status"] == "ok"
+        assert replay_certificate(sigma, cert, probes) == (True, [])
+        assert ref.replay_certificate(sigma, cert, probes) == (True, [])
+        rng = random.Random(f"{table}:replay")
+        for bad in _tampered(sigma, cert, rng):
+            got = replay_certificate(sigma, bad, probes)
+            assert got == ref.replay_certificate(sigma, bad, probes)
+            outcomes[_name(table), got[0]] += 1
+            outcomes[_name(table), "separates"] += any("separates" in p for p in got[1])
+    for table in ("chaotic", "chaotic_z2", "split"):
+        assert outcomes[table, False] > 0
+    # separations found through the source hats and through the fallback
+    assert outcomes["chaotic_z2", "separates"] > 0
+    assert outcomes["split_z2", "separates"] > 0
+
+
+def _counting(monkeypatch) -> Counter:
+    calls: Counter = Counter()
+    f_hat = ho.f_hat
+
+    def counted(fun, term):
+        calls["f_hat"] += 1
+        return f_hat(fun, term)
+
+    monkeypatch.setattr(ho, "f_hat", counted)
+    return calls
+
+
+def _unknown_free_pair(sigma):
+    terms = _terms(sigma, cap=2000)
+    rng = random.Random("free-pair")
+    arrows = sorted(f for f in sigma.bic.arrows if len(terms[f]) > 1)
+    for _ in range(200):
+        f = rng.choice(arrows)
+        k1, k2 = (
+            ho.ho_cell(sigma, [rng.choice(terms[f]) for _ in range(rng.randint(8, 24))])
+            for _ in range(2)
+        )
+        if ho.ho_eq(k1, k2, None, 8).verdict == "unknown":
+            return k1, k2
+    raise AssertionError("no free pair that the rewrites leave open")
+
+
+@pytest.mark.parametrize("table, fast", [(("chaotic_z2", 3, 1), True), ("split", False)], ids=str)
+def test_functor_hat_calls(monkeypatch, table, fast):
+    """A quasiequivalence in the source lets every probe read its value off
+    the source hat, so no functor hat is solved; in split they are."""
+    sigma = _sigma(table)
+    found = ho.enumerate_probes(sigma, default_probe_targets(sigma), include_self=True)
+    probes = ho.make_probe_set(sigma, list(found.probes))
+    k1, k2 = _unknown_free_pair(sigma)
+    cert = localize(sigma, probes).to_json()
+    calls = _counting(monkeypatch)
+    verdict = ho.ho_eq(k1, k2, probes, 8)
+    assert replay_certificate(sigma, cert, probes) == (True, [])
+    assert (calls["f_hat"] == 0) == fast
+    if fast:
+        assert set(sigma.members) == set(sigma.bic.arrows)
+        assert verdict.verdict == "unknown"
