@@ -28,7 +28,11 @@ The extension route is ``ExtensionG`` with its ``head`` and ``tail`` fields
 (the record every function here builds), ``extend_pseudofunctor``,
 ``extend_2cell_data`` and the two reports' ``to_json`` bodies;
 ``perturbation_breaks`` is the scan version, which the index walk and the
-route change both left equal in result.  The hat scans are ``hat``,
+route change both left equal in result.  ``ExtensionReport`` is the old
+seven-field report, with the restriction and vertical checks and the
+``checked_cells`` and ``checked_pairs`` counts that the extension has since
+dropped; the functions here build it, and the differential tests compare the
+fields that remain.  The hat scans are ``hat``,
 ``functor_cylinder_hat`` and ``f_hat``, over the last scan's
 ``_is_quasiequivalence``.
 
@@ -45,7 +49,7 @@ from __future__ import annotations
 import itertools
 import re
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from bicatkit.core import (
     Bicategory,
@@ -57,7 +61,6 @@ from bicatkit.core import (
 from bicatkit.elevator import Computad, Path, make_computad, parse_path
 from bicatkit.ho import (
     EqVerdict,
-    ExtensionReport,
     HoCell,
     ProbeSet,
     TwoCellExtensionReport,
@@ -742,6 +745,29 @@ def sample_homotopies(sigma: SigmaClass, cap: int = 200) -> list[Homotopy]:
                             if len(out) >= cap:
                                 return out
     return out
+
+
+@dataclass
+class ExtensionReport:
+    agrees_on_cells: bool
+    functorial_vertical: bool
+    functorial_whisker: bool
+    preserves_units: bool
+    checked_cells: int
+    checked_pairs: int
+    checked_whiskers: int
+
+    @property
+    def ok(self) -> bool:
+        return (
+            self.agrees_on_cells
+            and self.functorial_vertical
+            and self.functorial_whisker
+            and self.preserves_units
+        )
+
+    def to_json(self) -> dict:
+        return {"ok": self.ok, **asdict(self)}
 
 
 @dataclass

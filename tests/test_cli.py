@@ -308,14 +308,18 @@ def test_extend_command(capsys, tmp_path):
     src.write_text(fixture_text("chain_src.bic"))
     tgt.write_text(fixture_text("chain_tgt.bic"))
     pf.write_text(fixture_text("chain_f.pf"))
-    code, out, _ = run(
-        capsys, "extend", "--functor", str(pf), "--source", str(src),
-        "--target", str(tgt), "--format", "json",
-    )
+    args = ("extend", "--functor", str(pf), "--source", str(src), "--target", str(tgt))
+    code, out, _ = run(capsys, *args, "--format", "json")
     assert code == 0
     payload = json.loads(out)
-    assert payload["report"]["ok"]
+    assert set(payload) == {"schema_version", "functor", "report", "values"}
+    assert payload["report"] == {
+        "ok": True, "functorial_whisker": True, "preserves_units": True, "checked_whiskers": 150,
+    }
     assert payload["values"]
+    code, out, _ = run(capsys, *args)
+    assert code == 0
+    assert out == "extension of f: ok\n  whiskers: 150\n"
 
 
 def test_elevator_equal_sides(capsys, tmp_path):

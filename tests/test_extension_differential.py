@@ -6,12 +6,16 @@ pseudofunctors.  ``tests/reference_scans.py`` keeps the old route: the
 ``ExtensionG`` record with ``head`` and ``tail``, ``extend_pseudofunctor``
 through ``factorize``, ``extend_2cell_data`` running two full extensions and
 its own PM loop, and ``perturbation_breaks`` scanning every cell.  Both sides
-must give equal reports (and report JSON), equal materialized families and
-equal values on the family, on vertical composites of family pairs, on both
-whiskers of every member and on identity classes; equal ``extend_2cell_data``
-reports; and equal perturbation results, except on lone identity-cell terms,
-which restriction now pins: there every value other than the extension's
-breaks.
+must give equal materialized families and equal values on the family, on
+vertical composites of family pairs, on both whiskers of every member and on
+identity classes; equal ``extend_2cell_data`` reports; and equal report
+fields, in the record and in JSON, on the fields the report keeps
+(``KEPT_FIELDS``).  The reference's vertical check must hold on every
+subject, and its restriction check may fail only where the units check does.
+On 2-functors every alternative value on the family breaks a forced equation:
+the reference's ``perturbation_breaks`` says so, and on lone identity-cell
+terms, which the reference left to its whisker loop, the unit pins the value
+to the identity.
 
 The subjects are the bundled ``chain_f``, a pseudofunctor whose arrow map is
 not functorial on the nose (where whiskers hold only up to phi), the
@@ -40,7 +44,6 @@ from bicatkit.ho import (
     ho_identity,
     ho_vcomp,
     ho_whisk,
-    perturbation_breaks,
 )
 from bicatkit.homotopy import ICell
 from bicatkit.library import load_chain_pseudofunctor, load_fixture
@@ -51,6 +54,8 @@ from tests import reference_scans as ref
 from tests.conftest import TWOCELL_DOC
 
 CAP = 30
+# the report fields, and the verdict, that extension reports still carry
+KEPT_FIELDS = ("ok", "functorial_whisker", "preserves_units", "checked_whiskers")
 
 
 def marked_table(family, n):
@@ -210,47 +215,48 @@ def probe_cells(ext):
     return cells
 
 
-def extension_view(ext, report_json):
+def extension_view(ext):
     if isinstance(ext, str):
         return ext
-    return (
-        ext.report,
-        report_json(ext.report),
-        ext.materialized,
-        [(k, outcome(ext.value, k)) for k in probe_cells(ext)],
-    )
+    return ext.materialized, [(k, outcome(ext.value, k)) for k in probe_cells(ext)]
+
+
+def assert_same_report(new, old, label):
+    """The new report against the reference's on the fields it keeps; the
+    reference's vertical check holds, and its restriction check fails only
+    where the units check does."""
+    assert old.functorial_vertical, label
+    assert old.agrees_on_cells or not new.preserves_units, label
+    old_json = ref.extension_report_json(old)
+    assert new.to_json() == {key: old_json[key] for key in KEPT_FIELDS}, label
 
 
 def assert_same_extension(sigma, fun):
     new = outcome(extend_pseudofunctor, fun, sigma, cap=CAP)
     old = outcome(ref.extend_pseudofunctor, fun, sigma, cap=CAP)
-    assert extension_view(new, lambda r: r.to_json()) == extension_view(
-        old, ref.extension_report_json
-    ), fun.name
+    assert extension_view(new) == extension_view(old), fun.name
+    if not isinstance(new, str):
+        assert_same_report(new.report, old.report, fun.name)
     return new, old
 
 
 def assert_same_perturbations(sigma, fun, new, old):
-    """Every alternative value on the family and on lone identity-cell terms;
-    returns how many perturbations were compared."""
-    bic, d = sigma.bic, fun.target
+    """Every alternative value on the family and on lone identity-cell terms
+    of a 2-functor breaks a forced equation; returns how many values were
+    compared."""
     if not fun.is_2functor:
-        k = new.materialized[0]
-        other = d.cells_between(fun.arr_map[k.f], fun.arr_map[k.g])[0]
-        for ext, breaks in ((new, perturbation_breaks), (old, ref.perturbation_breaks)):
-            assert isinstance(outcome(breaks, ext, k, other), str), fun.name
         return 0
+    bic, d = sigma.bic, fun.target
     lone_ids = [ho_cell(sigma, (ICell(bic, bic.idc[f]),)) for f in sorted(bic.arrows)]
     compared = 0
     for k in new.materialized + lone_ids:
         for other in d.cells_between(fun.arr_map[k.f], fun.arr_map[k.g]):
-            got = perturbation_breaks(new, k, other)
             if k in lone_ids:
-                # restriction pins [I(id_f)] to F(id_f) = id; the reference
-                # left these to its whisker loop, which can miss
-                assert got == (other != new.value(k)), (fun.name, str(k), other)
+                # [I(id_f)] = id_f in Ho, so the unit pins the value to id
+                breaks = other != d.idc[fun.arr_map[k.f]]
             else:
-                assert got == ref.perturbation_breaks(old, k, other), (fun.name, str(k), other)
+                breaks = ref.perturbation_breaks(old, k, other)
+            assert breaks == (other != new.value(k)), (fun.name, str(k), other)
             compared += 1
     return compared
 
@@ -292,8 +298,8 @@ def test_generated_pseudofunctor_extensions_match_head_tail_route():
 
 
 def test_generated_2functor_extensions_match():
-    # 2-functors take the same route on both sides; their perturbations are
-    # the ones `bicatkit extend` tries
+    # 2-functors take the same route on both sides, and only their
+    # perturbations are checked
     dst = marked_table("chaotic_z2", 2).bic
     perturbations = 0
     for family, n in (("chain_z2", 3), ("chaotic_z2", 2)):
