@@ -277,7 +277,19 @@ def enumerate_2functors(src: Bicategory, dst: Bicategory) -> list[PseudofunctorD
     source table entry must hold, `hcomp1`, `vcomp`, the whiskers and,
     unless both sides are strict, the unitors and associators.  A branch
     thus ends at its first broken constraint, and the results, in their
-    order, are those of checking complete maps only."""
+    order, are those of checking complete maps only.
+
+    The target must pass `validate_bicategory`.  Then these source entries
+    hold on every branch once the identities are assigned, and are not
+    checked: for a: f => g, the `vcomp` entries id_g . a = a and
+    a . id_f = a, by the target's `vcomp-unit`; the whisker entries
+    g * id_f = id_{gf} and id_g * f = id_{gf}, by its `W2` and the `hcomp1`
+    check on (g, f), which comes first; and, when the target is strict, for
+    f: x -> y the `hcomp1` entries f . id_x = f and id_y . f = f, by its
+    `strict-unital`.  A source entry is skipped only when it reads exactly
+    so, so the results on an invalid source are unchanged too.  By the
+    `hcomp1` checks, F(id_x) = id_{F x} and F g . F f = F(g f), so each
+    result's xi and phi are identity cells, read off its cell map."""
     objs = list(src.objects)
     ids = set(src.id1.values())
     idcs = set(src.idc.values())
@@ -303,25 +315,42 @@ def enumerate_2functors(src: Bicategory, dst: Bicategory) -> list[PseudofunctorD
     at = {(space, x): i for i, (space, x, _) in enumerate(unknowns)}
     checks: list[list[Callable[[], bool]]] = [[] for _ in unknowns]
 
-    def file(reads: Iterable[tuple[str, str]], check: Callable[[], bool]) -> None:
-        """File check under the last unknown it reads."""
-        checks[max(map(at.__getitem__, reads))].append(check)
+    def file(
+        reads: Iterable[tuple[str, str]], check: Callable[[], bool], holds: bool = False
+    ) -> None:
+        """File check under the last unknown it reads, unless it holds."""
+        if not holds:
+            checks[max(map(at.__getitem__, reads))].append(check)
 
+    # the unit entries, keyed as in their tables, that hold on a valid target
+    # once the identities are assigned: by vcomp-unit; by W2, after the
+    # hcomp1 check on (g, f); and on a strict target by strict-unital
+    idc, id1 = src.idc.get, src.id1.get
+    unit_vcomp = {k: a for a, (f, g) in src.cells.items() for k in ((idc(g), a), (a, idc(f)))}
+    unit_lwhisk = {(g, idc(f)): idc(c) for (g, f), c in src.hcomp1.items()}
+    unit_rwhisk = {(idc(g), f): idc(c) for (g, f), c in src.hcomp1.items()}
+    unit_hcomp1 = {
+        k: f for f, (x, y) in src.arrows.items() for k in ((f, id1(x)), (id1(y), f))
+    } if dst.strict else {}
     for x, y in sorted({ends for f, ends in src.arrows.items() if f not in ids}):
         file([("object", x), ("object", y)],
              lambda x=x, y=y: bool(dst.arrows_between(omap[x], omap[y])))
     for (g, f), c in src.hcomp1.items():
         file([("arrow", g), ("arrow", f), ("arrow", c)],
-             lambda g=g, f=f, c=c: dst.hcomp1.get((amap[g], amap[f])) == amap[c])
+             lambda g=g, f=f, c=c: dst.hcomp1.get((amap[g], amap[f])) == amap[c],
+             unit_hcomp1.get((g, f)) == c)
     for (b, a), c in src.vcomp.items():
         file([("cell", b), ("cell", a), ("cell", c)],
-             lambda b=b, a=a, c=c: dst.vcomp.get((cmap[b], cmap[a])) == cmap[c])
+             lambda b=b, a=a, c=c: dst.vcomp.get((cmap[b], cmap[a])) == cmap[c],
+             unit_vcomp.get((b, a)) == c)
     for (g, a), c in src.lwhisk.items():
         file([("arrow", g), ("cell", a), ("cell", c)],
-             lambda g=g, a=a, c=c: dst.lwhisk.get((amap[g], cmap[a])) == cmap[c])
+             lambda g=g, a=a, c=c: dst.lwhisk.get((amap[g], cmap[a])) == cmap[c],
+             unit_lwhisk.get((g, a)) == c)
     for (a, f), c in src.rwhisk.items():
         file([("cell", a), ("arrow", f), ("cell", c)],
-             lambda a=a, f=f, c=c: dst.rwhisk.get((cmap[a], amap[f])) == cmap[c])
+             lambda a=a, f=f, c=c: dst.rwhisk.get((cmap[a], amap[f])) == cmap[c],
+             unit_rwhisk.get((a, f)) == c)
     if not src.strict or not dst.strict:
         for f in src.arrows:
             lam, rho = src.lunitor[f], src.runitor[f]
@@ -332,6 +361,12 @@ def enumerate_2functors(src: Bicategory, dst: Bicategory) -> list[PseudofunctorD
         for (h, g, f), c in src.assoc.items():
             file([("arrow", h), ("arrow", g), ("arrow", f), ("cell", c)],
                  lambda h=h, g=g, f=f, c=c: cmap[c] == dst.assoc[(amap[h], amap[g], amap[f])])
+    # the source identity cells whose images are xi and phi; a composable
+    # pair without a composite is left to PseudofunctorData to report
+    xi_units = [(x, src.idc[src.id1[x]]) for x in objs]
+    phi_units = [
+        (gf, src.idc[src.hcomp1[gf]]) for gf in src.composable_arrow_pairs() if gf in src.hcomp1
+    ]
 
     def assign(i: int) -> None:
         if i == len(unknowns):
@@ -342,6 +377,8 @@ def enumerate_2functors(src: Bicategory, dst: Bicategory) -> list[PseudofunctorD
                 obj_map=dict(omap),
                 arr_map=dict(amap),
                 cell_map=dict(cmap),
+                xi={x: cmap[u] for x, u in xi_units},
+                phi={gf: cmap[u] for gf, u in phi_units},
             ))
             return
         space, x, candidates = unknowns[i]
@@ -370,11 +407,10 @@ def enumerate_probes(
             all_targets.append(src)
     probes: list[PseudofunctorData] = []
     for dst in all_targets:
-        for fun in enumerate_2functors(src, dst):
-            if all(
-                is_quasiequivalence(dst, fun.arr_map[s]) for s in sigma.members
-            ):
-                probes.append(fun)
+        funs = enumerate_2functors(src, dst)
+        images = {fun.arr_map[s] for fun in funs for s in sigma.members}
+        quasi = {f for f in images if is_quasiequivalence(dst, f)}
+        probes += [fun for fun in funs if all(fun.arr_map[s] in quasi for s in sigma.members)]
     return ProbeSet(tuple(probes))
 
 
@@ -706,14 +742,20 @@ class ExtensionG:
     sigma: SigmaClass
     report: ExtensionReport | None = None
     materialized: list[HoCell] = field(default_factory=list)
+    _values: dict[tuple[str, tuple[HomotopyTerm, ...]], str] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     def value(self, k: HoCell) -> str:
-        """The composite of F's hats of the terms, each solved in F's target.
-        On a validated target this is vertically functorial by associativity
-        of ``vcomp``, and on a lone cell term it is F of the cell, so
-        ``extend`` checks only what F's own data can break: whiskering and
-        units."""
-        return f_hat_chain(self.fun, k)
+        """The composite of F's hats of the terms, each solved in F's target
+        once per class.  On a validated target this is vertically functorial
+        by associativity of ``vcomp``, and on a lone cell term it is F of the
+        cell, so ``extend`` checks only what F's own data can break:
+        whiskering and units."""
+        key = (k.f, k.terms)
+        if key not in self._values:
+            self._values[key] = f_hat_chain(self.fun, k)
+        return self._values[key]
 
 
 def sample_homotopies(sigma: SigmaClass, cap: int = 200) -> list[Homotopy]:

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from bicatkit import ho
 from bicatkit.cli import main
 from bicatkit.library import fixture_text
 
@@ -320,6 +321,24 @@ def test_extend_command(capsys, tmp_path):
     code, out, _ = run(capsys, *args)
     assert code == 0
     assert out == "extension of f: ok\n  whiskers: 150\n"
+
+
+def test_extend_solves_each_class_once(capsys, tmp_path, monkeypatch):
+    # the report's whisker checks and the JSON values share one solution
+    # per class
+    solved = []
+    f_hat_chain = ho.f_hat_chain
+    monkeypatch.setattr(ho, "f_hat_chain", lambda fun, k: solved.append((k.f, k.terms))
+                        or f_hat_chain(fun, k))
+    paths = []
+    for name in ("chain_f.pf", "chain_src.bic", "chain_tgt.bic"):
+        paths.append(tmp_path / name)
+        paths[-1].write_text(fixture_text(name))
+    pf, src, tgt = map(str, paths)
+    code, out, _ = run(capsys, "extend", "--functor", pf, "--source", src, "--target", tgt,
+                       "--format", "json")
+    assert code == 0 and json.loads(out)["values"]
+    assert len(solved) == len(set(solved)) == 40
 
 
 def test_elevator_equal_sides(capsys, tmp_path):

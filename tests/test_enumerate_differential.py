@@ -11,9 +11,14 @@ where it finishes, into themselves, and the smaller families without
 the checks of composites are the only ones; two non-strict tables whose unitors or
 associator are non-identity cells, so that the coherence checks prune; and
 every change of one entry of a small table that still validates, as source
-and as target.  Equal lists do not show how much is tried on the way, so one
-more test counts the search's steps against the partial maps that satisfy
-every constraint they can be checked on.
+and as target.  The lists include xi and phi, which the new enumerator reads
+off the cell map and the old one left to ``PseudofunctorData`` to fill in.
+The new enumerator skips the unit entries that a valid target's laws settle;
+each change of such an entry gives an invalid source that must still list
+the same 2-functors.  Equal lists do not show how much is tried on the way,
+so more tests count the search's steps against the partial maps that
+satisfy every constraint they can be checked on, and the target entries the
+search reads.
 """
 from __future__ import annotations
 
@@ -23,7 +28,7 @@ import pytest
 
 from bench import families
 from bicatkit import ho
-from bicatkit.core import Bicategory, validate_bicategory
+from bicatkit.core import Bicategory, StructureError, validate_bicategory
 from bicatkit.ho import enumerate_2functors
 from bicatkit.library import BICATEGORIES, load_fixture_bicategory
 from bicatkit.localize import default_probe_targets
@@ -105,11 +110,63 @@ assoc:
   theta f f id_X = id_id_X
   theta f f f = y
 """
+# f . id_X = f1 with f and f1 isomorphic by u and v, and lambda f = u: a
+# valid non-strict table where composing with an identity is not the identity
+UNIT_DOC = """
+strict false
+objects: X Y
+arrows:
+  f : X -> Y
+  f1 : X -> Y
+compose:
+  id_X . id_X = id_X
+  id_Y . id_Y = id_Y
+  f . id_X = f1
+  f1 . id_X = f1
+  id_Y . f = f
+  id_Y . f1 = f1
+cells:
+  u : f1 => f
+  v : f => f1
+vcomp:
+  u . v = id_f
+  v . u = id_f1
+lwhisk:
+  id_Y * u = u
+  id_Y * v = v
+rwhisk:
+  u * id_X = id_f1
+  v * id_X = id_f1
+unitors:
+  lambda id_X = id_id_X
+  lambda id_Y = id_id_Y
+  lambda f = u
+  lambda f1 = id_f1
+  rho id_X = id_id_X
+  rho id_Y = id_id_Y
+  rho f = id_f
+  rho f1 = id_f1
+assoc:
+  theta id_X id_X id_X = id_id_X
+  theta id_Y id_Y id_Y = id_id_Y
+  theta f id_X id_X = id_f1
+  theta f1 id_X id_X = id_f1
+  theta id_Y f id_X = id_f1
+  theta id_Y f1 id_X = id_f1
+  theta id_Y id_Y f = id_f
+  theta id_Y id_Y f1 = id_f1
+"""
 MUTABLE = ("hcomp1", "vcomp", "lwhisk", "rwhisk", "lunitor", "runitor", "assoc")
 
 
 def listing(funs):
-    return [(f.name, f.obj_map, f.arr_map, f.cell_map) for f in funs]
+    """Each 2-functor's name, maps, and xi and phi as item lists; the old
+    enumerator's xi and phi are the ones PseudofunctorData fills in from the
+    maps."""
+    return [
+        (f.name, f.obj_map, f.arr_map, f.cell_map, list(f.xi.items()), list(f.phi.items()))
+        for f in funs
+    ]
 
 
 def assert_same(src, dst):
@@ -128,6 +185,7 @@ def non_strict_tables():
     return [
         load_presentation_with_sigma(UNITOR_DOC, "unitor").bicategory,
         load_presentation_with_sigma(COCYCLE_DOC, "cocycle").bicategory,
+        load_presentation_with_sigma(UNIT_DOC, "unit").bicategory,
     ]
 
 
@@ -175,13 +233,14 @@ def test_families_into_default_targets_and_themselves(family, n, into_self):
     for dst in default_probe_targets(make_sigma(bic, ())) + ([bic] if into_self else []):
         assert_same(bic, dst)
         if family in ("chain", "chaotic") and into_self:
-            # identity cells only: their whisker entries repeat every hcomp1
-            # check, so without them hcomp1 alone decides
+            # identity cells only, whose entries the enumerator does not
+            # check on a valid target; with the tables dropped hcomp1 alone
+            # decides, as it does with them
             assert_same(replaced(bic, f"{bic.name}-1cells", vcomp={}, lwhisk={}, rwhisk={}), dst)
 
 
 def test_non_strict_coherence_prunes():
-    unitor, cocycle = non_strict_tables()
+    unitor, cocycle, _ = non_strict_tables()
     # z is a generator cell that lambda and rho pin to the target's unitor:
     # into itself z must go to z, into a strict table to the identity
     assert assert_same(unitor, unitor) == 1
@@ -211,6 +270,84 @@ def test_valid_single_entry_mutants():
             assert_same(other, mutant)
 
 
+def unit_entry_mutants(tables):
+    """(table name, mutant, original) for every change of one unit entry of
+    a table in tables: each hcomp1 entry at an identity arrow and each vcomp
+    or whisker entry at an identity cell is set to every other arrow or cell
+    with its ends.  These are the entries the enumerator skips while they
+    hold as laws."""
+    for bic in tables:
+        ids, idcs = set(bic.id1.values()), set(bic.idc.values())
+        for table, units in (("hcomp1", ids), ("vcomp", idcs), ("lwhisk", idcs), ("rwhisk", idcs)):
+            entries = getattr(bic, table)
+            for key, value in sorted(entries.items()):
+                if units.isdisjoint(key):
+                    continue
+                ends = bic.arrows[value] if table == "hcomp1" else bic.cells[value]
+                between = bic.arrows_between if table == "hcomp1" else bic.cells_between
+                for other in between(*ends):
+                    if other != value:
+                        name = f"{bic.name}[{table} {key}={other}]"
+                        yield table, replaced(bic, name, **{table: {**entries, key: other}}), bic
+
+
+def test_unit_entry_mutants_as_sources():
+    # the skips read the literal source entry, so a changed one is checked
+    # as before, and some changes leave fewer 2-functors than the table has
+    tables = small_tables()
+    kinds, pruned = set(), 0
+    for table, mutant, bic in unit_entry_mutants(tables):
+        assert not validate_bicategory(mutant).ok, mutant.name
+        kinds.add(table)
+        for dst in tables:
+            pruned += assert_same(mutant, dst) < len(enumerate_2functors(bic, dst))
+    assert kinds == {"hcomp1", "vcomp", "lwhisk", "rwhisk"}
+    assert pruned > 0
+
+
+def test_unit_entries_of_a_valid_target_are_not_read():
+    # chaotic(3) has identity cells only, so every vcomp and whisker entry of
+    # the source holds on a valid target once the identities are assigned
+    bic = family_table("chaotic", 3)
+    assert set(bic.cells) == set(bic.idc.values()) and bic.vcomp
+    counted = replaced(bic, bic.name)
+    tables = ("vcomp", "lwhisk", "rwhisk")
+    for table in tables:
+        setattr(counted, table, CountedDict(getattr(bic, table)))
+    funs = enumerate_2functors(bic, counted)
+    assert [getattr(counted, table).count for table in tables] == [0, 0, 0]
+    assert listing(funs) == listing(ref.enumerate_2functors(bic, bic))
+
+
+def test_composites_with_identities_are_checked_on_a_non_strict_target():
+    # in the unit table f . id_X = f1, so a strict source's g . id_X = g
+    # rules out F g = f; that is checked before the identity cells, whose
+    # images are therefore looked up only on maps with every composite
+    unit = non_strict_tables()[-1]
+    assert unit.hcomp1[("f", "id_X")] == "f1" and validate_bicategory(unit).ok
+    for src in small_tables():
+        if not src.strict:
+            continue
+        counted = replaced(unit, unit.name)
+        counted.idc = CountedDict(unit.idc)
+        funs = enumerate_2functors(src, counted)
+        assert listing(funs) == listing(ref.enumerate_2functors(src, unit)), src.name
+        images = {a for amap in arrow_maps(src, unit) for a in amap.values()}
+        assert set(counted.idc.reads) <= images, src.name
+
+
+def test_a_missing_composite_is_reported_as_before():
+    bic = family_table("chaotic", 3)
+    key = max(bic.hcomp1)
+    hole = replaced(bic, "hole", hcomp1={k: v for k, v in bic.hcomp1.items() if k != key})
+    messages = []
+    for enumerate_into in (enumerate_2functors, ref.enumerate_2functors):
+        with pytest.raises(StructureError) as info:
+            enumerate_into(hole, bic)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1] == f"hole->{bic.name}#0: {key!r} is unmapped or unknown"
+
+
 class CountedTuple(tuple):
     """A tuple that counts the loops over it."""
 
@@ -222,13 +359,23 @@ class CountedTuple(tuple):
 
 
 class CountedDict(dict):
-    """A dict that counts its lookups."""
+    """A dict that records the keys it is read at."""
 
-    count = 0
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.reads = []
+
+    @property
+    def count(self):
+        return len(self.reads)
 
     def __getitem__(self, key):
-        self.count += 1
+        self.reads.append(key)
         return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.reads.append(key)
+        return super().get(key, default)
 
 
 def cell_entries_hold(src, dst, amap, cmap):
@@ -264,21 +411,31 @@ def consistent_counts(src, dst):
         for k in range(len(objs) + 1)
     ]
     functors = cell_steps = 0
-    for omap in partial[-1]:
-        for images in itertools.product(*(dst.arrows_between(omap[x], omap[y]) for x, y in ends)):
-            amap = {**{src.id1[x]: dst.id1[omap[x]] for x in objs}, **dict(zip(gens, images))}
-            if any(dst.hcomp1.get((amap[g], amap[f])) != amap[c]
-                   for (g, f), c in src.hcomp1.items()):
-                continue
-            functors += 1
-            idmap = {src.idc[f]: dst.idc[amap[f]] for f in src.arrows}
-            for j in range(len(cells)):
-                homs = [dst.cells_between(*(amap[f] for f in src.cells[a])) for a in cells[:j]]
-                cell_steps += sum(
-                    cell_entries_hold(src, dst, amap, {**idmap, **dict(zip(cells, m))})
-                    for m in itertools.product(*homs)
-                )
+    for amap in arrow_maps(src, dst):
+        functors += 1
+        idmap = {src.idc[f]: dst.idc[amap[f]] for f in src.arrows}
+        for j in range(len(cells)):
+            homs = [dst.cells_between(*(amap[f] for f in src.cells[a])) for a in cells[:j]]
+            cell_steps += sum(
+                cell_entries_hold(src, dst, amap, {**idmap, **dict(zip(cells, m))})
+                for m in itertools.product(*homs)
+            )
     return sum(len(maps) for maps in partial[:-1]), len(partial[-1]), functors, cell_steps
+
+
+def arrow_maps(src, dst):
+    """By brute force: the object and arrow maps, in the enumerator's order,
+    under which every composite of src holds."""
+    objs = list(src.objects)
+    gens = [f for f in sorted(src.arrows) if f not in set(src.id1.values())]
+    for combo in itertools.product(dst.objects, repeat=len(objs)):
+        omap = dict(zip(objs, combo))
+        homs = [dst.arrows_between(*(omap[x] for x in src.arrows[f])) for f in gens]
+        for images in itertools.product(*homs):
+            amap = {**{src.id1[x]: dst.id1[omap[x]] for x in objs}, **dict(zip(gens, images))}
+            if all(dst.hcomp1.get((amap[g], amap[f])) == amap[c]
+                   for (g, f), c in src.hcomp1.items()):
+                yield amap
 
 
 def test_search_extends_exactly_the_consistent_partial_maps(monkeypatch):
