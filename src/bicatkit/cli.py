@@ -3,6 +3,10 @@
 Commands: validate, sigma-check, localize, ho-eq, hat, extend, elevator.
 Exit codes: 0 success / Equal / ok; 1 violations / Distinct / failed checks;
 2 Unknown; 3 usage, parse or bound errors.
+
+Every command parses and validates tables, so core, presentation and library
+are imported here.  Each command imports the further layers it runs inside
+its own function, so a process loads only what its command needs.
 """
 from __future__ import annotations
 
@@ -13,23 +17,13 @@ import sys
 from pathlib import Path
 
 from .core import (
+    SCHEMA_VERSION,
     StructureError,
     validate_bicategory,
     validate_pseudofunctor,
 )
-from .elevator import load_computad, normalize, parse_expr, render
-from .ho import (
-    SCHEMA_VERSION,
-    enumerate_probes,
-    extend_pseudofunctor,
-    ho_eq,
-)
-from .homotopy import HatError, hat
-from .library import BICATEGORIES, load_fixture
-from .localize import default_probe_targets, localize, replay_certificate
+from .library import BICATEGORIES, default_probe_targets, load_fixture
 from .presentation import ParseError, load_presentation_with_sigma, load_pseudofunctor
-from .queries import QueryError, parse_query
-from .sigma import make_sigma, sigma_report
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -47,8 +41,8 @@ class _Invalid(Exception):
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text()
-    except OSError as exc:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise _Usage(f"cannot read {path}: {exc}") from exc
 
 
@@ -75,7 +69,10 @@ def _emit(args, payload: dict, text: str) -> None:
         else text
     )
     if getattr(args, "out", None):
-        Path(args.out).write_text(body)
+        try:
+            Path(args.out).write_text(body)
+        except OSError as exc:
+            raise _Usage(f"cannot write {args.out}: {exc}") from exc
     else:
         sys.stdout.write(body)
 
@@ -116,6 +113,8 @@ def _probe_targets(sigma, spec: str | None):
 
 
 def _sigma_for(args, pres):
+    from .sigma import make_sigma
+
     names = pres.sigma_names
     if getattr(args, "sigma", None) is not None:
         names = _names(args.sigma)
@@ -164,6 +163,8 @@ def _report_text(subject: str, rep) -> str:
 
 
 def _cmd_sigma_check(args) -> int:
+    from .sigma import sigma_report
+
     pres = _load_valid(args.input)
     sigma = _sigma_for(args, pres)
     report = sigma_report(sigma, max_len=args.max_len)
@@ -184,6 +185,9 @@ def _cmd_sigma_check(args) -> int:
 
 
 def _cmd_localize(args) -> int:
+    from .ho import enumerate_probes
+    from .localize import localize, replay_certificate
+
     pres = _load_valid(args.input)
     sigma = _sigma_for(args, pres)
     probes = enumerate_probes(
@@ -209,10 +213,22 @@ def _cmd_localize(args) -> int:
     return EXIT_OK if cert.ok else EXIT_FAIL
 
 
+def _query(args, sigma):
+    """The query document args.query names; a query error is a usage error."""
+    from .queries import QueryError, parse_query
+
+    try:
+        return parse_query(sigma, _read(args.query))
+    except QueryError as exc:
+        raise _Usage(str(exc)) from exc
+
+
 def _cmd_ho_eq(args) -> int:
+    from .ho import enumerate_probes, ho_eq
+
     pres = _load_valid(args.input)
     sigma = _sigma_for(args, pres)
-    doc = parse_query(sigma, _read(args.query))
+    doc = _query(args, sigma)
     if "lhs" not in doc.sequences or "rhs" not in doc.sequences:
         raise _Usage("query must define sequences 'lhs' and 'rhs'")
     probes = enumerate_probes(
@@ -242,9 +258,11 @@ def _cmd_ho_eq(args) -> int:
 
 
 def _cmd_hat(args) -> int:
+    from .homotopy import HatError, hat
+
     pres = _load_valid(args.input)
     sigma = _sigma_for(args, pres)
-    doc = parse_query(sigma, _read(args.query))
+    doc = _query(args, sigma)
     if doc.hat_target is None:
         raise _Usage("query must contain a 'hat = NAME' line")
     target = doc.cylinders.get(doc.hat_target) or doc.homotopies[doc.hat_target]
@@ -262,6 +280,8 @@ def _cmd_hat(args) -> int:
 
 
 def _cmd_extend(args) -> int:
+    from .ho import extend_pseudofunctor
+
     src_pres = _load_valid(args.source)
     tgt_pres = _load_valid(args.target)
     src, tgt = src_pres.bicategory, tgt_pres.bicategory
@@ -287,6 +307,8 @@ def _cmd_extend(args) -> int:
 
 
 def _cmd_elevator(args) -> int:
+    from .elevator import load_computad, normalize, parse_expr, render
+
     comp = load_computad(_read(args.computad), name=Path(args.computad).stem)
     e1 = parse_expr(comp, args.expr)
     n1 = normalize(e1)
@@ -398,7 +420,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (_Usage, ParseError, QueryError) as exc:
+    except (_Usage, ParseError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     except StructureError as exc:

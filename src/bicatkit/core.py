@@ -20,6 +20,9 @@ from typing import Callable, Hashable, Iterable, TypeVar
 
 _T = TypeVar("_T")
 
+# the version every JSON report and certificate carries as "schema_version"
+SCHEMA_VERSION = 1
+
 
 class StructureError(Exception):
     """Raised for malformed references or ill-typed constructions."""

@@ -23,6 +23,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Callable, Iterable, Iterator
 
 from .core import (
+    SCHEMA_VERSION,  # noqa: F401 -- re-exported
     Bicategory,
     ModificationData,
     PseudofunctorData,
@@ -49,8 +50,6 @@ from .homotopy import (
     transform_homotopy,
 )
 from .sigma import SigmaClass, is_quasiequivalence
-
-SCHEMA_VERSION = 1
 
 
 @dataclass(frozen=True)

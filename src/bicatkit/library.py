@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 from importlib import resources
+from typing import TYPE_CHECKING
 
 from .core import Bicategory, PseudofunctorData
 from .presentation import (
@@ -9,6 +10,9 @@ from .presentation import (
     load_presentation_with_sigma,
     load_pseudofunctor,
 )
+
+if TYPE_CHECKING:
+    from .sigma import SigmaClass
 
 BICATEGORIES = ("triv", "split", "iso", "grpd", "chain_src", "chain_tgt")
 
@@ -32,3 +36,9 @@ def load_chain_pseudofunctor() -> PseudofunctorData:
     src = load_fixture_bicategory("chain_src")
     tgt = load_fixture_bicategory("chain_tgt")
     return load_pseudofunctor(fixture_text("chain_f.pf"), src, tgt, name="chain_f")
+
+
+def default_probe_targets(sigma: SigmaClass) -> list[Bicategory]:
+    """The bundled probe targets, less the one named like the marked
+    bicategory, which enumerate_probes handles itself."""
+    return [load_fixture_bicategory(n) for n in DEFAULT_PROBE_TARGETS if n != sigma.bic.name]

@@ -13,10 +13,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .core import Bicategory, StructureError
+from .core import SCHEMA_VERSION, StructureError
 from .homotopy import cylinder_homotopy, retraction_cylinder
 from .ho import (
-    SCHEMA_VERSION,
     EqVerdict,
     HOCELL_JSON,
     HoCell,
@@ -34,6 +33,7 @@ from .ho import (
     probe_values,
     require_json,
 )
+from .library import default_probe_targets
 from .sigma import (
     SigmaClass,
     check_three_for_two,
@@ -211,17 +211,6 @@ def _i_functoriality(sigma: SigmaClass, probes: ProbeSet, budget: int) -> dict:
         if not ho_eq(lhs, rhs, probes, budget).is_equal:
             failures.append(f"rwhisk {a} * {f}")
     return {"ok": not failures, "checked": checked, "failures": failures}
-
-
-def default_probe_targets(sigma: SigmaClass) -> list[Bicategory]:
-    from .library import DEFAULT_PROBE_TARGETS, load_fixture_bicategory
-
-    out: list[Bicategory] = []
-    for name in DEFAULT_PROBE_TARGETS:
-        if name == sigma.bic.name:
-            continue  # the bicategory itself is handled by enumerate_probes
-        out.append(load_fixture_bicategory(name))
-    return out
 
 
 def localize(

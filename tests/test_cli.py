@@ -1,8 +1,13 @@
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import bicatkit
 from bicatkit import ho
 from bicatkit.cli import main
 from bicatkit.library import fixture_text
@@ -416,9 +421,10 @@ def test_query_rebinding_is_usage(capsys, split_file, tmp_path, query, message):
     text = QUERY_EQ + query + "\n"
     q = tmp_path / "q.txt"
     q.write_text(text)
-    code, _, err = run(capsys, "ho-eq", split_file, str(q))
-    assert code == 3
-    assert f"line {len(text.splitlines())}: {message}" in err
+    for command in ("ho-eq", "hat"):
+        code, out, err = run(capsys, command, split_file, str(q))
+        assert code == 3 and out == "", command
+        assert err == f"error: line {len(text.splitlines())}: {message}\n", command
 
 
 @pytest.mark.parametrize("spec", ("", ",", " , "))
@@ -577,3 +583,99 @@ def test_line_mutants_exit_with_a_code_through_every_command(capsys, tmp_path):
                 capsys.readouterr()
     assert set(codes) <= {0, 1, 2, 3}
     assert {0, 1, 3} <= set(codes)
+
+
+def test_out_path_that_cannot_be_written_is_usage(capsys, split_file, tmp_path):
+    target = tmp_path / "missing" / "r.json"
+    code, out, err = run(capsys, "validate", split_file, "--format", "json", "--out", str(target))
+    assert code == 3 and out == ""
+    assert err.startswith(f"error: cannot write {target}: ")
+    assert not target.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ("validate", "{bad}"),
+        ("validate", "--functor", "{bad}", "--source", "chain_src", "--target", "chain_tgt"),
+        ("elevator", "{bad}", "--expr", "1"),
+        ("ho-eq", "{split}", "{bad}"),
+        ("hat", "{split}", "{bad}"),
+        ("localize", "{split}", "--replay", "{bad}"),
+    ),
+    ids=("bic", "pf", "cmp", "ho-eq-query", "hat-query", "replay"),
+)
+def test_input_not_utf8_is_usage(capsys, split_file, tmp_path, argv):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff\xfe objects: X\n")
+    code, out, err = run(capsys, *(a.format(bad=bad, split=split_file) for a in argv))
+    assert code == 3 and out == ""
+    assert err.startswith(f"error: cannot read {bad}: ") and "utf-8" in err
+
+
+# The bicatkit modules each README command loads.  Every command parses and
+# validates tables; the layers past that load only where a command runs them.
+_PARSE = {"bicatkit", "bicatkit.cli", "bicatkit.core", "bicatkit.presentation", "bicatkit.library"}
+_FIXTURES = {"bicatkit.fixtures"}  # a bundled table named, or the default probe targets
+_HO = {"bicatkit.sigma", "bicatkit.homotopy", "bicatkit.ho"}
+README_COMMANDS = (
+    ("validate", ["validate", "split"], 0, _FIXTURES),
+    ("validate-out", ["validate", "my.bic", "--format", "json", "--out", "report.json"], 0, set()),
+    ("validate-functor",
+     ["validate", "--functor", "f.pf", "--source", "src.bic", "--target", "tgt.bic"], 0, set()),
+    ("sigma-check", ["sigma-check", "split", "--sigma", "s,r"], 1, _FIXTURES | {"bicatkit.sigma"}),
+    ("localize", ["localize", "split", "--max-len", "2", "--format", "json", "--out", "cert.json"],
+     0, _FIXTURES | _HO | {"bicatkit.localize"}),
+    ("localize-replay", ["localize", "split", "--replay", "cert.json"],
+     0, _FIXTURES | _HO | {"bicatkit.localize"}),
+    ("ho-eq", ["ho-eq", "split", "query.txt", "--budget", "8"],
+     0, _FIXTURES | _HO | {"bicatkit.queries"}),
+    ("hat", ["hat", "iso", "hat.txt"], 0, _FIXTURES | _HO | {"bicatkit.queries"}),
+    ("extend", ["extend", "--functor", "f.pf", "--source", "src.bic", "--target", "tgt.bic"],
+     0, _HO),
+    ("elevator", ["elevator", "w1.cmp", "--expr", "1 * be * f1 ; g2 * al * 1",
+                  "--expr2", "g1 * al * 1 ; 1 * be * f2"], 0, {"bicatkit.elevator"}),
+)
+
+# runs one command as the console script does, then lists what it imported
+_LOADED = (
+    "import sys\n"
+    "from bicatkit.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "sys.stderr.write(' '.join(sorted(m for m in sys.modules if m.startswith('bicatkit'))))\n"
+    "sys.exit(code)\n"
+)
+
+
+@pytest.fixture(scope="module")
+def readme_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("readme")
+    for name, text in (
+        ("my.bic", fixture_text("split.bic")),
+        ("src.bic", fixture_text("chain_src.bic")),
+        ("tgt.bic", fixture_text("chain_tgt.bic")),
+        ("f.pf", fixture_text("chain_f.pf")),
+        ("query.txt", QUERY_EQ),
+        ("hat.txt", QUERY_HAT),
+        ("w1.cmp", W1_COMPUTAD_DOC),
+    ):
+        (root / name).write_text(text)
+    assert main(["localize", "split", "--max-len", "2", "--format", "json",
+                 "--out", str(root / "cert.json")]) == 0
+    return root
+
+
+@pytest.mark.parametrize(
+    "argv, code, layers", [c[1:] for c in README_COMMANDS], ids=[c[0] for c in README_COMMANDS]
+)
+def test_each_command_loads_only_its_layers(readme_dir, argv, code, layers):
+    # a fresh interpreter: this one has imported every module already
+    src = str(Path(bicatkit.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "BICATKIT_PROBE_DIR"}
+    env["PYTHONPATH"] = os.pathsep.join([src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADED, *argv], cwd=readme_dir, env=env,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == code, proc.stderr
+    assert set(proc.stderr.splitlines()[-1].split()) == _PARSE | layers
