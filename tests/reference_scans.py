@@ -15,9 +15,13 @@ reference for ``tests/test_index_differential.py``,
 
 The probe loops are the one at the end of ``ho_eq`` and the one in
 ``replay_certificate``; both call ``ho.f_hat_chain`` for every probe.
-``replay_certificate`` calls this module's ``ho_eq`` and takes its other
-helpers (``_coverage_problems``, ``_i_functoriality`` and the JSON shape)
-from ``bicatkit.localize``, where they are unchanged.
+``replay_certificate`` calls this module's ``ho_eq`` and
+``_i_functoriality`` and takes its other helpers (``_coverage_problems`` and
+the JSON shape) from ``bicatkit.localize``.  ``_i_functoriality`` is the
+section that decided the projection's functoriality with one ``ho_eq`` per
+arrow, ``vcomp``, ``lwhisk`` and ``rwhisk`` entry, which the count that a
+validated table settles replaced; it is the reference for
+``tests/test_localize.py``.
 
 The decider is ``TraceStep`` (the old record, whose ``law`` is a field), the
 ten ``_LAW_*`` strings, ``_flatten``, ``_w1_sort``, ``_decompose``,
@@ -91,7 +95,6 @@ from bicatkit.localize import (
     SCHEMA_VERSION,
     _CERT_JSON,
     _coverage_problems,
-    _i_functoriality,
     default_probe_targets,
     enumerate_probes,
     hocell_from_json,
@@ -1312,6 +1315,37 @@ def ho_eq(
             if v1 != v2:
                 return EqVerdict("distinct", (), fun.name, v1, v2)
     return EqVerdict("unknown")
+
+
+def _i_functoriality(sigma: SigmaClass, probes: ProbeSet, budget: int) -> dict:
+    """The projection preserves identities and both compositions, decided by
+    the equality machinery on every table entry."""
+    bic = sigma.bic
+    failures: list[str] = []
+    checked = 0
+    for f in sorted(bic.arrows):
+        checked += 1
+        if i_cell(sigma, bic.idc[f]).terms != ():
+            failures.append(f"identity {f}")
+    for (b, a), c in sorted(bic.vcomp.items()):
+        checked += 1
+        lhs = i_cell(sigma, c)
+        rhs = ho_vcomp(i_cell(sigma, b), i_cell(sigma, a))
+        if not ho_eq(lhs, rhs, probes, budget).is_equal:
+            failures.append(f"vcomp {b} . {a}")
+    for (g, a), c in sorted(bic.lwhisk.items()):
+        checked += 1
+        lhs = i_cell(sigma, c)
+        rhs = ho_whisk("left", g, i_cell(sigma, a))
+        if not ho_eq(lhs, rhs, probes, budget).is_equal:
+            failures.append(f"lwhisk {g} * {a}")
+    for (a, f), c in sorted(bic.rwhisk.items()):
+        checked += 1
+        lhs = i_cell(sigma, c)
+        rhs = ho_whisk("right", f, i_cell(sigma, a))
+        if not ho_eq(lhs, rhs, probes, budget).is_equal:
+            failures.append(f"rwhisk {a} * {f}")
+    return {"ok": not failures, "checked": checked, "failures": failures}
 
 
 def replay_certificate(

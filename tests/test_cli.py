@@ -180,6 +180,16 @@ def test_replay_checks_probes_used(capsys, tmp_path, split_cert):
     assert "field 'probes_used' does not match the probes replay uses" in out
 
 
+def test_replay_rejects_a_forged_witness(capsys, tmp_path, split_cert):
+    cert = json.loads(json.dumps(split_cert[1]))
+    for entry in cert["equivalences"]:
+        for side in ("to_id_src", "to_id_dst"):
+            entry[side]["hocell"] = entry[side]["inverse"] = {"f": "id_X", "g": "id_X", "terms": []}
+    code, out, _ = replay(capsys, tmp_path, split_cert, json.dumps(cert))
+    assert code == 1
+    assert "replay FAILED" in out and "s/to_id_dst: hocell is not s * r => id" in out
+
+
 def tampered_section(cert, section, how):
     """cert with one section emptied, one entry repeated, or its first entry
     moved to an arrow that is not marked."""

@@ -2,10 +2,27 @@ import json
 
 import pytest
 
+from bench import families
+from bicatkit import localize as localize_module
+from bicatkit.core import validate_bicategory
 from bicatkit.ho import enumerate_probes, f_hat_chain, hocell_from_json
-from bicatkit.library import load_fixture_bicategory
-from bicatkit.localize import localize, replay_certificate
+from bicatkit.library import (
+    BICATEGORIES,
+    default_probe_targets,
+    load_fixture,
+    load_fixture_bicategory,
+)
+from bicatkit.localize import _i_functoriality, localize, replay_certificate
+from bicatkit.presentation import load_presentation_with_sigma
 from bicatkit.sigma import make_sigma
+
+from tests import reference_scans as ref
+from tests.conftest import TWOCELL_DOC
+from tests.test_decider_differential import _split_z2_doc
+from tests.test_enumerate_differential import COCYCLE_DOC, UNIT_DOC, UNITOR_DOC
+from tests.test_hat_differential import STRAY_DOC
+from tests.test_index_differential import COHERENCE_DOC, COLLAPSE_DOC
+from tests.test_presentation import TRIV_DOC
 
 
 @pytest.fixture(scope="module")
@@ -73,11 +90,90 @@ def test_replay_detects_tampering(split_sigma, split_probeset):
     tampered = json.loads(json.dumps(cert))
     entry = tampered["equivalences"][0]
     side = entry["to_id_dst"]
-    # claim the inverse is the cell itself: cancellations stop deriving
+    # claim the inverse is the cell itself: e => id_Y then e => id_Y again
     side["inverse"] = side["hocell"]
     ok, problems = replay_certificate(split_sigma, tampered, split_probeset)
-    assert not ok
-    assert problems
+    assert entry["arrow"] == "e"
+    assert (ok, problems) == (False, ["e/to_id_dst: cells do not chain: 'id_Y' vs 'e'"])
+
+
+def _forge(cert: dict) -> None:
+    """Every side claims the identity class of id_X, which inverts itself; it
+    is a true witness only where q * arrow or arrow * q is id_X."""
+    for entry in cert["equivalences"]:
+        for side in ("to_id_src", "to_id_dst"):
+            entry[side]["hocell"] = entry[side]["inverse"] = {"f": "id_X", "g": "id_X", "terms": []}
+
+
+def _s(cert: dict) -> dict:
+    return next(e for e in cert["equivalences"] if e["arrow"] == "s")
+
+
+def _swap_inverse(cert: dict) -> None:
+    side = _s(cert)["to_id_dst"]
+    side["hocell"], side["inverse"] = side["inverse"], side["hocell"]
+
+
+def _change_eta(cert: dict) -> None:
+    _s(cert)["to_id_dst"]["hocell"]["terms"][0]["eta"] = "z_e"
+
+
+def _drop_term(cert: dict) -> None:
+    _s(cert)["to_id_dst"]["inverse"]["terms"].pop()
+
+
+def _change_quasiinverse(cert: dict) -> None:
+    _s(cert)["quasiinverse"] = "e"
+
+
+@pytest.fixture(scope="module")
+def split_z2_cert():
+    """The split idempotent with a Z/2 of cells on every arrow, so a
+    homotopy's eta has a non-identity rival, and its certificate."""
+    pres = load_presentation_with_sigma(_split_z2_doc(), "split_z2")
+    sigma = make_sigma(pres.bicategory, pres.sigma_names)
+    probes = enumerate_probes(sigma, default_probe_targets(sigma))
+    return sigma, probes, localize(sigma, probes).to_json()
+
+
+@pytest.mark.parametrize(
+    "tamper, problems",
+    [
+        # hocell and inverse trade places: still mutually inverse, but the
+        # class now runs id_Y => e, away from the identity
+        (_swap_inverse, ["s/to_id_dst: hocell is not s * r => id"]),
+        (
+            _change_eta,
+            [
+                "s/to_id_dst: invertibility does not re-derive",
+                "s/to_id_dst: probe split_z2->grpd#0 separates",
+            ],
+        ),
+        (_drop_term, ["s/to_id_dst: an empty sequence needs equal endpoints f == g"]),
+        (
+            _forge,
+            [
+                "e/to_id_src: hocell is not e * e => id",
+                "e/to_id_dst: hocell is not e * e => id",
+                "id_Y/to_id_src: hocell is not id_Y * id_Y => id",
+                "id_Y/to_id_dst: hocell is not id_Y * id_Y => id",
+                "r/to_id_src: hocell is not s * r => id",
+                "s/to_id_dst: hocell is not s * r => id",
+            ],
+        ),
+        (
+            _change_quasiinverse,
+            ["s/to_id_src: hocell is not e * s => id", "s/to_id_dst: hocell is not s * e => id"],
+        ),
+    ],
+    ids=["inverse-swapped", "eta-changed", "term-dropped", "forged-witness", "quasiinverse-changed"],
+)
+def test_replay_names_each_tamper(split_z2_cert, tamper, problems):
+    sigma, probes, cert = split_z2_cert
+    assert replay_certificate(sigma, cert, probes) == (True, [])
+    bad = json.loads(json.dumps(cert))
+    tamper(bad)
+    assert replay_certificate(sigma, bad, probes) == (False, problems)
 
 
 def test_replay_rejects_wrong_sigma(split, split_sigma, split_probeset):
@@ -106,3 +202,66 @@ def test_stored_hocells_deserialize(split_sigma, split_probeset):
         stored = eq["to_id_src"]["hocell"]
         cell = hocell_from_json(split_sigma, stored)
         assert (cell.f, cell.g) == (stored["f"], stored["g"])
+
+
+def _validated_pairs():
+    """(name, sigma) for every validated table of the corpus, under its file's
+    marked class and under all its arrows: the fixtures, the four generated
+    families at n = 2, 3 and seeds 1, 2, and the tables the tests spell out."""
+    tables = [(name, load_fixture(name)) for name in BICATEGORIES]
+    for family in families.FAMILIES:
+        for n in (2, 3):
+            for seed in (1, 2):
+                doc = families.generate(family, n, seed, marked=True)
+                tables.append((doc.name, load_presentation_with_sigma(doc.text(), doc.name)))
+    docs = {
+        "twocell": TWOCELL_DOC,
+        "unitor": UNITOR_DOC,
+        "cocycle": COCYCLE_DOC,
+        "unit": UNIT_DOC,
+        "stray": STRAY_DOC,
+        "collapse": COLLAPSE_DOC,
+        "coherence": COHERENCE_DOC,
+        "triv_doc": TRIV_DOC,
+    }
+    tables += [(name, load_presentation_with_sigma(text, name)) for name, text in docs.items()]
+    for name, pres in tables:
+        bic = pres.bicategory
+        if validate_bicategory(bic).ok:
+            for names in (pres.sigma_names, sorted(bic.arrows)):
+                yield name, make_sigma(bic, names)
+
+
+def test_i_functoriality_matches_the_decided_section():
+    """On a validated table the section the decider built entry by entry is
+    the count of entries with no failure, with or without probes."""
+    seen = set()
+    for name, sigma in _validated_pairs():
+        seen.add(name)
+        section = _i_functoriality(sigma.bic)
+        assert ref._i_functoriality(sigma, None, 8) == section, name
+        probes = enumerate_probes(sigma, default_probe_targets(sigma))
+        assert ref._i_functoriality(sigma, probes, 8) == section, name
+    assert {"split", "unit", "chaotic_z23"} <= seen and "coherence" not in seen
+
+
+def test_localize_and_replay_decide_four_classes_per_marked_arrow(monkeypatch):
+    """Each marked arrow's two sides each take two ho_eq calls in localize and
+    two in replay, none of them with probes; chaotic(3) marks 9 arrows."""
+    doc = families.generate("chaotic", 3, 1, marked=True)
+    pres = load_presentation_with_sigma(doc.text(), doc.name)
+    sigma = make_sigma(pres.bicategory, pres.sigma_names)
+    calls = []
+    decide = localize_module.ho_eq
+
+    def counted(k1, k2, probes=None, budget=8):
+        calls.append(probes)
+        return decide(k1, k2, probes, budget)
+
+    monkeypatch.setattr(localize_module, "ho_eq", counted)
+    cert = localize(sigma)
+    assert cert.ok and len(sigma.members) == 9
+    assert calls == [None] * 36
+    calls.clear()
+    assert replay_certificate(sigma, cert.to_json()) == (True, [])
+    assert calls == [None] * 36
