@@ -63,8 +63,10 @@ def _load_valid(path: str):
 
 
 def _emit(args, payload: dict, text: str) -> None:
+    """Write the text, or under --format json the payload stamped with
+    schema_version, to stdout or the --out file."""
     body = (
-        json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        json.dumps({**payload, "schema_version": SCHEMA_VERSION}, indent=2, sort_keys=True) + "\n"
         if args.format == "json"
         else text
     )
@@ -112,6 +114,16 @@ def _probe_targets(sigma, spec: str | None):
     return targets
 
 
+def _probes(args, sigma):
+    """The probe set of a command: the --probes targets, or the bundled ones
+    and the table itself."""
+    from .ho import enumerate_probes
+
+    return enumerate_probes(
+        sigma, _probe_targets(sigma, args.probes), include_self=args.probes is None
+    )
+
+
 def _sigma_for(args, pres):
     from .sigma import make_sigma
 
@@ -135,19 +147,19 @@ def _cmd_validate(args) -> int:
         for which, bic in (("source", src), ("target", tgt)):
             rep = validate_bicategory(bic)
             if not rep.ok:
-                _emit(args, {"schema_version": SCHEMA_VERSION, "subject": which, **rep.to_json()},
+                _emit(args, {"subject": which, **rep.to_json()},
                       _report_text(f"{which} bicategory {bic.name}", rep))
                 return EXIT_FAIL
         fun = load_pseudofunctor(_read(args.functor), src, tgt, name=Path(args.functor).stem)
         rep = validate_pseudofunctor(fun)
-        _emit(args, {"schema_version": SCHEMA_VERSION, "subject": fun.name, **rep.to_json()},
+        _emit(args, {"subject": fun.name, **rep.to_json()},
               _report_text(f"pseudofunctor {fun.name}", rep))
         return EXIT_OK if rep.ok else EXIT_FAIL
     if args.input is None:
         raise _Usage("validate needs an input or --functor")
     pres = _load_bicategory(args.input)
     rep = validate_bicategory(pres.bicategory)
-    _emit(args, {"schema_version": SCHEMA_VERSION, "subject": pres.bicategory.name, **rep.to_json()},
+    _emit(args, {"subject": pres.bicategory.name, **rep.to_json()},
           _report_text(f"bicategory {pres.bicategory.name}", rep))
     return EXIT_OK if rep.ok else EXIT_FAIL
 
@@ -168,7 +180,6 @@ def _cmd_sigma_check(args) -> int:
     pres = _load_valid(args.input)
     sigma = _sigma_for(args, pres)
     report = sigma_report(sigma, max_len=args.max_len)
-    report["schema_version"] = SCHEMA_VERSION
     lines = [f"sigma on {pres.bicategory.name}: {', '.join(sorted(sigma.members))}"]
     tft = report["three_for_two"]
     lines.append(f"three-for-two: {'ok' if tft['ok'] else 'FAIL ' + json.dumps(tft['witness'])}")
@@ -185,21 +196,18 @@ def _cmd_sigma_check(args) -> int:
 
 
 def _cmd_localize(args) -> int:
-    from .ho import enumerate_probes
     from .localize import localize, replay_certificate
 
     pres = _load_valid(args.input)
     sigma = _sigma_for(args, pres)
-    probes = enumerate_probes(
-        sigma, _probe_targets(sigma, args.probes), include_self=args.probes is None
-    )
+    probes = _probes(args, sigma)
     if args.replay:
         try:
             cert = json.loads(_read(args.replay))
         except json.JSONDecodeError as exc:
             raise _Usage(f"{args.replay} is not JSON: {exc}") from exc
         ok, problems = replay_certificate(sigma, cert, probes)
-        payload = {"schema_version": SCHEMA_VERSION, "replay_ok": ok, "problems": problems}
+        payload = {"replay_ok": ok, "problems": problems}
         _emit(args, payload, ("replay ok\n" if ok else "replay FAILED:\n  " + "\n  ".join(problems) + "\n"))
         return EXIT_OK if ok else EXIT_FAIL
     cert = localize(sigma, probes, max_len=args.max_len, budget=args.budget)
@@ -224,21 +232,19 @@ def _query(args, sigma):
 
 
 def _cmd_ho_eq(args) -> int:
-    from .ho import enumerate_probes, ho_eq
+    from .ho import ho_eq
 
     pres = _load_valid(args.input)
     sigma = _sigma_for(args, pres)
     doc = _query(args, sigma)
     if "lhs" not in doc.sequences or "rhs" not in doc.sequences:
         raise _Usage("query must define sequences 'lhs' and 'rhs'")
-    probes = enumerate_probes(
-        sigma, _probe_targets(sigma, args.probes), include_self=args.probes is None
-    )
+    probes = _probes(args, sigma)
     try:
         verdict = ho_eq(doc.sequences["lhs"], doc.sequences["rhs"], probes, budget=args.budget)
     except StructureError as exc:
         raise _Usage(str(exc)) from exc
-    payload = {"schema_version": SCHEMA_VERSION, **verdict.to_json()}
+    payload = verdict.to_json()
     if verdict.verdict == "equal":
         text = "Equal\n" + "".join(
             f"  [{s.side}] {s.rule}: {s.law} ({s.detail})\n" for s in verdict.trace
@@ -271,11 +277,7 @@ def _cmd_hat(args) -> int:
     except HatError as exc:
         sys.stderr.write(f"hat failed: {exc}\n")
         return EXIT_FAIL
-    _emit(
-        args,
-        {"schema_version": SCHEMA_VERSION, "hat": cell},
-        f"hat({doc.hat_target}) = {cell}\n",
-    )
+    _emit(args, {"hat": cell}, f"hat({doc.hat_target}) = {cell}\n")
     return EXIT_OK
 
 
@@ -288,13 +290,11 @@ def _cmd_extend(args) -> int:
     fun = load_pseudofunctor(_read(args.functor), src, tgt, name=Path(args.functor).stem)
     rep = validate_pseudofunctor(fun)
     if not rep.ok:
-        _emit(args, {"schema_version": SCHEMA_VERSION, **rep.to_json()},
-              _report_text(f"pseudofunctor {fun.name}", rep))
+        _emit(args, rep.to_json(), _report_text(f"pseudofunctor {fun.name}", rep))
         return EXIT_FAIL
     sigma = _sigma_for(args, src_pres)
     ext = extend_pseudofunctor(fun, sigma, cap=args.cap)
     payload = {
-        "schema_version": SCHEMA_VERSION,
         "functor": fun.name,
         "report": ext.report.to_json(),
         "values": [{"hocell": k.to_json(), "value": ext.value(k)} for k in ext.materialized],
@@ -313,17 +313,12 @@ def _cmd_elevator(args) -> int:
     e1 = parse_expr(comp, args.expr)
     n1 = normalize(e1)
     if args.expr2 is None:
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "normal_form": str(n1.expr),
-        }
-        _emit(args, payload, f"normal form: {n1.expr}\n\n{render(n1.expr)}")
+        _emit(args, {"normal_form": str(n1.expr)}, f"normal form: {n1.expr}\n\n{render(n1.expr)}")
         return EXIT_OK
     e2 = parse_expr(comp, args.expr2)
     n2 = normalize(e2)
     equal = n1 == n2
     payload = {
-        "schema_version": SCHEMA_VERSION,
         "equal": equal,
         "normal_form_1": str(n1.expr),
         "normal_form_2": str(n2.expr),

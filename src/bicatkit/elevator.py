@@ -166,16 +166,20 @@ def make_expr(
 class NormalForm:
     expr: CellExpr
 
+    @property
+    def _key(self) -> tuple:
+        """What makes two normal forms equal: the layers, the boundary paths
+        and the boundary objects, which tell identities apart on empty paths."""
+        e = self.expr
+        return e.layers, e.boundary(), e.src_obj, e.dst_obj
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, NormalForm):
             return NotImplemented
-        return (
-            self.expr.layers == other.expr.layers
-            and self.expr.boundary() == other.expr.boundary()
-        )
+        return self._key == other._key
 
     def __hash__(self) -> int:
-        return hash((self.expr.layers, self.expr.boundary()))
+        return hash(self._key)
 
 
 def _exchange(comp: Computad, above: Layer, below: Layer) -> tuple[Layer, Layer] | None:
@@ -299,18 +303,16 @@ class ModelAssignment:
             cc = self.cell_map.get(c)
             if cc is None or cc not in b.cells:
                 raise StructureError(f"cell generator {c!r} not mapped")
-            want = (self.path_value(comp, pin, x), self.path_value(comp, pout, x))
+            want = (self.path_value(pin, x), self.path_value(pout, x))
             if b.cells[cc] != want:
                 raise StructureError(f"cell generator {c!r} boundary mismatch")
 
-    def path_value(self, comp: Computad, path: Path, anchor: str) -> str:
-        b = self.bic
+    def path_value(self, path: Path, anchor: str) -> str:
+        """The composite of a path's arrow images; an empty path is the
+        identity on the image of its anchor object."""
         if not path:
-            return b.id1[self.obj_map[comp.path_ends(path, anchor)[0]]]
-        acc = self.arr_map[path[-1]]
-        for f in reversed(path[:-1]):
-            acc = b.compose1(self.arr_map[f], acc)
-        return acc
+            return self.bic.id1[self.obj_map[anchor]]
+        return self.bic.compose_path(self.arr_map[f] for f in path)
 
 
 def evaluate(assign: ModelAssignment, expr: CellExpr) -> str:
@@ -319,15 +321,15 @@ def evaluate(assign: ModelAssignment, expr: CellExpr) -> str:
     b = assign.bic
     assign.check(comp)
     if not expr.layers:
-        return b.idc[assign.path_value(comp, expr.src_path, expr.src_obj)]
+        return b.idc[assign.path_value(expr.src_path, expr.src_obj)]
     acc: str | None = None
     for layer in expr.layers:
         pin, pout, x, _ = comp.cells[layer.cell]
         val = assign.cell_map[layer.cell]
         if layer.right:
-            val = b.whisker_r(val, assign.path_value(comp, layer.right, ""))
+            val = b.whisker_r(val, assign.path_value(layer.right, ""))
         if layer.left:
-            val = b.whisker_l(assign.path_value(comp, layer.left, ""), val)
+            val = b.whisker_l(assign.path_value(layer.left, ""), val)
         acc = val if acc is None else b.vertical(val, acc)
     assert acc is not None
     return acc

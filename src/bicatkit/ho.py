@@ -20,10 +20,10 @@ Sequences are stored first-applied-first.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from itertools import islice
 from typing import Callable, Iterable, Iterator
 
 from .core import (
-    SCHEMA_VERSION,  # noqa: F401 -- re-exported
     Bicategory,
     ModificationData,
     PseudofunctorData,
@@ -760,9 +760,12 @@ class ExtensionG:
 def sample_homotopies(sigma: SigmaClass, cap: int = 200) -> list[Homotopy]:
     """Deterministic enumeration of homotopies at desk scale: every cylinder
     (all parallel pairs, diagonals, marked arrows and comparison cells), its
-    tautological homotopy, and every homotopy over it, capped."""
+    tautological homotopy, and every homotopy over it; the first ``cap``."""
+    return list(islice(_homotopies(sigma), cap))
+
+
+def _homotopies(sigma: SigmaClass) -> Iterator[Homotopy]:
     bic = sigma.bic
-    out: list[Homotopy] = []
     for d0 in sorted(bic.arrows):
         x, w = bic.arrows[d0]
         for d1 in bic.arrows_between(x, w):
@@ -779,7 +782,7 @@ def sample_homotopies(sigma: SigmaClass, cap: int = 200) -> list[Homotopy]:
                             if not bic.is_invertible(a1):
                                 continue
                             cyl = make_cylinder(bic, d0, d1, diag, s, a0, a1, sigma)
-                            out.append(cylinder_homotopy(cyl))
+                            yield cylinder_homotopy(cyl)
                             for h in bic.out_arrows(w):
                                 hd0 = bic.hcomp1[(h, d0)]
                                 hd1 = bic.hcomp1[(h, d1)]
@@ -791,14 +794,7 @@ def sample_homotopies(sigma: SigmaClass, cap: int = 200) -> list[Homotopy]:
                                             x, bic.arrow_dst(h)
                                         ):
                                             for eps in bic.cells_between(hd1, gto):
-                                                out.append(
-                                                    make_homotopy(cyl, h, eta, eps)
-                                                )
-                                                if len(out) >= cap:
-                                                    return out
-                            if len(out) >= cap:
-                                return out
-    return out
+                                                yield make_homotopy(cyl, h, eta, eps)
 
 
 def _materialize(sigma: SigmaClass, cap: int) -> list[HoCell]:

@@ -21,7 +21,7 @@ from .ho import (
     HoCell,
     ProbeSet,
     enumerate_probes,
-    f_hat_chain,  # noqa: F401 -- kept bound for tracers that rebind it
+    f_hat_chain,  # noqa: F401 -- bench/tracing.py rebinds it
     ho_cell,
     ho_eq,
     ho_identity,

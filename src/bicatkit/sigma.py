@@ -45,6 +45,11 @@ def make_sigma(bic: Bicategory, arrows: tuple[str, ...] | list[str]) -> SigmaCla
     return SigmaClass(bic, frozenset(members))
 
 
+def _first_iso(bic: Bicategory, f: str, g: str) -> str | None:
+    """The first invertible cell f => g in id order, or None."""
+    return next((c for c in bic.cells_between(f, g) if bic.is_invertible(c)), None)
+
+
 @dataclass(frozen=True)
 class ThreeForTwoViolation:
     f: str  # inner arrow (applied first)
@@ -74,9 +79,7 @@ def check_three_for_two(sigma: SigmaClass) -> ThreeForTwoViolation | None:
     for g, f in bic.composable_arrow_pairs():
         gf = bic.hcomp1[(g, f)]
         for h in bic.arrows_between(bic.arrow_src(f), bic.arrow_dst(g)):
-            cell = next(
-                (c for c in bic.cells_between(gf, h) if bic.is_invertible(c)), None
-            )
+            cell = _first_iso(bic, gf, h)
             if cell is None:
                 continue
             flags = {"f": f in sigma, "g": g in sigma, "h": h in sigma}
@@ -132,11 +135,7 @@ class WSplitResult:
 
 def _splitting_cell(bic: Bicategory, r: str, s: str) -> str | None:
     """First invertible cell r*s => id_X, for s : X -> Y and r : Y -> X."""
-    rs = bic.hcomp1[(r, s)]
-    for c in bic.cells_between(rs, bic.id1[bic.arrow_src(s)]):
-        if bic.is_invertible(c):
-            return c
-    return None
+    return _first_iso(bic, bic.hcomp1[(r, s)], bic.id1[bic.arrow_src(s)])
 
 
 def find_w_split(bic: Bicategory, f: str) -> WSplitResult:
@@ -184,10 +183,8 @@ def w_split_decompose(sigma: SigmaClass, f: str, max_len: int) -> Decomposition 
     seen = {g for g, _ in queue}
     while queue:
         composite, chain = queue.popleft()
-        if bic.arrow_dst(composite) == y:
-            for c in bic.cells_between(composite, f):
-                if bic.is_invertible(c):
-                    return Decomposition(f, chain, c)
+        if bic.arrow_dst(composite) == y and (cell := _first_iso(bic, composite, f)):
+            return Decomposition(f, chain, cell)
         if len(chain) >= max_len:
             continue
         for g in pieces_from.get(bic.arrow_dst(composite), ()):

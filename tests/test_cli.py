@@ -80,6 +80,20 @@ def test_validate_parse_error_is_usage(capsys, tmp_path):
     assert "line" in err
 
 
+def test_validate_functor_with_invalid_source_reports_the_source(capsys, tmp_path):
+    src = tmp_path / "bad.bic"
+    src.write_text("objects: X\ncells:\n  a : id_X => id_X\n")  # vcomp a.a missing
+    pf = tmp_path / "f.pf"
+    pf.write_text(fixture_text("chain_f.pf"))
+    argv = ("validate", "--functor", str(pf), "--source", str(src), "--target", "chain_tgt")
+    code, out, _ = run(capsys, *argv)
+    assert (code, out) == (1, "source bicategory bad: 1 violation(s)\n  vcomp-totality at (a, a)\n")
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    payload = json.loads(out)
+    assert code == 1 and payload["subject"] == "source" and not payload["ok"]
+    assert [v["axiom"] for v in payload["violations"]] == ["vcomp-totality"]
+
+
 def test_validate_pseudofunctor(capsys, tmp_path):
     src = tmp_path / "src.bic"
     tgt = tmp_path / "tgt.bic"
@@ -379,6 +393,24 @@ def test_elevator_unequal_exit_one(capsys, tmp_path):
     assert code == 1 and "NOT equal" in out
 
 
+def test_elevator_with_one_expression_prints_its_normal_form(capsys, tmp_path):
+    c = tmp_path / "w1.cmp"
+    c.write_text(W1_COMPUTAD_DOC)
+    expr = "g1 * al * 1 ; 1 * be * f2"
+    code, out, _ = run(capsys, "elevator", str(c), "--expr", expr)
+    normal = "1 * be * f1 ; g2 * al * 1"
+    assert code == 0 and out.startswith(f"normal form: {normal}\n\ng1 . f1\n[be]")
+    code, out, _ = run(capsys, "elevator", str(c), "--expr", expr, "--format", "json")
+    assert (code, json.loads(out)) == (0, {"normal_form": normal, "schema_version": 1})
+
+
+def test_elevator_identities_on_different_objects_are_not_equal(capsys, tmp_path):
+    c = tmp_path / "w1.cmp"
+    c.write_text(W1_COMPUTAD_DOC)
+    code, out, _ = run(capsys, "elevator", str(c), "--expr", "1 : 1 @ X", "--expr2", "1 : 1 @ Y")
+    assert code == 1 and out.endswith("NOT equal\n")
+
+
 @pytest.mark.parametrize(
     "expr, message",
     (
@@ -435,6 +467,50 @@ def test_query_rebinding_is_usage(capsys, split_file, tmp_path, query, message):
         code, out, err = run(capsys, command, split_file, str(q))
         assert code == 3 and out == "", command
         assert err == f"error: line {len(text.splitlines())}: {message}\n", command
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    (
+        ("cylinder C = (Y, X, e)", "cylinder literal needs 8 components"),
+        (
+            "cylinder C = (X, Y, e, id_Y, r, r, id_r, id_r)",
+            "cylinder 'C' declares (X, Y) but the tables give (Y, X)",
+        ),
+        ("hat = Nope", "unknown hat target 'Nope'"),
+        ("lhs = []", "empty sequence needs 'id f' form"),
+        ("what is this", "cannot parse 'what is this'"),
+    ),
+    ids=("cylinder-arity", "cylinder-ends", "hat-target", "empty-sequence", "unparsable"),
+)
+def test_query_errors_name_their_line(capsys, split_file, tmp_path, line, message):
+    q = tmp_path / "q.txt"
+    q.write_text(f"cylinder C0 = (Y, X, e, id_Y, r, r, id_r, id_r)\n\n{line}\n")
+    for command in ("ho-eq", "hat"):
+        code, out, err = run(capsys, command, split_file, str(q))
+        assert (code, out, err) == (3, "", f"error: line 3: {message}\n"), command
+
+
+def test_ho_eq_without_lhs_and_rhs_is_usage(capsys, split_file, tmp_path):
+    q = tmp_path / "q.txt"
+    q.write_text("cylinder C = (Y, X, e, id_Y, r, r, id_r, id_r)\nhat = C\n")
+    code, out, err = run(capsys, "ho-eq", split_file, str(q))
+    assert (code, out, err) == (3, "", "error: query must define sequences 'lhs' and 'rhs'\n")
+
+
+def test_hat_without_hat_line_is_usage(capsys, split_file, tmp_path):
+    q = tmp_path / "q.txt"
+    q.write_text(QUERY_EQ)
+    code, out, err = run(capsys, "hat", split_file, str(q))
+    assert (code, out, err) == (3, "", "error: query must contain a 'hat = NAME' line\n")
+
+
+def test_unknown_probe_target_is_usage(capsys, split_file, tmp_path):
+    q = tmp_path / "q.txt"
+    q.write_text(QUERY_EQ)
+    for command in (("localize", split_file), ("ho-eq", split_file, str(q))):
+        code, out, err = run(capsys, *command, "--probes", "triv,nope")
+        assert (code, out, err) == (3, "", "error: unknown probe target 'nope'\n"), command
 
 
 @pytest.mark.parametrize("spec", ("", ",", " , "))

@@ -60,9 +60,11 @@ def _s3_doc() -> str:
 
 
 def _split_z2_doc() -> str:
-    """The split idempotent (r s = id_X, s r = e) with a cell z_f, z_f . z_f
-    = id_f, on every arrow, whiskered to z: homotopies over a cylinder that
-    is not an identity can have the two mediators id_Y and e."""
+    """The split idempotent (r s = id_X, s r = e) with a cell a_f, a_f . a_f
+    = id_f, on every arrow, whiskered to a_ cells: homotopies over a cylinder
+    that is not an identity can have the two mediators id_Y and e.  The a_
+    cells sort before id_, so each w-split decomposition's iso is an a_ cell
+    and ``localize`` transports every witness along it."""
     arrows = {"s": ("X", "Y"), "r": ("Y", "X"), "e": ("Y", "Y")}
     compose = {("r", "s"): "id_X", ("s", "r"): "e", ("e", "e"): "e", ("e", "s"): "s", ("r", "e"): "r"}
     doc = families.Doc("split_z2", ["X", "Y"], arrows, compose, sigma=sorted(arrows))
@@ -72,14 +74,14 @@ def _split_z2_doc() -> str:
         return g if f.startswith("id_") else f if g.startswith("id_") else compose[g, f]
 
     for f in ends:
-        doc.cells[f"z_{f}"] = (f, f)
-        doc.vcomp[f"z_{f}", f"z_{f}"] = f"id_{f}"
+        doc.cells[f"a_{f}"] = (f, f)
+        doc.vcomp[f"a_{f}", f"a_{f}"] = f"id_{f}"
     for g, f in itertools.product(ends, repeat=2):
         if ends[f][1] == ends[g][0]:
             if g in arrows:
-                doc.lwhisk[g, f"z_{f}"] = f"z_{comp(g, f)}"
+                doc.lwhisk[g, f"a_{f}"] = f"a_{comp(g, f)}"
             if f in arrows:
-                doc.rwhisk[f"z_{g}", f] = f"z_{comp(g, f)}"
+                doc.rwhisk[f"a_{g}", f] = f"a_{comp(g, f)}"
     return doc.text()
 
 

@@ -64,6 +64,14 @@ def test_boundary_mismatch_raises():
         expr_equal(e1, ide)
 
 
+def test_identities_on_different_objects_have_different_normal_forms():
+    # both have no layers and the empty boundary path; only the anchor differs
+    on_x = normalize(make_expr(W1_COMPUTAD, [], (), "X"))
+    on_y = normalize(make_expr(W1_COMPUTAD, [], (), "Y"))
+    assert on_x != on_y and len({on_x, on_y}) == 2
+    assert on_x == normalize(make_expr(W1_COMPUTAD, [], (), "X"))
+
+
 def test_normalize_idempotent_on_random_grpd_expressions():
     rng = random.Random(7)
     for _ in range(300):

@@ -6,7 +6,8 @@ pseudofunctors.  ``tests/reference_scans.py`` keeps the old route: the
 ``ExtensionG`` record with ``head`` and ``tail``, ``extend_pseudofunctor``
 through ``factorize``, ``extend_2cell_data`` running two full extensions and
 its own PM loop, and ``perturbation_breaks`` scanning every cell.  Both sides
-must give equal materialized families and equal values on the family, on
+must give equal materialized families (the reference's samples truncated to
+the cap, see ``capped_reference``) and equal values on the family, on
 vertical composites of family pairs, on both whiskers of every member and on
 identity classes; equal ``extend_2cell_data`` reports; and equal report
 fields, in the record and in JSON, on the fields the report keeps
@@ -25,6 +26,8 @@ pseudofunctors that are not
 tables, kept when ``validate_pseudofunctor`` passes.
 """
 import random
+
+import pytest
 
 from bench import families
 from bicatkit.core import (
@@ -56,6 +59,21 @@ from tests.conftest import TWOCELL_DOC
 CAP = 30
 # the report fields, and the verdict, that extension reports still carry
 KEPT_FIELDS = ("ok", "functorial_whisker", "preserves_units", "checked_whiskers")
+_reference_sample = ref.sample_homotopies
+
+
+def reference_sample(sigma, cap=200):
+    """The reference's sample truncated to the cap.  The reference returns
+    one homotopy past the cap when the cap falls on a cylinder's tautological
+    homotopy and homotopies over that cylinder follow; ``sample_homotopies``
+    returns the first ``cap``."""
+    return _reference_sample(sigma, cap)[:cap]
+
+
+@pytest.fixture(autouse=True)
+def capped_reference(monkeypatch):
+    """The reference's extensions materialize ``reference_sample``."""
+    monkeypatch.setattr(ref, "sample_homotopies", reference_sample)
 
 
 def marked_table(family, n):

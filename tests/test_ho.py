@@ -560,3 +560,19 @@ def test_query_transforms_match_transform_homotopy(split_sigma):
     assert doc.homotopies["P"] == transform_homotopy("post", "id_id_Y", h)
     assert doc.homotopies["N"] == transform_homotopy("pre", "id_e", h)
     assert doc.homotopies["V"] == transform_homotopy("invert", "", h)
+
+
+def test_query_homotopy_literal_and_projected_cell_entries(split_sigma):
+    from bicatkit.queries import parse_query
+
+    doc = parse_query(
+        split_sigma,
+        "cylinder C = (Y, X, e, id_Y, r, r, id_r, id_r)\n"
+        "homotopy H = (C, id_Y, id_e, id_id_Y)\n"
+        "lhs = [H, i(id_e)]\n",
+    )
+    h = doc.homotopies["H"]
+    assert h == make_homotopy(doc.cylinders["C"], "id_Y", "id_e", "id_id_Y")
+    # the rightmost entry is applied first
+    bic = split_sigma.bic
+    assert doc.sequences["lhs"] == ho_cell(split_sigma, (ICell(bic, "id_e"), h))

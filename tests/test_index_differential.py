@@ -7,7 +7,8 @@ and ``load_computad``, ``w_split_decompose``, ``is_quasiequivalence``,
 ``sample_homotopies``, ``extend_2functor`` and ``perturbation_breaks``.  Both
 sides must give equal tables, maps and computads or the same parse error
 text, equal decompositions at every ``max_len`` from 1 to 4, equal
-quasiequivalence verdicts for every arrow, equal homotopy samples, equal
+quasiequivalence verdicts for every arrow, equal homotopy samples (the
+reference's truncated to the cap, which it overshoots by one), equal
 extension reports on the fields they keep, and alternative values that all
 break a forced equation, on the bundled fixtures and on
 the benchmark's generated families, clean and with every mutation kind,
@@ -44,7 +45,7 @@ from bicatkit.sigma import (
 )
 
 from tests import reference_scans as ref
-from tests.test_extension_differential import assert_same_report
+from tests.test_extension_differential import assert_same_report, reference_sample
 
 # chain_z2 needs 4 objects for a composable triple of non-identity arrows
 SIZES = {"chain": (3, 4, 6), "chain_z2": (4, 5), "chaotic": (2, 3, 4), "chaotic_z2": (2, 3, 4)}
@@ -344,9 +345,38 @@ def test_homotopy_samples_match_reference():
         if len(sigma.bic.arrows) > 12:
             continue
         got = outcome(sample_homotopies, sigma, 150)
-        assert got == outcome(ref.sample_homotopies, sigma, 150), label
+        assert got == outcome(reference_sample, sigma, 150), label
         compared += not isinstance(got, str) and len(got) > 0
     assert compared > 50
+
+
+def sampler_corpus():
+    """The bundled fixtures and the four generated families at n = 2-4, seed
+    1, each with its own marked class."""
+    docs = [(name, fixture_text(f"{name}.bic")) for name in BICATEGORIES]
+    for family in ("chain", "chain_z2", "chaotic", "chaotic_z2"):
+        for n in (2, 3, 4):
+            doc = families.generate(family, n, 1, marked=True)
+            docs.append((doc.name, doc.text()))
+    for name, text in docs:
+        pres = load_presentation_with_sigma(text, name)
+        yield name, make_sigma(pres.bicategory, pres.sigma_names)
+
+
+def test_samples_are_the_reference_prefix_at_every_cap():
+    """At every cap from 1 to 300 the sample is the reference's truncated to
+    the cap and holds min(total, cap) homotopies.  The reference returns one
+    past the cap at 338 of these (table, cap) pairs: wherever the cap falls
+    on a tautological homotopy with homotopies over its cylinder to follow."""
+    overshoots = 0
+    for name, sigma in sampler_corpus():
+        total = len(ref.sample_homotopies(sigma, 10**6))
+        for cap in range(1, 301):
+            old = ref.sample_homotopies(sigma, cap)
+            got = sample_homotopies(sigma, cap)
+            assert got == old[:cap] and len(got) == min(total, cap), (name, cap)
+            overshoots += len(old) > cap
+    assert overshoots == 338
 
 
 def probe_cases():
@@ -364,7 +394,8 @@ def probe_cases():
             yield name, sigma, fun
 
 
-def test_extension_and_perturbations_match_reference():
+def test_extension_and_perturbations_match_reference(monkeypatch):
+    monkeypatch.setattr(ref, "sample_homotopies", reference_sample)
     probes = perturbations = lone_broken = 0
     for name, sigma, fun in probe_cases():
         new = extend_2functor(fun, sigma, cap=30)

@@ -115,7 +115,8 @@ def _swap_inverse(cert: dict) -> None:
 
 
 def _change_eta(cert: dict) -> None:
-    _s(cert)["to_id_dst"]["hocell"]["terms"][0]["eta"] = "z_e"
+    terms = _s(cert)["to_id_dst"]["hocell"]["terms"]
+    next(t for t in terms if "eta" in t)["eta"] = "a_e"
 
 
 def _drop_term(cert: dict) -> None:
@@ -149,7 +150,15 @@ def split_z2_cert():
                 "s/to_id_dst: probe split_z2->grpd#0 separates",
             ],
         ),
-        (_drop_term, ["s/to_id_dst: an empty sequence needs equal endpoints f == g"]),
+        # the inverse loses its last transport cell, a_e, so inverse o cell
+        # leaves a_e over
+        (
+            _drop_term,
+            [
+                "s/to_id_dst: invertibility does not re-derive",
+                "s/to_id_dst: probe split_z2->grpd#0 separates",
+            ],
+        ),
         (
             _forge,
             [
@@ -174,6 +183,42 @@ def test_replay_names_each_tamper(split_z2_cert, tamper, problems):
     bad = json.loads(json.dumps(cert))
     tamper(bad)
     assert replay_certificate(sigma, bad, probes) == (False, problems)
+
+
+def test_split_z2_witnesses_are_transported_along_their_isos(split_z2_cert, monkeypatch):
+    """Each decomposition's iso is an a_ automorphism, not an identity, so
+    ``localize`` transports every marked arrow's witness along it; the
+    transported witnesses replay, and one without its transport cell fails."""
+    sigma, probes, cert = split_z2_cert
+    assert {d["arrow"]: (d["chain"], d["cell"]) for d in cert["decompositions"]} == {
+        "e": (["s", "r"], "a_e"),
+        "id_X": (["id_X"], "a_id_X"),
+        "id_Y": (["id_Y"], "a_id_Y"),
+        "r": (["r"], "a_r"),
+        "s": (["s"], "a_s"),
+    }
+    adjusted = []
+    adjust = localize_module._adjust_witness
+
+    def counted(sigma, wit, arrow, iso):
+        adjusted.append((arrow, iso))
+        return adjust(sigma, wit, arrow, iso)
+
+    monkeypatch.setattr(localize_module, "_adjust_witness", counted)
+    assert localize(sigma, probes).to_json() == cert
+    assert adjusted == [(d["arrow"], d["cell"]) for d in cert["decompositions"]]
+    assert replay_certificate(sigma, cert, probes) == (True, [])
+    bad = json.loads(json.dumps(cert))
+    terms = _s(bad)["to_id_dst"]["hocell"]["terms"]
+    assert terms[0] == {"kind": "icell", "cell": "a_e"}
+    terms[0]["cell"] = "id_e"
+    assert replay_certificate(sigma, bad, probes) == (
+        False,
+        [
+            "s/to_id_dst: invertibility does not re-derive",
+            "s/to_id_dst: probe split_z2->grpd#0 separates",
+        ],
+    )
 
 
 def test_replay_rejects_wrong_sigma(split, split_sigma, split_probeset):
