@@ -412,14 +412,10 @@ def render(expr: CellExpr) -> str:
                 continue
             center = start + width // 2
             cellrow[center] = "|"
-        if lo < hi:
+        if lo < len(spans):
             start = spans[lo][0]
-        elif spans and lo < len(spans):
-            start = spans[lo][0]
-        elif spans:
-            start = spans[-1][0] + spans[-1][1] + 1
         else:
-            start = 0
+            start = spans[-1][0] + spans[-1][1] + 1
         cellline = "".join(cellrow)
         cellline = cellline[:start] + label + cellline[start + len(label) :]
         lines.append(cellline.rstrip())

@@ -406,10 +406,10 @@ def enumerate_probes(
             all_targets.append(src)
     probes: list[PseudofunctorData] = []
     for dst in all_targets:
-        funs = enumerate_2functors(src, dst)
-        images = {fun.arr_map[s] for fun in funs for s in sigma.members}
-        quasi = {f for f in images if is_quasiequivalence(dst, f)}
-        probes += [fun for fun in funs if all(fun.arr_map[s] in quasi for s in sigma.members)]
+        probes += [
+            fun for fun in enumerate_2functors(src, dst)
+            if all(is_quasiequivalence(dst, fun.arr_map[s]) for s in sigma.members)
+        ]
     return ProbeSet(tuple(probes))
 
 
@@ -421,6 +421,18 @@ def f_hat_chain(fun: PseudofunctorData, k: HoCell) -> str:
     )
 
 
+def source_hat(k: HoCell) -> str | None:
+    """k's hat chain in its own bicategory: the composite of its cells and of
+    its homotopies' hats, in application order.  None when some cylinder's
+    marked arrow is not a quasiequivalence there, so its hat need not exist."""
+    bic = k.bic
+    if any(isinstance(t, Homotopy) and not is_quasiequivalence(bic, t.cyl.s) for t in k.terms):
+        return None
+    return bic.vertical_chain(
+        (t.cell if isinstance(t, ICell) else hat(bic, t) for t in k.terms), on_arrow=k.f
+    )
+
+
 def probe_values(
     probes: ProbeSet, k: HoCell
 ) -> Iterator[tuple[PseudofunctorData, str]]:
@@ -428,24 +440,13 @@ def probe_values(
     asked for.  A probe F sends each marked arrow s to a quasiequivalence, so
     when s is one in the source too, F of the source hat of a cylinder on s
     solves Fs * c = F(alpha_tilde) and is F's hat of it.  When that holds for
-    every cylinder of k, each value is F of k's hat chain in the source;
-    otherwise each probe hats the terms in its own target."""
+    every cylinder of k, each value is F of k's ``source_hat``; otherwise
+    each probe hats the terms in its own target."""
     if not probes.probes:
         return
-    bic = k.bic
-    if any(
-        isinstance(t, Homotopy) and not is_quasiequivalence(bic, t.cyl.s)
-        for t in k.terms
-    ):
-        for fun in probes.probes:
-            yield fun, f_hat_chain(fun, k)
-        return
-    value = bic.vertical_chain(
-        (t.cell if isinstance(t, ICell) else hat(bic, t) for t in k.terms),
-        on_arrow=k.f,
-    )
+    value = source_hat(k)
     for fun in probes.probes:
-        yield fun, fun.cell_map[value]
+        yield fun, f_hat_chain(fun, k) if value is None else fun.cell_map[value]
 
 
 # -- the equality decider ----------------------------------------------------
@@ -586,15 +587,10 @@ def _decompose(
             out.append(("ci", t.cell))
             continue
         bic = t.bic
-        plain = (
-            t.h == bic.id1[t.cyl.w]
-            and t.eta == bic.idc[t.cyl.d0]
-            and t.eps == bic.idc[t.cyl.d1]
-        )
-        whiskered = t.eta == bic.idc.get(bic.hcomp1.get((t.h, t.cyl.d0))) and (
+        # identity eta and eps, as on every tautological homotopy
+        if t.eta == bic.idc.get(bic.hcomp1.get((t.h, t.cyl.d0))) and (
             t.eps == bic.idc.get(bic.hcomp1.get((t.h, t.cyl.d1)))
-        )
-        if plain or whiskered:
+        ):
             out.append(("cyl", t.h, t.cyl))
             continue
         trace.append(TraceStep(side, "decompose", f"{t.f}=>{t.g}"))

@@ -34,12 +34,7 @@ from .ho import (
     require_json,
 )
 from .library import default_probe_targets
-from .sigma import (
-    SigmaClass,
-    check_three_for_two,
-    find_w_split,
-    w_split_decompose,
-)
+from .sigma import SigmaClass, check_three_for_two, w_split_decompose
 
 
 @dataclass(frozen=True)
@@ -129,12 +124,8 @@ class _Witness:
 def _base_witness(sigma: SigmaClass, arrow: str) -> _Witness:
     """Witness for a w-split marked arrow from its splitting pair: one side is
     the projected splitting cell, the other the tautological cylinder class."""
-    bic = sigma.bic
-    ws = find_w_split(bic, arrow)
-    if not ws.is_w_split:
-        raise StructureError(f"arrow {arrow!r} is not w-split")
+    ws = sigma.w_splits[arrow]
     pair = ws.as_section or ws.as_retraction
-    assert pair is not None
     s, r, alpha = pair.section, pair.retraction, pair.cell
     cyl = retraction_cylinder(sigma, s, r, alpha)
     hc = ho_cell(sigma, (cylinder_homotopy(cyl),))  # s*r => id_dst(s)
@@ -158,24 +149,26 @@ def _compose_witness(sigma: SigmaClass, outer: _Witness, inner: _Witness) -> _Wi
 
 def _adjust_witness(sigma: SigmaClass, wit: _Witness, arrow: str, iso: str) -> _Witness:
     """Transport a witness along an invertible cell composite => arrow."""
-    bic = sigma.bic
-    if bic.cells[iso] != (wit.arrow, arrow):
-        raise StructureError(f"iso cell {iso!r} is not {wit.arrow} => {arrow}")
-    inv = bic.inverse(iso)
-    if inv is None:
-        raise StructureError(f"cell {iso!r} is not invertible")
+    inv = sigma.bic.inverse(iso)
     u = ho_vcomp(wit.u, ho_whisk("left", wit.quasiinverse, i_cell(sigma, inv)))
     v = ho_vcomp(wit.v, ho_whisk("right", wit.quasiinverse, i_cell(sigma, inv)))
     return _Witness(arrow, wit.quasiinverse, u, v)
+
+
+def _derive_side(cell: HoCell, inv: HoCell, budget: int) -> tuple[EqVerdict, EqVerdict]:
+    """Both cancellations of a witness side, inv o cell and cell o inv against
+    the identities, decided without probes: only ``is_equal`` is read, and a
+    probe can only turn ``Unknown`` into ``Distinct``."""
+    left = ho_eq(ho_vcomp(inv, cell), ho_identity(cell.sigma, cell.f), None, budget)
+    right = ho_eq(ho_vcomp(cell, inv), ho_identity(cell.sigma, cell.g), None, budget)
+    return left, right
 
 
 def _attach_derivations(wit: _Witness, budget: int) -> HoEquivalence | None:
     sides = []
     for cell in (wit.u, wit.v):
         inv = ho_inverse(cell)
-        left = ho_eq(ho_vcomp(inv, cell), ho_identity(cell.sigma, cell.f), None, budget)
-        right = ho_eq(ho_vcomp(cell, inv), ho_identity(cell.sigma, cell.g), None, budget)
-        side = HoEquivalenceSide(cell, inv, left, right)
+        side = HoEquivalenceSide(cell, inv, *_derive_side(cell, inv, budget))
         if not side.ok:
             return None
         sides.append(side)
@@ -327,7 +320,7 @@ def replay_certificate(
         if bic.cells.get(cell) != (composite, arrow) or not bic.is_invertible(cell):
             problems.append(f"decomposition iso for {arrow} does not re-check")
         for g in chain:
-            if g not in sigma or not find_w_split(bic, g).is_w_split:
+            if g not in sigma or not sigma.w_splits[g].is_w_split:
                 problems.append(f"chain arrow {g} for {arrow} is not a w-split member")
 
     for entry in cert_json["equivalences"]:
@@ -341,12 +334,10 @@ def replay_certificate(
                 if (cell.f, cell.g) != (bic.hcomp1.get(pair), bic.id1.get(end)):
                     problems.append(f"{arrow}/{side_name}: hocell is not {pair[0]} * {pair[1]} => id")
                 inv = hocell_from_json(sigma, side["inverse"])
-                inv_cell = ho_vcomp(inv, cell)
-                left = ho_eq(inv_cell, ho_identity(sigma, cell.f), None, budget)
-                right = ho_eq(ho_vcomp(cell, inv), ho_identity(sigma, cell.g), None, budget)
+                left, right = _derive_side(cell, inv, budget)
                 if not (left.is_equal and right.is_equal):
                     problems.append(f"{arrow}/{side_name}: invertibility does not re-derive")
-                for fun, value in probe_values(probes, inv_cell):
+                for fun, value in probe_values(probes, ho_vcomp(inv, cell)):
                     if value != fun.target.idc[fun.arr_map[cell.f]]:
                         problems.append(f"{arrow}/{side_name}: probe {fun.name} separates")
             except StructureError as exc:

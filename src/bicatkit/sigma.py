@@ -28,12 +28,17 @@ class SigmaClass:
         return tuple(sorted(self.members))
 
     @cached_property
+    def w_splits(self) -> dict[str, WSplitResult]:
+        """``find_w_split`` of every member, in sorted order, searched once
+        per class."""
+        return {g: find_w_split(self.bic, g) for g in self.sorted_members()}
+
+    @cached_property
     def w_split_pieces(self) -> dict[str, tuple[str, ...]]:
-        """The w-split members grouped by source object, searched once per
-        class; the pieces of every decomposition chain."""
+        """The w-split members grouped by source object; the pieces of every
+        decomposition chain."""
         return _group(
-            [g for g in self.sorted_members() if find_w_split(self.bic, g).is_w_split],
-            self.bic.arrow_src,
+            [g for g, ws in self.w_splits.items() if ws.is_w_split], self.bic.arrow_src
         )
 
 
@@ -270,8 +275,7 @@ def sigma_report(sigma: SigmaClass, max_len: int = 4) -> dict:
     bic = sigma.bic
     v = check_three_for_two(sigma)
     rows = []
-    for f in sigma.sorted_members():
-        ws = find_w_split(bic, f)
+    for f, ws in sigma.w_splits.items():
         dec = w_split_decompose(sigma, f, max_len)
         eq = find_equivalence(bic, f)
         rows.append(

@@ -80,6 +80,33 @@ def test_validate_parse_error_is_usage(capsys, tmp_path):
     assert "line" in err
 
 
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ("objects: X Y\narrows:\n  id_X : X -> Y\n", "arrow 'id_X' must be X -> X"),
+        (
+            "objects: X\narrows:\n  f : X -> X\ncells:\n  id_f : id_X => f\n",
+            "cell 'id_f' must be f => f",
+        ),
+    ],
+    ids=["identity-arrow", "identity-cell"],
+)
+def test_explicit_identity_with_wrong_boundary_is_usage(capsys, tmp_path, doc, message):
+    p = tmp_path / "bad.bic"
+    p.write_text(doc)
+    line = doc.count("\n")
+    assert run(capsys, "validate", str(p)) == (3, "", f"error: line {line}, column 1: {message}\n")
+
+
+@pytest.mark.parametrize("ends", [(), ("--source", "chain_src"), ("--target", "chain_tgt")])
+def test_validate_functor_without_both_tables_is_usage(capsys, tmp_path, ends):
+    pf = tmp_path / "f.pf"
+    pf.write_text(fixture_text("chain_f.pf"))
+    assert run(capsys, "validate", "--functor", str(pf), *ends) == (
+        3, "", "error: --functor needs --source and --target\n"
+    )
+
+
 def test_validate_functor_with_invalid_source_reports_the_source(capsys, tmp_path):
     src = tmp_path / "bad.bic"
     src.write_text("objects: X\ncells:\n  a : id_X => id_X\n")  # vcomp a.a missing

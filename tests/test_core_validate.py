@@ -1,6 +1,9 @@
 import itertools
 
 from bicatkit.core import Bicategory, identity_pseudofunctor, validate_bicategory, validate_pseudofunctor
+from bicatkit.presentation import load_presentation
+
+from tests.test_enumerate_differential import UNIT_DOC
 
 
 def rebuild(bic, **overrides):
@@ -105,3 +108,16 @@ def test_nonstrict_unitor_data_checked(grpd):
     rep = validate_bicategory(rebuild(bic, lunitor=bad))
     assert not rep.ok
     assert "Nlambda" in rep.axioms() or "triangle" in rep.axioms()
+
+
+def test_strict_table_whose_unit_composite_is_another_arrow_fails_strict_unital():
+    """UNIT_DOC validates as a weak table, where f . id_X = f1 and lambda f = u
+    are legal; declared strict, both break strictness at f and nothing else."""
+    assert validate_bicategory(load_presentation(UNIT_DOC)).ok
+    strict = UNIT_DOC.replace("strict false", "strict true", 1)
+    assert strict != UNIT_DOC
+    rep = validate_bicategory(load_presentation(strict))
+    assert [(v.axiom, v.witness) for v in rep.violations] == [
+        ("strict-unital", ("f",)),
+        ("strict-unitors", ("f",)),
+    ]

@@ -285,3 +285,19 @@ cells:
     comp = load_computad(doc, name="doc")
     assert comp.cells["a"] == (("f",), ("f",), "X", "Y")
     assert comp.cells["sc"] == ((), (), "X", "X")
+
+
+def test_render_places_a_cell_without_inputs_mid_row_and_at_the_right_end():
+    """A layer whose cell has an empty input path puts its label at the wire
+    it sits left of, or one column past the last wire; golden bytes."""
+    comp = make_computad(
+        "units", ["X", "Y", "Z"],
+        {"f": ("X", "Y"), "g": ("Y", "Z"), "k": ("Y", "Y"), "m": ("X", "X")},
+        {"u": ((), ("k",), "Y"), "v": ((), ("m",), "X")},
+    )
+    mid = make_expr(comp, [Layer(("g",), "u", ("f",))])
+    end = make_expr(comp, [Layer(("g", "f"), "v", ())])
+    both = make_expr(comp, [Layer(("g",), "u", ("f",)), Layer(("g", "k", "f"), "v", ())])
+    assert render(mid) == "g . f\n|   [u]\ng . k . f\n"
+    assert render(end) == "g . f\n|   |[v]\ng . f . m\n"
+    assert render(both) == "g . f\n|   [u]\ng . k . f\n|   |   |[v]\ng . k . f . m\n"

@@ -1,11 +1,13 @@
 import json
+from collections import Counter
 
 import pytest
 
 from bench import families
 from bicatkit import localize as localize_module
+from bicatkit import sigma as sigma_module
 from bicatkit.core import validate_bicategory
-from bicatkit.ho import enumerate_probes, f_hat_chain, hocell_from_json
+from bicatkit.ho import ProbeSet, enumerate_probes, f_hat_chain, hocell_from_json, i_cell
 from bicatkit.library import (
     BICATEGORIES,
     default_probe_targets,
@@ -127,6 +129,20 @@ def _change_quasiinverse(cert: dict) -> None:
     _s(cert)["quasiinverse"] = "e"
 
 
+def _e_chain(cert: dict) -> dict:
+    return next(d for d in cert["decompositions"] if d["arrow"] == "e")
+
+
+def _chain_apart(cert: dict) -> None:
+    _e_chain(cert)["chain"] = ["r", "r"]
+
+
+def _chain_through_e(cert: dict) -> None:
+    """e is marked but not w-split; a_e is an invertible e => e, so only the
+    chain arrow check can object."""
+    _e_chain(cert)["chain"] = ["e"]
+
+
 @pytest.fixture(scope="module")
 def split_z2_cert():
     """The split idempotent with a Z/2 of cells on every arrow, so a
@@ -174,8 +190,30 @@ def split_z2_cert():
             _change_quasiinverse,
             ["s/to_id_src: hocell is not e * s => id", "s/to_id_dst: hocell is not s * e => id"],
         ),
+        (lambda cert: cert.update(schema_version=0), ["schema_version mismatch"]),
+        (
+            lambda cert: cert.update(status="derivation-failed"),
+            ["certificate status is 'derivation-failed'"],
+        ),
+        (lambda cert: cert.update(budget=0), ["field 'budget' is below 1"]),
+        (
+            _chain_apart,
+            ["decomposition chain for e: split_z2: composite r * r not in hcomp1 table"],
+        ),
+        (_chain_through_e, ["chain arrow e for e is not a w-split member"]),
     ],
-    ids=["inverse-swapped", "eta-changed", "term-dropped", "forged-witness", "quasiinverse-changed"],
+    ids=[
+        "inverse-swapped",
+        "eta-changed",
+        "term-dropped",
+        "forged-witness",
+        "quasiinverse-changed",
+        "schema-version",
+        "status",
+        "budget-zero",
+        "chain-apart",
+        "chain-not-w-split",
+    ],
 )
 def test_replay_names_each_tamper(split_z2_cert, tamper, problems):
     sigma, probes, cert = split_z2_cert
@@ -310,3 +348,57 @@ def test_localize_and_replay_decide_four_classes_per_marked_arrow(monkeypatch):
     calls.clear()
     assert replay_certificate(sigma, cert.to_json()) == (True, [])
     assert calls == [None] * 36
+
+
+def test_localize_and_replay_search_each_member_once(monkeypatch):
+    """The w-split search behind the decomposition pieces, the base witnesses
+    and replay's chain check runs once per member of the marked class."""
+    doc = families.generate("chaotic", 3, 1, marked=True)
+    pres = load_presentation_with_sigma(doc.text(), doc.name)
+    sigma = make_sigma(pres.bicategory, pres.sigma_names)
+    calls = Counter()
+    search = sigma_module.find_w_split
+
+    def counted(bic, f):
+        calls[f] += 1
+        return search(bic, f)
+
+    monkeypatch.setattr(sigma_module, "find_w_split", counted)
+    no_probes = ProbeSet(())
+    cert = localize(sigma, no_probes)
+    assert cert.ok and calls == Counter(sigma.members)
+    assert replay_certificate(sigma, cert.to_json(), no_probes) == (True, [])
+    assert calls == Counter(sigma.members)
+
+
+ONE_SIDED_DOC = """
+objects: X Y
+arrows:
+  f : X -> Y
+  g : X -> Y
+cells:
+  a : f => g
+  b : g => f
+  p : g => g
+vcomp:
+  b . a = id_f
+  a . b = p
+  p . p = p
+  p . a = a
+  b . p = b
+"""
+
+
+def test_derive_side_decides_each_cancellation_on_its_own():
+    """b . a = id_f but a . b = p, a split idempotent: [I(b)] cancels [I(a)]
+    from one side only, so neither verdict can stand in for the other."""
+    pres = load_presentation_with_sigma(ONE_SIDED_DOC, "one_sided")
+    assert validate_bicategory(pres.bicategory).ok
+    sigma = make_sigma(pres.bicategory, ())
+    a, b = i_cell(sigma, "a"), i_cell(sigma, "b")
+
+    def verdicts(cell, inv):
+        return [v.verdict for v in localize_module._derive_side(cell, inv, 8)]
+
+    assert verdicts(a, b) == ["equal", "unknown"]
+    assert verdicts(b, a) == ["unknown", "equal"]

@@ -118,6 +118,7 @@ def test_probe_values_match_per_probe_hats():
         for k in _cells(sigma, rng):
             want = [(fun, ho.f_hat_chain(fun, k)) for fun in probes.probes]
             assert list(ho.probe_values(probes, k)) == want, (table, str(k))
+            assert (ho.source_hat(k) is None) == (not _fast(k)), (table, str(k))
             paths[_fast(k), table == "split"] += len(want)
     # the fallback runs on split and only there; the fast path everywhere else
     assert paths[False, True] > 0 and paths[True, False] > 0

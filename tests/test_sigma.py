@@ -163,8 +163,9 @@ def test_sigma_report_shape(split_sigma):
 
 
 def test_w_split_search_runs_once_per_member_and_report(monkeypatch):
-    """sigma_report searches each member once for its own row and once for
-    the decomposition pieces, which every w_split_decompose call shares."""
+    """sigma_report searches each member exactly once: its own row and the
+    decomposition pieces, which every w_split_decompose call shares, both
+    read ``SigmaClass.w_splits``."""
     doc = families.generate("chaotic", 4, 1, marked=True)
     pres = load_presentation_with_sigma(doc.text(), doc.name)
     sigma = make_sigma(pres.bicategory, pres.sigma_names)
@@ -179,5 +180,4 @@ def test_w_split_search_runs_once_per_member_and_report(monkeypatch):
     report = sigma_report(sigma, max_len=4)
     assert len(sigma.members) == 16
     assert all(row["decomposition"] for row in report["arrows"])
-    assert set(calls) == set(sigma.members)
-    assert max(calls.values()) <= 2, calls
+    assert calls == collections.Counter(sigma.members)
