@@ -381,7 +381,7 @@ def render(expr: CellExpr) -> str:
 
     def path_row(path: Path) -> tuple[str, list[tuple[int, int]]]:
         if not path:
-            return "(1)", [(0, 3)]
+            return "(1)", []
         spans = []
         pos = 0
         chunks = []
@@ -406,19 +406,21 @@ def render(expr: CellExpr) -> str:
         lo = len(layer.left)
         hi = lo + len(pin)
         label = f"[{layer.cell}]"
-        cellrow = [" "] * len(row)
-        for i, (start, width) in enumerate(spans):
-            if lo <= i < hi:
-                continue
-            center = start + width // 2
-            cellrow[center] = "|"
-        if lo < len(spans):
-            start = spans[lo][0]
+        bars = [s + w // 2 for i, (s, w) in enumerate(spans) if not lo <= i < hi]
+        if lo < hi:
+            start = spans[lo][0]  # over its first input
+        elif lo:
+            start = sum(spans[lo - 1]) + 1  # one column past the wire to its left
         else:
-            start = spans[-1][0] + spans[-1][1] + 1
-        cellline = "".join(cellrow)
-        cellline = cellline[:start] + label + cellline[start + len(label) :]
-        lines.append(cellline.rstrip())
+            start = 0
+        for bar in bars:  # slide right past every bar the label would cover
+            if start <= bar < start + len(label):
+                start = bar + 2
+        cellrow = [" "] * max(len(row), start + len(label))
+        for bar in bars:
+            cellrow[bar] = "|"
+        cellrow[start : start + len(label)] = label
+        lines.append("".join(cellrow).rstrip())
         current = layer.left + pout + layer.right
         row, spans = path_row(current)
         lines.append(row)

@@ -288,8 +288,9 @@ cells:
 
 
 def test_render_places_a_cell_without_inputs_mid_row_and_at_the_right_end():
-    """A layer whose cell has an empty input path puts its label at the wire
-    it sits left of, or one column past the last wire; golden bytes."""
+    """A layer whose cell has an empty input path puts its label one column
+    past the wire to its left, slid right past any bar it would cover, and
+    the cell row grows to hold it; golden bytes."""
     comp = make_computad(
         "units", ["X", "Y", "Z"],
         {"f": ("X", "Y"), "g": ("Y", "Z"), "k": ("Y", "Y"), "m": ("X", "X")},
@@ -298,6 +299,23 @@ def test_render_places_a_cell_without_inputs_mid_row_and_at_the_right_end():
     mid = make_expr(comp, [Layer(("g",), "u", ("f",))])
     end = make_expr(comp, [Layer(("g", "f"), "v", ())])
     both = make_expr(comp, [Layer(("g",), "u", ("f",)), Layer(("g", "k", "f"), "v", ())])
-    assert render(mid) == "g . f\n|   [u]\ng . k . f\n"
-    assert render(end) == "g . f\n|   |[v]\ng . f . m\n"
-    assert render(both) == "g . f\n|   [u]\ng . k . f\n|   |   |[v]\ng . k . f . m\n"
+    assert render(mid) == "g . f\n|   | [u]\ng . k . f\n"
+    assert render(end) == "g . f\n|   | [v]\ng . f . m\n"
+    assert render(both) == "g . f\n|   | [u]\ng . k . f\n|   |   | [v]\ng . k . f . m\n"
+
+
+def test_render_never_covers_the_bar_of_a_passing_wire():
+    """A label that fits between the bars of its neighbours stays there; one
+    that would cover a passing wire's bar moves right of it; a cell on the
+    empty path has no bars at all; golden bytes."""
+    comp = make_computad(
+        "wide", ["X", "Y", "Z"],
+        {"ff": ("X", "Y"), "gg": ("Y", "Z"), "k": ("Y", "Y"), "m": ("X", "X")},
+        {"u": ((), ("k",), "Y"), "v": ((), ("m",), "X"), "longer": (("gg",), ("gg",))},
+    )
+    between = make_expr(comp, [Layer(("gg",), "u", ("ff",))])
+    over = make_expr(comp, [Layer((), "longer", ("ff",))])
+    empty = make_expr(comp, [Layer((), "v", ())], ())
+    assert render(between) == "gg . ff\n | [u]|\ngg . k . ff\n"
+    assert render(over) == "gg . ff\n      | [longer]\ngg . ff\n"
+    assert render(empty) == "(1)\n[v]\nm\n"

@@ -3,17 +3,23 @@
 ``reference_validate_bicategory`` (tests/reference_validator.py) is the old
 code.  Both must return equal reports, the same violations in the same order,
 on the bundled fixtures, on the acceptance-1 mutation stream and on the
-benchmark's generated families, clean and with every mutation kind.
+benchmark's generated families, clean and with every mutation kind.  The
+reference runs every sweep; the validator skips H2, and on strict tables the
+pentagon and triangle, where they cannot fire, so the last tests give each
+premise of those skips a table where it alone fails.
 """
+import ast
 import itertools
 import random
 import time
+from collections import Counter
 from functools import partial
+from pathlib import Path
 
 import pytest
 
 from bench import families
-from bicatkit.core import validate_bicategory
+from bicatkit.core import Bicategory, validate_bicategory
 from bicatkit.library import BICATEGORIES, load_fixture_bicategory
 from bicatkit.presentation import load_presentation_with_sigma
 
@@ -136,3 +142,220 @@ def test_validator_is_not_quartic():
     elapsed = time.perf_counter() - t0
     assert rep.ok
     assert elapsed < 3.0, f"validating chain_z2(16) took {elapsed:.2f}s"
+
+
+# -- sweeps that run only where they can fire ---------------------------------
+
+
+def axiom_counts(rep):
+    return Counter(v.axiom for v in rep.violations)
+
+
+def moved(bic, name, key, cell):
+    """bic with one entry of a cell-valued table moved to another cell."""
+    table = dict(getattr(bic, name))
+    table[key] = cell
+    return rebuild(bic, **{name: table})
+
+
+def units_swapped(bic):
+    """Every identity cell id_f and its Z/2 partner z_f trade places in idc,
+    in the unitors and in the associators.  Typing, W1-W3, H2 and every
+    strictness check still hold (unitors and associators are the new
+    identities), but z_f . z_f = id_f breaks each vcomp unit law."""
+    swap = {}
+    for f, i in bic.idc.items():
+        swap[i], swap[f"z_{f}"] = f"z_{f}", i
+    return rebuild(
+        bic,
+        idc={f: f"z_{f}" for f in bic.idc},
+        **{
+            name: {key: swap[c] for key, c in getattr(bic, name).items()}
+            for name in ("lunitor", "runitor", "assoc")
+        },
+    )
+
+
+@pytest.mark.parametrize("n, counts", [
+    (2, {"vcomp-unit": 16, "pentagon": 32, "triangle": 8}),
+    (3, {"vcomp-unit": 36, "pentagon": 243, "triangle": 27}),
+])
+def test_vcomp_unit_alone_gates_pentagon_and_triangle(n, counts):
+    """On a strict table where vcomp-unit is the only premise that fails,
+    pentagon and triangle are still checked and still fire."""
+    bic = units_swapped(generated("chaotic_z2", n, 1))
+    assert bic.strict
+    rep = assert_same_report(bic)
+    assert axiom_counts(rep) == counts
+
+
+def test_strict_assoc_cell_alone_gates_pentagon_and_triangle():
+    """One associator that is z, not the identity, of its arrow: only
+    strict-assoc-cell among the premises fails; the strictness entries stay
+    after the triangle."""
+    bic = generated("chaotic_z2", 2, 1)
+    i = bic.id1[sorted(bic.objects)[0]]
+    rep = assert_same_report(moved(bic, "assoc", (i, i, i), f"z_{i}"))
+    assert axiom_counts(rep) == {"pentagon": 6, "triangle": 1, "strict-assoc-cell": 1}
+    assert [v.axiom for v in rep.violations][-2:] == ["triangle", "strict-assoc-cell"]
+
+
+@pytest.mark.parametrize("name", ["lunitor", "runitor"])
+def test_strict_unitors_alone_gates_the_triangle(name):
+    """One unitor that is z_f, not id_f: Z/2 is abelian, so naturality
+    holds, and only strict-unitors among the premises fails."""
+    bic = generated("chaotic_z2", 2, 1)
+    f = next(f for f in sorted(bic.arrows) if f not in bic.id1.values())
+    rep = assert_same_report(moved(bic, name, f, f"z_{f}"))
+    assert axiom_counts(rep) == {"triangle": 2, "strict-unitors": 1}
+
+
+def anti_associative(strict):
+    """One object X and arrows a, b composed by x . y = swap(x), so that
+    h . (g . f) != (h . g) . f for all h, g, f in {a, b}.  Each hom category
+    on {a, b} is chaotic x Z/2: a cell x => y of parity p is c_x_y_p, and
+    composing and whiskering add parities.  Every associator of three
+    non-identity arrows has parity 1, the others are identities.  Every
+    axiom before the pentagon holds; the pentagon adds parities 1 + 1 on its
+    left and 1 + 1 + 1 on its right.  With every other premise true, only
+    strict-assoc says that the table is not strict."""
+    ab = ("a", "b")
+    swap = {"a": "b", "b": "a"}
+
+    def comp(g, f):
+        return f if g == "id_X" else g if f == "id_X" else swap[g]
+
+    def cell(x, y, p):
+        return "id_id_X" if x == "id_X" else f"c_{x}_{y}_{p}"
+
+    arrows = {"id_X": ("X", "X"), "a": ("X", "X"), "b": ("X", "X")}
+    spans = [("id_X", "id_X", 0)] + [(x, y, p) for x in ab for y in ab for p in (0, 1)]
+    names = {cell(*s): s for s in spans}
+    pairs = itertools.product(arrows, repeat=2)
+    return Bicategory(
+        name="anti_assoc",
+        objects=("X",),
+        arrows=arrows,
+        id1={"X": "id_X"},
+        hcomp1={(g, f): comp(g, f) for g, f in pairs},
+        cells={c: (x, y) for c, (x, y, _) in names.items()},
+        idc={f: cell(f, f, 0) for f in arrows},
+        vcomp={
+            (d, c): cell(x, w, (p + q) % 2)
+            for c, (x, y, p) in names.items()
+            for d, (y2, w, q) in names.items()
+            if y2 == y
+        },
+        lwhisk={(g, c): cell(comp(g, x), comp(g, y), p) for g in arrows for c, (x, y, p) in names.items()},
+        rwhisk={(c, f): cell(comp(x, f), comp(y, f), p) for f in arrows for c, (x, y, p) in names.items()},
+        lunitor={f: cell(f, f, 0) for f in arrows},
+        runitor={f: cell(f, f, 0) for f in arrows},
+        assoc={
+            (h, g, f): cell(comp(h, comp(g, f)), comp(comp(h, g), f), int("id_X" not in (h, g, f)))
+            for h, g, f in itertools.product(arrows, repeat=3)
+        },
+        strict=strict,
+    )
+
+
+def test_strict_assoc_alone_gates_the_pentagon():
+    """The generated families and the fixtures have at most one arrow per
+    hom, so strict-assoc cannot fail there without another premise; this
+    hand-built table is a case where it is the only one."""
+    rep = assert_same_report(anti_associative(strict=True))
+    assert axiom_counts(rep) == {"pentagon": 16, "strict-assoc": 8}
+
+
+def test_pentagon_and_triangle_run_on_every_non_strict_table():
+    rep = assert_same_report(anti_associative(strict=False))
+    assert axiom_counts(rep) == {"pentagon": 16}
+    grpd = rebuild(load_fixture_bicategory("grpd"), strict=False)
+    rep = assert_same_report(moved(grpd, "assoc", ("id_P", "id_P", "id_P"), "g"))
+    assert {"pentagon", "triangle"} <= rep.axioms()
+
+
+SWEPT = ("vcomp", "lwhisk", "rwhisk", "assoc", "lunitor", "runitor")
+
+
+def single_entry_mutants(bic):
+    """(table, key, cell): one entry moved to another cell of its boundary."""
+    for name in SWEPT:
+        table = getattr(bic, name)
+        for key in sorted(table):
+            for c in bic.cells_between(*bic.cells[table[key]]):
+                if c != table[key]:
+                    yield name, key, c
+
+
+def sweep_tables():
+    for family, n in itertools.product(families.FAMILIES, (2, 3, 4)):
+        yield f"{family}({n})", generated(family, n, 1)
+    grpd = load_fixture_bicategory("grpd")
+    yield "grpd", grpd
+    yield "grpd non-strict", rebuild(grpd, strict=False)
+
+
+def test_single_entry_mutant_sweep_matches_reference():
+    """A seeded subset of the single-entry mutants of the six cell-valued
+    tables: at most 8 per table and bicategory, each declared strict as
+    generated and again non-strict.  chain and chaotic have one cell per
+    hom, so only their clean tables are compared."""
+    rng = random.Random("validate-sweep")
+    seen = Counter()
+    for label, bic in sweep_tables():
+        assert assert_same_report(bic).ok, label
+        by_table = {}
+        for name, key, c in single_entry_mutants(bic):
+            by_table.setdefault(name, []).append((key, c))
+        if label.startswith(("chain(", "chaotic(")):
+            assert not by_table, label
+        for name, entries in sorted(by_table.items()):
+            for key, c in rng.sample(entries, min(8, len(entries))):
+                mutant = moved(bic, name, key, c)
+                seen.update(assert_same_report(mutant).axioms())
+                if mutant.strict:
+                    seen.update(assert_same_report(rebuild(mutant, strict=False)).axioms())
+    assert {"vcomp-unit", "vcomp-assoc", "W1", "W3", "Ntheta2", "pentagon", "triangle",
+            "strict-unitors", "strict-assoc-cell"} <= set(seen), seen
+
+
+def validate_tables_shapes():
+    """(family, n) of every clean table of the validate-tables workload, read
+    from bench/workloads.py without importing it."""
+    tree = ast.parse(Path(families.__file__).with_name("workloads.py").read_text())
+    found = {
+        t.id: ast.literal_eval(node.value)
+        for node in tree.body if isinstance(node, ast.Assign)
+        for t in node.targets if getattr(t, "id", "").startswith("VALIDATE_")
+    }
+    return sorted({(f, n) for f, n, *_ in found["VALIDATE_POOL"] + found["VALIDATE_EXTRA"]})
+
+
+@pytest.fixture
+def hcomp2_calls(monkeypatch):
+    calls = []
+    real = Bicategory.hcomp2
+
+    def counted(self, beta, alpha):
+        calls.append((beta, alpha))
+        return real(self, beta, alpha)
+
+    monkeypatch.setattr(Bicategory, "hcomp2", counted)
+    return calls
+
+
+def test_clean_benchmark_tables_skip_interchange(hcomp2_calls):
+    shapes = validate_tables_shapes()
+    assert len(shapes) == 15
+    for family, n in shapes:
+        assert validate_bicategory(generated(family, n, 1)).ok
+    assert hcomp2_calls == []
+
+
+def test_interchange_runs_beside_a_vcomp_assoc_violation(hcomp2_calls):
+    """grpd with id . id = g: the mutant of the fixture stream whose H2
+    violations the sweep must still find."""
+    grpd = load_fixture_bicategory("grpd")
+    rep = assert_same_report(moved(grpd, "vcomp", ("id_id_P", "id_id_P"), "g"))
+    assert {"vcomp-assoc", "H2"} <= rep.axioms()
+    assert hcomp2_calls
