@@ -15,8 +15,7 @@ h*(g*f) => (h*g)*f.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, TypeVar
+from typing import Callable, Hashable, Iterable, NamedTuple, TypeVar
 
 _T = TypeVar("_T")
 
@@ -28,8 +27,7 @@ class StructureError(Exception):
     """Raised for malformed references or ill-typed constructions."""
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     axiom: str
     witness: tuple[str, ...]
     left: str = ""
@@ -44,8 +42,7 @@ class Violation:
         }
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     violations: tuple[Violation, ...]
 
     @property
@@ -609,6 +606,10 @@ class PseudofunctorData:
         self.cell_map = dict(cell_map)
         self.xi = dict(xi or {})
         self.phi = dict(phi or {})
+        if all(map(self.xi.__contains__, source.objects)) and all(
+            map(self.phi.__contains__, source.composable_arrow_pairs())
+        ):
+            return
         try:
             self._fill_implicit_structure()
         except KeyError as exc:

@@ -263,93 +263,143 @@ def _require_2functor(fun: PseudofunctorData) -> None:
 def enumerate_2functors(src: Bicategory, dst: Bicategory) -> list[PseudofunctorData]:
     """All 2-functors between two finite tabulated bicategories.
 
-    The search is depth first over one list of unknowns: the objects in
-    order, each over the target's objects; the identity arrows; the sorted
-    non-identity arrows, each over its hom; the identity cells; the sorted
-    non-identity cells, each over its cells, candidates in the target's
-    index order.  The identity arrow id_x has the one candidate id_{F x} and
-    the identity cell id_f the one candidate id_{F f}.  An unknown with one
-    candidate never branches, so the results come in the depth-first order
-    over the objects and the sorted generators alone.  Each constraint is
-    checked as soon as the last unknown it reads is assigned (forward
-    checking): a non-identity arrow's hom must have a candidate, and each
-    source table entry must hold, `hcomp1`, `vcomp`, the whiskers and,
-    unless both sides are strict, the unitors and associators.  A branch
-    thus ends at its first broken constraint, and the results, in their
-    order, are those of checking complete maps only.
+    The search is depth first with one level per unknown: the objects in
+    order, each over the target's objects; the sorted non-identity arrows,
+    each over its hom; the sorted non-identity cells, each over its cells,
+    candidates in the target's index order.  Identity images are set with
+    their owners: F(id_x) = id_{F x} when x is assigned, and F(id_f) = id_{F f}
+    when f is.  Each constraint is checked as soon as the last unknown it
+    reads is assigned (forward checking): a non-identity arrow's hom must
+    have a candidate, and each source table entry must hold, `hcomp1`,
+    `vcomp`, the whiskers and, unless both sides are strict, the unitors and
+    associators.  A branch thus ends at its first broken constraint, and the
+    results, in their order, are those of checking complete maps only.
 
     The target must pass `validate_bicategory`.  Then these source entries
-    hold on every branch once the identities are assigned, and are not
-    checked: for a: f => g, the `vcomp` entries id_g . a = a and
-    a . id_f = a, by the target's `vcomp-unit`; the whisker entries
-    g * id_f = id_{gf} and id_g * f = id_{gf}, by its `W2` and the `hcomp1`
-    check on (g, f), which comes first; and, when the target is strict, for
-    f: x -> y the `hcomp1` entries f . id_x = f and id_y . f = f, by its
-    `strict-unital`.  A source entry is skipped only when it reads exactly
-    so, so the results on an invalid source are unchanged too.  By the
-    `hcomp1` checks, F(id_x) = id_{F x} and F g . F f = F(g f), so each
-    result's xi and phi are identity cells, read off its cell map."""
+    hold on every branch once the maps are assigned, and are not checked:
+    for a: f => g, the `vcomp` entries id_g . a = a and a . id_f = a, by the
+    target's `vcomp-unit`; the whisker entries g * id_f = id_{gf} and
+    id_g * f = id_{gf}, by its `W2` and the `hcomp1` check on (g, f); and,
+    when the target is strict, for f: x -> y the `hcomp1` entries
+    f . id_x = f and id_y . f = f, by its `strict-unital`.  A thin target
+    settles more.  Each image lies in the target hom over the images of the
+    boundary its level binds it with: (x, x) for id_x, (f, f) for id_f, the
+    declared one for a generator.  An entry is well typed when these
+    boundaries chain: g . f = h with f: x -> y, g: y -> z and h: x -> z, and
+    likewise for `vcomp`; g * a = c with a: f1 => f2 and c: g f1 => g f2, and
+    likewise for `rwhisk`.  When each hom of the target has at most one
+    arrow, every well-typed `hcomp1` entry holds, since F g . F f and F h lie
+    in the one hom from F x to F z.  When each pair of parallel arrows has
+    at most one cell, so does every well-typed `vcomp` entry and, as every
+    `hcomp1` entry holds by then, every well-typed whisker entry.  An entry
+    is skipped only when it reads exactly so, so the results on an invalid
+    source are unchanged too.  By the `hcomp1` entries, F(id_x) = id_{F x}
+    and F g . F f = F(g f), so each result's xi and phi are identity cells,
+    read off its cell map."""
     objs = list(src.objects)
-    ids = set(src.id1.values())
-    idcs = set(src.idc.values())
+    id1, idc = src.id1, src.idc
+    ids = set(id1.values())
+    idcs = set(idc.values())
     found: list[PseudofunctorData] = []
     # the maps under construction, which the candidates and checks read
     omap: dict[str, str] = {}
     amap: dict[str, str] = {}
     cmap: dict[str, str] = {}
-    image = {"object": omap, "arrow": amap, "cell": cmap}
-    unknowns: list[tuple[str, str, Callable[[], Iterable[str]]]] = [
-        ("object", x, lambda: dst.objects) for x in objs
-    ]
-    unknowns += [("arrow", src.id1[x], lambda x=x: (dst.id1[omap[x]],)) for x in objs]
-    unknowns += [
-        ("arrow", f, lambda x=x, y=y: dst.arrows_between(omap[x], omap[y]))
-        for f, (x, y) in sorted(src.arrows.items()) if f not in ids
-    ]
-    unknowns += [("cell", src.idc[f], lambda f=f: (dst.idc[amap[f]],)) for f in src.arrows]
-    unknowns += [
-        ("cell", a, lambda f=f, g=g: dst.cells_between(amap[f], amap[g]))
-        for a, (f, g) in sorted(src.cells.items()) if a not in idcs
-    ]
-    at = {(space, x): i for i, (space, x, _) in enumerate(unknowns)}
-    checks: list[list[Callable[[], bool]]] = [[] for _ in unknowns]
+
+    def bind_object(x: str, y: str) -> None:
+        omap[x] = y
+        amap[id1[x]] = fid = dst.id1[y]
+        cmap[idc[id1[x]]] = dst.idc[fid]
+
+    def bind_arrow(f: str, g: str) -> None:
+        amap[f] = g
+        cmap[idc[f]] = dst.idc[g]
+
+    def bind_cell(a: str, b: str) -> None:
+        cmap[a] = b
+
+    # one level per unknown; `at` files each generator under the level that
+    # binds it, and `bound` keeps the boundary its image lies over
+    levels: list[tuple[Callable[[str, str], None], str, Callable[[], Iterable[str]]]] = []
+    at: dict[tuple[str, str], int] = {}
+    bound: dict[tuple[str, str], tuple[str, str]] = {}
+
+    def level(bind, x: str, candidates, *owned: tuple[str, str]) -> None:
+        at.update(dict.fromkeys(owned, len(levels)))
+        levels.append((bind, x, candidates))
+
+    for x in objs:
+        i = id1[x]
+        bound["arrow", i], bound["cell", idc[i]] = (x, x), (i, i)
+        level(bind_object, x, lambda: dst.objects, ("object", x), ("arrow", i), ("cell", idc[i]))
+    for f, (x, y) in sorted(src.arrows.items()):
+        if f not in ids:
+            bound["arrow", f], bound["cell", idc[f]] = (x, y), (f, f)
+            level(bind_arrow, f, lambda x=x, y=y: dst.arrows_between(omap[x], omap[y]),
+                  ("arrow", f), ("cell", idc[f]))
+    for a, (f, g) in sorted(src.cells.items()):
+        if a not in idcs:
+            bound["cell", a] = (f, g)
+            level(bind_cell, a, lambda f=f, g=g: dst.cells_between(amap[f], amap[g]), ("cell", a))
+    checks: list[list[Callable[[], bool]]] = [[] for _ in levels]
 
     def file(
         reads: Iterable[tuple[str, str]], check: Callable[[], bool], holds: bool = False
     ) -> None:
-        """File check under the last unknown it reads, unless it holds."""
+        """File check under the last level it reads, unless it holds."""
         if not holds:
             checks[max(map(at.__getitem__, reads))].append(check)
 
     # the unit entries, keyed as in their tables, that hold on a valid target
     # once the identities are assigned: by vcomp-unit; by W2, after the
     # hcomp1 check on (g, f); and on a strict target by strict-unital
-    idc, id1 = src.idc.get, src.id1.get
-    unit_vcomp = {k: a for a, (f, g) in src.cells.items() for k in ((idc(g), a), (a, idc(f)))}
-    unit_lwhisk = {(g, idc(f)): idc(c) for (g, f), c in src.hcomp1.items()}
-    unit_rwhisk = {(idc(g), f): idc(c) for (g, f), c in src.hcomp1.items()}
+    unit_vcomp = {
+        k: a for a, (f, g) in src.cells.items() for k in ((idc.get(g), a), (a, idc.get(f)))
+    }
+    unit_lwhisk = {(g, idc.get(f)): idc.get(c) for (g, f), c in src.hcomp1.items()}
+    unit_rwhisk = {(idc.get(g), f): idc.get(c) for (g, f), c in src.hcomp1.items()}
     unit_hcomp1 = {
-        k: f for f, (x, y) in src.arrows.items() for k in ((f, id1(x)), (id1(y), f))
+        k: f for f, (x, y) in src.arrows.items() for k in ((f, id1.get(x)), (id1.get(y), f))
     } if dst.strict else {}
+    thin_arrows = len(set(dst.arrows.values())) == len(dst.arrows)
+    thin_cells = len(set(dst.cells.values())) == len(dst.cells)
+    compose = src.hcomp1.get
+
+    def chains(space: str, second: str, first: str, out: str) -> bool:
+        """Whether first's and second's boundaries chain and out's spans both."""
+        e1, e2 = bound.get((space, first)), bound.get((space, second))
+        return e1 is not None and e2 is not None and e1[1] == e2[0] and (
+            bound.get((space, out)) == (e1[0], e2[1])
+        )
+
+    def whiskers(arrow: str, a: str, out: str, by: Callable[[str], str | None]) -> bool:
+        """Whether out's boundary is a's boundary whiskered by arrow."""
+        ends = bound.get(("cell", a))
+        return ("arrow", arrow) in bound and ends is not None and (
+            bound.get(("cell", out)) == tuple(map(by, ends))
+        )
+
     for x, y in sorted({ends for f, ends in src.arrows.items() if f not in ids}):
         file([("object", x), ("object", y)],
              lambda x=x, y=y: bool(dst.arrows_between(omap[x], omap[y])))
     for (g, f), c in src.hcomp1.items():
         file([("arrow", g), ("arrow", f), ("arrow", c)],
              lambda g=g, f=f, c=c: dst.hcomp1.get((amap[g], amap[f])) == amap[c],
-             unit_hcomp1.get((g, f)) == c)
+             unit_hcomp1.get((g, f)) == c or thin_arrows and chains("arrow", g, f, c))
     for (b, a), c in src.vcomp.items():
         file([("cell", b), ("cell", a), ("cell", c)],
              lambda b=b, a=a, c=c: dst.vcomp.get((cmap[b], cmap[a])) == cmap[c],
-             unit_vcomp.get((b, a)) == c)
+             unit_vcomp.get((b, a)) == c or thin_cells and chains("cell", b, a, c))
     for (g, a), c in src.lwhisk.items():
         file([("arrow", g), ("cell", a), ("cell", c)],
              lambda g=g, a=a, c=c: dst.lwhisk.get((amap[g], cmap[a])) == cmap[c],
-             unit_lwhisk.get((g, a)) == c)
+             unit_lwhisk.get((g, a)) == c
+             or thin_cells and whiskers(g, a, c, lambda f, g=g: compose((g, f))))
     for (a, f), c in src.rwhisk.items():
         file([("cell", a), ("arrow", f), ("cell", c)],
              lambda a=a, f=f, c=c: dst.rwhisk.get((cmap[a], amap[f])) == cmap[c],
-             unit_rwhisk.get((a, f)) == c)
+             unit_rwhisk.get((a, f)) == c
+             or thin_cells and whiskers(f, a, c, lambda g, f=f: compose((g, f))))
     if not src.strict or not dst.strict:
         for f in src.arrows:
             lam, rho = src.lunitor[f], src.runitor[f]
@@ -368,22 +418,22 @@ def enumerate_2functors(src: Bicategory, dst: Bicategory) -> list[PseudofunctorD
     ]
 
     def assign(i: int) -> None:
-        if i == len(unknowns):
+        if i == len(levels):
             found.append(PseudofunctorData(
                 name=f"{src.name}->{dst.name}#{len(found)}",
                 source=src,
                 target=dst,
-                obj_map=dict(omap),
-                arr_map=dict(amap),
-                cell_map=dict(cmap),
+                obj_map=omap,
+                arr_map=amap,
+                cell_map=cmap,
                 xi={x: cmap[u] for x, u in xi_units},
                 phi={gf: cmap[u] for gf, u in phi_units},
             ))
             return
-        space, x, candidates = unknowns[i]
-        images, filed = image[space], checks[i]
+        bind, x, candidates = levels[i]
+        filed = checks[i]
         for cand in candidates():
-            images[x] = cand
+            bind(x, cand)
             for check in filed:
                 if not check():
                     break
@@ -406,9 +456,10 @@ def enumerate_probes(
             all_targets.append(src)
     probes: list[PseudofunctorData] = []
     for dst in all_targets:
+        qe = {f for f in dst.arrows if is_quasiequivalence(dst, f)}
         probes += [
             fun for fun in enumerate_2functors(src, dst)
-            if all(is_quasiequivalence(dst, fun.arr_map[s]) for s in sigma.members)
+            if all(fun.arr_map[s] in qe for s in sigma.members)
         ]
     return ProbeSet(tuple(probes))
 

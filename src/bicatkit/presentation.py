@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import re
 from collections.abc import Container
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import Bicategory, PseudofunctorData, StructureError, _group
 
@@ -57,8 +57,7 @@ class ParseError(Exception):
         self.column = column
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(NamedTuple):
     bicategory: Bicategory
     sigma_names: tuple[str, ...]
 
@@ -77,8 +76,7 @@ def parse_path(text: str) -> tuple[str, ...]:
 _NEW = "new"
 
 
-@dataclass(frozen=True)
-class _Ref:
+class _Ref(NamedTuple):
     """A captured name that must be declared in ``space``."""
 
     space: str
@@ -87,8 +85,7 @@ class _Ref:
     path: bool = False  # a computad arrow path, each of its arrows a reference
 
 
-@dataclass(frozen=True)
-class _Grammar:
+class _Grammar(NamedTuple):
     """The line grammar of one section's entries."""
 
     pattern: re.Pattern[str]
@@ -111,8 +108,7 @@ class _Grammar:
         return [(t,) for t in toks]
 
 
-@dataclass(frozen=True)
-class DocumentKind:
+class DocumentKind(NamedTuple):
     """The sections one kind of document accepts, and its noun in errors."""
 
     noun: str

@@ -3,11 +3,13 @@ hand-written section loops that the table-driven document reader replaced,
 the head/tail extension route that ``f_hat_chain`` on every pseudofunctor
 replaced, the hat scans that the whiskering bijection replaced, the
 enumerator that checked tables only on complete maps, which forward checking
-replaced, and the equality decider that paired each rule with its law at
-every step and wrote each adjacent-pair scan out in full, which ``ho.LAWS``
-and ``ho._pairwise`` replaced, and the two probe loops that hatted each
-term in each probe's target, which ``ho.probe_values`` replaced, kept as the
-reference for ``tests/test_index_differential.py``,
+replaced, the forward-checking enumerator that bound each identity on a
+level of its own and checked every entry a thin target settles, which
+``ho.enumerate_2functors`` replaced, and the equality decider that paired
+each rule with its law at every step and wrote each adjacent-pair scan out
+in full, which ``ho.LAWS`` and ``ho._pairwise`` replaced, and the two probe
+loops that hatted each term in each probe's target, which
+``ho.probe_values`` replaced, kept as the reference for ``tests/test_index_differential.py``,
 ``tests/test_extension_differential.py``, ``tests/test_hat_differential.py``,
 ``tests/test_enumerate_differential.py``,
 ``tests/test_decider_differential.py`` and
@@ -52,6 +54,7 @@ from __future__ import annotations
 
 import itertools
 import re
+from typing import Callable, Iterable
 from collections import deque
 from dataclasses import asdict, dataclass, field
 
@@ -1073,6 +1076,116 @@ def enumerate_2functors(
 
         extend_arrows(0, dict(amap_base))
     return found
+
+
+def forward_enumerate_2functors(src: Bicategory, dst: Bicategory) -> list[PseudofunctorData]:
+    """The forward-checking enumerator that bound each identity on a level of
+    its own and checked every entry the unit rules leave, which the thin
+    target rules and binding identities with their owners replaced."""
+    objs = list(src.objects)
+    ids = set(src.id1.values())
+    idcs = set(src.idc.values())
+    found: list[PseudofunctorData] = []
+    # the maps under construction, which the candidates and checks read
+    omap: dict[str, str] = {}
+    amap: dict[str, str] = {}
+    cmap: dict[str, str] = {}
+    image = {"object": omap, "arrow": amap, "cell": cmap}
+    unknowns: list[tuple[str, str, Callable[[], Iterable[str]]]] = [
+        ("object", x, lambda: dst.objects) for x in objs
+    ]
+    unknowns += [("arrow", src.id1[x], lambda x=x: (dst.id1[omap[x]],)) for x in objs]
+    unknowns += [
+        ("arrow", f, lambda x=x, y=y: dst.arrows_between(omap[x], omap[y]))
+        for f, (x, y) in sorted(src.arrows.items()) if f not in ids
+    ]
+    unknowns += [("cell", src.idc[f], lambda f=f: (dst.idc[amap[f]],)) for f in src.arrows]
+    unknowns += [
+        ("cell", a, lambda f=f, g=g: dst.cells_between(amap[f], amap[g]))
+        for a, (f, g) in sorted(src.cells.items()) if a not in idcs
+    ]
+    at = {(space, x): i for i, (space, x, _) in enumerate(unknowns)}
+    checks: list[list[Callable[[], bool]]] = [[] for _ in unknowns]
+
+    def file(
+        reads: Iterable[tuple[str, str]], check: Callable[[], bool], holds: bool = False
+    ) -> None:
+        """File check under the last unknown it reads, unless it holds."""
+        if not holds:
+            checks[max(map(at.__getitem__, reads))].append(check)
+
+    # the unit entries, keyed as in their tables, that hold on a valid target
+    # once the identities are assigned: by vcomp-unit; by W2, after the
+    # hcomp1 check on (g, f); and on a strict target by strict-unital
+    idc, id1 = src.idc.get, src.id1.get
+    unit_vcomp = {k: a for a, (f, g) in src.cells.items() for k in ((idc(g), a), (a, idc(f)))}
+    unit_lwhisk = {(g, idc(f)): idc(c) for (g, f), c in src.hcomp1.items()}
+    unit_rwhisk = {(idc(g), f): idc(c) for (g, f), c in src.hcomp1.items()}
+    unit_hcomp1 = {
+        k: f for f, (x, y) in src.arrows.items() for k in ((f, id1(x)), (id1(y), f))
+    } if dst.strict else {}
+    for x, y in sorted({ends for f, ends in src.arrows.items() if f not in ids}):
+        file([("object", x), ("object", y)],
+             lambda x=x, y=y: bool(dst.arrows_between(omap[x], omap[y])))
+    for (g, f), c in src.hcomp1.items():
+        file([("arrow", g), ("arrow", f), ("arrow", c)],
+             lambda g=g, f=f, c=c: dst.hcomp1.get((amap[g], amap[f])) == amap[c],
+             unit_hcomp1.get((g, f)) == c)
+    for (b, a), c in src.vcomp.items():
+        file([("cell", b), ("cell", a), ("cell", c)],
+             lambda b=b, a=a, c=c: dst.vcomp.get((cmap[b], cmap[a])) == cmap[c],
+             unit_vcomp.get((b, a)) == c)
+    for (g, a), c in src.lwhisk.items():
+        file([("arrow", g), ("cell", a), ("cell", c)],
+             lambda g=g, a=a, c=c: dst.lwhisk.get((amap[g], cmap[a])) == cmap[c],
+             unit_lwhisk.get((g, a)) == c)
+    for (a, f), c in src.rwhisk.items():
+        file([("cell", a), ("arrow", f), ("cell", c)],
+             lambda a=a, f=f, c=c: dst.rwhisk.get((cmap[a], amap[f])) == cmap[c],
+             unit_rwhisk.get((a, f)) == c)
+    if not src.strict or not dst.strict:
+        for f in src.arrows:
+            lam, rho = src.lunitor[f], src.runitor[f]
+            file([("arrow", f), ("cell", lam)],
+                 lambda f=f, lam=lam: cmap[lam] == dst.lunitor[amap[f]])
+            file([("arrow", f), ("cell", rho)],
+                 lambda f=f, rho=rho: cmap[rho] == dst.runitor[amap[f]])
+        for (h, g, f), c in src.assoc.items():
+            file([("arrow", h), ("arrow", g), ("arrow", f), ("cell", c)],
+                 lambda h=h, g=g, f=f, c=c: cmap[c] == dst.assoc[(amap[h], amap[g], amap[f])])
+    # the source identity cells whose images are xi and phi; a composable
+    # pair without a composite is left to PseudofunctorData to report
+    xi_units = [(x, src.idc[src.id1[x]]) for x in objs]
+    phi_units = [
+        (gf, src.idc[src.hcomp1[gf]]) for gf in src.composable_arrow_pairs() if gf in src.hcomp1
+    ]
+
+    def assign(i: int) -> None:
+        if i == len(unknowns):
+            found.append(PseudofunctorData(
+                name=f"{src.name}->{dst.name}#{len(found)}",
+                source=src,
+                target=dst,
+                obj_map=dict(omap),
+                arr_map=dict(amap),
+                cell_map=dict(cmap),
+                xi={x: cmap[u] for x, u in xi_units},
+                phi={gf: cmap[u] for gf, u in phi_units},
+            ))
+            return
+        space, x, candidates = unknowns[i]
+        images, filed = image[space], checks[i]
+        for cand in candidates():
+            images[x] = cand
+            for check in filed:
+                if not check():
+                    break
+            else:
+                assign(i + 1)
+
+    assign(0)
+    return found
+
 
 
 # -- the equality decider with hand-paired laws -------------------------------

@@ -23,6 +23,7 @@ search reads.
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
@@ -270,6 +271,132 @@ def test_valid_single_entry_mutants():
             assert_same(other, mutant)
 
 
+# the complete-maps reference tries this many maps at most on a compared
+# pair; beyond it a pair can take minutes (chaotic_z2(4) into itself tries
+# 2^16 cell maps on each of 256 object maps), so a larger pair is compared
+# with the forward-checking enumerator the thin rules replaced
+REFERENCE_WORK = 1000
+SWEEP_SEEDS = (1, 2, 3)
+
+
+def reference_work(src, dst):
+    """An upper bound on the maps the complete-maps reference tries."""
+    gens = [f for f in src.arrows if f not in set(src.id1.values())]
+    cells = [a for a in src.cells if a not in set(src.idc.values())]
+    arrows = max(len(dst.arrows_between(x, y)) for x in dst.objects for y in dst.objects)
+    parallel = max(len(dst.cells_between(f, g)) for f in dst.arrows for g in dst.arrows)
+    return len(dst.objects) ** len(src.objects) * arrows ** len(gens) * parallel ** len(cells)
+
+
+def outcome(enumerate_into, src, dst):
+    """The listing, or the message of the StructureError raised."""
+    try:
+        return listing(enumerate_into(src, dst))
+    except StructureError as exc:
+        return str(exc)
+
+
+def assert_same_as_a_reference(src, dst):
+    """The enumerator agrees with the complete-maps reference where that
+    finishes quickly, and with the forward-checking one elsewhere."""
+    slow = reference_work(src, dst) > REFERENCE_WORK
+    reference = ref.forward_enumerate_2functors if slow else ref.enumerate_2functors
+    got = outcome(enumerate_2functors, src, dst)
+    assert got == outcome(reference, src, dst), (src.name, dst.name)
+    return got
+
+
+def sweep_docs():
+    """(family, doc) for the generated families at n = 2, 3, 4 and each sweep seed."""
+    for family in families.FAMILIES:
+        for n in (2, 3, 4):
+            for seed in SWEEP_SEEDS:
+                yield family, families.generate(family, n, seed)
+
+
+def load(doc):
+    return load_presentation_with_sigma(doc.text(), doc.name).bicategory
+
+
+def sweep_tables(seeds=SWEEP_SEEDS):
+    """The fixtures and the generated tables of the sweep at seeds, all valid."""
+    tables = [load_fixture_bicategory(name) for name in BICATEGORIES]
+    tables += [load(doc) for _, doc in sweep_docs() if doc.seed in seeds]
+    assert all(validate_bicategory(bic).ok for bic in tables)
+    return tables
+
+
+def test_every_pair_of_valid_tables():
+    tables = sweep_tables()
+    assert len(tables) == 6 + 4 * 3 * len(SWEEP_SEEDS)
+    slow = 0
+    for src, dst in itertools.product(tables, repeat=2):
+        assert_same_as_a_reference(src, dst)
+        slow += reference_work(src, dst) > REFERENCE_WORK
+    # most pairs are compared with the complete-maps reference
+    assert 0 < slow < len(tables) ** 2 / 4
+
+
+def test_every_catalogue_mutant_into_every_valid_target():
+    """Each mutation of the catalogue, placed by each sweep seed in each
+    generated table that has a site for it, gives an invalid source; its
+    ill-typed and missing entries are checked as before, so it lists the
+    same 2-functors, or reports the same missing composite, into every valid
+    table of the sweep at the first seed (the other seeds relabel the same
+    shapes).  chain(2) and chain_z2(2) have no composable pair of
+    generators, so no mutation has a site there."""
+    targets = sweep_tables(SWEEP_SEEDS[:1])
+    kinds, errors, listed = set(), 0, 0
+    for family, doc in sweep_docs():
+        for mutation in families.mutations_for(family):
+            if len(doc.objects) == 2 and family.startswith("chain"):
+                continue
+            try:
+                mutant = load(families.mutate(doc, mutation.name, doc.seed))
+            except IndexError:  # whisker-to-identity on chain_z2(3): no triple
+                continue
+            assert not validate_bicategory(mutant).ok, mutant.name
+            kinds.add(mutation.name)
+            for dst in targets:
+                got = assert_same_as_a_reference(mutant, dst)
+                errors += isinstance(got, str)
+                listed += isinstance(got, list) and bool(got)
+    assert kinds == {m.name for m in families.MUTATIONS}
+    assert errors > 0 and listed > 0
+
+
+def ill_typed_mutants(tables, rng):
+    """For each table in tables and each of hcomp1, vcomp, lwhisk and rwhisk,
+    copies with one seeded entry set to a seeded arrow or cell whose
+    boundary is not the entry's: a composite that skips an object, or a
+    cell over other arrows."""
+    for bic in tables:
+        for table in ("hcomp1", "vcomp", "lwhisk", "rwhisk"):
+            entries = getattr(bic, table)
+            ends = bic.arrows if table == "hcomp1" else bic.cells
+            for key in rng.sample(sorted(entries), min(3, len(entries))):
+                others = [x for x in sorted(ends) if ends[x] != ends[entries[key]]]
+                if others:
+                    name = f"{bic.name}[{table} {key}={{}}]"
+                    other = rng.choice(others)
+                    yield replaced(bic, name.format(other), **{table: {**entries, key: other}})
+
+
+def test_ill_typed_entries_are_checked_into_every_valid_target():
+    """An ill-typed entry of each table is checked even where the target is
+    thin, so the sources list the same 2-functors as before."""
+    shapes = (("chain_z2", 3), ("chaotic_z2", 2), ("chaotic_z2", 3))
+    sources = [family_table(family, n) for family, n in shapes]
+    targets = sweep_tables(SWEEP_SEEDS[:1])
+    kinds = set()
+    for mutant in ill_typed_mutants(sources, random.Random("ill-typed")):
+        assert not validate_bicategory(mutant).ok, mutant.name
+        kinds.add(mutant.name.split("[")[1].split()[0])
+        for dst in targets:
+            assert_same_as_a_reference(mutant, dst)
+    assert kinds == {"hcomp1", "vcomp", "lwhisk", "rwhisk"}
+
+
 def unit_entry_mutants(tables):
     """(table name, mutant, original) for every change of one unit entry of
     a table in tables: each hcomp1 entry at an identity arrow and each vcomp
@@ -319,10 +446,34 @@ def test_unit_entries_of_a_valid_target_are_not_read():
     assert listing(funs) == listing(ref.enumerate_2functors(bic, bic))
 
 
+def test_a_thin_target_reads_no_entry_it_settles():
+    # every hom of chaotic(3), chain(3), triv and iso has at most one arrow
+    # and every pair of parallel arrows at most one cell, so no hcomp1,
+    # vcomp or whisker entry of a valid source is read; grpd has one arrow
+    # and two cells, so its composites are settled and its cells are not
+    source = family_table("chaotic_z2", 3)
+    tables = ("hcomp1", "vcomp", "lwhisk", "rwhisk")
+    thin = [family_table("chaotic", 3), family_table("chain", 3)]
+    thin += [load_fixture_bicategory(name) for name in ("triv", "iso")]
+    for dst in thin + [load_fixture_bicategory("grpd")]:
+        counted = replaced(dst, dst.name)
+        for table in tables:
+            setattr(counted, table, CountedDict(getattr(dst, table)))
+        funs = enumerate_2functors(source, counted)
+        assert listing(funs) == listing(ref.forward_enumerate_2functors(source, dst))
+        reads = [getattr(counted, table).count for table in tables]
+        if dst in thin:
+            assert reads == [0, 0, 0, 0], dst.name
+        else:
+            assert reads[0] == 0 and all(reads[1:]), dst.name
+
+
 def test_composites_with_identities_are_checked_on_a_non_strict_target():
     # in the unit table f . id_X = f1, so a strict source's g . id_X = g
-    # rules out F g = f; that is checked before the identity cells, whose
-    # images are therefore looked up only on maps with every composite
+    # rules out F g = f; that is checked when g is bound, so the cells'
+    # candidates are listed only on arrow maps with every composite, while
+    # the identity cells' images are looked up once per object and arrow
+    # candidate bound
     unit = non_strict_tables()[-1]
     assert unit.hcomp1[("f", "id_X")] == "f1" and validate_bicategory(unit).ok
     for src in small_tables():
@@ -330,10 +481,15 @@ def test_composites_with_identities_are_checked_on_a_non_strict_target():
             continue
         counted = replaced(unit, unit.name)
         counted.idc = CountedDict(unit.idc)
+        calls = []
+        counted.cells_between = lambda f, g: calls.append((f, g)) or unit.cells_between(f, g)
         funs = enumerate_2functors(src, counted)
         assert listing(funs) == listing(ref.enumerate_2functors(src, unit)), src.name
+        object_steps, _ = consistent_counts(src, unit)
+        tries = object_steps * len(unit.objects) + arrow_tries(src, unit)
+        assert counted.idc.count == tries, src.name
         images = {a for amap in arrow_maps(src, unit) for a in amap.values()}
-        assert set(counted.idc.reads) <= images, src.name
+        assert {f for pair in calls for f in pair} <= images, src.name
 
 
 def test_a_missing_composite_is_reported_as_before():
@@ -391,12 +547,11 @@ def cell_entries_hold(src, dst, amap, cmap):
 
 
 def consistent_counts(src, dst):
-    """By brute force, for strict src and dst: the maps of each proper prefix
-    of the objects under which every non-identity arrow with both ends mapped
-    has a hom, the complete such object maps, the arrow maps on them under
-    which every composite holds, and the maps of each proper prefix of the
-    non-identity cells on those under which every vcomp and whisker entry
-    with its cells mapped holds."""
+    """By brute force, for a strict src: the maps of each proper prefix of
+    the objects under which every non-identity arrow with both ends mapped
+    has a hom, and, on the arrow maps under which every composite holds, the
+    maps of each proper prefix of the non-identity cells under which every
+    vcomp and whisker entry with its cells mapped holds."""
     objs = list(src.objects)
     gens = [f for f in sorted(src.arrows) if f not in set(src.id1.values())]
     ends = [src.arrows[f] for f in gens]
@@ -405,14 +560,12 @@ def consistent_counts(src, dst):
     def homs_ok(omap):
         return all(dst.arrows_between(omap[x], omap[y]) for x, y in ends if x in omap and y in omap)
 
-    partial = [
-        [omap for omap in (dict(zip(objs, m)) for m in itertools.product(dst.objects, repeat=k))
-         if homs_ok(omap)]
-        for k in range(len(objs) + 1)
-    ]
-    functors = cell_steps = 0
+    object_steps = sum(
+        homs_ok(dict(zip(objs, m)))
+        for k in range(len(objs)) for m in itertools.product(dst.objects, repeat=k)
+    )
+    cell_steps = 0
     for amap in arrow_maps(src, dst):
-        functors += 1
         idmap = {src.idc[f]: dst.idc[amap[f]] for f in src.arrows}
         for j in range(len(cells)):
             homs = [dst.cells_between(*(amap[f] for f in src.cells[a])) for a in cells[:j]]
@@ -420,7 +573,7 @@ def consistent_counts(src, dst):
                 cell_entries_hold(src, dst, amap, {**idmap, **dict(zip(cells, m))})
                 for m in itertools.product(*homs)
             )
-    return sum(len(maps) for maps in partial[:-1]), len(partial[-1]), functors, cell_steps
+    return object_steps, cell_steps
 
 
 def arrow_maps(src, dst):
@@ -438,6 +591,45 @@ def arrow_maps(src, dst):
                 yield amap
 
 
+def arrow_entries_hold(src, dst, amap):
+    """Whether every composite of a strict src whose arrows amap maps holds
+    and, unless dst is strict too, every unitor and associator entry whose
+    arrows it maps, each of src's being the identity cell of an arrow."""
+    mapped = amap.keys()
+    owner = {c: f for f, c in src.idc.items()}
+    return (
+        all(dst.hcomp1.get((amap[g], amap[f])) == amap[c]
+            for (g, f), c in src.hcomp1.items() if {g, f, c} <= mapped)
+        and (dst.strict or all(
+            dst.lunitor[amap[f]] == dst.idc[amap[f]] == dst.runitor[amap[f]]
+            for f in src.arrows if f in mapped
+        ) and all(
+            dst.assoc[(amap[h], amap[g], amap[f])] == dst.idc[amap[owner[c]]]
+            for (h, g, f), c in src.assoc.items() if {h, g, f, owner[c]} <= mapped
+        ))
+    )
+
+
+def arrow_tries(src, dst):
+    """By brute force, for a strict src: the arrow candidates the search
+    binds, one per map of a nonempty prefix of the non-identity arrows, on a
+    complete object map under which every such arrow has a hom, whose
+    restriction to the shorter prefix satisfies ``arrow_entries_hold``."""
+    objs = list(src.objects)
+    gens = [f for f in sorted(src.arrows) if f not in set(src.id1.values())]
+    tries = 0
+    for combo in itertools.product(dst.objects, repeat=len(objs)):
+        omap = dict(zip(objs, combo))
+        homs = [dst.arrows_between(*(omap[x] for x in src.arrows[f])) for f in gens]
+        if not all(homs):
+            continue
+        ids = {src.id1[x]: dst.id1[omap[x]] for x in objs}
+        for k in range(1, len(gens) + 1):
+            for images in itertools.product(*homs[:k]):
+                tries += arrow_entries_hold(src, dst, {**ids, **dict(zip(gens[:k - 1], images))})
+    return tries
+
+
 def test_search_extends_exactly_the_consistent_partial_maps(monkeypatch):
     # the results are not built, so only the search reads the target
     monkeypatch.setattr(ho, "PseudofunctorData", lambda **kw: kw)
@@ -446,19 +638,20 @@ def test_search_extends_exactly_the_consistent_partial_maps(monkeypatch):
     for src, dst in itertools.product(fixtures + chains, repeat=2):
         if not (src.strict and dst.strict):
             continue
-        object_steps, object_maps, functors, cell_steps = consistent_counts(src, dst)
+        object_steps, cell_steps = consistent_counts(src, dst)
         counted = replaced(dst, dst.name)
         counted.objects = CountedTuple(dst.objects)
         counted.id1, counted.idc = CountedDict(dst.id1), CountedDict(dst.idc)
         calls = []
         counted.cells_between = lambda f, g: calls.append((f, g)) or dst.cells_between(f, g)
         enumerate_2functors(src, counted)
-        # the objects are tried once per partial object map that passes, the
-        # identity arrows' images looked up once per complete one, the
-        # identity cells' once per arrow map with every composite, and the
-        # non-identity cells' candidates listed once per partial cell map
-        # that passes
+        # the objects are tried once per partial object map that passes, and
+        # each object bound looks up its identity arrow's and identity
+        # cell's images; each arrow bound looks up its identity cell's; the
+        # non-identity cells' candidates are listed once per partial cell
+        # map that passes
         assert counted.objects.count == object_steps, (src.name, dst.name)
-        assert counted.id1.count == len(src.objects) * object_maps, (src.name, dst.name)
-        assert counted.idc.count == len(src.arrows) * functors, (src.name, dst.name)
+        object_tries = object_steps * len(dst.objects)
+        assert counted.id1.count == object_tries, (src.name, dst.name)
+        assert counted.idc.count == object_tries + arrow_tries(src, dst), (src.name, dst.name)
         assert len(calls) == cell_steps, (src.name, dst.name)

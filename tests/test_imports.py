@@ -6,7 +6,10 @@ name, which must mention it.  A bare re-export comment names no reader, so an
 import nothing reads cannot hide behind one.
 """
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -81,3 +84,18 @@ def test_the_check_flags_an_unused_import_and_a_reason_without_a_reader(tmp_path
     assert found["path"] == "the reason 're-exported' names no file that reads 'path'"
     assert found["json"] == "unused, and no '# noqa: F401 -- <reason>' comment"
     assert found["Any"] is None
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    """Every command's process imports ``bicatkit.cli``; ``dataclasses``
+    would pull in ``inspect``, so neither may come with it."""
+    code = (
+        "import sys; before = set(sys.modules); import bicatkit.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
+    )
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout == "[]\n"

@@ -1,9 +1,11 @@
 import json
+import random
 from collections import Counter
 
 import pytest
 
 from bench import families
+from bicatkit import ho
 from bicatkit import localize as localize_module
 from bicatkit import sigma as sigma_module
 from bicatkit.core import validate_bicategory
@@ -221,6 +223,142 @@ def test_replay_names_each_tamper(split_z2_cert, tamper, problems):
     bad = json.loads(json.dumps(cert))
     tamper(bad)
     assert replay_certificate(sigma, bad, probes) == (False, problems)
+    assert _without_boundaries(problems) == ref.replay_certificate(sigma, bad, probes)[1]
+
+
+def _without_boundaries(problems: list[str]) -> list[str]:
+    """The problems the reference replay reports too: it predates the check
+    that each side runs from ``q * arrow`` or ``arrow * q`` to an identity."""
+    return [p for p in problems if ": hocell is not " not in p]
+
+
+def _family_sigma(family: str, n: int, seed: int = 1):
+    doc = families.generate(family, n, seed, marked=True)
+    pres = load_presentation_with_sigma(doc.text(), doc.name)
+    return make_sigma(pres.bicategory, pres.sigma_names)
+
+
+def _single_edits(cert: dict, names: list[str], rng, count: int):
+    """A seeded sample of count single-edit mutants of cert: a string leaf
+    renamed to another name of the table, a bool flipped, an int moved by
+    -1, +1 or +1000, or a list entry dropped or repeated."""
+    edits = []
+
+    def walk(node, path):
+        if isinstance(node, list):
+            edits.extend((kind, path, i) for i in range(len(node)) for kind in ("drop", "repeat"))
+        if isinstance(node, (dict, list)):
+            for key, sub in (node.items() if isinstance(node, dict) else enumerate(node)):
+                walk(sub, path + (key,))
+        elif isinstance(node, bool):
+            edits.append(("flip", path, None))
+        elif isinstance(node, int):
+            edits.extend(("add", path, d) for d in (-1, 1, 1000))
+        elif isinstance(node, str):
+            edits.append(("rename", path, None))
+
+    walk(cert, ())
+    for kind, path, arg in rng.sample(edits, count):
+        bad = json.loads(json.dumps(cert))
+        *outer, last = path
+        parent = bad
+        for key in outer:
+            parent = parent[key]
+        if kind == "drop":
+            del parent[last][arg]
+        elif kind == "repeat":
+            parent[last].insert(arg, parent[last][arg])
+        elif kind == "flip":
+            parent[last] = not parent[last]
+        elif kind == "add":
+            parent[last] += arg
+        else:
+            parent[last] = rng.choice([n for n in names if n != parent[last]])
+        yield bad
+
+
+@pytest.mark.parametrize("table", [("chaotic_z2", 2), ("chaotic", 3), "split_z2"], ids=str)
+def test_single_edit_mutants_replay_as_the_reference(table, split_z2_cert):
+    """On a seeded sample of single-edit mutants, replay lists the problems
+    the reference replay, which evaluates every probe on every side, lists,
+    beside the boundary checks the reference lacks.  In chaotic(n) and
+    chaotic_z2(n) every marked arrow is a quasiequivalence, so sides whose
+    source hat is the identity skip the probes; split_z2 has none."""
+    if table == "split_z2":
+        sigma, probes, cert = split_z2_cert
+    else:
+        sigma = _family_sigma(*table)
+        probes = enumerate_probes(sigma, default_probe_targets(sigma))
+        cert = localize(sigma, probes).to_json()
+    bic = sigma.bic
+    names = sorted({*bic.objects, *bic.arrows, *bic.cells})
+    outcomes = Counter()
+    for bad in _single_edits(cert, names, random.Random(f"{table}:edits"), 250):
+        ok, problems = replay_certificate(sigma, bad, probes)
+        assert ok == (not problems)
+        assert _without_boundaries(problems) == ref.replay_certificate(sigma, bad, probes)[1]
+        outcomes[ok] += 1
+        outcomes["separates"] += any("separates" in p for p in problems)
+    assert outcomes[True] > 0 and outcomes[False] > 0
+    if table == ("chaotic_z2", 2):
+        assert outcomes["separates"] > 0
+
+
+def _count_probe_values(monkeypatch) -> list:
+    calls = []
+    values = localize_module.probe_values
+
+    def counted(probes, k):
+        calls.append(k)
+        return values(probes, k)
+
+    monkeypatch.setattr(localize_module, "probe_values", counted)
+    return calls
+
+
+def test_honest_replay_reads_no_probe_value_where_every_hat_is_the_identity(
+    monkeypatch, split_z2_cert
+):
+    """In chaotic(3) each side's ``inverse o class`` has the identity as its
+    source hat, so replay evaluates no probe; in split_z2 the marked arrows
+    are not quasiequivalences, so the sides with homotopies evaluate every
+    probe, as before."""
+    sigma = _family_sigma("chaotic", 3)
+    probes = enumerate_probes(sigma, default_probe_targets(sigma))
+    assert len(probes.probes) == families.chaotic_probe_count(3, False)
+    cert = localize(sigma, probes).to_json()
+    calls = _count_probe_values(monkeypatch)
+    assert replay_certificate(sigma, cert, probes) == (True, [])
+    assert calls == []
+    sigma, probes, cert = split_z2_cert
+    assert replay_certificate(sigma, cert, probes) == (True, [])
+    assert calls and all(ho.source_hat(k) is None for k in calls)
+
+
+def test_a_forged_side_whose_hat_is_not_the_identity_lists_every_separating_probe():
+    """A z cell appended to one side's class of chaotic_z2(2) leaves
+    ``inverse o class`` with the source hat z, so replay evaluates every
+    probe and names each one that sends z to a non-identity cell."""
+    sigma = _family_sigma("chaotic_z2", 2)
+    bic = sigma.bic
+    probes = enumerate_probes(sigma, default_probe_targets(sigma))
+    cert = localize(sigma, probes).to_json()
+    bad = json.loads(json.dumps(cert))
+    entry = bad["equivalences"][0]
+    hocell = entry["to_id_src"]["hocell"]
+    z = f"z_{hocell['g']}"
+    hocell["terms"].append({"kind": "icell", "cell": z})
+    ok, problems = replay_certificate(sigma, bad, probes)
+    where = f"{entry['arrow']}/to_id_src"
+    separating = [
+        f"{where}: probe {fun.name} separates"
+        for fun in probes.probes
+        if fun.cell_map[z] != fun.target.idc[fun.arr_map[hocell["g"]]]
+    ]
+    assert len(separating) > 1
+    assert not ok
+    assert problems == [f"{where}: invertibility does not re-derive"] + separating
+    assert problems == ref.replay_certificate(sigma, bad, probes)[1]
 
 
 def test_split_z2_witnesses_are_transported_along_their_isos(split_z2_cert, monkeypatch):
