@@ -15,6 +15,10 @@ That relation quantifies over all functors, so equality is decided three-ways:
              its own hats of the terms.
 * Unknown -- neither; an honest outcome, reported with exit code 2 by the CLI.
 
+When every marked arrow is a quasiequivalence, the identity 2-functor is
+admissible, so sides with different source hats are distinct classes; the
+rewrites are sound, so they cannot join them and ``ho_eq`` skips them.
+
 Sequences are stored first-applied-first.
 """
 from __future__ import annotations
@@ -451,7 +455,7 @@ def enumerate_probes(
     marked arrows are quasiequivalences) that satisfy the probe conditions."""
     src = sigma.bic
     all_targets = list(targets)
-    if include_self and all(is_quasiequivalence(src, s) for s in sigma.members):
+    if include_self and identity_is_admissible(sigma):
         if all(t is not src for t in all_targets):
             all_targets.append(src)
     probes: list[PseudofunctorData] = []
@@ -462,6 +466,12 @@ def enumerate_probes(
             if all(fun.arr_map[s] in qe for s in sigma.members)
         ]
     return ProbeSet(tuple(probes))
+
+
+def identity_is_admissible(sigma: SigmaClass) -> bool:
+    """Every marked arrow is a quasiequivalence in the source, so the identity
+    2-functor is an admissible probe."""
+    return all(is_quasiequivalence(sigma.bic, s) for s in sigma.members)
 
 
 def f_hat_chain(fun: PseudofunctorData, k: HoCell) -> str:
@@ -493,9 +503,14 @@ def probe_values(
     solves Fs * c = F(alpha_tilde) and is F's hat of it.  When that holds for
     every cylinder of k, each value is F of k's ``source_hat``; otherwise
     each probe hats the terms in its own target."""
-    if not probes.probes:
-        return
-    value = source_hat(k)
+    if probes.probes:
+        yield from _values(probes, k, source_hat(k))
+
+
+def _values(
+    probes: ProbeSet, k: HoCell, value: str | None
+) -> Iterator[tuple[PseudofunctorData, str]]:
+    """``probe_values`` of k, given ``value``, k's ``source_hat``."""
     for fun in probes.probes:
         yield fun, f_hat_chain(fun, k) if value is None else fun.cell_map[value]
 
@@ -722,7 +737,11 @@ def _normalize_side(
 def ho_eq(
     k1: HoCell, k2: HoCell, probes: ProbeSet | None = None, budget: int = 8
 ) -> EqVerdict:
-    """Three-valued equality on homotopy-bicategory 2-cells."""
+    """Three-valued equality on homotopy-bicategory 2-cells.
+
+    With probes, when the identity is admissible, sides with different source
+    hats are distinct, and the sound rewrites cannot join them; so they are
+    skipped, and the probe walk gives the same verdict without them."""
     if k1.sigma != k2.sigma:
         raise StructureError("cells live over different marked classes")
     if (k1.f, k1.g) != (k2.f, k2.g):
@@ -733,16 +752,32 @@ def ho_eq(
         raise StructureError("budget must be >= 1")
     if k1.terms == k2.terms:
         return EqVerdict("equal", (TraceStep("both", "syntactic", ""),))
+    if probes is not None and not probes.probes:
+        probes = None  # no probe to separate with
+    hats = None
+    if probes is not None and identity_is_admissible(k1.sigma):
+        hats = source_hat(k1), source_hat(k2)
+        if hats[0] != hats[1]:
+            return _first_separation(probes, k1, k2, hats)
     trace: list[TraceStep] = []
     left = _normalize_side(k1, "left", trace, budget)
     right = _normalize_side(k2, "right", trace, budget)
     if left == right:
         return EqVerdict("equal", tuple(trace))
-    if probes is not None:
-        values = zip(probe_values(probes, k1), probe_values(probes, k2))
-        for (fun, v1), (_, v2) in values:
-            if v1 != v2:
-                return EqVerdict("distinct", (), fun.name, v1, v2)
+    if probes is None:
+        return EqVerdict("unknown")
+    return _first_separation(probes, k1, k2, hats or (source_hat(k1), source_hat(k2)))
+
+
+def _first_separation(
+    probes: ProbeSet, k1: HoCell, k2: HoCell, hats: tuple[str | None, str | None]
+) -> EqVerdict:
+    """The first probe whose values on k1 and k2 differ, given their source
+    hats; ``Unknown`` when none does."""
+    values = zip(_values(probes, k1, hats[0]), _values(probes, k2, hats[1]))
+    for (fun, v1), (_, v2) in values:
+        if v1 != v2:
+            return EqVerdict("distinct", (), fun.name, v1, v2)
     return EqVerdict("unknown")
 
 

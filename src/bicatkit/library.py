@@ -1,6 +1,7 @@
 """Bundled presentation fixtures and the default probe target library."""
 from __future__ import annotations
 
+from functools import cache
 from importlib import resources
 from typing import TYPE_CHECKING
 
@@ -40,5 +41,11 @@ def load_chain_pseudofunctor() -> PseudofunctorData:
 
 def default_probe_targets(sigma: SigmaClass) -> list[Bicategory]:
     """The bundled probe targets, less the one named like the marked
-    bicategory, which enumerate_probes handles itself."""
-    return [load_fixture_bicategory(n) for n in DEFAULT_PROBE_TARGETS if n != sigma.bic.name]
+    bicategory, which enumerate_probes handles itself.  Each is parsed once
+    per process and shared by every call: callers must not mutate them."""
+    return [_probe_target(n) for n in DEFAULT_PROBE_TARGETS if n != sigma.bic.name]
+
+
+@cache
+def _probe_target(name: str) -> Bicategory:
+    return load_fixture_bicategory(name)

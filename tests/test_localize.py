@@ -540,3 +540,25 @@ def test_derive_side_decides_each_cancellation_on_its_own():
 
     assert verdicts(a, b) == ["equal", "unknown"]
     assert verdicts(b, a) == ["unknown", "equal"]
+
+
+def test_default_probe_targets_are_parsed_once_and_change_no_byte():
+    """Every call shares one parse of each bundled target; the probes into
+    them, and the certificates naming those probes, are those into freshly
+    parsed copies, as each call made before the parses were shared."""
+    for name in BICATEGORIES:
+        pres = load_fixture(name)
+        sigma = make_sigma(pres.bicategory, pres.sigma_names)
+        shared = default_probe_targets(sigma)
+        again = default_probe_targets(sigma)
+        assert len(shared) == len(again) > 0
+        assert all(a is b for a, b in zip(shared, again))
+        fresh = [load_fixture_bicategory(t.name) for t in shared]
+        assert not any(a is b for a, b in zip(shared, fresh))
+        probes, fresh_probes = (enumerate_probes(sigma, ts) for ts in (shared, fresh))
+        assert probes.names() == fresh_probes.names()
+        cert, fresh_cert = (
+            json.dumps(localize(sigma, ps).to_json(), sort_keys=True)
+            for ps in (probes, fresh_probes)
+        )
+        assert cert == fresh_cert

@@ -13,6 +13,12 @@ chaotic(2)xZ/2 at seeds 1 and 2 with every arrow marked, plus the six
 fixtures.  In ``split`` (and the Z/2 split idempotent of the decider test)
 the marked arrows are not quasiequivalences, so there every side with a
 homotopy takes the fallback.
+
+``ho_eq`` skips rewriting when every marked arrow is a quasiequivalence and
+the two source hats differ; counting tests pin when it rewrites and how often
+it hats each side, and the reference decider, which always rewrites, pins its
+verdicts, on a table with only some arrows marked and under a probe set with
+no separating probe too.
 """
 import json
 import random
@@ -24,7 +30,7 @@ from bench import families
 from bicatkit import ho
 from bicatkit.core import StructureError
 from bicatkit.homotopy import Homotopy, ICell, transform_homotopy
-from bicatkit.library import BICATEGORIES, load_fixture
+from bicatkit.library import BICATEGORIES, load_fixture, load_fixture_bicategory
 from bicatkit.localize import default_probe_targets, localize, replay_certificate
 from bicatkit.presentation import load_presentation_with_sigma
 from bicatkit.sigma import is_quasiequivalence, make_sigma
@@ -140,6 +146,99 @@ def test_probe_values_hat_each_side_once_when_asked(monkeypatch):
     assert calls == {"hat": 3}
 
 
+def _decider_probes(sigma):
+    """The probe set ``bicatkit ho-eq`` and ho-decide build."""
+    found = ho.enumerate_probes(sigma, default_probe_targets(sigma), include_self=True)
+    return ho.make_probe_set(sigma, list(found.probes))
+
+
+def _count_decider(monkeypatch) -> list:
+    """Record each ``_normalize_side``, ``source_hat`` and ``hat`` call of the
+    decider, in call order."""
+    calls: list = []
+    for name in ("_normalize_side", "source_hat", "hat"):
+        real = getattr(ho, name)
+        monkeypatch.setattr(
+            ho, name, lambda *a, _n=name, _f=real: calls.append(_n) or _f(*a)
+        )
+    return calls
+
+
+def _homotopies(k) -> int:
+    return sum(isinstance(t, Homotopy) for t in k.terms)
+
+
+def _rewritten(sigma, seed: str) -> list:
+    """``_queries`` less the syntactically equal pairs, which the decider
+    answers before rewriting."""
+    rng = random.Random(seed)
+    return [
+        (k1, k2)
+        for k1, k2 in _queries(sigma, _terms(sigma, cap=2000), rng)
+        if k1.terms != k2.terms
+    ]
+
+
+def test_in_the_regime_each_side_is_hatted_once_and_distinct_skips_rewriting(monkeypatch):
+    """On chaotic(3)xZ/2 the decider hats each side once, before rewriting,
+    calling ``hat`` once per homotopy term; a Distinct answer rewrites
+    nothing, Equal and Unknown answers normalize both sides, and the probe
+    walk reads the hats already computed."""
+    sigma = _sigma(("chaotic_z2", 3, 1))
+    probes = _decider_probes(sigma)
+    calls = _count_decider(monkeypatch)
+    verdicts: Counter = Counter()
+    for k1, k2 in _rewritten(sigma, "hat-once"):
+        calls.clear()
+        verdict = ho.ho_eq(k1, k2, probes, 8).verdict
+        verdicts[verdict] += 1
+        rewrites = [] if verdict == "distinct" else ["_normalize_side"] * 2
+        assert [c for c in calls if c != "hat"] == ["source_hat"] * 2 + rewrites
+        assert calls.count("hat") == _homotopies(k1) + _homotopies(k2)
+    assert set(verdicts) == {"equal", "distinct", "unknown"}
+
+
+def test_outside_the_regime_every_query_normalizes_both_sides(monkeypatch):
+    """On split_z2 the marked e, r and s are not quasiequivalences, so sides
+    with different source hats may still be equal: the decider rewrites
+    first, then hats each side for the probe walk.  The cell pairs have
+    different hats that both exist, so a gate that read only the query's
+    cylinders would skip their rewriting."""
+    sigma = _sigma("split_z2")
+    bic = sigma.bic
+    assert not ho.identity_is_admissible(sigma)
+    probes = _decider_probes(sigma)
+    queries = _rewritten(sigma, "split_z2:gate") + [
+        (ho.i_cell(sigma, c), ho.ho_identity(sigma, f))
+        for f in sorted(bic.arrows)
+        for c in bic.cells_between(f, f)
+        if not bic.is_identity_cell(c)
+    ]
+    calls = _count_decider(monkeypatch)
+    hats: Counter = Counter()
+    for k1, k2 in queries:
+        calls.clear()
+        verdict = ho.ho_eq(k1, k2, probes, 8)
+        walk = [] if verdict.is_equal else ["source_hat"] * 2
+        assert [c for c in calls if c != "hat"] == ["_normalize_side"] * 2 + walk
+        h1, h2 = ho.source_hat(k1), ho.source_hat(k2)
+        hats[h1 is None or h2 is None, h1 != h2, verdict.verdict] += 1
+    # different hats, one of them missing, and yet equal by rewriting
+    assert hats[True, True, "equal"] > 0
+    assert hats[False, True, "distinct"] + hats[False, True, "unknown"] > 0
+
+
+def test_without_probes_no_side_is_hatted(monkeypatch):
+    calls = _count_decider(monkeypatch)
+    for table in (("chaotic_z2", 3, 1), "split_z2"):
+        sigma = _sigma(table)
+        for k1, k2 in _rewritten(sigma, f"{table}:no-probes"):
+            calls.clear()
+            ho.ho_eq(k1, k2, None, 8)
+            ho.ho_eq(k1, k2, ho.ProbeSet(()), 8)
+            assert calls == ["_normalize_side"] * 4
+
+
 def _queries(sigma, terms: dict, rng: random.Random):
     """ho-decide's three kinds: k^-1 k against the identity, z k against k
     for the last cell z on the arrow, and free pairs."""
@@ -159,15 +258,32 @@ def _queries(sigma, terms: dict, rng: random.Random):
         yield seq(f, 8, 24), seq(f, 8, 24)
 
 
-def test_ho_eq_verdicts_with_probes_match_reference():
-    verdicts: Counter = Counter()
+def _verdict_cases():
+    """(name, marked class, probe set, rng seed) for the decider comparison:
+    the default probes on regime tables and on split and split_z2; chaotic(3)
+    xZ/2 with every other non-identity arrow marked, still in the regime; and
+    chaotic(3)xZ/2 with only the triv and iso probes, none of which separates
+    anything there."""
     tables = (("chaotic_z2", 3, 1), ("chaotic_z2", 3, 2), ("chaotic", 3, 1))
     for table in tables + ("split", "split_z2"):
         sigma = _sigma(table)
-        found = ho.enumerate_probes(sigma, default_probe_targets(sigma), include_self=True)
-        probes = ho.make_probe_set(sigma, list(found.probes))
-        rng = random.Random(f"{table}:probe-verdicts")
+        yield _name(table), sigma, _decider_probes(sigma), f"{table}:probe-verdicts"
+    bic = _sigma(("chaotic_z2", 3, 1)).bic
+    some = make_sigma(bic, sorted(set(bic.arrows) - set(bic.id1.values()))[::2])
+    assert ho.identity_is_admissible(some) and some.members < set(bic.arrows)
+    yield "some-marked", some, _decider_probes(some), "some-marked:probe-verdicts"
+    sigma = _sigma(("chaotic_z2", 3, 1))
+    targets = [load_fixture_bicategory(n) for n in ("triv", "iso")]
+    found = ho.enumerate_probes(sigma, targets, include_self=False)
+    yield "triv-iso", sigma, ho.make_probe_set(sigma, list(found.probes)), "triv-iso:probe-verdicts"
+
+
+def test_ho_eq_verdicts_with_probes_match_reference():
+    verdicts: Counter = Counter()
+    for name, sigma, probes, seed in _verdict_cases():
+        rng = random.Random(seed)
         for k1, k2 in _queries(sigma, _terms(sigma, cap=2000), rng):
+            apart = ho.source_hat(k1) != ho.source_hat(k2)
             for budget in (8, 1):
                 got = ho.ho_eq(k1, k2, probes, budget)
                 want = ref.ho_eq(k1, k2, probes, budget)
@@ -177,9 +293,14 @@ def test_ho_eq_verdicts_with_probes_match_reference():
                     want.left_value,
                     want.right_value,
                 )
-                verdicts[_name(table), got.verdict] += 1
+                verdicts[name, got.verdict] += 1
+                verdicts[name, got.verdict, apart] += 1
     for verdict in ("equal", "distinct", "unknown"):
         assert verdicts["chaotic_z2", verdict] > 0
+    assert verdicts["some-marked", "distinct", True] > 0
+    # different hats and no separating probe in the set: Unknown
+    assert verdicts["triv-iso", "unknown", True] > 0
+    assert verdicts["triv-iso", "distinct"] == 0
     # a separation found through the per-probe fallback
     assert verdicts["split_z2", "distinct"] > 0
 
@@ -274,8 +395,7 @@ def test_functor_hat_calls(monkeypatch, table, fast):
     """A quasiequivalence in the source lets every probe read its value off
     the source hat, so no functor hat is solved; in split they are."""
     sigma = _sigma(table)
-    found = ho.enumerate_probes(sigma, default_probe_targets(sigma), include_self=True)
-    probes = ho.make_probe_set(sigma, list(found.probes))
+    probes = _decider_probes(sigma)
     k1, k2 = _unknown_free_pair(sigma)
     cert = localize(sigma, probes).to_json()
     calls = _counting(monkeypatch)
