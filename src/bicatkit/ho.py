@@ -265,7 +265,8 @@ def _require_2functor(fun: PseudofunctorData) -> None:
 
 
 def enumerate_2functors(src: Bicategory, dst: Bicategory) -> list[PseudofunctorData]:
-    """All 2-functors between two finite tabulated bicategories.
+    """All 2-functors between two finite tabulated bicategories, both of which
+    must pass `validate_bicategory`.
 
     The search is depth first with one level per unknown: the objects in
     order, each over the target's objects; the sorted non-identity arrows,
@@ -279,27 +280,18 @@ def enumerate_2functors(src: Bicategory, dst: Bicategory) -> list[PseudofunctorD
     associators.  A branch thus ends at its first broken constraint, and the
     results, in their order, are those of checking complete maps only.
 
-    The target must pass `validate_bicategory`.  Then these source entries
-    hold on every branch once the maps are assigned, and are not checked:
-    for a: f => g, the `vcomp` entries id_g . a = a and a . id_f = a, by the
-    target's `vcomp-unit`; the whisker entries g * id_f = id_{gf} and
-    id_g * f = id_{gf}, by its `W2` and the `hcomp1` check on (g, f); and,
-    when the target is strict, for f: x -> y the `hcomp1` entries
-    f . id_x = f and id_y . f = f, by its `strict-unital`.  A thin target
-    settles more.  Each image lies in the target hom over the images of the
-    boundary its level binds it with: (x, x) for id_x, (f, f) for id_f, the
-    declared one for a generator.  An entry is well typed when these
-    boundaries chain: g . f = h with f: x -> y, g: y -> z and h: x -> z, and
-    likewise for `vcomp`; g * a = c with a: f1 => f2 and c: g f1 => g f2, and
-    likewise for `rwhisk`.  When each hom of the target has at most one
-    arrow, every well-typed `hcomp1` entry holds, since F g . F f and F h lie
-    in the one hom from F x to F z.  When each pair of parallel arrows has
-    at most one cell, so does every well-typed `vcomp` entry and, as every
-    `hcomp1` entry holds by then, every well-typed whisker entry.  An entry
-    is skipped only when it reads exactly so, so the results on an invalid
-    source are unchanged too.  By the `hcomp1` entries, F(id_x) = id_{F x}
-    and F g . F f = F(g f), so each result's xi and phi are identity cells,
-    read off its cell map."""
+    Every entry of a valid source is well typed, so an entry holds on every
+    branch, and is not checked, when the target settles it: an `hcomp1` entry
+    when each target hom has at most one arrow, since both of its sides lie
+    in one hom; a `vcomp` or whisker entry when each pair of parallel target
+    arrows has at most one cell, since both of its sides are parallel cells;
+    a `vcomp` entry with an identity input, id_g . a = a or a . id_f = a, by
+    the target's `vcomp-unit`; a whisker entry with an identity cell,
+    g * id_f = id_{gf} or id_g * f = id_{gf}, by its `W2` and the `hcomp1`
+    entry (g, f); and on a strict target an `hcomp1` entry f . id_x = f or
+    id_y . f = f, by its `strict-unital`.  By the `hcomp1` entries,
+    F(id_x) = id_{F x} and F g . F f = F(g f), so each result's xi and phi
+    are identity cells, read off its cell map."""
     objs = list(src.objects)
     id1, idc = src.id1, src.idc
     ids = set(id1.values())
@@ -322,11 +314,9 @@ def enumerate_2functors(src: Bicategory, dst: Bicategory) -> list[PseudofunctorD
     def bind_cell(a: str, b: str) -> None:
         cmap[a] = b
 
-    # one level per unknown; `at` files each generator under the level that
-    # binds it, and `bound` keeps the boundary its image lies over
+    # one level per unknown; `at` files each generator under the level that binds it
     levels: list[tuple[Callable[[str, str], None], str, Callable[[], Iterable[str]]]] = []
     at: dict[tuple[str, str], int] = {}
-    bound: dict[tuple[str, str], tuple[str, str]] = {}
 
     def level(bind, x: str, candidates, *owned: tuple[str, str]) -> None:
         at.update(dict.fromkeys(owned, len(levels)))
@@ -334,76 +324,43 @@ def enumerate_2functors(src: Bicategory, dst: Bicategory) -> list[PseudofunctorD
 
     for x in objs:
         i = id1[x]
-        bound["arrow", i], bound["cell", idc[i]] = (x, x), (i, i)
         level(bind_object, x, lambda: dst.objects, ("object", x), ("arrow", i), ("cell", idc[i]))
     for f, (x, y) in sorted(src.arrows.items()):
         if f not in ids:
-            bound["arrow", f], bound["cell", idc[f]] = (x, y), (f, f)
             level(bind_arrow, f, lambda x=x, y=y: dst.arrows_between(omap[x], omap[y]),
                   ("arrow", f), ("cell", idc[f]))
     for a, (f, g) in sorted(src.cells.items()):
         if a not in idcs:
-            bound["cell", a] = (f, g)
             level(bind_cell, a, lambda f=f, g=g: dst.cells_between(amap[f], amap[g]), ("cell", a))
     checks: list[list[Callable[[], bool]]] = [[] for _ in levels]
 
-    def file(
-        reads: Iterable[tuple[str, str]], check: Callable[[], bool], holds: bool = False
-    ) -> None:
-        """File check under the last level it reads, unless it holds."""
-        if not holds:
-            checks[max(map(at.__getitem__, reads))].append(check)
+    def file(reads: Iterable[tuple[str, str]], check: Callable[[], bool]) -> None:
+        """File check under the last level it reads."""
+        checks[max(map(at.__getitem__, reads))].append(check)
 
-    # the unit entries, keyed as in their tables, that hold on a valid target
-    # once the identities are assigned: by vcomp-unit; by W2, after the
-    # hcomp1 check on (g, f); and on a strict target by strict-unital
-    unit_vcomp = {
-        k: a for a, (f, g) in src.cells.items() for k in ((idc.get(g), a), (a, idc.get(f)))
-    }
-    unit_lwhisk = {(g, idc.get(f)): idc.get(c) for (g, f), c in src.hcomp1.items()}
-    unit_rwhisk = {(idc.get(g), f): idc.get(c) for (g, f), c in src.hcomp1.items()}
-    unit_hcomp1 = {
-        k: f for f, (x, y) in src.arrows.items() for k in ((f, id1.get(x)), (id1.get(y), f))
-    } if dst.strict else {}
     thin_arrows = len(set(dst.arrows.values())) == len(dst.arrows)
     thin_cells = len(set(dst.cells.values())) == len(dst.cells)
-    compose = src.hcomp1.get
-
-    def chains(space: str, second: str, first: str, out: str) -> bool:
-        """Whether first's and second's boundaries chain and out's spans both."""
-        e1, e2 = bound.get((space, first)), bound.get((space, second))
-        return e1 is not None and e2 is not None and e1[1] == e2[0] and (
-            bound.get((space, out)) == (e1[0], e2[1])
-        )
-
-    def whiskers(arrow: str, a: str, out: str, by: Callable[[str], str | None]) -> bool:
-        """Whether out's boundary is a's boundary whiskered by arrow."""
-        ends = bound.get(("cell", a))
-        return ("arrow", arrow) in bound and ends is not None and (
-            bound.get(("cell", out)) == tuple(map(by, ends))
-        )
-
     for x, y in sorted({ends for f, ends in src.arrows.items() if f not in ids}):
         file([("object", x), ("object", y)],
              lambda x=x, y=y: bool(dst.arrows_between(omap[x], omap[y])))
-    for (g, f), c in src.hcomp1.items():
-        file([("arrow", g), ("arrow", f), ("arrow", c)],
-             lambda g=g, f=f, c=c: dst.hcomp1.get((amap[g], amap[f])) == amap[c],
-             unit_hcomp1.get((g, f)) == c or thin_arrows and chains("arrow", g, f, c))
-    for (b, a), c in src.vcomp.items():
-        file([("cell", b), ("cell", a), ("cell", c)],
-             lambda b=b, a=a, c=c: dst.vcomp.get((cmap[b], cmap[a])) == cmap[c],
-             unit_vcomp.get((b, a)) == c or thin_cells and chains("cell", b, a, c))
-    for (g, a), c in src.lwhisk.items():
-        file([("arrow", g), ("cell", a), ("cell", c)],
-             lambda g=g, a=a, c=c: dst.lwhisk.get((amap[g], cmap[a])) == cmap[c],
-             unit_lwhisk.get((g, a)) == c
-             or thin_cells and whiskers(g, a, c, lambda f, g=g: compose((g, f))))
-    for (a, f), c in src.rwhisk.items():
-        file([("cell", a), ("arrow", f), ("cell", c)],
-             lambda a=a, f=f, c=c: dst.rwhisk.get((cmap[a], amap[f])) == cmap[c],
-             unit_rwhisk.get((a, f)) == c
-             or thin_cells and whiskers(f, a, c, lambda g, f=f: compose((g, f))))
+    if not thin_arrows:
+        for (g, f), c in src.hcomp1.items():
+            if not (dst.strict and (g in ids and c == f or f in ids and c == g)):
+                file([("arrow", g), ("arrow", f), ("arrow", c)],
+                     lambda g=g, f=f, c=c: dst.hcomp1.get((amap[g], amap[f])) == amap[c])
+    if not thin_cells:
+        for (b, a), c in src.vcomp.items():
+            if a not in idcs and b not in idcs:
+                file([("cell", b), ("cell", a), ("cell", c)],
+                     lambda b=b, a=a, c=c: dst.vcomp.get((cmap[b], cmap[a])) == cmap[c])
+        for (g, a), c in src.lwhisk.items():
+            if a not in idcs:
+                file([("arrow", g), ("cell", a), ("cell", c)],
+                     lambda g=g, a=a, c=c: dst.lwhisk.get((amap[g], cmap[a])) == cmap[c])
+        for (a, f), c in src.rwhisk.items():
+            if a not in idcs:
+                file([("cell", a), ("arrow", f), ("cell", c)],
+                     lambda a=a, f=f, c=c: dst.rwhisk.get((cmap[a], amap[f])) == cmap[c])
     if not src.strict or not dst.strict:
         for f in src.arrows:
             lam, rho = src.lunitor[f], src.runitor[f]
@@ -504,15 +461,15 @@ def probe_values(
     every cylinder of k, each value is F of k's ``source_hat``; otherwise
     each probe hats the terms in its own target."""
     if probes.probes:
-        yield from _values(probes, k, source_hat(k))
+        yield from probe_values_given(probes, k, source_hat(k))
 
 
-def _values(
-    probes: ProbeSet, k: HoCell, value: str | None
+def probe_values_given(
+    probes: ProbeSet, k: HoCell, hat: str | None
 ) -> Iterator[tuple[PseudofunctorData, str]]:
-    """``probe_values`` of k, given ``value``, k's ``source_hat``."""
+    """``probe_values`` of k, given ``hat``, k's ``source_hat``."""
     for fun in probes.probes:
-        yield fun, f_hat_chain(fun, k) if value is None else fun.cell_map[value]
+        yield fun, f_hat_chain(fun, k) if hat is None else fun.cell_map[hat]
 
 
 # -- the equality decider ----------------------------------------------------
@@ -774,7 +731,7 @@ def _first_separation(
 ) -> EqVerdict:
     """The first probe whose values on k1 and k2 differ, given their source
     hats; ``Unknown`` when none does."""
-    values = zip(_values(probes, k1, hats[0]), _values(probes, k2, hats[1]))
+    values = zip(probe_values_given(probes, k1, hats[0]), probe_values_given(probes, k2, hats[1]))
     for (fun, v1), (_, v2) in values:
         if v1 != v2:
             return EqVerdict("distinct", (), fun.name, v1, v2)
@@ -939,9 +896,8 @@ def extend_pseudofunctor(
     """Extend a validated pseudofunctor along the projection.  Values are the
     composites of term hats, as for 2-functors; whiskering is checked up to
     phi, which for a 2-functor is the plain whisker.  The target must be a
-    validated bicategory."""
-    if not validate_pseudofunctor(fun).ok:
-        raise StructureError(f"{fun.name!r} fails validation")
+    validated bicategory, and the pseudofunctor must pass
+    ``validate_pseudofunctor``."""
     _require_admissible(fun, sigma)
     return _verified_extension(fun, sigma, cap)
 

@@ -30,7 +30,7 @@ from .ho import (
     ho_whisk,
     hocell_from_json,
     i_cell,
-    probe_values,
+    probe_values_given,
     require_json,
     source_hat,
 )
@@ -156,11 +156,15 @@ def _adjust_witness(sigma: SigmaClass, wit: _Witness, arrow: str, iso: str) -> _
     return _Witness(arrow, wit.quasiinverse, u, v)
 
 
-def _derive_side(cell: HoCell, inv: HoCell, budget: int) -> tuple[EqVerdict, EqVerdict]:
+def _derive_side(
+    cell: HoCell, inv: HoCell, budget: int, back: HoCell | None = None
+) -> tuple[EqVerdict, EqVerdict]:
     """Both cancellations of a witness side, inv o cell and cell o inv against
     the identities, decided without probes: only ``is_equal`` is read, and a
-    probe can only turn ``Unknown`` into ``Distinct``."""
-    left = ho_eq(ho_vcomp(inv, cell), ho_identity(cell.sigma, cell.f), None, budget)
+    probe can only turn ``Unknown`` into ``Distinct``.  ``back`` is inv o
+    cell when the caller has built it."""
+    back = back or ho_vcomp(inv, cell)
+    left = ho_eq(back, ho_identity(cell.sigma, cell.f), None, budget)
     right = ho_eq(ho_vcomp(cell, inv), ho_identity(cell.sigma, cell.g), None, budget)
     return left, right
 
@@ -284,10 +288,12 @@ def replay_certificate(
     freshly enumerated unless supplied.  The certificate must list exactly
     that probe set and hold one decomposition and one equivalence for each
     marked arrow, each side running from ``q * arrow`` or ``arrow * q`` to an
-    identity, inverted by its stored inverse and not separated by a probe.
-    When the source hat of ``inverse o hocell`` is the identity cell, no
-    probe separates, since each sends it to an identity, and the per-probe
-    check is read off that hat; otherwise every probe is evaluated."""
+    identity, inverted by its stored inverse, with the stored cancellation
+    sections those of the verdicts replay re-derives, and not separated by a
+    probe.  When the source hat of ``inverse o hocell`` is the identity cell,
+    no probe separates, since each sends it to an identity, and the
+    per-probe check is read off that hat; otherwise every probe is
+    evaluated."""
     bic = sigma.bic
     if not isinstance(cert_json, dict):
         return False, ["certificate is not a JSON object"]
@@ -338,13 +344,19 @@ def replay_certificate(
                 if (cell.f, cell.g) != (bic.hcomp1.get(pair), bic.id1.get(end)):
                     problems.append(f"{arrow}/{side_name}: hocell is not {pair[0]} * {pair[1]} => id")
                 inv = hocell_from_json(sigma, side["inverse"])
-                left, right = _derive_side(cell, inv, budget)
+                back = ho_vcomp(inv, cell)
+                left, right = _derive_side(cell, inv, budget, back)
                 if not (left.is_equal and right.is_equal):
                     problems.append(f"{arrow}/{side_name}: invertibility does not re-derive")
+                else:  # a failed derivation is named once, above
+                    problems += [
+                        f"{arrow}/{side_name}: {key} is not the re-derived verdict"
+                        for key, verdict in (("cancel_left", left), ("cancel_right", right))
+                        if side.get(key) != verdict.to_json()
+                    ]
                 # a probe is a 2-functor, so it sends an identity hat to an identity
-                inv_cell = ho_vcomp(inv, cell)
-                if probes.probes and source_hat(inv_cell) != bic.idc[cell.f]:
-                    for fun, value in probe_values(probes, inv_cell):
+                if probes.probes and (hat := source_hat(back)) != bic.idc[cell.f]:
+                    for fun, value in probe_values_given(probes, back, hat):
                         if value != fun.target.idc[fun.arr_map[cell.f]]:
                             problems.append(f"{arrow}/{side_name}: probe {fun.name} separates")
             except StructureError as exc:

@@ -397,6 +397,24 @@ def test_extend_solves_each_class_once(capsys, tmp_path, monkeypatch):
     assert len(solved) == len(set(solved)) == 40
 
 
+def test_extend_validates_the_functor_once(capsys, tmp_path, monkeypatch):
+    from bicatkit import cli
+
+    checked = []
+    for module in (cli, ho):
+        validate = module.validate_pseudofunctor
+        monkeypatch.setattr(module, "validate_pseudofunctor",
+                            lambda fun, validate=validate: checked.append(fun) or validate(fun))
+    paths = []
+    for name in ("chain_f.pf", "chain_src.bic", "chain_tgt.bic"):
+        paths.append(tmp_path / name)
+        paths[-1].write_text(fixture_text(name))
+    pf, src, tgt = map(str, paths)
+    code, out, _ = run(capsys, "extend", "--functor", pf, "--source", src, "--target", tgt)
+    assert (code, out) == (0, "extension of chain_f: ok\n  whiskers: 150\n")
+    assert [fun.name for fun in checked] == ["chain_f"]
+
+
 def test_elevator_equal_sides(capsys, tmp_path):
     c = tmp_path / "w1.cmp"
     c.write_text(W1_COMPUTAD_DOC)

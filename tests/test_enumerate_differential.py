@@ -13,17 +13,15 @@ associator are non-identity cells, so that the coherence checks prune; and
 every change of one entry of a small table that still validates, as source
 and as target.  The lists include xi and phi, which the new enumerator reads
 off the cell map and the old one left to ``PseudofunctorData`` to fill in.
-The new enumerator skips the unit entries that a valid target's laws settle;
-each change of such an entry gives an invalid source that must still list
-the same 2-functors.  Equal lists do not show how much is tried on the way,
-so more tests count the search's steps against the partial maps that
-satisfy every constraint they can be checked on, and the target entries the
-search reads.
+Both tables must validate; every pair of the fixtures, the generated families
+at three seeds and the non-strict tables is compared.  Equal lists do not
+show how much is tried on the way, so more tests count the search's steps
+against the partial maps that satisfy every constraint they can be checked
+on, and the target entries the search reads.
 """
 from __future__ import annotations
 
 import itertools
-import random
 
 import pytest
 
@@ -288,148 +286,40 @@ def reference_work(src, dst):
     return len(dst.objects) ** len(src.objects) * arrows ** len(gens) * parallel ** len(cells)
 
 
-def outcome(enumerate_into, src, dst):
-    """The listing, or the message of the StructureError raised."""
-    try:
-        return listing(enumerate_into(src, dst))
-    except StructureError as exc:
-        return str(exc)
-
-
 def assert_same_as_a_reference(src, dst):
     """The enumerator agrees with the complete-maps reference where that
     finishes quickly, and with the forward-checking one elsewhere."""
     slow = reference_work(src, dst) > REFERENCE_WORK
     reference = ref.forward_enumerate_2functors if slow else ref.enumerate_2functors
-    got = outcome(enumerate_2functors, src, dst)
-    assert got == outcome(reference, src, dst), (src.name, dst.name)
-    return got
+    got = listing(enumerate_2functors(src, dst))
+    assert got == listing(reference(src, dst)), (src.name, dst.name)
 
 
-def sweep_docs():
-    """(family, doc) for the generated families at n = 2, 3, 4 and each sweep seed."""
+def sweep_tables():
+    """The fixtures, the generated families at n = 2, 3, 4 and each sweep
+    seed, and the non-strict tables, all valid."""
+    tables = [load_fixture_bicategory(name) for name in BICATEGORIES]
     for family in families.FAMILIES:
         for n in (2, 3, 4):
             for seed in SWEEP_SEEDS:
-                yield family, families.generate(family, n, seed)
-
-
-def load(doc):
-    return load_presentation_with_sigma(doc.text(), doc.name).bicategory
-
-
-def sweep_tables(seeds=SWEEP_SEEDS):
-    """The fixtures and the generated tables of the sweep at seeds, all valid."""
-    tables = [load_fixture_bicategory(name) for name in BICATEGORIES]
-    tables += [load(doc) for _, doc in sweep_docs() if doc.seed in seeds]
+                doc = families.generate(family, n, seed)
+                tables.append(load_presentation_with_sigma(doc.text(), doc.name).bicategory)
+    tables += non_strict_tables()
     assert all(validate_bicategory(bic).ok for bic in tables)
     return tables
 
 
 def test_every_pair_of_valid_tables():
+    # the unit table's f . id_X = f1 is the one hcomp1 entry with an identity
+    # input that is not strict-unital
     tables = sweep_tables()
-    assert len(tables) == 6 + 4 * 3 * len(SWEEP_SEEDS)
+    assert len(tables) == 6 + 4 * 3 * len(SWEEP_SEEDS) + 3
     slow = 0
     for src, dst in itertools.product(tables, repeat=2):
         assert_same_as_a_reference(src, dst)
         slow += reference_work(src, dst) > REFERENCE_WORK
     # most pairs are compared with the complete-maps reference
     assert 0 < slow < len(tables) ** 2 / 4
-
-
-def test_every_catalogue_mutant_into_every_valid_target():
-    """Each mutation of the catalogue, placed by each sweep seed in each
-    generated table that has a site for it, gives an invalid source; its
-    ill-typed and missing entries are checked as before, so it lists the
-    same 2-functors, or reports the same missing composite, into every valid
-    table of the sweep at the first seed (the other seeds relabel the same
-    shapes).  chain(2) and chain_z2(2) have no composable pair of
-    generators, so no mutation has a site there."""
-    targets = sweep_tables(SWEEP_SEEDS[:1])
-    kinds, errors, listed = set(), 0, 0
-    for family, doc in sweep_docs():
-        for mutation in families.mutations_for(family):
-            if len(doc.objects) == 2 and family.startswith("chain"):
-                continue
-            try:
-                mutant = load(families.mutate(doc, mutation.name, doc.seed))
-            except IndexError:  # whisker-to-identity on chain_z2(3): no triple
-                continue
-            assert not validate_bicategory(mutant).ok, mutant.name
-            kinds.add(mutation.name)
-            for dst in targets:
-                got = assert_same_as_a_reference(mutant, dst)
-                errors += isinstance(got, str)
-                listed += isinstance(got, list) and bool(got)
-    assert kinds == {m.name for m in families.MUTATIONS}
-    assert errors > 0 and listed > 0
-
-
-def ill_typed_mutants(tables, rng):
-    """For each table in tables and each of hcomp1, vcomp, lwhisk and rwhisk,
-    copies with one seeded entry set to a seeded arrow or cell whose
-    boundary is not the entry's: a composite that skips an object, or a
-    cell over other arrows."""
-    for bic in tables:
-        for table in ("hcomp1", "vcomp", "lwhisk", "rwhisk"):
-            entries = getattr(bic, table)
-            ends = bic.arrows if table == "hcomp1" else bic.cells
-            for key in rng.sample(sorted(entries), min(3, len(entries))):
-                others = [x for x in sorted(ends) if ends[x] != ends[entries[key]]]
-                if others:
-                    name = f"{bic.name}[{table} {key}={{}}]"
-                    other = rng.choice(others)
-                    yield replaced(bic, name.format(other), **{table: {**entries, key: other}})
-
-
-def test_ill_typed_entries_are_checked_into_every_valid_target():
-    """An ill-typed entry of each table is checked even where the target is
-    thin, so the sources list the same 2-functors as before."""
-    shapes = (("chain_z2", 3), ("chaotic_z2", 2), ("chaotic_z2", 3))
-    sources = [family_table(family, n) for family, n in shapes]
-    targets = sweep_tables(SWEEP_SEEDS[:1])
-    kinds = set()
-    for mutant in ill_typed_mutants(sources, random.Random("ill-typed")):
-        assert not validate_bicategory(mutant).ok, mutant.name
-        kinds.add(mutant.name.split("[")[1].split()[0])
-        for dst in targets:
-            assert_same_as_a_reference(mutant, dst)
-    assert kinds == {"hcomp1", "vcomp", "lwhisk", "rwhisk"}
-
-
-def unit_entry_mutants(tables):
-    """(table name, mutant, original) for every change of one unit entry of
-    a table in tables: each hcomp1 entry at an identity arrow and each vcomp
-    or whisker entry at an identity cell is set to every other arrow or cell
-    with its ends.  These are the entries the enumerator skips while they
-    hold as laws."""
-    for bic in tables:
-        ids, idcs = set(bic.id1.values()), set(bic.idc.values())
-        for table, units in (("hcomp1", ids), ("vcomp", idcs), ("lwhisk", idcs), ("rwhisk", idcs)):
-            entries = getattr(bic, table)
-            for key, value in sorted(entries.items()):
-                if units.isdisjoint(key):
-                    continue
-                ends = bic.arrows[value] if table == "hcomp1" else bic.cells[value]
-                between = bic.arrows_between if table == "hcomp1" else bic.cells_between
-                for other in between(*ends):
-                    if other != value:
-                        name = f"{bic.name}[{table} {key}={other}]"
-                        yield table, replaced(bic, name, **{table: {**entries, key: other}}), bic
-
-
-def test_unit_entry_mutants_as_sources():
-    # the skips read the literal source entry, so a changed one is checked
-    # as before, and some changes leave fewer 2-functors than the table has
-    tables = small_tables()
-    kinds, pruned = set(), 0
-    for table, mutant, bic in unit_entry_mutants(tables):
-        assert not validate_bicategory(mutant).ok, mutant.name
-        kinds.add(table)
-        for dst in tables:
-            pruned += assert_same(mutant, dst) < len(enumerate_2functors(bic, dst))
-    assert kinds == {"hcomp1", "vcomp", "lwhisk", "rwhisk"}
-    assert pruned > 0
 
 
 def test_unit_entries_of_a_valid_target_are_not_read():

@@ -1,9 +1,11 @@
-"""Every module-level import in ``src/bicatkit`` is used in its module.
+"""Every module-level import in ``src/bicatkit`` is used in its module, and
+every module-level private name is read somewhere in ``src/``.
 
 An import a module keeps for someone else carries ``# noqa: F401 -- <reason>``
 on its line, and the reason names the file of this repository that reads the
 name, which must mention it.  A bare re-export comment names no reader, so an
-import nothing reads cannot hide behind one.
+import nothing reads cannot hide behind one.  A private name is read when code
+outside its own definition loads it, bare or as an attribute.
 """
 import ast
 import os
@@ -84,6 +86,58 @@ def test_the_check_flags_an_unused_import_and_a_reason_without_a_reader(tmp_path
     assert found["path"] == "the reason 're-exported' names no file that reads 'path'"
     assert found["json"] == "unused, and no '# noqa: F401 -- <reason>' comment"
     assert found["Any"] is None
+
+
+def private_definitions(tree: ast.Module):
+    """(name, node) of each private function, class or variable a module
+    defines at module level; dunder names are not private."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        yield from ((n, node) for n in names if n.startswith("_") and not n.startswith("__"))
+
+
+def unread_private_names(paths):
+    """(module stem, name) of each module-level private name in paths that no
+    module-level statement of paths other than its definition reads."""
+    defined, reads = [], []
+    for path in paths:
+        tree = ast.parse(path.read_text())
+        defined += [(path.stem, name, node) for name, node in private_definitions(tree)]
+        for node in tree.body:
+            inner = list(ast.walk(node))
+            loaded = {n.id for n in inner if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            loaded |= {n.attr for n in inner if isinstance(n, ast.Attribute)}
+            reads.append((node, loaded))
+    return [
+        (stem, name) for stem, name, where in defined
+        if not any(name in loaded for node, loaded in reads if node is not where)
+    ]
+
+
+def test_every_private_name_is_read():
+    assert unread_private_names(sorted(PACKAGE.rglob("*.py"))) == []
+
+
+def test_the_check_flags_a_private_name_only_its_definition_reads(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "__all__ = ['f']\n"
+        "_READ = 1\n"
+        "_unread: int = 2\n"
+        "def _recursive(n):\n"
+        "    return _recursive(n - 1)\n"
+        "class _Used:\n"
+        "    x = _READ\n"
+    )
+    (tmp_path / "b.py").write_text("from a import _Used\ny = _Used.x\n")
+    paths = sorted(tmp_path.glob("*.py"))
+    assert unread_private_names(paths) == [("a", "_unread"), ("a", "_recursive")]
 
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():

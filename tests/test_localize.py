@@ -109,6 +109,30 @@ def _forge(cert: dict) -> None:
             entry[side]["hocell"] = entry[side]["inverse"] = {"f": "id_X", "g": "id_X", "terms": []}
 
 
+def _forged_problems() -> list[str]:
+    """Six forged sides do not run to an identity, and on every side the
+    decider cancels the identity class syntactically, unlike the stored
+    derivations."""
+    boundaries = {
+        "e/to_id_src": "e * e",
+        "e/to_id_dst": "e * e",
+        "id_Y/to_id_src": "id_Y * id_Y",
+        "id_Y/to_id_dst": "id_Y * id_Y",
+        "r/to_id_src": "s * r",
+        "s/to_id_dst": "s * r",
+    }
+    problems = []
+    for arrow in ("e", "id_X", "id_Y", "r", "s"):
+        for side in (f"{arrow}/to_id_src", f"{arrow}/to_id_dst"):
+            if side in boundaries:
+                problems.append(f"{side}: hocell is not {boundaries[side]} => id")
+            problems += [
+                f"{side}: {key} is not the re-derived verdict"
+                for key in ("cancel_left", "cancel_right")
+            ]
+    return problems
+
+
 def _s(cert: dict) -> dict:
     return next(e for e in cert["equivalences"] if e["arrow"] == "s")
 
@@ -129,6 +153,10 @@ def _drop_term(cert: dict) -> None:
 
 def _change_quasiinverse(cert: dict) -> None:
     _s(cert)["quasiinverse"] = "e"
+
+
+def _claim_unknown(cert: dict) -> None:
+    _s(cert)["to_id_dst"]["cancel_left"] = {"verdict": "unknown"}
 
 
 def _e_chain(cert: dict) -> dict:
@@ -159,8 +187,16 @@ def split_z2_cert():
     "tamper, problems",
     [
         # hocell and inverse trade places: still mutually inverse, but the
-        # class now runs id_Y => e, away from the identity
-        (_swap_inverse, ["s/to_id_dst: hocell is not s * r => id"]),
+        # class now runs id_Y => e, away from the identity, and the decider
+        # derives the cancellations with other traces
+        (
+            _swap_inverse,
+            [
+                "s/to_id_dst: hocell is not s * r => id",
+                "s/to_id_dst: cancel_left is not the re-derived verdict",
+                "s/to_id_dst: cancel_right is not the re-derived verdict",
+            ],
+        ),
         (
             _change_eta,
             [
@@ -177,21 +213,12 @@ def split_z2_cert():
                 "s/to_id_dst: probe split_z2->grpd#0 separates",
             ],
         ),
-        (
-            _forge,
-            [
-                "e/to_id_src: hocell is not e * e => id",
-                "e/to_id_dst: hocell is not e * e => id",
-                "id_Y/to_id_src: hocell is not id_Y * id_Y => id",
-                "id_Y/to_id_dst: hocell is not id_Y * id_Y => id",
-                "r/to_id_src: hocell is not s * r => id",
-                "s/to_id_dst: hocell is not s * r => id",
-            ],
-        ),
+        (_forge, _forged_problems()),
         (
             _change_quasiinverse,
             ["s/to_id_src: hocell is not e * s => id", "s/to_id_dst: hocell is not s * e => id"],
         ),
+        (_claim_unknown, ["s/to_id_dst: cancel_left is not the re-derived verdict"]),
         (lambda cert: cert.update(schema_version=0), ["schema_version mismatch"]),
         (
             lambda cert: cert.update(status="derivation-failed"),
@@ -210,6 +237,7 @@ def split_z2_cert():
         "term-dropped",
         "forged-witness",
         "quasiinverse-changed",
+        "verdict-unknown",
         "schema-version",
         "status",
         "budget-zero",
@@ -223,13 +251,14 @@ def test_replay_names_each_tamper(split_z2_cert, tamper, problems):
     bad = json.loads(json.dumps(cert))
     tamper(bad)
     assert replay_certificate(sigma, bad, probes) == (False, problems)
-    assert _without_boundaries(problems) == ref.replay_certificate(sigma, bad, probes)[1]
+    assert reference_problems(problems) == ref.replay_certificate(sigma, bad, probes)[1]
 
 
-def _without_boundaries(problems: list[str]) -> list[str]:
+def reference_problems(problems: list[str]) -> list[str]:
     """The problems the reference replay reports too: it predates the check
-    that each side runs from ``q * arrow`` or ``arrow * q`` to an identity."""
-    return [p for p in problems if ": hocell is not " not in p]
+    that each side runs from ``q * arrow`` or ``arrow * q`` to an identity,
+    and the comparison of the stored cancellation sections."""
+    return [p for p in problems if ": hocell is not " not in p and " re-derived verdict" not in p]
 
 
 def _family_sigma(family: str, n: int, seed: int = 1):
@@ -296,7 +325,7 @@ def test_single_edit_mutants_replay_as_the_reference(table, split_z2_cert):
     for bad in _single_edits(cert, names, random.Random(f"{table}:edits"), 250):
         ok, problems = replay_certificate(sigma, bad, probes)
         assert ok == (not problems)
-        assert _without_boundaries(problems) == ref.replay_certificate(sigma, bad, probes)[1]
+        assert reference_problems(problems) == ref.replay_certificate(sigma, bad, probes)[1]
         outcomes[ok] += 1
         outcomes["separates"] += any("separates" in p for p in problems)
     assert outcomes[True] > 0 and outcomes[False] > 0
@@ -306,13 +335,13 @@ def test_single_edit_mutants_replay_as_the_reference(table, split_z2_cert):
 
 def _count_probe_values(monkeypatch) -> list:
     calls = []
-    values = localize_module.probe_values
+    values = localize_module.probe_values_given
 
-    def counted(probes, k):
+    def counted(probes, k, hat):
         calls.append(k)
-        return values(probes, k)
+        return values(probes, k, hat)
 
-    monkeypatch.setattr(localize_module, "probe_values", counted)
+    monkeypatch.setattr(localize_module, "probe_values_given", counted)
     return calls
 
 
@@ -333,6 +362,32 @@ def test_honest_replay_reads_no_probe_value_where_every_hat_is_the_identity(
     sigma, probes, cert = split_z2_cert
     assert replay_certificate(sigma, cert, probes) == (True, [])
     assert calls and all(ho.source_hat(k) is None for k in calls)
+
+
+def test_replay_hats_each_side_once(monkeypatch, split_z2_cert):
+    """Replay builds each side's two composites once and hats ``inverse o
+    hocell`` once, for the identity shortcut and, on the sides outside it,
+    for the probe values too; split_z2 marks 5 arrows, so 10 sides."""
+    sigma, probes, cert = split_z2_cert
+    calls = []
+    hat = ho.source_hat
+
+    def counted(k):
+        calls.append(k)
+        return hat(k)
+
+    for module in (ho, localize_module):
+        monkeypatch.setattr(module, "source_hat", counted)
+    built = []
+    vcomp = localize_module.ho_vcomp
+    monkeypatch.setattr(
+        localize_module, "ho_vcomp", lambda k2, k1: built.append((k2, k1)) or vcomp(k2, k1)
+    )
+    assert replay_certificate(sigma, cert, probes) == (True, [])
+    assert len(calls) == 2 * len(sigma.members) == 10
+    assert any(hat(k) is None for k in calls)
+    # inverse o hocell and hocell o inverse
+    assert len(built) == 2 * len(calls)
 
 
 def test_a_forged_side_whose_hat_is_not_the_identity_lists_every_separating_probe():
