@@ -15,7 +15,7 @@ with ``layer = path '*' cell '*' path``; an identity expression is written
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import Bicategory, StructureError
 from .presentation import COMPUTAD, Document, ParseError, parse_path
@@ -23,8 +23,7 @@ from .presentation import COMPUTAD, Document, ParseError, parse_path
 Path = tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class Computad:
+class Computad(NamedTuple):
     """Generators of a free 2-category: arrows between objects, cells between
     parallel arrow paths."""
 
@@ -83,8 +82,7 @@ def make_computad(
     return Computad(name, tuple(objects), dict(arrows), full)
 
 
-@dataclass(frozen=True)
-class Layer:
+class Layer(NamedTuple):
     left: Path
     cell: str
     right: Path
@@ -96,8 +94,7 @@ class Layer:
         return f"{p(self.left)} * {self.cell} * {p(self.right)}"
 
 
-@dataclass(frozen=True)
-class CellExpr:
+class CellExpr(NamedTuple):
     computad: Computad
     layers: tuple[Layer, ...]
     src_path: Path
@@ -162,8 +159,7 @@ def make_expr(
     return CellExpr(comp, layers, first_in, prev_out, src, dst)
 
 
-@dataclass(frozen=True)
-class NormalForm:
+class NormalForm(NamedTuple):
     expr: CellExpr
 
     @property
@@ -174,9 +170,10 @@ class NormalForm:
         return e.layers, e.boundary(), e.src_obj, e.dst_obj
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, NormalForm):
-            return NotImplemented
-        return self._key == other._key
+        return isinstance(other, NormalForm) and self._key == other._key
+
+    def __ne__(self, other: object) -> bool:
+        return not self.__eq__(other)
 
     def __hash__(self) -> int:
         return hash(self._key)
@@ -280,8 +277,7 @@ def whisker_expr(left: Path, expr: CellExpr, right: Path) -> CellExpr:
     return make_expr(comp, layers)
 
 
-@dataclass(frozen=True)
-class ModelAssignment:
+class ModelAssignment(NamedTuple):
     """Interpretation of a computad in a strict tabulated bicategory."""
 
     bic: Bicategory

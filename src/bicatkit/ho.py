@@ -23,9 +23,8 @@ Sequences are stored first-applied-first.
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
 from itertools import islice
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .core import (
     Bicategory,
@@ -56,8 +55,7 @@ from .homotopy import (
 from .sigma import SigmaClass, is_quasiequivalence
 
 
-@dataclass(frozen=True)
-class HoCell:
+class HoCell(NamedTuple):
     """A 2-cell of the homotopy bicategory: a composable term sequence."""
 
     sigma: SigmaClass
@@ -228,8 +226,7 @@ def hocell_from_json(sigma: SigmaClass, data: dict) -> HoCell:
 # -- probes -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ProbeSet:
+class ProbeSet(NamedTuple):
     probes: tuple[PseudofunctorData, ...]
 
     def names(self) -> tuple[str, ...]:
@@ -490,8 +487,7 @@ LAWS = {
 """The law each rule of the equality decider applies, keyed by rule id."""
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(NamedTuple):
     """One rewrite of the decider; its law is its rule's entry in ``LAWS``."""
 
     side: str
@@ -506,8 +502,7 @@ class TraceStep:
         return {"side": self.side, "rule": self.rule, "law": self.law, "detail": self.detail}
 
 
-@dataclass(frozen=True)
-class EqVerdict:
+class EqVerdict(NamedTuple):
     verdict: str  # equal | distinct | unknown
     trace: tuple[TraceStep, ...] = ()
     probe: str = ""
@@ -741,8 +736,7 @@ def _first_separation(
 # -- extensions along the projection ----------------------------------------
 
 
-@dataclass
-class ExtensionReport:
+class ExtensionReport(NamedTuple):
     functorial_whisker: bool
     preserves_units: bool
     checked_whiskers: int
@@ -760,10 +754,9 @@ class ExtensionReport:
         return 0
 
     def to_json(self) -> dict:
-        return {"ok": self.ok, **asdict(self)}
+        return {"ok": self.ok, **self._asdict()}
 
 
-@dataclass
 class ExtensionG:
     """A functor out of the homotopy bicategory, determined by its restriction
     along the projection: objects and arrows as the base functor, 2-cell
@@ -776,13 +769,14 @@ class ExtensionG:
     split pins every longer sequence to the composite of values already
     pinned."""
 
-    fun: PseudofunctorData
-    sigma: SigmaClass
-    report: ExtensionReport | None = None
-    materialized: list[HoCell] = field(default_factory=list)
-    _values: dict[tuple[str, tuple[HomotopyTerm, ...]], str] = field(
-        default_factory=dict, repr=False, compare=False
-    )
+    def __init__(
+        self, fun: PseudofunctorData, sigma: SigmaClass, materialized: list[HoCell]
+    ) -> None:
+        self.fun = fun
+        self.sigma = sigma
+        self.materialized = materialized
+        self.report: ExtensionReport | None = None
+        self._values: dict[tuple[str, tuple[HomotopyTerm, ...]], str] = {}
 
     def value(self, k: HoCell) -> str:
         """The composite of F's hats of the terms, each solved in F's target
@@ -851,7 +845,7 @@ def _verified_extension(fun: PseudofunctorData, sigma: SigmaClass, cap: int) -> 
     associativity of its ``vcomp``."""
     bic, d = sigma.bic, fun.target
     family = _materialize(sigma, cap)
-    ext = ExtensionG(fun, sigma, materialized=family)
+    ext = ExtensionG(fun, sigma, family)
     whisk = 0
     whisk_ok = True
     for k in family:
@@ -902,14 +896,13 @@ def extend_pseudofunctor(
     return _verified_extension(fun, sigma, cap)
 
 
-@dataclass
-class TwoCellExtensionReport:
+class TwoCellExtensionReport(NamedTuple):
     kind: str
     ok: bool
     failures: list[str]
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def extend_2cell_data(kind: str, data, sigma: SigmaClass, cap: int = 40):

@@ -10,14 +10,14 @@ that bijection and keeps its inverse, and every hat, of a cylinder or of a
 functor's image of one, is read off it.  Pseudofunctors push all of this
 into their targets.
 
-Construction provenance (transform kind or lemma gluing) rides along on a
-compare=False field so the equality decider can replay it; two homotopies are
-equal exactly when their component tuples are.
+Each homotopy carries its construction provenance (transform kind or lemma
+gluing) in its ``origin`` field, so the equality decider can replay it;
+equality and hashing leave ``origin`` out, so two homotopies are equal exactly
+when their component tuples are.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Union
+from typing import NamedTuple, Union
 
 from .core import Bicategory, PseudofunctorData, StructureError, comp_sub_f
 from .sigma import SigmaClass, whisker_preimages
@@ -38,9 +38,8 @@ class LemmaHypothesisError(StructureError):
         self.right = right
 
 
-@dataclass(frozen=True)
-class Cylinder:
-    bic: Bicategory = field(compare=True)
+class Cylinder(NamedTuple):
+    bic: Bicategory
     w: str
     z: str
     d0: str
@@ -139,29 +138,38 @@ def retraction_cylinder(
     )
 
 
-@dataclass(frozen=True)
-class TransformOrigin:
+class TransformOrigin(NamedTuple):
     kind: str  # post | pre | lwhisk | rwhisk | invert
     arg: str  # cell or arrow id; "" for invert
     base: "Homotopy"
 
 
-@dataclass(frozen=True)
-class LemmaOrigin:
+class LemmaOrigin(NamedTuple):
     h1: "Homotopy"
     h2: "Homotopy"
     glue: "ComposeGlue"
 
 
-@dataclass(frozen=True)
-class Homotopy:
+class Homotopy(NamedTuple):
+    """A homotopy f => g over a cylinder.  Two homotopies are equal, and hash
+    alike, exactly when their fields other than ``origin`` are."""
+
     cyl: Cylinder
     f: str
     g: str
     h: str
     eta: str
     eps: str
-    origin: TransformOrigin | LemmaOrigin | None = field(default=None, compare=False)
+    origin: TransformOrigin | LemmaOrigin | None = None
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Homotopy) and self[:6] == other[:6]
+
+    def __ne__(self, other: object) -> bool:
+        return not self.__eq__(other)
+
+    def __hash__(self) -> int:
+        return hash(self[:6])
 
     @property
     def bic(self) -> Bicategory:
@@ -274,8 +282,7 @@ def transform_homotopy(kind: str, arg: str, hom: Homotopy) -> Homotopy:
     raise StructureError(f"unknown transform kind {kind!r}")
 
 
-@dataclass(frozen=True)
-class ICell:
+class ICell(NamedTuple):
     """Stand-in term for the projected class of a bicategory cell: under every
     admissible functor its hat is the functor's image of the cell."""
 
@@ -394,8 +401,7 @@ def apply_functor(fun: PseudofunctorData, obj: Cylinder | Homotopy) -> Cylinder 
 # -- vertical composition gluing -------------------------------------------
 
 
-@dataclass(frozen=True)
-class ComposeGlue:
+class ComposeGlue(NamedTuple):
     """Gluing data for composing two homotopies into one.
 
     nu1: s*b1 => s1 and nu2: s*b2 => s2 compare the glued marked arrow with

@@ -11,7 +11,7 @@ Sections are deterministic, so equal inputs give byte-identical JSON.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .core import SCHEMA_VERSION, Bicategory, StructureError
 from .homotopy import cylinder_homotopy, retraction_cylinder
@@ -38,8 +38,7 @@ from .library import default_probe_targets
 from .sigma import SigmaClass, check_three_for_two, w_split_decompose
 
 
-@dataclass(frozen=True)
-class HoEquivalenceSide:
+class HoEquivalenceSide(NamedTuple):
     """One of the two invertible classes of an equivalence witness, with the
     derivations that re-check its invertibility."""
 
@@ -61,8 +60,7 @@ class HoEquivalenceSide:
         }
 
 
-@dataclass(frozen=True)
-class HoEquivalence:
+class HoEquivalence(NamedTuple):
     arrow: str
     quasiinverse: str
     to_id_src: HoEquivalenceSide  # quasiinverse * arrow => id
@@ -77,20 +75,23 @@ class HoEquivalence:
         }
 
 
-@dataclass
 class LocalizationCertificate:
-    bicategory: str
-    sigma: tuple[str, ...]
-    # ok | three-for-two-failed | decomposition-failed | derivation-failed,
-    # where the decider does not cancel some witness side
-    status: str
-    three_for_two: dict
-    decompositions: list[dict] = field(default_factory=list)
-    equivalences: list[HoEquivalence] = field(default_factory=list)
-    i_functoriality: dict = field(default_factory=dict)
-    probes_used: list[str] = field(default_factory=list)
-    max_len: int = 4
-    budget: int = 8
+    """What ``localize`` found: it fills in the sections in order, and on a
+    failure sets ``status`` and stops."""
+
+    def __init__(self, bicategory: str, sigma: tuple[str, ...], max_len: int, budget: int) -> None:
+        self.bicategory = bicategory
+        self.sigma = sigma
+        # ok | three-for-two-failed | decomposition-failed | derivation-failed,
+        # where the decider does not cancel some witness side
+        self.status = "ok"
+        self.three_for_two: dict = {"ok": True, "witness": None}
+        self.decompositions: list[dict] = []
+        self.equivalences: list[HoEquivalence] = []
+        self.i_functoriality: dict = {}
+        self.probes_used: list[str] = []
+        self.max_len = max_len
+        self.budget = budget
 
     @property
     def ok(self) -> bool:
@@ -112,8 +113,7 @@ class LocalizationCertificate:
         }
 
 
-@dataclass(frozen=True)
-class _Witness:
+class _Witness(NamedTuple):
     """Working form of an equivalence witness before derivations are attached."""
 
     arrow: str
@@ -206,14 +206,7 @@ def localize(
     bic = sigma.bic
     if max_len < 1 or budget < 1:
         raise StructureError("bounds must be >= 1")
-    cert = LocalizationCertificate(
-        bicategory=bic.name,
-        sigma=sigma.sorted_members(),
-        status="ok",
-        three_for_two={"ok": True, "witness": None},
-        max_len=max_len,
-        budget=budget,
-    )
+    cert = LocalizationCertificate(bic.name, sigma.sorted_members(), max_len, budget)
     violation = check_three_for_two(sigma)
     if violation is not None:
         cert.status = "three-for-two-failed"

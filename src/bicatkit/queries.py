@@ -17,7 +17,6 @@ or a second hat line, is an error at its line.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 
 from .core import StructureError
 from .homotopy import (
@@ -43,12 +42,12 @@ class QueryError(StructureError):
         self.line = line
 
 
-@dataclass
 class QueryDoc:
-    cylinders: dict[str, Cylinder] = field(default_factory=dict)
-    homotopies: dict[str, Homotopy] = field(default_factory=dict)
-    sequences: dict[str, HoCell] = field(default_factory=dict)
-    hat_target: str | None = None  # name in cylinders or homotopies
+    def __init__(self) -> None:
+        self.cylinders: dict[str, Cylinder] = {}
+        self.homotopies: dict[str, Homotopy] = {}
+        self.sequences: dict[str, HoCell] = {}
+        self.hat_target: str | None = None  # name in cylinders or homotopies
 
 
 def parse_query(sigma: SigmaClass, text: str) -> QueryDoc:

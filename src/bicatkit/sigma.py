@@ -8,18 +8,26 @@ witnesses are reproducible.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .core import Bicategory, StructureError, _group
 
 
-@dataclass(frozen=True)
 class SigmaClass:
-    """A class of marked arrows; always contains every identity arrow."""
+    """A class of marked arrows; always contains every identity arrow.  Two
+    classes are equal, and hash alike, exactly when they have the same
+    bicategory and the same members; the cached searches do not count."""
 
-    bic: Bicategory
-    members: frozenset[str]
+    def __init__(self, bic: Bicategory, members: frozenset[str]) -> None:
+        self.bic = bic
+        self.members = members
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, SigmaClass) and (self.bic, self.members) == (other.bic, other.members)
+
+    def __hash__(self) -> int:
+        return hash((self.bic, self.members))
 
     def __contains__(self, arrow: str) -> bool:
         return arrow in self.members
@@ -55,8 +63,7 @@ def _first_iso(bic: Bicategory, f: str, g: str) -> str | None:
     return next((c for c in bic.cells_between(f, g) if bic.is_invertible(c)), None)
 
 
-@dataclass(frozen=True)
-class ThreeForTwoViolation:
+class ThreeForTwoViolation(NamedTuple):
     f: str  # inner arrow (applied first)
     g: str  # outer arrow
     h: str  # arrow isomorphic to g * f
@@ -99,8 +106,7 @@ def check_three_for_two(sigma: SigmaClass) -> ThreeForTwoViolation | None:
     return fallback
 
 
-@dataclass(frozen=True)
-class WSplitWitness:
+class WSplitWitness(NamedTuple):
     section: str  # s : X -> Y
     retraction: str  # r : Y -> X
     cell: str  # invertible r * s => id_X
@@ -109,8 +115,7 @@ class WSplitWitness:
         return {"section": self.section, "retraction": self.retraction, "cell": self.cell}
 
 
-@dataclass(frozen=True)
-class WSplitResult:
+class WSplitResult(NamedTuple):
     arrow: str
     as_section: WSplitWitness | None
     as_retraction: WSplitWitness | None
@@ -161,8 +166,7 @@ def find_w_split(bic: Bicategory, f: str) -> WSplitResult:
     return WSplitResult(f, as_section, as_retraction)
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     arrow: str
     chain: tuple[str, ...]  # outermost-first; chain[-1] is applied first
     cell: str  # invertible (chain composite) => arrow
@@ -240,8 +244,7 @@ def _is_quasiequivalence(bic: Bicategory, f: str) -> dict[tuple[str, str, str], 
     return preimages
 
 
-@dataclass(frozen=True)
-class EquivalenceWitness:
+class EquivalenceWitness(NamedTuple):
     arrow: str
     quasiinverse: str
     cell_to_id_src: str  # invertible quasiinverse * arrow => id_src

@@ -768,12 +768,15 @@ README_COMMANDS = (
                   "--expr2", "g1 * al * 1 ; 1 * be * f2"], 0, {"bicatkit.elevator"}),
 )
 
-# runs one command as the console script does, then lists what it imported
+# runs one command as the console script does, then lists the bicatkit
+# modules it imported, and dataclasses and inspect if it imported them
 _LOADED = (
     "import sys\n"
+    "before = set(sys.modules)\n"
     "from bicatkit.cli import main\n"
     "code = main(sys.argv[1:])\n"
-    "sys.stderr.write(' '.join(sorted(m for m in sys.modules if m.startswith('bicatkit'))))\n"
+    "heavy = {'dataclasses', 'inspect'} - before\n"
+    "sys.stderr.write(' '.join(sorted(m for m in sys.modules if m.startswith('bicatkit') or m in heavy)))\n"
     "sys.exit(code)\n"
 )
 
@@ -809,4 +812,6 @@ def test_each_command_loads_only_its_layers(readme_dir, argv, code, layers):
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == code, proc.stderr
-    assert set(proc.stderr.splitlines()[-1].split()) == _PARSE | layers
+    loaded = set(proc.stderr.splitlines()[-1].split())
+    assert loaded & {"dataclasses", "inspect"} == set()
+    assert loaded == _PARSE | layers

@@ -1,11 +1,13 @@
 import pytest
 
 from bicatkit.core import identity_pseudofunctor
+from bicatkit.elevator import Layer, make_computad, make_expr, normalize
 from bicatkit.homotopy import (
     ComposeGlue,
     HatError,
     ICell,
     LemmaHypothesisError,
+    TransformOrigin,
     apply_functor,
     compose_lemma,
     cylinder_homotopy,
@@ -19,9 +21,11 @@ from bicatkit.homotopy import (
     retraction_cylinder,
     transform_homotopy,
 )
+from bicatkit.localize import LocalizationCertificate
 from bicatkit.presentation import load_pseudofunctor
+from bicatkit.queries import QueryDoc
 from bicatkit.sigma import is_quasiequivalence, make_sigma
-from bicatkit.ho import enumerate_probes, sample_homotopies
+from bicatkit.ho import enumerate_probes, ho_cell, sample_homotopies
 
 
 def collapse(split, iso):
@@ -372,3 +376,31 @@ def test_compose_lemma_rejects_wrong_hypothesis_one(grpd):
     with pytest.raises(LemmaHypothesisError) as err:
         compose_lemma(sigma, h1, h2, bad)
     assert err.value.hypothesis == 1
+
+
+def test_records_keep_their_equality_contract(split, split_sigma):
+    # a homotopy's origin is provenance: == and != ignore it, and so does hash
+    hom, other = sample_homotopies(split_sigma, cap=2)
+    rebuilt = make_homotopy(hom.cyl, hom.h, hom.eta, hom.eps, TransformOrigin("invert", "", hom))
+    assert hom == rebuilt and not hom != rebuilt and hash(hom) == hash(rebuilt)
+    assert hom != other and not hom == other
+
+    # equal marked classes, and the cells over them, are equal and hash alike
+    s1, s2 = (make_sigma(split.bicategory, split.sigma_names) for _ in range(2))
+    assert s1 is not s2 and s1 == s2 and not s1 != s2 and hash(s1) == hash(s2)
+    k1, k2 = ho_cell(s1, (hom,)), ho_cell(s2, (rebuilt,))
+    assert k1 == k2 and hash(k1) == hash(k2)
+
+    # normal forms compare by layers and boundary only, so != must agree
+    def nf(name):
+        comp = make_computad(name, ["X", "Y"], {"f": ("X", "Y")}, {"a": (("f",), ("f",))})
+        return normalize(make_expr(comp, [Layer((), "a", ())]))
+
+    assert nf("one") == nf("two") and not nf("one") != nf("two")
+    assert hash(nf("one")) == hash(nf("two"))
+
+    # mutable records get fresh containers
+    for make in (lambda: LocalizationCertificate("t", (), 4, 8), QueryDoc):
+        a, b = vars(make()), vars(make())
+        shared = [k for k, v in a.items() if isinstance(v, (list, dict)) and v is b[k]]
+        assert shared == []

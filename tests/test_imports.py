@@ -5,13 +5,11 @@ An import a module keeps for someone else carries ``# noqa: F401 -- <reason>``
 on its line, and the reason names the file of this repository that reads the
 name, which must mention it.  A bare re-export comment names no reader, so an
 import nothing reads cannot hide behind one.  A private name is read when code
-outside its own definition loads it, bare or as an attribute.
+outside its own definition loads it, bare or as an attribute.  No module
+imports ``dataclasses``, at module level or inside a function.
 """
 import ast
-import os
 import re
-import subprocess
-import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -140,16 +138,35 @@ def test_the_check_flags_a_private_name_only_its_definition_reads(tmp_path):
     assert unread_private_names(paths) == [("a", "_unread"), ("a", "_recursive")]
 
 
-def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
-    """Every command's process imports ``bicatkit.cli``; ``dataclasses``
-    would pull in ``inspect``, so neither may come with it."""
-    code = (
-        "import sys; before = set(sys.modules); import bicatkit.cli; "
-        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
+def imported_modules(tree: ast.Module):
+    """(top-level module, line) of every import in a module, at any depth,
+    relative imports left out."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from ((alias.name.split(".")[0], node.lineno) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            yield node.module.split(".")[0], node.lineno
+
+
+def test_no_module_imports_dataclasses():
+    """``dataclasses`` pulls in ``inspect``, ``ast``, ``dis`` and
+    ``tokenize``; no command pays for them, nor does any path that the
+    per-command test in ``tests/test_cli.py`` does not take."""
+    found = [
+        f"{path.relative_to(ROOT)}:{line}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for module, line in imported_modules(ast.parse(path.read_text()))
+        if module == "dataclasses"
+    ]
+    assert found == []
+
+
+def test_the_check_finds_a_dataclasses_import_inside_a_function():
+    tree = ast.parse(
+        "import os.path\n"
+        "from . import dataclasses\n"
+        "def f():\n"
+        "    from dataclasses import dataclass\n"
+        "    import dataclasses as dc\n"
     )
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    out = subprocess.run(
-        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
-        capture_output=True, text=True, check=True,
-    )
-    assert out.stdout == "[]\n"
+    assert sorted(imported_modules(tree)) == [("dataclasses", 4), ("dataclasses", 5), ("os", 1)]
