@@ -121,6 +121,8 @@ class Bicategory:
         )
         self._inv_cache: dict[str, str | None] = {}
         self._qe_cache: dict[str, dict[tuple[str, str, str], str] | None] = {}
+        # homotopy.hat's memo: each solved homotopy of this table to its hat
+        self._hat_cache: dict[tuple, str] = {}
 
     def __repr__(self) -> str:
         return (

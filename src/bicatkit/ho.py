@@ -466,7 +466,14 @@ def probe_values_given(
 ) -> Iterator[tuple[PseudofunctorData, str]]:
     """``probe_values`` of k, given ``hat``, k's ``source_hat``."""
     for fun in probes.probes:
-        yield fun, f_hat_chain(fun, k) if hat is None else fun.cell_map[hat]
+        yield fun, _value(fun, k, hat)
+
+
+def _value(fun: PseudofunctorData, k: HoCell, hat: str | None) -> str:
+    """The one value rule: a validated admissible F sends k to F of ``hat``,
+    k's ``source_hat``, when it exists, and otherwise to the composite of F's
+    own hats of k's terms."""
+    return f_hat_chain(fun, k) if hat is None else fun.cell_map[hat]
 
 
 # -- the equality decider ----------------------------------------------------
@@ -779,14 +786,16 @@ class ExtensionG:
         self._values: dict[tuple[str, tuple[HomotopyTerm, ...]], str] = {}
 
     def value(self, k: HoCell) -> str:
-        """The composite of F's hats of the terms, each solved in F's target
-        once per class.  On a validated target this is vertically functorial
-        by associativity of ``vcomp``, and on a lone cell term it is F of the
-        cell, so ``extend`` checks only what F's own data can break:
-        whiskering and units."""
+        """The composite of F's hats of the terms, once per class: F of k's
+        ``source_hat`` when it exists (F is validated and admissible, so F of
+        each source hat solves F's hat equation), and otherwise each term
+        solved in F's target.  On a validated target this is vertically
+        functorial by associativity of ``vcomp``, and on a lone cell term it
+        is F of the cell, so ``extend`` checks only what F's own data can
+        break: whiskering and units."""
         key = (k.f, k.terms)
         if key not in self._values:
-            self._values[key] = f_hat_chain(self.fun, k)
+            self._values[key] = _value(self.fun, k, source_hat(k))
         return self._values[key]
 
 
@@ -878,7 +887,10 @@ def extend_2functor(
 ) -> ExtensionG:
     """Extend a 2-functor along the projection and check, on a materialized
     family of cells, that the forced values whisker and keep units.  The
-    target must be a validated bicategory."""
+    target must be a validated bicategory, and the 2-functor must pass
+    ``validate_pseudofunctor``, as ``make_probe_set`` and ``bicatkit extend``
+    make sure of: values are read off source hats, which only a lawful
+    functor carries to its own hats."""
     _require_2functor(fun)
     _require_admissible(fun, sigma)
     return _verified_extension(fun, sigma, cap)

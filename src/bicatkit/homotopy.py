@@ -13,7 +13,8 @@ into their targets.
 Each homotopy carries its construction provenance (transform kind or lemma
 gluing) in its ``origin`` field, so the equality decider can replay it;
 equality and hashing leave ``origin`` out, so two homotopies are equal exactly
-when their component tuples are.
+when their component tuples are, and ``hat`` keeps each table's solved hats
+keyed by the homotopy.
 """
 from __future__ import annotations
 
@@ -310,12 +311,17 @@ HomotopyTerm = Union[Homotopy, ICell]
 def hat(bic: Bicategory, obj: Cylinder | Homotopy) -> str:
     """For a cylinder: the unique cell c with s*c = alpha_tilde, read off the
     whiskering bijection that ``is_quasiequivalence`` verifies (s must be a
-    quasiequivalence).  For a homotopy: eps o (h * hat(C)) o eta."""
+    quasiequivalence).  For a homotopy: eps o (h * hat(C)) o eta, solved once
+    and kept on the table, which must not be mutated afterwards; a failure is
+    kept nowhere, so it is raised again on every call."""
     if isinstance(obj, Homotopy):
-        c_hat = hat(bic, obj.cyl)
-        return bic.vertical_chain(
-            [obj.eta, bic.whisker_l(obj.h, c_hat), obj.eps]
-        )
+        found = bic._hat_cache.get(obj)
+        if found is None:
+            c_hat = hat(bic, obj.cyl)
+            found = bic._hat_cache[obj] = bic.vertical_chain(
+                [obj.eta, bic.whisker_l(obj.h, c_hat), obj.eps]
+            )
+        return found
     cyl = obj
     if cyl.bic is not bic:
         raise StructureError("cylinder does not live in the given bicategory")

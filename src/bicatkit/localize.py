@@ -247,6 +247,8 @@ def localize(
 _SIDE_JSON = {"hocell": HOCELL_JSON, "inverse": HOCELL_JSON}
 _CERT_JSON = {
     "sigma": [str],
+    "three_for_two": {"ok": bool},
+    "max_len": int,
     "budget": int,
     "decompositions": [{"arrow": str, "chain": [str], "cell": str}],
     "equivalences": [
@@ -279,7 +281,8 @@ def replay_certificate(
     """Re-check every recorded derivation of a certificate against the loaded
     bicategory, which must pass ``validate_bicategory``, and a probe set,
     freshly enumerated unless supplied.  The certificate must list exactly
-    that probe set and hold one decomposition and one equivalence for each
+    that probe set, keep the passing 3-for-2 section, and hold one
+    decomposition, no longer than ``max_len``, and one equivalence for each
     marked arrow, each side running from ``q * arrow`` or ``arrow * q`` to an
     identity, inverted by its stored inverse, with the stored cancellation
     sections those of the verdicts replay re-derives, and not separated by a
@@ -298,14 +301,17 @@ def replay_certificate(
         require_json(cert_json, _CERT_JSON)
     except StructureError as exc:
         return False, [str(exc)]
-    budget = cert_json["budget"]
-    if budget < 1:
-        return False, ["field 'budget' is below 1"]
+    for field in ("budget", "max_len"):
+        if cert_json[field] < 1:
+            return False, [f"field {field!r} is below 1"]
+    budget, max_len = cert_json["budget"], cert_json["max_len"]
     problems: list[str] = []
     if set(cert_json["sigma"]) != set(sigma.members):
         problems.append("marked class does not match the certificate")
     if check_three_for_two(sigma) is not None:
         problems.append("3-for-2 no longer holds")
+    if cert_json["three_for_two"] != {"ok": True, "witness": None}:
+        problems.append("field 'three_for_two' is not the passing 3-for-2 section")
     if probes is None:
         probes = enumerate_probes(sigma, default_probe_targets(sigma))
     if cert_json["probes_used"] != sorted(probes.names()):
@@ -315,6 +321,8 @@ def replay_certificate(
 
     for dec in cert_json["decompositions"]:
         arrow, chain, cell = dec["arrow"], dec["chain"], dec["cell"]
+        if len(chain) > max_len:
+            problems.append(f"decomposition chain for {arrow} is longer than max_len")
         try:
             composite = bic.compose_path(chain)
         except StructureError as exc:

@@ -380,12 +380,12 @@ def test_extend_command(capsys, tmp_path):
 
 
 def test_extend_solves_each_class_once(capsys, tmp_path, monkeypatch):
-    # the report's whisker checks and the JSON values share one solution
-    # per class
+    # the report's whisker checks and the JSON values share one value per
+    # class, from the value rule that probes use too
     solved = []
-    f_hat_chain = ho.f_hat_chain
-    monkeypatch.setattr(ho, "f_hat_chain", lambda fun, k: solved.append((k.f, k.terms))
-                        or f_hat_chain(fun, k))
+    value = ho._value
+    monkeypatch.setattr(ho, "_value", lambda fun, k, hat: solved.append((k.f, k.terms))
+                        or value(fun, k, hat))
     paths = []
     for name in ("chain_f.pf", "chain_src.bic", "chain_tgt.bic"):
         paths.append(tmp_path / name)

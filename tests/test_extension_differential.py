@@ -1,7 +1,8 @@
 """Extensions along the projection against the head/tail route they replaced.
 
-``ExtensionG.value`` is ``f_hat_chain`` for every pseudofunctor, and one
-verification body, which checks whiskering up to phi, serves 2-functors and
+``ExtensionG.value`` is F of a class's source hat when that exists and
+``f_hat_chain`` otherwise, for every pseudofunctor, and one verification
+body, which checks whiskering up to phi, serves 2-functors and
 pseudofunctors.  ``tests/reference_scans.py`` keeps the old route: the
 ``ExtensionG`` record with ``head`` and ``tail``, ``extend_pseudofunctor``
 through ``factorize``, ``extend_2cell_data`` running two full extensions and
@@ -24,8 +25,14 @@ transformation and modification fixtures of ``tests/test_ho.py``, and seeded
 pseudofunctors that are not
 2-functors: xi and phi drawn uniformly over the 2-functors between small Z/2
 tables, kept when ``validate_pseudofunctor`` passes.
+
+Every default probe of chaotic_z2(3), chain_z2(3) and split_z2 is extended
+too, and its values on the family and every whisker of a member must equal
+``f_hat_chain``: a value read off the source hat against the per-term route,
+which split_z2's homotopy classes take.
 """
 import random
+from collections import Counter
 
 import pytest
 
@@ -41,15 +48,19 @@ from bicatkit.core import (
 )
 from bicatkit.ho import (
     enumerate_2functors,
+    enumerate_probes,
     extend_2cell_data,
+    extend_2functor,
     extend_pseudofunctor,
+    f_hat_chain,
     ho_cell,
     ho_identity,
     ho_vcomp,
     ho_whisk,
+    source_hat,
 )
 from bicatkit.homotopy import ICell
-from bicatkit.library import load_chain_pseudofunctor, load_fixture
+from bicatkit.library import default_probe_targets, load_chain_pseudofunctor, load_fixture
 from bicatkit.presentation import load_presentation_with_sigma, load_pseudofunctor
 from bicatkit.sigma import make_sigma
 
@@ -217,19 +228,24 @@ def outcome(fn, *args, **kwargs):
         return f"StructureError: {exc}"
 
 
-def probe_cells(ext):
-    """The materialized family, vertical composites of its composable pairs,
-    both whiskers of every member and every identity class."""
-    sigma = ext.sigma
-    bic = sigma.bic
-    family = ext.materialized
-    cells = list(family)
-    cells += [ho_vcomp(k2, k1) for k1 in family for k2 in family if k1.g == k2.f]
-    for k in family:
+def whiskered(ext):
+    """The materialized family and both whiskers of every member."""
+    bic = ext.sigma.bic
+    cells = list(ext.materialized)
+    for k in ext.materialized:
         x, y = bic.arrows[k.f]
         cells += [ho_whisk("left", r, k) for r in bic.out_arrows(y)]
         cells += [ho_whisk("right", r, k) for r in bic.in_arrows(x)]
-    cells += [ho_identity(sigma, f) for f in sorted(bic.arrows)]
+    return cells
+
+
+def probe_cells(ext):
+    """The materialized family, both whiskers of every member, vertical
+    composites of its composable pairs and every identity class."""
+    family = ext.materialized
+    cells = whiskered(ext)
+    cells += [ho_vcomp(k2, k1) for k1 in family for k2 in family if k1.g == k2.f]
+    cells += [ho_identity(ext.sigma, f) for f in sorted(ext.sigma.bic.arrows)]
     return cells
 
 
@@ -428,3 +444,42 @@ def test_two_cell_extensions_match_reference():
     assert len(done) > 20
     assert any(r.ok for r in done) and any(not r.ok for r in done)
     assert {r.kind for r in done if not r.ok} == {"transformation", "modification"}
+
+
+def default_probe_subjects():
+    """(label, sigma, probe) for every default probe, self-probes included,
+    of chaotic_z2(3) and chain_z2(3), where every marked arrow is a
+    quasiequivalence, and of split_z2, where e, r and s are not."""
+    # imported here: that module imports this one, through test_core_validate
+    from tests.test_decider_differential import _split_z2_doc
+
+    pres = load_presentation_with_sigma(_split_z2_doc(), "split_z2")
+    tables = {
+        "chaotic_z2(3)": marked_table("chaotic_z2", 3),
+        "chain_z2(3)": marked_table("chain_z2", 3),
+        "split_z2": make_sigma(pres.bicategory, pres.sigma_names),
+    }
+    for label, sigma in tables.items():
+        for fun in enumerate_probes(sigma, default_probe_targets(sigma)).probes:
+            yield label, sigma, fun
+
+
+def test_extension_values_by_hat_match_per_term_route():
+    """``ExtensionG.value`` is F of k's source hat when that exists, and
+    otherwise each term solved in F's target: on every class of the family
+    and every whisker of one it equals ``f_hat_chain``, and every report is
+    the reference's.  On split_z2 each homotopy class takes the per-term
+    route."""
+    routes: Counter = Counter()
+    for label, sigma, fun in default_probe_subjects():
+        new = extend_2functor(fun, sigma, cap=CAP)
+        old = ref.extend_2functor(fun, sigma, cap=CAP)
+        assert new.materialized == old.materialized, fun.name
+        assert_same_report(new.report, old.report, fun.name)
+        for k in whiskered(new):
+            assert new.value(k) == f_hat_chain(fun, k), (fun.name, str(k))
+            routes[label, fun.target is sigma.bic, source_hat(k) is None] += 1
+    assert routes["split_z2", False, True] > 100, routes
+    for name in ("chaotic_z2(3)", "chain_z2(3)"):
+        assert routes[name, True, False] > 1000 and routes[name, False, False] > 1000, routes
+    assert not any(by_terms for (name, _, by_terms) in routes if name != "split_z2"), routes

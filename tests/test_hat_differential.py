@@ -12,11 +12,23 @@ every probe of three generated tables.  Quasiequivalence verdicts must agree
 on every arrow of those tables, and each kept inverse must invert
 whiskering.  Hand-built tables reach each ``HatError``, and a guard checks
 that a second pass over the same terms scans no cells.
+
+``hat`` keeps each homotopy's hat in a memo on its table.  On the fixtures,
+the four families at n = 2-4 and split_z2, the memoized hat of every sampled
+homotopy and of each of its transforms equals the reference's, on the first
+call and on a repeated one; a failing hat raises on every call, runs the
+solver again and is never kept; and two parses of one table keep separate
+memos, each of which dies with its table.
 """
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
+from bench import families
+from bicatkit import homotopy
 from bicatkit.core import PseudofunctorData, identity_pseudofunctor
 from bicatkit.ho import enumerate_probes, sample_homotopies
 from bicatkit.homotopy import (
@@ -27,11 +39,13 @@ from bicatkit.homotopy import (
     make_cylinder,
     transform_homotopy,
 )
+from bicatkit.library import BICATEGORIES, fixture_text, load_fixture
 from bicatkit.localize import default_probe_targets
 from bicatkit.presentation import load_presentation_with_sigma
-from bicatkit.sigma import is_quasiequivalence, whisker_preimages
+from bicatkit.sigma import is_quasiequivalence, make_sigma, whisker_preimages
 
 from tests import reference_scans as ref
+from tests.test_decider_differential import _split_z2_doc
 from tests.test_extension_differential import (
     fixture_subjects,
     generated_subjects,
@@ -192,3 +206,120 @@ def test_second_pass_scans_no_cells(monkeypatch):
     monkeypatch.setattr(bic, "cells_between", counted)
     assert [(hat(bic, t), f_hat(fun, t)) for t in homs] == first
     assert scans == []
+
+
+MEMO_CAP = 60
+
+
+def memo_tables():
+    """(label, document text): each fixture, the four families at n = 2-4
+    with every arrow marked, and split_z2."""
+    for name in BICATEGORIES:
+        yield name, fixture_text(f"{name}.bic")
+    for family in ("chain", "chaotic", "chain_z2", "chaotic_z2"):
+        for n in (2, 3, 4):
+            yield f"{family}({n})", families.generate(family, n, 1, marked=True).text()
+    yield "split_z2", _split_z2_doc()
+
+
+def parse(label, text):
+    pres = load_presentation_with_sigma(text, label)
+    return make_sigma(pres.bicategory, pres.sigma_names)
+
+
+def transforms(hom):
+    """hom and each transform of it: post and pre by every cell that
+    composes, both whiskers by every arrow that composes, and the inverse
+    when its cells are invertible."""
+    bic = hom.bic
+    out = [hom]
+    out += [transform_homotopy("post", mu, hom) for mu in bic.cells_from(hom.g)]
+    out += [transform_homotopy("pre", nu, hom) for nu in bic.cells_to(hom.f)]
+    out += [
+        transform_homotopy("lwhisk", r, hom) for r in bic.out_arrows(bic.arrow_dst(hom.f))
+    ]
+    out += [
+        transform_homotopy("rwhisk", r, hom) for r in bic.in_arrows(bic.arrow_src(hom.f))
+    ]
+    if hom.invertible_cells:
+        out.append(transform_homotopy("invert", "", hom))
+    return out
+
+
+def memo_terms(sigma):
+    return [t for hom in sample_homotopies(sigma, cap=MEMO_CAP) for t in transforms(hom)]
+
+
+def count_solver(monkeypatch) -> list:
+    """Record the table of each ``homotopy._preimage`` call."""
+    calls: list = []
+    real = homotopy._preimage
+    monkeypatch.setattr(
+        homotopy, "_preimage", lambda bic, *a: calls.append(bic) or real(bic, *a)
+    )
+    return calls
+
+
+def test_memoized_hats_match_reference(monkeypatch):
+    solved = failed = 0
+    solver = count_solver(monkeypatch)
+    for label, text in memo_tables():
+        sigma = parse(label, text)
+        bic = sigma.bic
+        assert not bic._hat_cache, label
+        homs = memo_terms(sigma)
+        want = [outcome(ref.hat, bic, t) for t in homs]
+        for repeat in ("first", "again"):
+            solver.clear()
+            got = [outcome(hat, bic, t) for t in homs]
+            assert got == want, (label, repeat)
+            errors = [t for t, v in zip(homs, got) if v.startswith("StructureError: ")]
+            # each hat is solved on its first call only, and a failure, kept
+            # nowhere, on every call
+            first = len(set(homs) - set(errors)) if repeat == "first" else 0
+            assert len(solver) == first + len(errors), (label, repeat)
+            assert not any(t in bic._hat_cache for t in errors), label
+        assert len(bic._hat_cache) == len(set(homs) - set(errors)), label
+        solved += len(homs) - len(errors)
+        failed += len(errors)
+    # split and split_z2 mark arrows that are no quasiequivalences
+    assert solved > 5000 and failed > 500, (solved, failed)
+
+
+def test_failing_hat_raises_on_every_call(monkeypatch):
+    """A homotopy over a cylinder on split's e, which is no
+    quasiequivalence, raises the same HatError each time, and the solver
+    runs each time."""
+    pres = load_fixture("split")
+    sigma = make_sigma(pres.bicategory, pres.sigma_names)
+    bic = sigma.bic
+    hom = next(t for t in sample_homotopies(sigma) if t.cyl.s == "e")
+    solver = count_solver(monkeypatch)
+    messages = []
+    for _ in range(3):
+        with pytest.raises(HatError) as err:
+            hat(bic, hom)
+        messages.append(str(err.value))
+    assert messages == ["arrow 'e' is not a quasiequivalence in split"] * 3
+    assert solver == [bic] * 3 and hom not in bic._hat_cache
+
+
+def test_two_parses_keep_separate_memos(monkeypatch):
+    """Two parses of one table share no memo: hatting the second solves
+    every hat again in its own table, each memo holds only its own table's
+    homotopies, and a memo dies with its table."""
+    text = families.generate("chaotic_z2", 3, 1, marked=True).text()
+    first, second = parse("one", text), parse("one", text)
+    solver = count_solver(monkeypatch)
+    hats = []
+    for sigma in (first, second):
+        solver.clear()
+        homs = memo_terms(sigma)
+        hats.append([hat(sigma.bic, t) for t in homs])
+        assert solver == [sigma.bic] * len(set(homs))
+        assert {t.bic for t in sigma.bic._hat_cache} == {sigma.bic}
+    assert hats[0] == hats[1]
+    gone = weakref.ref(first.bic)
+    del first, homs
+    gc.collect()
+    assert gone() is None

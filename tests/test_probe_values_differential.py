@@ -38,6 +38,7 @@ from bicatkit.sigma import is_quasiequivalence, make_sigma
 
 from tests import reference_scans as ref
 from tests.test_decider_differential import _split_z2_doc, _terms
+from tests.test_hat_differential import count_solver
 from tests.test_localize import reference_problems
 
 FAMILY_TABLES = [
@@ -185,11 +186,16 @@ def test_in_the_regime_each_side_is_hatted_once_and_distinct_skips_rewriting(mon
     """On chaotic(3)xZ/2 the decider hats each side once, before rewriting,
     calling ``hat`` once per homotopy term; a Distinct answer rewrites
     nothing, Equal and Unknown answers normalize both sides, and the probe
-    walk reads the hats already computed."""
+    walk reads the hats already computed.  ``hat`` keeps what it solves, so
+    over the whole stream the hat solver runs at most once per distinct
+    homotopy."""
     sigma = _sigma(("chaotic_z2", 3, 1))
     probes = _decider_probes(sigma)
     calls = _count_decider(monkeypatch)
+    solver = count_solver(monkeypatch)
     verdicts: Counter = Counter()
+    distinct: set = set()
+    hatted = 0
     for k1, k2 in _rewritten(sigma, "hat-once"):
         calls.clear()
         verdict = ho.ho_eq(k1, k2, probes, 8).verdict
@@ -197,7 +203,12 @@ def test_in_the_regime_each_side_is_hatted_once_and_distinct_skips_rewriting(mon
         rewrites = [] if verdict == "distinct" else ["_normalize_side"] * 2
         assert [c for c in calls if c != "hat"] == ["source_hat"] * 2 + rewrites
         assert calls.count("hat") == _homotopies(k1) + _homotopies(k2)
+        distinct.update(t for t in k1.terms + k2.terms if isinstance(t, Homotopy))
+        hatted += calls.count("hat")
     assert set(verdicts) == {"equal", "distinct", "unknown"}
+    # the stream asks for each homotopy's hat about twice on average
+    assert set(solver) == {sigma.bic} and len(solver) <= len(distinct)
+    assert hatted > 2 * len(distinct)
 
 
 def test_outside_the_regime_every_query_normalizes_both_sides(monkeypatch):
