@@ -23,6 +23,7 @@ Sequences are stored first-applied-first.
 """
 from __future__ import annotations
 
+from functools import partial
 from itertools import islice
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -265,99 +266,168 @@ def enumerate_2functors(src: Bicategory, dst: Bicategory) -> list[PseudofunctorD
     """All 2-functors between two finite tabulated bicategories, both of which
     must pass `validate_bicategory`.
 
-    The search is depth first with one level per unknown: the objects in
-    order, each over the target's objects; the sorted non-identity arrows,
-    each over its hom; the sorted non-identity cells, each over its cells,
-    candidates in the target's index order.  Identity images are set with
-    their owners: F(id_x) = id_{F x} when x is assigned, and F(id_f) = id_{F f}
-    when f is.  Each constraint is checked as soon as the last unknown it
-    reads is assigned (forward checking): a non-identity arrow's hom must
-    have a candidate, and each source table entry must hold, `hcomp1`,
-    `vcomp`, the whiskers and, unless both sides are strict, the unitors and
-    associators.  A branch thus ends at its first broken constraint, and the
-    results, in their order, are those of checking complete maps only.
+    The search is depth first with one level per image that has more than one
+    possible value: the objects in order, each over the target's objects; the
+    sorted non-identity arrows, each over its hom; the sorted non-identity
+    cells, each over its cells, candidates in the target's index order.  Each
+    other image is set, with no level of its own, as soon as the images it is
+    a function of are bound, and each constraint is checked as soon as the
+    last image it reads is bound (forward checking): a non-identity arrow's
+    hom must have a candidate, and each source table entry must hold,
+    `hcomp1`, `vcomp`, the whiskers and, unless both sides are strict, the
+    unitors and associators.  A branch thus ends at its first broken
+    constraint, and since a set image is the one candidate its level would
+    have let pass, the results, in their order, are those of checking
+    complete maps only.  The images set without a level are:
+
+    * identities, with their owners: F(id_x) = id_{F x} when x is bound, and
+      F(id_f) = id_{F f} when f is;
+    * on an arrow-thin target, one whose every hom has at most one arrow, a
+      non-identity arrow f : x -> y with the later of x and y, since F f is
+      the one arrow F x -> F y; an empty hom ends the branch, which is the
+      hom check of (x, y);
+    * on a thin target, arrow-thin with at most one cell between two parallel
+      arrows, a non-identity cell a : f => g with f and g: F f and F g are
+      parallel, so equal, and the one cell between them is id_{F f};
+    * on any other target, a non-identity cell c that a `vcomp`, `lwhisk` or
+      `rwhisk` entry computes from images bound before c, and so not from c
+      itself: F c must be the target's entry at those images.  The forced
+      image is well typed: the target entry exists, since a validated
+      table's composites are total and the bound images are well typed; and
+      it runs between the images of c's boundary arrows, since these are
+      the composites of the input images' boundaries, by the `hcomp1`
+      entries, which the arrow levels, all before the cell levels, have
+      checked.  The entry holds by construction, so its check is not filed.
 
     Every entry of a valid source is well typed, so an entry holds on every
     branch, and is not checked, when the target settles it: an `hcomp1` entry
-    when each target hom has at most one arrow, since both of its sides lie
-    in one hom; a `vcomp` or whisker entry when each pair of parallel target
-    arrows has at most one cell, since both of its sides are parallel cells;
-    a `vcomp` entry with an identity input, id_g . a = a or a . id_f = a, by
-    the target's `vcomp-unit`; a whisker entry with an identity cell,
-    g * id_f = id_{gf} or id_g * f = id_{gf}, by its `W2` and the `hcomp1`
-    entry (g, f); and on a strict target an `hcomp1` entry f . id_x = f or
-    id_y . f = f, by its `strict-unital`.  By the `hcomp1` entries,
-    F(id_x) = id_{F x} and F g . F f = F(g f), so each result's xi and phi
-    are identity cells, read off its cell map."""
+    when the target is arrow-thin, since both of its sides lie in one hom; a
+    `vcomp` or whisker entry when each pair of parallel target arrows has at
+    most one cell, since both of its sides are parallel cells; a `vcomp` entry
+    with an identity input, id_g . a = a or a . id_f = a, by the target's
+    `vcomp-unit`; a whisker entry with an identity cell, g * id_f = id_{gf} or
+    id_g * f = id_{gf}, by its `W2` and the `hcomp1` entry (g, f); on a strict
+    target an `hcomp1` entry f . id_x = f or id_y . f = f, by its
+    `strict-unital`; and a hom check when every target hom has an arrow.  By
+    the `hcomp1` entries, F(id_x) = id_{F x} and F g . F f = F(g f), so each
+    result's xi and phi are identity cells, read off its cell map."""
     objs = list(src.objects)
     id1, idc = src.id1, src.idc
     ids = set(id1.values())
     idcs = set(idc.values())
     found: list[PseudofunctorData] = []
-    # the maps under construction, which the candidates and checks read
-    omap: dict[str, str] = {}
-    amap: dict[str, str] = {}
-    cmap: dict[str, str] = {}
-
-    def bind_object(x: str, y: str) -> None:
-        omap[x] = y
-        amap[id1[x]] = fid = dst.id1[y]
-        cmap[idc[id1[x]]] = dst.idc[fid]
-
-    def bind_arrow(f: str, g: str) -> None:
-        amap[f] = g
-        cmap[idc[f]] = dst.idc[g]
-
-    def bind_cell(a: str, b: str) -> None:
-        cmap[a] = b
-
-    # one level per unknown; `at` files each generator under the level that binds it
-    levels: list[tuple[Callable[[str, str], None], str, Callable[[], Iterable[str]]]] = []
+    # the maps under construction, which the candidates and steps read; their
+    # keys stand in one order, whichever level sets them: the objects, the
+    # identity arrows in object order and then the sorted non-identity arrows,
+    # those arrows' identity cells and then the sorted non-identity cells
+    arrows = [id1[x] for x in objs] + sorted(set(src.arrows) - ids)
+    omap: dict[str, str] = dict.fromkeys(objs)
+    amap: dict[str, str] = dict.fromkeys(arrows)
+    cmap: dict[str, str] = dict.fromkeys([idc[f] for f in arrows] + sorted(set(src.cells) - idcs))
+    # one level per image searched for; under each, the steps that set the
+    # images it forces, then the checks it completes, each false on failure
+    levels: list[tuple[dict[str, str], str, Callable[[], Iterable[str]]]] = []
+    steps: list[list[Callable[[], bool]]] = []
     at: dict[tuple[str, str], int] = {}
 
-    def level(bind, x: str, candidates, *owned: tuple[str, str]) -> None:
-        at.update(dict.fromkeys(owned, len(levels)))
-        levels.append((bind, x, candidates))
+    def level(images: dict[str, str], x: str, space: str, candidates) -> None:
+        at[space, x] = len(levels)
+        levels.append((images, x, candidates))
+        steps.append([])
+
+    def file(reads: Iterable[tuple[str, str]], step: Callable[[], bool], *sets: tuple[str, str]):
+        """File step under the last level it reads, which binds what it sets."""
+        i = max(map(at.__getitem__, reads))
+        steps[i].append(step)
+        at.update(dict.fromkeys(sets, i))
+
+    # the steps that set images, each true but `only_arrow`
+    def unit(x: str, i: str, u: str) -> bool:
+        amap[i] = g = dst.id1[omap[x]]
+        cmap[u] = dst.idc[g]
+        return True
+
+    def identity(u: str, f: str) -> bool:
+        cmap[u] = dst.idc[amap[f]]
+        return True
+
+    # the image of c by a vcomp or whisker entry, table[left[l], right[r]]
+    def computed(c: str, table: dict, left: dict, l: str, right: dict, r: str) -> bool:
+        cmap[c] = table[left[l], right[r]]
+        return True
+
+    def holds(c: str, table: dict, left: dict, l: str, right: dict, r: str) -> bool:
+        return table[left[l], right[r]] == cmap[c]
+
+    homs = {ends: f for f, ends in dst.arrows.items()}  # an arrow of each non-empty hom
+    thin_arrows = len(homs) == len(dst.arrows)
+    thin_cells = len(set(dst.cells.values())) == len(dst.cells)
+
+    def only_arrow(f: str, x: str, y: str, u: str) -> bool:
+        """False when the hom is empty."""
+        g = homs.get((omap[x], omap[y]))
+        if g is None:
+            return False
+        amap[f] = g
+        cmap[u] = dst.idc[g]
+        return True
 
     for x in objs:
         i = id1[x]
-        level(bind_object, x, lambda: dst.objects, ("object", x), ("arrow", i), ("cell", idc[i]))
+        level(omap, x, "object", lambda: dst.objects)
+        file([("object", x)], partial(unit, x, i, idc[i]), ("arrow", i), ("cell", idc[i]))
     for f, (x, y) in sorted(src.arrows.items()):
-        if f not in ids:
-            level(bind_arrow, f, lambda x=x, y=y: dst.arrows_between(omap[x], omap[y]),
-                  ("arrow", f), ("cell", idc[f]))
+        if f in ids:
+            continue
+        if thin_arrows:
+            file([("object", x), ("object", y)], partial(only_arrow, f, x, y, idc[f]),
+                 ("arrow", f), ("cell", idc[f]))
+        else:
+            level(amap, f, "arrow", lambda x=x, y=y: dst.arrows_between(omap[x], omap[y]))
+            file([("arrow", f)], partial(identity, idc[f], f), ("cell", idc[f]))
+    # the vcomp and whisker entries that no unit rule settles: the cell each
+    # computes, the images it reads and the arguments of `computed`
+    entries: list[tuple[str, list[tuple[str, str]], tuple]] = []
+    if not thin_cells:
+        for (b, a), c in src.vcomp.items():
+            if a not in idcs and b not in idcs:
+                entries.append((c, [("cell", b), ("cell", a)], (dst.vcomp, cmap, b, cmap, a)))
+        for (g, a), c in src.lwhisk.items():
+            if a not in idcs:
+                entries.append((c, [("arrow", g), ("cell", a)], (dst.lwhisk, amap, g, cmap, a)))
+        for (a, f), c in src.rwhisk.items():
+            if a not in idcs:
+                entries.append((c, [("cell", a), ("arrow", f)], (dst.rwhisk, cmap, a, amap, f)))
+    computing: dict[str, list[tuple]] = {}  # the entries that compute each cell
+    for entry in entries:
+        computing.setdefault(entry[0], []).append(entry)
+    forcing: dict[str, tuple] = {}  # each cell an entry sets, with that entry
     for a, (f, g) in sorted(src.cells.items()):
-        if a not in idcs:
-            level(bind_cell, a, lambda f=f, g=g: dst.cells_between(amap[f], amap[g]), ("cell", a))
-    checks: list[list[Callable[[], bool]]] = [[] for _ in levels]
-
-    def file(reads: Iterable[tuple[str, str]], check: Callable[[], bool]) -> None:
-        """File check under the last level it reads."""
-        checks[max(map(at.__getitem__, reads))].append(check)
-
-    thin_arrows = len(set(dst.arrows.values())) == len(dst.arrows)
-    thin_cells = len(set(dst.cells.values())) == len(dst.cells)
-    for x, y in sorted({ends for f, ends in src.arrows.items() if f not in ids}):
-        file([("object", x), ("object", y)],
-             lambda x=x, y=y: bool(dst.arrows_between(omap[x], omap[y])))
+        if a in idcs:
+            continue
+        if thin_arrows and thin_cells:
+            file([("arrow", f), ("arrow", g)], partial(identity, a, f), ("cell", a))
+            continue
+        # the cells bound so far are those before a
+        entry = next((e for e in computing.get(a, ()) if all(map(at.__contains__, e[1]))), None)
+        if entry is None:
+            level(cmap, a, "cell", lambda f=f, g=g: dst.cells_between(amap[f], amap[g]))
+        else:
+            forcing[a] = entry
+            file(entry[1], partial(computed, a, *entry[2]), ("cell", a))
+    if not thin_arrows and len(homs) < len(dst.objects) ** 2:
+        for x, y in sorted({ends for f, ends in src.arrows.items() if f not in ids}):
+            file([("object", x), ("object", y)],
+                 lambda x=x, y=y: bool(dst.arrows_between(omap[x], omap[y])))
     if not thin_arrows:
         for (g, f), c in src.hcomp1.items():
             if not (dst.strict and (g in ids and c == f or f in ids and c == g)):
                 file([("arrow", g), ("arrow", f), ("arrow", c)],
                      lambda g=g, f=f, c=c: dst.hcomp1.get((amap[g], amap[f])) == amap[c])
-    if not thin_cells:
-        for (b, a), c in src.vcomp.items():
-            if a not in idcs and b not in idcs:
-                file([("cell", b), ("cell", a), ("cell", c)],
-                     lambda b=b, a=a, c=c: dst.vcomp.get((cmap[b], cmap[a])) == cmap[c])
-        for (g, a), c in src.lwhisk.items():
-            if a not in idcs:
-                file([("arrow", g), ("cell", a), ("cell", c)],
-                     lambda g=g, a=a, c=c: dst.lwhisk.get((amap[g], cmap[a])) == cmap[c])
-        for (a, f), c in src.rwhisk.items():
-            if a not in idcs:
-                file([("cell", a), ("arrow", f), ("cell", c)],
-                     lambda a=a, f=f, c=c: dst.rwhisk.get((cmap[a], amap[f])) == cmap[c])
+    for entry in entries:
+        c, reads, args = entry
+        if forcing.get(c) is not entry:
+            file([*reads, ("cell", c)], partial(holds, c, *args))
     if not src.strict or not dst.strict:
         for f in src.arrows:
             lam, rho = src.lunitor[f], src.runitor[f]
@@ -370,13 +440,13 @@ def enumerate_2functors(src: Bicategory, dst: Bicategory) -> list[PseudofunctorD
                  lambda h=h, g=g, f=f, c=c: cmap[c] == dst.assoc[(amap[h], amap[g], amap[f])])
     # the source identity cells whose images are xi and phi; a composable
     # pair without a composite is left to PseudofunctorData to report
-    xi_units = [(x, src.idc[src.id1[x]]) for x in objs]
-    phi_units = [
-        (gf, src.idc[src.hcomp1[gf]]) for gf in src.composable_arrow_pairs() if gf in src.hcomp1
-    ]
+    xi_units = [idc[id1[x]] for x in objs]
+    pairs = [gf for gf in src.composable_arrow_pairs() if gf in src.hcomp1]
+    phi_units = [idc[src.hcomp1[gf]] for gf in pairs]
+    last = len(levels)
 
     def assign(i: int) -> None:
-        if i == len(levels):
+        if i == last:
             found.append(PseudofunctorData(
                 name=f"{src.name}->{dst.name}#{len(found)}",
                 source=src,
@@ -384,16 +454,16 @@ def enumerate_2functors(src: Bicategory, dst: Bicategory) -> list[PseudofunctorD
                 obj_map=omap,
                 arr_map=amap,
                 cell_map=cmap,
-                xi={x: cmap[u] for x, u in xi_units},
-                phi={gf: cmap[u] for gf, u in phi_units},
+                xi=dict(zip(objs, map(cmap.__getitem__, xi_units))),
+                phi=dict(zip(pairs, map(cmap.__getitem__, phi_units))),
             ))
             return
-        bind, x, candidates = levels[i]
-        filed = checks[i]
+        images, x, candidates = levels[i]
+        filed = steps[i]
         for cand in candidates():
-            bind(x, cand)
-            for check in filed:
-                if not check():
+            images[x] = cand
+            for step in filed:
+                if not step():
                     break
             else:
                 assign(i + 1)
@@ -417,7 +487,7 @@ def enumerate_probes(
         qe = {f for f in dst.arrows if is_quasiequivalence(dst, f)}
         probes += [
             fun for fun in enumerate_2functors(src, dst)
-            if all(fun.arr_map[s] in qe for s in sigma.members)
+            if qe.issuperset(map(fun.arr_map.__getitem__, sigma.members))
         ]
     return ProbeSet(tuple(probes))
 
@@ -700,7 +770,9 @@ def ho_eq(
 
     With probes, when the identity is admissible, sides with different source
     hats are distinct, and the sound rewrites cannot join them; so they are
-    skipped, and the probe walk gives the same verdict without them."""
+    skipped, and the probe walk gives the same verdict without them.  Sides
+    with one source hat that the rewrites do not join are ``Unknown`` with
+    no probe walked."""
     if k1.sigma != k2.sigma:
         raise StructureError("cells live over different marked classes")
     if (k1.f, k1.g) != (k2.f, k2.g):
@@ -732,7 +804,10 @@ def _first_separation(
     probes: ProbeSet, k1: HoCell, k2: HoCell, hats: tuple[str | None, str | None]
 ) -> EqVerdict:
     """The first probe whose values on k1 and k2 differ, given their source
-    hats; ``Unknown`` when none does."""
+    hats; ``Unknown`` when none does.  Equal hats that exist give each probe
+    F one value, F of that hat, on both sides, so no probe is walked."""
+    if hats[0] is not None and hats[0] == hats[1]:
+        return EqVerdict("unknown")
     values = zip(probe_values_given(probes, k1, hats[0]), probe_values_given(probes, k2, hats[1]))
     for (fun, v1), (_, v2) in values:
         if v1 != v2:

@@ -281,7 +281,8 @@ def replay_certificate(
     """Re-check every recorded derivation of a certificate against the loaded
     bicategory, which must pass ``validate_bicategory``, and a probe set,
     freshly enumerated unless supplied.  The certificate must list exactly
-    that probe set, keep the passing 3-for-2 section, and hold one
+    that probe set, keep the passing 3-for-2 section and the projection's
+    functoriality section that the table re-derives, and hold one
     decomposition, no longer than ``max_len``, and one equivalence for each
     marked arrow, each side running from ``q * arrow`` or ``arrow * q`` to an
     identity, inverted by its stored inverse, with the stored cancellation
@@ -312,6 +313,8 @@ def replay_certificate(
         problems.append("3-for-2 no longer holds")
     if cert_json["three_for_two"] != {"ok": True, "witness": None}:
         problems.append("field 'three_for_two' is not the passing 3-for-2 section")
+    if cert_json.get("i_functoriality") != _i_functoriality(bic):
+        problems.append("field 'i_functoriality' is not the re-derived section")
     if probes is None:
         probes = enumerate_probes(sigma, default_probe_targets(sigma))
     if cert_json["probes_used"] != sorted(probes.names()):

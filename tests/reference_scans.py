@@ -4,7 +4,9 @@ the head/tail extension route that ``f_hat_chain`` on every pseudofunctor
 replaced, the hat scans that the whiskering bijection replaced, the
 enumerator that checked tables only on complete maps, which forward checking
 replaced, the forward-checking enumerator that bound each identity on a
-level of its own and checked every entry a thin target settles, which
+level of its own and checked every entry a thin target settles, which the
+level-per-image enumerator replaced, that enumerator, which searched for
+every image that has one possible value and which
 ``ho.enumerate_2functors`` replaced, and the equality decider that paired
 each rule with its law at every step and wrote each adjacent-pair scan out
 in full, which ``ho.LAWS`` and ``ho._pairwise`` replaced, and the two probe
@@ -1186,6 +1188,150 @@ def forward_enumerate_2functors(src: Bicategory, dst: Bicategory) -> list[Pseudo
     assign(0)
     return found
 
+
+
+def level_enumerate_2functors(src: Bicategory, dst: Bicategory) -> list[PseudofunctorData]:
+    """The enumerator that searched each image but the identities on a level
+    of its own, which setting every forced image replaced.
+
+    All 2-functors between two finite tabulated bicategories, both of which
+    must pass `validate_bicategory`.
+
+    The search is depth first with one level per unknown: the objects in
+    order, each over the target's objects; the sorted non-identity arrows,
+    each over its hom; the sorted non-identity cells, each over its cells,
+    candidates in the target's index order.  Identity images are set with
+    their owners: F(id_x) = id_{F x} when x is assigned, and F(id_f) = id_{F f}
+    when f is.  Each constraint is checked as soon as the last unknown it
+    reads is assigned (forward checking): a non-identity arrow's hom must
+    have a candidate, and each source table entry must hold, `hcomp1`,
+    `vcomp`, the whiskers and, unless both sides are strict, the unitors and
+    associators.  A branch thus ends at its first broken constraint, and the
+    results, in their order, are those of checking complete maps only.
+
+    Every entry of a valid source is well typed, so an entry holds on every
+    branch, and is not checked, when the target settles it: an `hcomp1` entry
+    when each target hom has at most one arrow, since both of its sides lie
+    in one hom; a `vcomp` or whisker entry when each pair of parallel target
+    arrows has at most one cell, since both of its sides are parallel cells;
+    a `vcomp` entry with an identity input, id_g . a = a or a . id_f = a, by
+    the target's `vcomp-unit`; a whisker entry with an identity cell,
+    g * id_f = id_{gf} or id_g * f = id_{gf}, by its `W2` and the `hcomp1`
+    entry (g, f); and on a strict target an `hcomp1` entry f . id_x = f or
+    id_y . f = f, by its `strict-unital`.  By the `hcomp1` entries,
+    F(id_x) = id_{F x} and F g . F f = F(g f), so each result's xi and phi
+    are identity cells, read off its cell map."""
+    objs = list(src.objects)
+    id1, idc = src.id1, src.idc
+    ids = set(id1.values())
+    idcs = set(idc.values())
+    found: list[PseudofunctorData] = []
+    # the maps under construction, which the candidates and checks read
+    omap: dict[str, str] = {}
+    amap: dict[str, str] = {}
+    cmap: dict[str, str] = {}
+
+    def bind_object(x: str, y: str) -> None:
+        omap[x] = y
+        amap[id1[x]] = fid = dst.id1[y]
+        cmap[idc[id1[x]]] = dst.idc[fid]
+
+    def bind_arrow(f: str, g: str) -> None:
+        amap[f] = g
+        cmap[idc[f]] = dst.idc[g]
+
+    def bind_cell(a: str, b: str) -> None:
+        cmap[a] = b
+
+    # one level per unknown; `at` files each generator under the level that binds it
+    levels: list[tuple[Callable[[str, str], None], str, Callable[[], Iterable[str]]]] = []
+    at: dict[tuple[str, str], int] = {}
+
+    def level(bind, x: str, candidates, *owned: tuple[str, str]) -> None:
+        at.update(dict.fromkeys(owned, len(levels)))
+        levels.append((bind, x, candidates))
+
+    for x in objs:
+        i = id1[x]
+        level(bind_object, x, lambda: dst.objects, ("object", x), ("arrow", i), ("cell", idc[i]))
+    for f, (x, y) in sorted(src.arrows.items()):
+        if f not in ids:
+            level(bind_arrow, f, lambda x=x, y=y: dst.arrows_between(omap[x], omap[y]),
+                  ("arrow", f), ("cell", idc[f]))
+    for a, (f, g) in sorted(src.cells.items()):
+        if a not in idcs:
+            level(bind_cell, a, lambda f=f, g=g: dst.cells_between(amap[f], amap[g]), ("cell", a))
+    checks: list[list[Callable[[], bool]]] = [[] for _ in levels]
+
+    def file(reads: Iterable[tuple[str, str]], check: Callable[[], bool]) -> None:
+        """File check under the last level it reads."""
+        checks[max(map(at.__getitem__, reads))].append(check)
+
+    thin_arrows = len(set(dst.arrows.values())) == len(dst.arrows)
+    thin_cells = len(set(dst.cells.values())) == len(dst.cells)
+    for x, y in sorted({ends for f, ends in src.arrows.items() if f not in ids}):
+        file([("object", x), ("object", y)],
+             lambda x=x, y=y: bool(dst.arrows_between(omap[x], omap[y])))
+    if not thin_arrows:
+        for (g, f), c in src.hcomp1.items():
+            if not (dst.strict and (g in ids and c == f or f in ids and c == g)):
+                file([("arrow", g), ("arrow", f), ("arrow", c)],
+                     lambda g=g, f=f, c=c: dst.hcomp1.get((amap[g], amap[f])) == amap[c])
+    if not thin_cells:
+        for (b, a), c in src.vcomp.items():
+            if a not in idcs and b not in idcs:
+                file([("cell", b), ("cell", a), ("cell", c)],
+                     lambda b=b, a=a, c=c: dst.vcomp.get((cmap[b], cmap[a])) == cmap[c])
+        for (g, a), c in src.lwhisk.items():
+            if a not in idcs:
+                file([("arrow", g), ("cell", a), ("cell", c)],
+                     lambda g=g, a=a, c=c: dst.lwhisk.get((amap[g], cmap[a])) == cmap[c])
+        for (a, f), c in src.rwhisk.items():
+            if a not in idcs:
+                file([("cell", a), ("arrow", f), ("cell", c)],
+                     lambda a=a, f=f, c=c: dst.rwhisk.get((cmap[a], amap[f])) == cmap[c])
+    if not src.strict or not dst.strict:
+        for f in src.arrows:
+            lam, rho = src.lunitor[f], src.runitor[f]
+            file([("arrow", f), ("cell", lam)],
+                 lambda f=f, lam=lam: cmap[lam] == dst.lunitor[amap[f]])
+            file([("arrow", f), ("cell", rho)],
+                 lambda f=f, rho=rho: cmap[rho] == dst.runitor[amap[f]])
+        for (h, g, f), c in src.assoc.items():
+            file([("arrow", h), ("arrow", g), ("arrow", f), ("cell", c)],
+                 lambda h=h, g=g, f=f, c=c: cmap[c] == dst.assoc[(amap[h], amap[g], amap[f])])
+    # the source identity cells whose images are xi and phi; a composable
+    # pair without a composite is left to PseudofunctorData to report
+    xi_units = [(x, src.idc[src.id1[x]]) for x in objs]
+    phi_units = [
+        (gf, src.idc[src.hcomp1[gf]]) for gf in src.composable_arrow_pairs() if gf in src.hcomp1
+    ]
+
+    def assign(i: int) -> None:
+        if i == len(levels):
+            found.append(PseudofunctorData(
+                name=f"{src.name}->{dst.name}#{len(found)}",
+                source=src,
+                target=dst,
+                obj_map=omap,
+                arr_map=amap,
+                cell_map=cmap,
+                xi={x: cmap[u] for x, u in xi_units},
+                phi={gf: cmap[u] for gf, u in phi_units},
+            ))
+            return
+        bind, x, candidates = levels[i]
+        filed = checks[i]
+        for cand in candidates():
+            bind(x, cand)
+            for check in filed:
+                if not check():
+                    break
+            else:
+                assign(i + 1)
+
+    assign(0)
+    return found
 
 
 # -- the equality decider with hand-paired laws -------------------------------

@@ -44,10 +44,9 @@ from bicatkit.localize import localize, replay_certificate
 from bicatkit.presentation import load_pseudofunctor
 from bicatkit.sigma import is_quasiequivalence, make_sigma
 
-from tests.test_core_validate import rebuild
 from tests.test_elevator import GRPD_COMPUTAD, cyclic_model, glayers, saturating_model
 from tests.test_ho import forced_solutions
-from tests.test_homotopy import grpd_lemma_instance
+from tests.tables import grpd_lemma_instance, rebuild
 
 KNOWN_RULES = {
     "syntactic",

@@ -1,30 +1,9 @@
 import itertools
 
-from bicatkit.core import Bicategory, identity_pseudofunctor, validate_bicategory, validate_pseudofunctor
+from bicatkit.core import identity_pseudofunctor, validate_bicategory, validate_pseudofunctor
 from bicatkit.presentation import load_presentation
 
-from tests.test_enumerate_differential import UNIT_DOC
-
-
-def rebuild(bic, **overrides):
-    fields = dict(
-        name=bic.name,
-        objects=bic.objects,
-        arrows=bic.arrows,
-        id1=bic.id1,
-        hcomp1=bic.hcomp1,
-        cells=bic.cells,
-        idc=bic.idc,
-        vcomp=bic.vcomp,
-        lwhisk=bic.lwhisk,
-        rwhisk=bic.rwhisk,
-        lunitor=bic.lunitor,
-        runitor=bic.runitor,
-        assoc=bic.assoc,
-        strict=bic.strict,
-    )
-    fields.update(overrides)
-    return Bicategory(**fields)
+from tests.tables import UNIT_DOC, rebuild
 
 
 def test_fixtures_validate(split, iso, grpd, triv):

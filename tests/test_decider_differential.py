@@ -37,7 +37,7 @@ from bicatkit.sigma import make_sigma
 
 from tests import reference_scans as ref
 from tests.test_acceptance import KNOWN_RULES
-from tests.test_homotopy import grpd_lemma_instance
+from tests.tables import grpd_lemma_instance, split_z2_doc
 
 BUDGETS = (8, 2, 1)
 QUERIES_PER_KIND = 20
@@ -59,35 +59,9 @@ def _s3_doc() -> str:
     return "\n".join(lines) + "\n"
 
 
-def _split_z2_doc() -> str:
-    """The split idempotent (r s = id_X, s r = e) with a cell a_f, a_f . a_f
-    = id_f, on every arrow, whiskered to a_ cells: homotopies over a cylinder
-    that is not an identity can have the two mediators id_Y and e.  The a_
-    cells sort before id_, so each w-split decomposition's iso is an a_ cell
-    and ``localize`` transports every witness along it."""
-    arrows = {"s": ("X", "Y"), "r": ("Y", "X"), "e": ("Y", "Y")}
-    compose = {("r", "s"): "id_X", ("s", "r"): "e", ("e", "e"): "e", ("e", "s"): "s", ("r", "e"): "r"}
-    doc = families.Doc("split_z2", ["X", "Y"], arrows, compose, sigma=sorted(arrows))
-    ends = {**arrows, "id_X": ("X", "X"), "id_Y": ("Y", "Y")}
-
-    def comp(g: str, f: str) -> str:
-        return g if f.startswith("id_") else f if g.startswith("id_") else compose[g, f]
-
-    for f in ends:
-        doc.cells[f"a_{f}"] = (f, f)
-        doc.vcomp[f"a_{f}", f"a_{f}"] = f"id_{f}"
-    for g, f in itertools.product(ends, repeat=2):
-        if ends[f][1] == ends[g][0]:
-            if g in arrows:
-                doc.lwhisk[g, f"a_{f}"] = f"a_{comp(g, f)}"
-            if f in arrows:
-                doc.rwhisk[f"a_{g}", f] = f"a_{comp(g, f)}"
-    return doc.text()
-
-
 def _sigma(table: tuple):
     if table == ("split_z2",):
-        pres = load_presentation_with_sigma(_split_z2_doc(), "split_z2")
+        pres = load_presentation_with_sigma(split_z2_doc(), "split_z2")
     elif table == ("s3",):
         pres = load_presentation_with_sigma(_s3_doc(), "s3")
     else:

@@ -14,10 +14,12 @@ every change of one entry of a small table that still validates, as source
 and as target.  The lists include xi and phi, which the new enumerator reads
 off the cell map and the old one left to ``PseudofunctorData`` to fill in.
 Both tables must validate; every pair of the fixtures, the generated families
-at three seeds and the non-strict tables is compared.  Equal lists do not
-show how much is tried on the way, so more tests count the search's steps
-against the partial maps that satisfy every constraint they can be checked
-on, and the target entries the search reads.
+at three seeds and the non-strict tables is compared, and so are the
+benchmark's larger tables with their probe targets, against the search that
+had a level for every image but the identities, with each map's keys in
+order.  Equal lists do not show how much is tried on the way, so more tests
+count the search's steps against the partial maps that satisfy every
+constraint they can be checked on, and the target entries the search reads.
 """
 from __future__ import annotations
 
@@ -35,6 +37,7 @@ from bicatkit.presentation import load_presentation_with_sigma
 from bicatkit.sigma import make_sigma
 
 from tests import reference_scans as ref
+from tests.tables import COCYCLE_DOC, UNIT_DOC, UNITOR_DOC
 from tests.test_index_differential import TABLE_FIELDS
 
 # (family, sizes into the default targets and into itself, sizes into the
@@ -46,115 +49,6 @@ FAMILY_SIZES = (
     ("chaotic", (2, 3, 4), (5,)),
     ("chaotic_z2", (2, 3), (4,)),
 )
-# one object whose identity arrow carries Z/2 = {id, z}, with both unitors z
-UNITOR_DOC = """
-strict false
-objects: X
-compose:
-  id_X . id_X = id_X
-cells:
-  z : id_X => id_X
-vcomp:
-  z . z = id_id_X
-lwhisk:
-  id_X * z = z
-rwhisk:
-  z * id_X = z
-unitors:
-  lambda id_X = z
-  rho id_X = z
-assoc:
-  theta id_X id_X id_X = id_id_X
-"""
-# the arrows {id_X, f} form Z/2, so does every hom; the associator is the
-# nontrivial 3-cocycle, the non-identity cell y on f at (f, f, f) only
-COCYCLE_DOC = """
-strict false
-objects: X
-arrows:
-  f : X -> X
-compose:
-  id_X . id_X = id_X
-  f . id_X = f
-  id_X . f = f
-  f . f = id_X
-cells:
-  z : id_X => id_X
-  y : f => f
-vcomp:
-  z . z = id_id_X
-  y . y = id_f
-lwhisk:
-  id_X * z = z
-  id_X * y = y
-  f * z = y
-  f * y = z
-rwhisk:
-  z * id_X = z
-  y * id_X = y
-  z * f = y
-  y * f = z
-unitors:
-  lambda id_X = id_id_X
-  rho id_X = id_id_X
-  lambda f = id_f
-  rho f = id_f
-assoc:
-  theta id_X id_X id_X = id_id_X
-  theta id_X id_X f = id_f
-  theta id_X f id_X = id_f
-  theta id_X f f = id_id_X
-  theta f id_X id_X = id_f
-  theta f id_X f = id_id_X
-  theta f f id_X = id_id_X
-  theta f f f = y
-"""
-# f . id_X = f1 with f and f1 isomorphic by u and v, and lambda f = u: a
-# valid non-strict table where composing with an identity is not the identity
-UNIT_DOC = """
-strict false
-objects: X Y
-arrows:
-  f : X -> Y
-  f1 : X -> Y
-compose:
-  id_X . id_X = id_X
-  id_Y . id_Y = id_Y
-  f . id_X = f1
-  f1 . id_X = f1
-  id_Y . f = f
-  id_Y . f1 = f1
-cells:
-  u : f1 => f
-  v : f => f1
-vcomp:
-  u . v = id_f
-  v . u = id_f1
-lwhisk:
-  id_Y * u = u
-  id_Y * v = v
-rwhisk:
-  u * id_X = id_f1
-  v * id_X = id_f1
-unitors:
-  lambda id_X = id_id_X
-  lambda id_Y = id_id_Y
-  lambda f = u
-  lambda f1 = id_f1
-  rho id_X = id_id_X
-  rho id_Y = id_id_Y
-  rho f = id_f
-  rho f1 = id_f1
-assoc:
-  theta id_X id_X id_X = id_id_X
-  theta id_Y id_Y id_Y = id_id_Y
-  theta f id_X id_X = id_f1
-  theta f1 id_X id_X = id_f1
-  theta id_Y f id_X = id_f1
-  theta id_Y f1 id_X = id_f1
-  theta id_Y id_Y f = id_f
-  theta id_Y id_Y f1 = id_f1
-"""
 MUTABLE = ("hcomp1", "vcomp", "lwhisk", "rwhisk", "lunitor", "runitor", "assoc")
 
 
@@ -164,6 +58,14 @@ def listing(funs):
     maps."""
     return [
         (f.name, f.obj_map, f.arr_map, f.cell_map, list(f.xi.items()), list(f.phi.items()))
+        for f in funs
+    ]
+
+
+def full_listing(funs):
+    """Each 2-functor's name and its five maps as item lists, keys in order."""
+    return [
+        (f.name, *(list(m.items()) for m in (f.obj_map, f.arr_map, f.cell_map, f.xi, f.phi)))
         for f in funs
     ]
 
@@ -287,12 +189,16 @@ def reference_work(src, dst):
 
 
 def assert_same_as_a_reference(src, dst):
-    """The enumerator agrees with the complete-maps reference where that
+    """The enumerator lists what the level-per-image search lists, keys in
+    the same order, and agrees with the complete-maps reference where that
     finishes quickly, and with the forward-checking one elsewhere."""
+    funs = enumerate_2functors(src, dst)
+    assert full_listing(funs) == full_listing(ref.level_enumerate_2functors(src, dst)), (
+        src.name, dst.name
+    )
     slow = reference_work(src, dst) > REFERENCE_WORK
     reference = ref.forward_enumerate_2functors if slow else ref.enumerate_2functors
-    got = listing(enumerate_2functors(src, dst))
-    assert got == listing(reference(src, dst)), (src.name, dst.name)
+    assert listing(funs) == listing(reference(src, dst)), (src.name, dst.name)
 
 
 def sweep_tables():
@@ -320,6 +226,18 @@ def test_every_pair_of_valid_tables():
         slow += reference_work(src, dst) > REFERENCE_WORK
     # most pairs are compared with the complete-maps reference
     assert 0 < slow < len(tables) ** 2 / 4
+
+
+@pytest.mark.parametrize("family,n", [("chaotic", 4), ("chaotic_z2", 3), ("chaotic_z2", 4)])
+def test_benchmark_shapes_list_as_the_level_search(family, n):
+    # the localize-replay tables at the sizes whose self-probes dominate:
+    # chaotic(4) into itself sets every arrow with its objects, and
+    # chaotic_z2(n) into itself sets most z cells by a whisker entry
+    bic = family_table(family, n)
+    for dst in default_probe_targets(make_sigma(bic, ())) + [bic]:
+        got = full_listing(enumerate_2functors(bic, dst))
+        assert got == full_listing(ref.level_enumerate_2functors(bic, dst)), dst.name
+        assert got, dst.name
 
 
 def test_unit_entries_of_a_valid_target_are_not_read():
@@ -436,16 +354,56 @@ def cell_entries_hold(src, dst, amap, cmap):
     )
 
 
+def is_arrow_thin(bic):
+    return all(len(bic.arrows_between(x, y)) <= 1 for x in bic.objects for y in bic.objects)
+
+
+def is_thin(bic):
+    return is_arrow_thin(bic) and all(
+        len(bic.cells_between(f, g)) <= 1 for f in bic.arrows for g in bic.arrows
+    )
+
+
+def cell_levels(src, dst):
+    """The non-identity cells of src that the search looks for on dst, in
+    order, and the index among those of the last one bound before or with
+    each non-identity cell: on a thin dst none is looked for; on one with at
+    most one cell between two parallel arrows each one is; otherwise a cell
+    that a vcomp or whisker entry with non-identity cell inputs computes from
+    earlier cells is set by the first such entry, in vcomp, lwhisk, rwhisk
+    order, with the last of its inputs, and every other cell is looked for."""
+    idcs = set(src.idc.values())
+    cells = [a for a in sorted(src.cells) if a not in idcs]
+    if is_thin(dst):
+        return [], {}
+    thin_cells = all(len(dst.cells_between(f, g)) <= 1 for f in dst.arrows for g in dst.arrows)
+    entries = [] if thin_cells else (
+        [((b, a), c) for (b, a), c in src.vcomp.items() if a not in idcs and b not in idcs]
+        + [((a,), c) for (g, a), c in src.lwhisk.items() if a not in idcs]
+        + [((a,), c) for (a, f), c in src.rwhisk.items() if a not in idcs]
+    )
+    searched, level = [], {}
+    for c in cells:
+        inputs = next((ins for ins, out in entries if out == c and set(ins) <= level.keys()), None)
+        if inputs is None:
+            level[c] = len(searched)
+            searched.append(c)
+        else:
+            level[c] = max(level[a] for a in inputs)
+    return searched, level
+
+
 def consistent_counts(src, dst):
     """By brute force, for a strict src: the maps of each proper prefix of
     the objects under which every non-identity arrow with both ends mapped
-    has a hom, and, on the arrow maps under which every composite holds, the
-    maps of each proper prefix of the non-identity cells under which every
-    vcomp and whisker entry with its cells mapped holds."""
+    has a hom, and, on the arrow maps under which every composite holds, for
+    each cell the search looks for, the maps of the non-identity cells bound
+    before it under which every vcomp and whisker entry with its cells mapped
+    holds."""
     objs = list(src.objects)
     gens = [f for f in sorted(src.arrows) if f not in set(src.id1.values())]
     ends = [src.arrows[f] for f in gens]
-    cells = [a for a in sorted(src.cells) if a not in set(src.idc.values())]
+    searched, level = cell_levels(src, dst)
 
     def homs_ok(omap):
         return all(dst.arrows_between(omap[x], omap[y]) for x, y in ends if x in omap and y in omap)
@@ -457,13 +415,50 @@ def consistent_counts(src, dst):
     cell_steps = 0
     for amap in arrow_maps(src, dst):
         idmap = {src.idc[f]: dst.idc[amap[f]] for f in src.arrows}
-        for j in range(len(cells)):
-            homs = [dst.cells_between(*(amap[f] for f in src.cells[a])) for a in cells[:j]]
+        for j in range(len(searched)):
+            before = [a for a in sorted(level) if level[a] < j]
+            homs = [dst.cells_between(*(amap[f] for f in src.cells[a])) for a in before]
             cell_steps += sum(
-                cell_entries_hold(src, dst, amap, {**idmap, **dict(zip(cells, m))})
+                cell_entries_hold(src, dst, amap, {**idmap, **dict(zip(before, m))})
                 for m in itertools.product(*homs)
             )
     return object_steps, cell_steps
+
+
+def forced_lookups(src, dst):
+    """By brute force, for a strict src and an arrow-thin dst: the identity
+    cells the object levels look up past their own.  For each object map of
+    a nonempty prefix whose shorter prefix gives every non-identity arrow
+    with both ends mapped a hom: one per non-identity arrow whose later end
+    is the prefix's last object, in sorted order, up to the first whose hom
+    is empty; and on a thin dst, when none is, one per non-identity cell
+    between such arrows or that object's identity."""
+    objs = list(src.objects)
+    at = {x: i for i, x in enumerate(objs)}
+    ids = set(src.id1.values())
+    gens = [f for f in sorted(src.arrows) if f not in ids]
+    cells = [a for a in sorted(src.cells) if a not in set(src.idc.values())]
+
+    def last(f):
+        return max(src.arrows[f], key=at.__getitem__)
+
+    def homs(omap, arrows):
+        return [dst.arrows_between(*(omap[x] for x in src.arrows[f])) for f in arrows]
+
+    lookups = 0
+    for k, x in enumerate(objs):
+        owned = [f for f in gens if last(f) == x]
+        earlier = [f for f in gens if at[last(f)] < k]
+        owned_cells = [a for a in cells if last(src.cells[a][0]) == x]
+        for m in itertools.product(dst.objects, repeat=k + 1):
+            omap = dict(zip(objs, m))
+            if not all(homs(omap, earlier)):
+                continue
+            found = list(itertools.takewhile(bool, homs(omap, owned)))
+            lookups += len(found)
+            if len(found) == len(owned) and is_thin(dst):
+                lookups += len(owned_cells)
+    return lookups
 
 
 def arrow_maps(src, dst):
@@ -524,8 +519,9 @@ def test_search_extends_exactly_the_consistent_partial_maps(monkeypatch):
     # the results are not built, so only the search reads the target
     monkeypatch.setattr(ho, "PseudofunctorData", lambda **kw: kw)
     fixtures = [load_fixture_bicategory(name) for name in BICATEGORIES]
-    chains = [family_table("chain", 3), family_table("chain_z2", 3)]
-    for src, dst in itertools.product(fixtures + chains, repeat=2):
+    # chaotic_z2(2) has cells that a whisker entry computes from earlier ones
+    families_ = [family_table(*shape) for shape in (("chain", 3), ("chain_z2", 3), ("chaotic_z2", 2))]
+    for src, dst in itertools.product(fixtures + families_, repeat=2):
         if not (src.strict and dst.strict):
             continue
         object_steps, cell_steps = consistent_counts(src, dst)
@@ -537,11 +533,14 @@ def test_search_extends_exactly_the_consistent_partial_maps(monkeypatch):
         enumerate_2functors(src, counted)
         # the objects are tried once per partial object map that passes, and
         # each object bound looks up its identity arrow's and identity
-        # cell's images; each arrow bound looks up its identity cell's; the
-        # non-identity cells' candidates are listed once per partial cell
-        # map that passes
+        # cell's images; on an arrow-thin target the object levels look up
+        # the identity cells of the arrows they set, and of the cells too on
+        # a thin one, and otherwise each arrow bound looks up its identity
+        # cell's; the candidates of the cells looked for are listed once per
+        # partial cell map that passes
         assert counted.objects.count == object_steps, (src.name, dst.name)
         object_tries = object_steps * len(dst.objects)
         assert counted.id1.count == object_tries, (src.name, dst.name)
-        assert counted.idc.count == object_tries + arrow_tries(src, dst), (src.name, dst.name)
+        past = forced_lookups(src, dst) if is_arrow_thin(dst) else arrow_tries(src, dst)
+        assert counted.idc.count == object_tries + past, (src.name, dst.name)
         assert len(calls) == cell_steps, (src.name, dst.name)

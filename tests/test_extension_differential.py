@@ -66,6 +66,7 @@ from bicatkit.sigma import make_sigma
 
 from tests import reference_scans as ref
 from tests.conftest import TWOCELL_DOC
+from tests.tables import split_z2_doc
 
 CAP = 30
 # the report fields, and the verdict, that extension reports still carry
@@ -451,9 +452,8 @@ def default_probe_subjects():
     of chaotic_z2(3) and chain_z2(3), where every marked arrow is a
     quasiequivalence, and of split_z2, where e, r and s are not."""
     # imported here: that module imports this one, through test_core_validate
-    from tests.test_decider_differential import _split_z2_doc
 
-    pres = load_presentation_with_sigma(_split_z2_doc(), "split_z2")
+    pres = load_presentation_with_sigma(split_z2_doc(), "split_z2")
     tables = {
         "chaotic_z2(3)": marked_table("chaotic_z2", 3),
         "chain_z2(3)": marked_table("chain_z2", 3),

@@ -45,14 +45,13 @@ from bicatkit.presentation import load_presentation_with_sigma
 from bicatkit.sigma import is_quasiequivalence, make_sigma, whisker_preimages
 
 from tests import reference_scans as ref
-from tests.test_decider_differential import _split_z2_doc
+from tests.tables import COLLAPSE_DOC, split_z2_doc
 from tests.test_extension_differential import (
     fixture_subjects,
     generated_subjects,
     marked_table,
     outcome,
 )
-from tests.test_index_differential import COLLAPSE_DOC
 
 CAP = 80
 # p carries Z/2 = {id_p, z} and an idempotent n; every table loaded from it
@@ -219,7 +218,7 @@ def memo_tables():
     for family in ("chain", "chaotic", "chain_z2", "chaotic_z2"):
         for n in (2, 3, 4):
             yield f"{family}({n})", families.generate(family, n, 1, marked=True).text()
-    yield "split_z2", _split_z2_doc()
+    yield "split_z2", split_z2_doc()
 
 
 def parse(label, text):

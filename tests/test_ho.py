@@ -37,6 +37,8 @@ from bicatkit.localize import default_probe_targets
 from bicatkit.presentation import load_presentation_with_sigma, load_pseudofunctor
 from bicatkit.sigma import make_sigma
 
+from tests.tables import grpd_lemma_instance
+
 
 @pytest.fixture(scope="module")
 def split_probes(split, split_sigma):
@@ -223,7 +225,6 @@ def test_equal_fuzz_never_separated_by_any_probe(split, split_sigma, split_probe
 
 
 def test_lemma_provenance_expands_in_decider(grpd, grpd_sigma, grpd_probes):
-    from tests.test_homotopy import grpd_lemma_instance
     from bicatkit.homotopy import compose_lemma
 
     sigma, h1, h2, glue = grpd_lemma_instance(grpd)

@@ -27,6 +27,8 @@ from bicatkit.queries import QueryDoc
 from bicatkit.sigma import is_quasiequivalence, make_sigma
 from bicatkit.ho import enumerate_probes, ho_cell, sample_homotopies
 
+from tests.tables import grpd_lemma_instance
+
 
 def collapse(split, iso):
     return load_pseudofunctor(
@@ -312,27 +314,6 @@ def test_f_hat_of_functor_cylinder_unique_solution(chain_f):
     sigma = make_sigma(src, ())
     cyl = make_cylinder(src, "a", "a", "a", "id_X", "id_a", "id_a", sigma=sigma)
     assert f_hat(chain_f, cylinder_homotopy(cyl)) == "id_a"
-
-
-def grpd_lemma_instance(grpd):
-    bic = grpd.bicategory
-    sigma = make_sigma(bic, ())
-    cx = identity_cylinder(bic, "P")
-    h1 = make_homotopy(cx, "id_P", "g", "id_id_P")
-    h2 = make_homotopy(cx, "id_P", "g", "id_id_P")
-    glue = ComposeGlue(
-        w="P",
-        s="id_P",
-        h="id_P",
-        b1="id_P",
-        b2="id_P",
-        nu1="id_id_P",
-        nu2="id_id_P",
-        gamma1="g",
-        gamma2="id_id_P",
-        delta="id_id_P",
-    )
-    return sigma, h1, h2, glue
 
 
 def test_compose_lemma_trivial_instance(grpd):

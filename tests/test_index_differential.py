@@ -45,28 +45,11 @@ from bicatkit.sigma import (
 )
 
 from tests import reference_scans as ref
+from tests.tables import COLLAPSE_DOC
 from tests.test_extension_differential import assert_same_report, reference_sample
 
 # chain_z2 needs 4 objects for a composable triple of non-identity arrows
 SIZES = {"chain": (3, 4, 6), "chain_z2": (4, 5), "chaotic": (2, 3, 4), "chaotic_z2": (2, 3, 4)}
-# g * (-) sends both cells on f to id_h: full but not faithful, so g is no
-# quasiequivalence, although the image set equals the target set
-COLLAPSE_DOC = """
-objects: A B C
-arrows:
-  f : A -> B
-  g : B -> C
-  h : A -> C
-compose:
-  g . f = h
-cells:
-  z : f => f
-vcomp:
-  z . z = id_f
-lwhisk:
-  g * z = id_h
-sigma: f g
-"""
 # explicit unitor and associator entries, which the generated families leave
 # to the strict fill
 COHERENCE_DOC = """

@@ -22,10 +22,9 @@ from bicatkit.sigma import make_sigma
 
 from tests import reference_scans as ref
 from tests.conftest import TWOCELL_DOC
-from tests.test_decider_differential import _split_z2_doc
-from tests.test_enumerate_differential import COCYCLE_DOC, UNIT_DOC, UNITOR_DOC
+from tests.tables import COCYCLE_DOC, COLLAPSE_DOC, UNIT_DOC, UNITOR_DOC, split_z2_doc
 from tests.test_hat_differential import STRAY_DOC
-from tests.test_index_differential import COHERENCE_DOC, COLLAPSE_DOC
+from tests.test_index_differential import COHERENCE_DOC
 from tests.test_presentation import TRIV_DOC
 
 
@@ -177,7 +176,7 @@ def _chain_through_e(cert: dict) -> None:
 def split_z2_cert():
     """The split idempotent with a Z/2 of cells on every arrow, so a
     homotopy's eta has a non-identity rival, and its certificate."""
-    pres = load_presentation_with_sigma(_split_z2_doc(), "split_z2")
+    pres = load_presentation_with_sigma(split_z2_doc(), "split_z2")
     sigma = make_sigma(pres.bicategory, pres.sigma_names)
     probes = enumerate_probes(sigma, default_probe_targets(sigma))
     return sigma, probes, localize(sigma, probes).to_json()
@@ -240,6 +239,10 @@ def split_z2_cert():
             lambda cert: cert["three_for_two"].update(ok=False),
             ["field 'three_for_two' is not the passing 3-for-2 section"],
         ),
+        (
+            lambda cert: cert["i_functoriality"].update(checked=0),
+            ["field 'i_functoriality' is not the re-derived section"],
+        ),
     ],
     ids=[
         "inverse-swapped",
@@ -256,6 +259,7 @@ def split_z2_cert():
         "max-len-zero",
         "max-len-below-chain",
         "three-for-two-failed",
+        "i-functoriality-changed",
     ],
 )
 def test_replay_names_each_tamper(split_z2_cert, tamper, problems):
@@ -271,8 +275,14 @@ def reference_problems(problems: list[str]) -> list[str]:
     """The problems the reference replay reports too: it predates the check
     that each side runs from ``q * arrow`` or ``arrow * q`` to an identity,
     the comparison of the stored cancellation sections, and the reads of
-    ``max_len`` and ``three_for_two``."""
-    newer = (": hocell is not ", " re-derived verdict", "max_len", "'three_for_two'")
+    ``max_len``, ``three_for_two`` and ``i_functoriality``."""
+    newer = (
+        ": hocell is not ",
+        " re-derived verdict",
+        "max_len",
+        "'three_for_two'",
+        "'i_functoriality'",
+    )
     return [p for p in problems if not any(line in p for line in newer)]
 
 

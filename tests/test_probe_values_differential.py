@@ -37,7 +37,8 @@ from bicatkit.presentation import load_presentation_with_sigma
 from bicatkit.sigma import is_quasiequivalence, make_sigma
 
 from tests import reference_scans as ref
-from tests.test_decider_differential import _split_z2_doc, _terms
+from tests.tables import split_z2_doc
+from tests.test_decider_differential import _terms
 from tests.test_hat_differential import count_solver
 from tests.test_localize import reference_problems
 
@@ -61,7 +62,7 @@ def _sigma(table):
         doc = families.generate(*table, marked=True)
         pres = load_presentation_with_sigma(doc.text(), doc.name)
     elif table == "split_z2":
-        pres = load_presentation_with_sigma(_split_z2_doc(), table)
+        pres = load_presentation_with_sigma(split_z2_doc(), table)
     else:
         pres = load_fixture(table)
     return make_sigma(pres.bicategory, pres.sigma_names)
@@ -239,6 +240,35 @@ def test_outside_the_regime_every_query_normalizes_both_sides(monkeypatch):
     # different hats, one of them missing, and yet equal by rewriting
     assert hats[True, True, "equal"] > 0
     assert hats[False, True, "distinct"] + hats[False, True, "unknown"] > 0
+
+
+def test_an_unknown_with_one_source_hat_walks_no_probe(monkeypatch):
+    """Sides that the rewrites do not join and whose source hats exist and
+    are equal get one value, F of that hat, from every probe F, so the
+    decider answers Unknown without evaluating a probe; sides with different
+    hats, or without one, still walk the probes.  chaotic(3)xZ/2 lies in the
+    regime, split_z2 outside it."""
+    walked = []
+    real = ho.probe_values_given
+    monkeypatch.setattr(
+        ho, "probe_values_given", lambda probes, k, hat: walked.append(k) or real(probes, k, hat)
+    )
+    seen: Counter = Counter()
+    for table in (("chaotic_z2", 3, 1), "split_z2"):
+        sigma = _sigma(table)
+        probes = _decider_probes(sigma)
+        for k1, k2 in _rewritten(sigma, f"{table}:one-hat"):
+            walked.clear()
+            verdict = ho.ho_eq(k1, k2, probes, 8).verdict
+            h1, h2 = ho.source_hat(k1), ho.source_hat(k2)
+            one_hat = h1 is not None and h1 == h2
+            if verdict != "equal":
+                assert (walked == []) == one_hat, (table, verdict)
+            seen[table == "split_z2", one_hat, h1 is None or h2 is None, verdict] += 1
+    # in the regime unknowns with one hat; outside it unknowns without one
+    assert seen[False, True, False, "unknown"] > 0
+    assert seen[True, False, True, "unknown"] > 0
+    assert not any(n for (_, one_hat, _, verdict), n in seen.items() if one_hat and verdict == "distinct")
 
 
 def test_without_probes_no_side_is_hatted(monkeypatch):

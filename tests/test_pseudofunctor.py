@@ -17,6 +17,8 @@ from bicatkit.core import (
 from bicatkit.presentation import load_pseudofunctor
 from bicatkit.sigma import is_quasiequivalence
 
+from tests.tables import rebuild
+
 COLLAPSE_DOC = """
 map_obj:
   X -> A
@@ -209,7 +211,6 @@ def test_modification_perturbation_violates_pm(twocell):
 
 
 def test_transformation_requires_strict(twocell, grpd):
-    from tests.test_core_validate import rebuild
 
     loose = rebuild(twocell.bicategory, strict=False)
     fun = identity_pseudofunctor(loose)

@@ -29,7 +29,7 @@ from tests.reference_validator import (
     reference_validate_bicategory,
 )
 from tests.test_acceptance import _mutations
-from tests.test_core_validate import rebuild
+from tests.tables import rebuild
 
 # generated sizes kept small: the reference validator is quartic
 SIZES = {"chain": (3, 4, 8), "chain_z2": (4, 7), "chaotic": (2, 3, 5), "chaotic_z2": (2, 3, 5)}
