@@ -266,19 +266,18 @@ def enumerate_2functors(src: Bicategory, dst: Bicategory) -> list[PseudofunctorD
     """All 2-functors between two finite tabulated bicategories, both of which
     must pass `validate_bicategory`.
 
-    The search is depth first with one level per image that has more than one
-    possible value: the objects in order, each over the target's objects; the
-    sorted non-identity arrows, each over its hom; the sorted non-identity
-    cells, each over its cells, candidates in the target's index order.  Each
-    other image is set, with no level of its own, as soon as the images it is
-    a function of are bound, and each constraint is checked as soon as the
-    last image it reads is bound (forward checking): a non-identity arrow's
-    hom must have a candidate, and each source table entry must hold,
-    `hcomp1`, `vcomp`, the whiskers and, unless both sides are strict, the
-    unitors and associators.  A branch thus ends at its first broken
-    constraint, and since a set image is the one candidate its level would
-    have let pass, the results, in their order, are those of checking
-    complete maps only.  The images set without a level are:
+    The search is depth first with one level per image it searches for: the
+    objects in order, each over the target's objects; the sorted non-identity
+    arrows, each over its hom; the sorted non-identity cells, each over its
+    cells, candidates in the target's index order.  Each constraint is
+    checked as soon as the last image it reads is bound (forward checking): a
+    non-identity arrow's hom must have a candidate, and each source table
+    entry must hold, `hcomp1`, `vcomp`, the whiskers and, unless both sides
+    are strict, the unitors and associators.  A branch thus ends at its first
+    broken constraint.  An image whose level would list one candidate is set
+    to it instead, with no level of its own, as soon as the images it is a
+    function of are bound, so the results, in their order, are still those
+    of checking complete maps only.  The images set so are:
 
     * identities, with their owners: F(id_x) = id_{F x} when x is bound, and
       F(id_f) = id_{F f} when f is;
@@ -288,16 +287,7 @@ def enumerate_2functors(src: Bicategory, dst: Bicategory) -> list[PseudofunctorD
       hom check of (x, y);
     * on a thin target, arrow-thin with at most one cell between two parallel
       arrows, a non-identity cell a : f => g with f and g: F f and F g are
-      parallel, so equal, and the one cell between them is id_{F f};
-    * on any other target, a non-identity cell c that a `vcomp`, `lwhisk` or
-      `rwhisk` entry computes from images bound before c, and so not from c
-      itself: F c must be the target's entry at those images.  The forced
-      image is well typed: the target entry exists, since a validated
-      table's composites are total and the bound images are well typed; and
-      it runs between the images of c's boundary arrows, since these are
-      the composites of the input images' boundaries, by the `hcomp1`
-      entries, which the arrow levels, all before the cell levels, have
-      checked.  The entry holds by construction, so its check is not filed.
+      parallel, so equal, and the one cell between them is id_{F f}.
 
     Every entry of a valid source is well typed, so an entry holds on every
     branch, and is not checked, when the target settles it: an `hcomp1` entry
@@ -306,11 +296,11 @@ def enumerate_2functors(src: Bicategory, dst: Bicategory) -> list[PseudofunctorD
     most one cell, since both of its sides are parallel cells; a `vcomp` entry
     with an identity input, id_g . a = a or a . id_f = a, by the target's
     `vcomp-unit`; a whisker entry with an identity cell, g * id_f = id_{gf} or
-    id_g * f = id_{gf}, by its `W2` and the `hcomp1` entry (g, f); on a strict
-    target an `hcomp1` entry f . id_x = f or id_y . f = f, by its
-    `strict-unital`; and a hom check when every target hom has an arrow.  By
-    the `hcomp1` entries, F(id_x) = id_{F x} and F g . F f = F(g f), so each
-    result's xi and phi are identity cells, read off its cell map."""
+    id_g * f = id_{gf}, by its `W2` and the `hcomp1` entry (g, f); and on a
+    strict target an `hcomp1` entry f . id_x = f or id_y . f = f, by its
+    `strict-unital`.  By the `hcomp1` entries, F(id_x) = id_{F x} and
+    F g . F f = F(g f), so each result's xi and phi are identity cells, read
+    off its cell map."""
     objs = list(src.objects)
     id1, idc = src.id1, src.idc
     ids = set(id1.values())
@@ -351,14 +341,6 @@ def enumerate_2functors(src: Bicategory, dst: Bicategory) -> list[PseudofunctorD
         cmap[u] = dst.idc[amap[f]]
         return True
 
-    # the image of c by a vcomp or whisker entry, table[left[l], right[r]]
-    def computed(c: str, table: dict, left: dict, l: str, right: dict, r: str) -> bool:
-        cmap[c] = table[left[l], right[r]]
-        return True
-
-    def holds(c: str, table: dict, left: dict, l: str, right: dict, r: str) -> bool:
-        return table[left[l], right[r]] == cmap[c]
-
     homs = {ends: f for f, ends in dst.arrows.items()}  # an arrow of each non-empty hom
     thin_arrows = len(homs) == len(dst.arrows)
     thin_cells = len(set(dst.cells.values())) == len(dst.cells)
@@ -385,49 +367,34 @@ def enumerate_2functors(src: Bicategory, dst: Bicategory) -> list[PseudofunctorD
         else:
             level(amap, f, "arrow", lambda x=x, y=y: dst.arrows_between(omap[x], omap[y]))
             file([("arrow", f)], partial(identity, idc[f], f), ("cell", idc[f]))
-    # the vcomp and whisker entries that no unit rule settles: the cell each
-    # computes, the images it reads and the arguments of `computed`
-    entries: list[tuple[str, list[tuple[str, str]], tuple]] = []
-    if not thin_cells:
-        for (b, a), c in src.vcomp.items():
-            if a not in idcs and b not in idcs:
-                entries.append((c, [("cell", b), ("cell", a)], (dst.vcomp, cmap, b, cmap, a)))
-        for (g, a), c in src.lwhisk.items():
-            if a not in idcs:
-                entries.append((c, [("arrow", g), ("cell", a)], (dst.lwhisk, amap, g, cmap, a)))
-        for (a, f), c in src.rwhisk.items():
-            if a not in idcs:
-                entries.append((c, [("cell", a), ("arrow", f)], (dst.rwhisk, cmap, a, amap, f)))
-    computing: dict[str, list[tuple]] = {}  # the entries that compute each cell
-    for entry in entries:
-        computing.setdefault(entry[0], []).append(entry)
-    forcing: dict[str, tuple] = {}  # each cell an entry sets, with that entry
     for a, (f, g) in sorted(src.cells.items()):
         if a in idcs:
             continue
         if thin_arrows and thin_cells:
             file([("arrow", f), ("arrow", g)], partial(identity, a, f), ("cell", a))
-            continue
-        # the cells bound so far are those before a
-        entry = next((e for e in computing.get(a, ()) if all(map(at.__contains__, e[1]))), None)
-        if entry is None:
-            level(cmap, a, "cell", lambda f=f, g=g: dst.cells_between(amap[f], amap[g]))
         else:
-            forcing[a] = entry
-            file(entry[1], partial(computed, a, *entry[2]), ("cell", a))
-    if not thin_arrows and len(homs) < len(dst.objects) ** 2:
+            level(cmap, a, "cell", lambda f=f, g=g: dst.cells_between(amap[f], amap[g]))
+    if not thin_arrows:
         for x, y in sorted({ends for f, ends in src.arrows.items() if f not in ids}):
             file([("object", x), ("object", y)],
                  lambda x=x, y=y: bool(dst.arrows_between(omap[x], omap[y])))
-    if not thin_arrows:
         for (g, f), c in src.hcomp1.items():
             if not (dst.strict and (g in ids and c == f or f in ids and c == g)):
                 file([("arrow", g), ("arrow", f), ("arrow", c)],
                      lambda g=g, f=f, c=c: dst.hcomp1.get((amap[g], amap[f])) == amap[c])
-    for entry in entries:
-        c, reads, args = entry
-        if forcing.get(c) is not entry:
-            file([*reads, ("cell", c)], partial(holds, c, *args))
+    if not thin_cells:
+        for (b, a), c in src.vcomp.items():
+            if a not in idcs and b not in idcs:
+                file([("cell", b), ("cell", a), ("cell", c)],
+                     lambda b=b, a=a, c=c: dst.vcomp.get((cmap[b], cmap[a])) == cmap[c])
+        for (g, a), c in src.lwhisk.items():
+            if a not in idcs:
+                file([("arrow", g), ("cell", a), ("cell", c)],
+                     lambda g=g, a=a, c=c: dst.lwhisk.get((amap[g], cmap[a])) == cmap[c])
+        for (a, f), c in src.rwhisk.items():
+            if a not in idcs:
+                file([("cell", a), ("arrow", f), ("cell", c)],
+                     lambda a=a, f=f, c=c: dst.rwhisk.get((cmap[a], amap[f])) == cmap[c])
     if not src.strict or not dst.strict:
         for f in src.arrows:
             lam, rho = src.lunitor[f], src.runitor[f]
@@ -440,13 +407,13 @@ def enumerate_2functors(src: Bicategory, dst: Bicategory) -> list[PseudofunctorD
                  lambda h=h, g=g, f=f, c=c: cmap[c] == dst.assoc[(amap[h], amap[g], amap[f])])
     # the source identity cells whose images are xi and phi; a composable
     # pair without a composite is left to PseudofunctorData to report
-    xi_units = [idc[id1[x]] for x in objs]
-    pairs = [gf for gf in src.composable_arrow_pairs() if gf in src.hcomp1]
-    phi_units = [idc[src.hcomp1[gf]] for gf in pairs]
-    last = len(levels)
+    xi_units = [(x, src.idc[src.id1[x]]) for x in objs]
+    phi_units = [
+        (gf, src.idc[src.hcomp1[gf]]) for gf in src.composable_arrow_pairs() if gf in src.hcomp1
+    ]
 
     def assign(i: int) -> None:
-        if i == last:
+        if i == len(levels):
             found.append(PseudofunctorData(
                 name=f"{src.name}->{dst.name}#{len(found)}",
                 source=src,
@@ -454,8 +421,8 @@ def enumerate_2functors(src: Bicategory, dst: Bicategory) -> list[PseudofunctorD
                 obj_map=omap,
                 arr_map=amap,
                 cell_map=cmap,
-                xi=dict(zip(objs, map(cmap.__getitem__, xi_units))),
-                phi=dict(zip(pairs, map(cmap.__getitem__, phi_units))),
+                xi={x: cmap[u] for x, u in xi_units},
+                phi={gf: cmap[u] for gf, u in phi_units},
             ))
             return
         images, x, candidates = levels[i]
@@ -487,7 +454,7 @@ def enumerate_probes(
         qe = {f for f in dst.arrows if is_quasiequivalence(dst, f)}
         probes += [
             fun for fun in enumerate_2functors(src, dst)
-            if qe.issuperset(map(fun.arr_map.__getitem__, sigma.members))
+            if all(fun.arr_map[s] in qe for s in sigma.members)
         ]
     return ProbeSet(tuple(probes))
 

@@ -248,6 +248,7 @@ _SIDE_JSON = {"hocell": HOCELL_JSON, "inverse": HOCELL_JSON}
 _CERT_JSON = {
     "sigma": [str],
     "three_for_two": {"ok": bool},
+    "i_functoriality": {"ok": bool, "checked": int, "failures": list},
     "max_len": int,
     "budget": int,
     "decompositions": [{"arrow": str, "chain": [str], "cell": str}],
@@ -313,7 +314,7 @@ def replay_certificate(
         problems.append("3-for-2 no longer holds")
     if cert_json["three_for_two"] != {"ok": True, "witness": None}:
         problems.append("field 'three_for_two' is not the passing 3-for-2 section")
-    if cert_json.get("i_functoriality") != _i_functoriality(bic):
+    if cert_json["i_functoriality"] != _i_functoriality(bic):
         problems.append("field 'i_functoriality' is not the re-derived section")
     if probes is None:
         probes = enumerate_probes(sigma, default_probe_targets(sigma))

@@ -6,8 +6,8 @@ enumerator that checked tables only on complete maps, which forward checking
 replaced, the forward-checking enumerator that bound each identity on a
 level of its own and checked every entry a thin target settles, which the
 level-per-image enumerator replaced, that enumerator, which searched for
-every image that has one possible value and which
-``ho.enumerate_2functors`` replaced, and the equality decider that paired
+the arrows of an arrow-thin target and the cells of a thin one, though each
+has one possible value, and which ``ho.enumerate_2functors`` replaced, and the equality decider that paired
 each rule with its law at every step and wrote each adjacent-pair scan out
 in full, which ``ho.LAWS`` and ``ho._pairwise`` replaced, and the two probe
 loops that hatted each term in each probe's target, which
@@ -1192,7 +1192,8 @@ def forward_enumerate_2functors(src: Bicategory, dst: Bicategory) -> list[Pseudo
 
 def level_enumerate_2functors(src: Bicategory, dst: Bicategory) -> list[PseudofunctorData]:
     """The enumerator that searched each image but the identities on a level
-    of its own, which setting every forced image replaced.
+    of its own, which setting the arrows an arrow-thin target forces, and
+    the cells a thin one forces, replaced.
 
     All 2-functors between two finite tabulated bicategories, both of which
     must pass `validate_bicategory`.

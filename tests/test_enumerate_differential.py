@@ -232,7 +232,7 @@ def test_every_pair_of_valid_tables():
 def test_benchmark_shapes_list_as_the_level_search(family, n):
     # the localize-replay tables at the sizes whose self-probes dominate:
     # chaotic(4) into itself sets every arrow with its objects, and
-    # chaotic_z2(n) into itself sets most z cells by a whisker entry
+    # chaotic_z2(n) into itself looks for its z cells
     bic = family_table(family, n)
     for dst in default_probe_targets(make_sigma(bic, ())) + [bic]:
         got = full_listing(enumerate_2functors(bic, dst))
@@ -364,46 +364,18 @@ def is_thin(bic):
     )
 
 
-def cell_levels(src, dst):
-    """The non-identity cells of src that the search looks for on dst, in
-    order, and the index among those of the last one bound before or with
-    each non-identity cell: on a thin dst none is looked for; on one with at
-    most one cell between two parallel arrows each one is; otherwise a cell
-    that a vcomp or whisker entry with non-identity cell inputs computes from
-    earlier cells is set by the first such entry, in vcomp, lwhisk, rwhisk
-    order, with the last of its inputs, and every other cell is looked for."""
-    idcs = set(src.idc.values())
-    cells = [a for a in sorted(src.cells) if a not in idcs]
-    if is_thin(dst):
-        return [], {}
-    thin_cells = all(len(dst.cells_between(f, g)) <= 1 for f in dst.arrows for g in dst.arrows)
-    entries = [] if thin_cells else (
-        [((b, a), c) for (b, a), c in src.vcomp.items() if a not in idcs and b not in idcs]
-        + [((a,), c) for (g, a), c in src.lwhisk.items() if a not in idcs]
-        + [((a,), c) for (a, f), c in src.rwhisk.items() if a not in idcs]
-    )
-    searched, level = [], {}
-    for c in cells:
-        inputs = next((ins for ins, out in entries if out == c and set(ins) <= level.keys()), None)
-        if inputs is None:
-            level[c] = len(searched)
-            searched.append(c)
-        else:
-            level[c] = max(level[a] for a in inputs)
-    return searched, level
-
-
 def consistent_counts(src, dst):
     """By brute force, for a strict src: the maps of each proper prefix of
     the objects under which every non-identity arrow with both ends mapped
-    has a hom, and, on the arrow maps under which every composite holds, for
-    each cell the search looks for, the maps of the non-identity cells bound
-    before it under which every vcomp and whisker entry with its cells mapped
-    holds."""
+    has a hom, and, on the arrow maps under which every composite holds, the
+    maps of each proper prefix of the non-identity cells under which every
+    vcomp and whisker entry with its cells mapped holds; on a thin dst no
+    cell is looked for."""
     objs = list(src.objects)
     gens = [f for f in sorted(src.arrows) if f not in set(src.id1.values())]
     ends = [src.arrows[f] for f in gens]
-    searched, level = cell_levels(src, dst)
+    idcs = set(src.idc.values())
+    cells = [] if is_thin(dst) else [a for a in sorted(src.cells) if a not in idcs]
 
     def homs_ok(omap):
         return all(dst.arrows_between(omap[x], omap[y]) for x, y in ends if x in omap and y in omap)
@@ -415,11 +387,10 @@ def consistent_counts(src, dst):
     cell_steps = 0
     for amap in arrow_maps(src, dst):
         idmap = {src.idc[f]: dst.idc[amap[f]] for f in src.arrows}
-        for j in range(len(searched)):
-            before = [a for a in sorted(level) if level[a] < j]
-            homs = [dst.cells_between(*(amap[f] for f in src.cells[a])) for a in before]
+        for j in range(len(cells)):
+            homs = [dst.cells_between(*(amap[f] for f in src.cells[a])) for a in cells[:j]]
             cell_steps += sum(
-                cell_entries_hold(src, dst, amap, {**idmap, **dict(zip(before, m))})
+                cell_entries_hold(src, dst, amap, {**idmap, **dict(zip(cells, m))})
                 for m in itertools.product(*homs)
             )
     return object_steps, cell_steps
@@ -519,7 +490,7 @@ def test_search_extends_exactly_the_consistent_partial_maps(monkeypatch):
     # the results are not built, so only the search reads the target
     monkeypatch.setattr(ho, "PseudofunctorData", lambda **kw: kw)
     fixtures = [load_fixture_bicategory(name) for name in BICATEGORIES]
-    # chaotic_z2(2) has cells that a whisker entry computes from earlier ones
+    # chaotic_z2(2) has a Z/2 of cells on every arrow
     families_ = [family_table(*shape) for shape in (("chain", 3), ("chain_z2", 3), ("chaotic_z2", 2))]
     for src, dst in itertools.product(fixtures + families_, repeat=2):
         if not (src.strict and dst.strict):

@@ -451,8 +451,6 @@ def default_probe_subjects():
     """(label, sigma, probe) for every default probe, self-probes included,
     of chaotic_z2(3) and chain_z2(3), where every marked arrow is a
     quasiequivalence, and of split_z2, where e, r and s are not."""
-    # imported here: that module imports this one, through test_core_validate
-
     pres = load_presentation_with_sigma(split_z2_doc(), "split_z2")
     tables = {
         "chaotic_z2(3)": marked_table("chaotic_z2", 3),

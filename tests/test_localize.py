@@ -243,6 +243,11 @@ def split_z2_cert():
             lambda cert: cert["i_functoriality"].update(checked=0),
             ["field 'i_functoriality' is not the re-derived section"],
         ),
+        # 1 == True, so only the type check catches it
+        (
+            lambda cert: cert["i_functoriality"].update(ok=1),
+            ["field 'i_functoriality.ok' has the wrong type"],
+        ),
     ],
     ids=[
         "inverse-swapped",
@@ -260,6 +265,7 @@ def split_z2_cert():
         "max-len-below-chain",
         "three-for-two-failed",
         "i-functoriality-changed",
+        "i-functoriality-ok-int",
     ],
 )
 def test_replay_names_each_tamper(split_z2_cert, tamper, problems):

@@ -211,7 +211,6 @@ def test_modification_perturbation_violates_pm(twocell):
 
 
 def test_transformation_requires_strict(twocell, grpd):
-
     loose = rebuild(twocell.bicategory, strict=False)
     fun = identity_pseudofunctor(loose)
     theta = TransformationData(
