@@ -24,7 +24,12 @@ SCHEMA_VERSION = 1
 
 
 class StructureError(Exception):
-    """Raised for malformed references or ill-typed constructions."""
+    """Raised for malformed references or ill-typed constructions.  `arrows`
+    names the source arrows whose images are at fault, when there are such."""
+
+    def __init__(self, message: str, arrows: tuple[str, ...] = ()) -> None:
+        super().__init__(message)
+        self.arrows = arrows
 
 
 class Violation(NamedTuple):
@@ -581,12 +586,36 @@ def validate_bicategory(bic: Bicategory) -> ValidationReport:
     return ValidationReport(tuple(out))
 
 
+class _SetOnFirstRead:
+    """A method read as an attribute: the first read computes the value and
+    sets it on the instance, where later reads find it.  Unlike
+    `functools.cached_property`, which writes through ``__dict__`` and so
+    makes CPython 3.11 give up the instance's inline attribute values, it
+    leaves every later attribute read of the instance as fast as before."""
+
+    def __init__(self, compute: Callable) -> None:
+        self.compute = compute
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, instance, owner: type | None = None):
+        if instance is None:
+            return self
+        value = self.compute(instance)
+        setattr(instance, self.name, value)
+        return value
+
+
 class PseudofunctorData:
     """Maps between tabulated bicategories plus structural cells xi and phi.
 
     xi[x] is a target cell id_{FX} => F(id_X); phi[(g, f)] is a target cell
     Fg * Ff => F(g*f), one per composable source pair.  A 2-functor is the
-    special case where every xi and phi entry is an identity cell.
+    special case where every xi and phi entry is an identity cell.  The
+    constructor fills in and checks the entries a document leaves implicit;
+    `two_functor` builds a 2-functor from its maps alone, and its xi and phi
+    are read off the cell map when first asked for.
     """
 
     def __init__(
@@ -628,18 +657,53 @@ class PseudofunctorData:
                 fid = self.arr_map[source.id1[x]]
                 if fid != target.id1[fx]:
                     raise StructureError(
-                        f"{name}: xi[{x}] required, F(id_{x}) is not id_{{F{x}}}"
+                        f"{name}: xi[{x}] required, F(id_{x}) is not id_{{F{x}}}",
+                        (source.id1[x],),
                     )
                 self.xi[x] = target.idc[target.id1[fx]]
         for g, f in source.composable_arrow_pairs():
             if (g, f) not in self.phi:
+                gf = source.hcomp1[(g, f)]
                 lhs = target.hcomp1.get((self.arr_map[g], self.arr_map[f]))
-                rhs = self.arr_map[source.hcomp1[(g, f)]]
+                rhs = self.arr_map[gf]
                 if lhs != rhs:
                     raise StructureError(
-                        f"{name}: phi[({g}, {f})] required, F{g} * F{f} != F({g}*{f})"
+                        f"{name}: phi[({g}, {f})] required, F{g} * F{f} != F({g}*{f})",
+                        (g, f, gf),
                     )
                 self.phi[(g, f)] = target.idc[rhs]
+
+    @classmethod
+    def two_functor(
+        cls,
+        name: str,
+        source: Bicategory,
+        target: Bicategory,
+        obj_map: dict[str, str],
+        arr_map: dict[str, str],
+        cell_map: dict[str, str],
+    ) -> PseudofunctorData:
+        """The 2-functor with these maps, whose xi and phi are computed from
+        the cell map the first time they are read.  The caller makes sure
+        that every composable pair of source arrows has a composite and that
+        F(id_x) = id_{Fx} and Fg * Ff = F(g*f), as `enumerate_2functors` does,
+        so that each xi and phi entry is the identity cell it reads."""
+        fun = cls.__new__(cls)
+        fun.name, fun.source, fun.target = name, source, target
+        fun.obj_map, fun.arr_map, fun.cell_map = dict(obj_map), dict(arr_map), dict(cell_map)
+        return fun
+
+    # `__init__` sets xi and phi on the instance, so these run only for a
+    # `two_functor`: F(id_{id_x}) = id_{F(id_x)} and F(id_{g*f}) = id_{F(g*f)}
+    @_SetOnFirstRead
+    def xi(self) -> dict[str, str]:
+        c = self.source
+        return {x: self.cell_map[c.idc[c.id1[x]]] for x in c.objects}
+
+    @_SetOnFirstRead
+    def phi(self) -> dict[tuple[str, str], str]:
+        c = self.source
+        return {gf: self.cell_map[c.idc[c.hcomp1[gf]]] for gf in c.composable_arrow_pairs()}
 
     def __repr__(self) -> str:
         return f"PseudofunctorData({self.name!r}: {self.source.name} -> {self.target.name})"

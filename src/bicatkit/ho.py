@@ -24,7 +24,7 @@ Sequences are stored first-applied-first.
 from __future__ import annotations
 
 from functools import partial
-from itertools import islice
+from itertools import filterfalse, islice
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .core import (
@@ -299,8 +299,11 @@ def enumerate_2functors(src: Bicategory, dst: Bicategory) -> list[PseudofunctorD
     id_g * f = id_{gf}, by its `W2` and the `hcomp1` entry (g, f); and on a
     strict target an `hcomp1` entry f . id_x = f or id_y . f = f, by its
     `strict-unital`.  By the `hcomp1` entries, F(id_x) = id_{F x} and
-    F g . F f = F(g f), so each result's xi and phi are identity cells, read
-    off its cell map."""
+    F g . F f = F(g f), so each result's xi and phi are identity cells: none
+    is built here, and `PseudofunctorData.two_functor` reads them off the
+    result's cell map when they are first asked for.  A source with a
+    composable pair that has no composite has no phi to read, and the first
+    result reports that pair."""
     objs = list(src.objects)
     id1, idc = src.id1, src.idc
     ids = set(id1.values())
@@ -405,24 +408,17 @@ def enumerate_2functors(src: Bicategory, dst: Bicategory) -> list[PseudofunctorD
         for (h, g, f), c in src.assoc.items():
             file([("arrow", h), ("arrow", g), ("arrow", f), ("cell", c)],
                  lambda h=h, g=g, f=f, c=c: cmap[c] == dst.assoc[(amap[h], amap[g], amap[f])])
-    # the source identity cells whose images are xi and phi; a composable
-    # pair without a composite is left to PseudofunctorData to report
-    xi_units = [(x, src.idc[src.id1[x]]) for x in objs]
-    phi_units = [
-        (gf, src.idc[src.hcomp1[gf]]) for gf in src.composable_arrow_pairs() if gf in src.hcomp1
-    ]
+    # a composable pair without a composite, which the first result reports
+    # as PseudofunctorData reports an unmapped key
+    hole = next(filterfalse(src.hcomp1.__contains__, src.composable_arrow_pairs()), None)
 
     def assign(i: int) -> None:
         if i == len(levels):
-            found.append(PseudofunctorData(
-                name=f"{src.name}->{dst.name}#{len(found)}",
-                source=src,
-                target=dst,
-                obj_map=omap,
-                arr_map=amap,
-                cell_map=cmap,
-                xi={x: cmap[u] for x, u in xi_units},
-                phi={gf: cmap[u] for gf, u in phi_units},
+            name = f"{src.name}->{dst.name}#{len(found)}"
+            if hole is not None:
+                raise StructureError(f"{name}: {hole!r} is unmapped or unknown")
+            found.append(PseudofunctorData.two_functor(
+                name=name, source=src, target=dst, obj_map=omap, arr_map=amap, cell_map=cmap
             ))
             return
         images, x, candidates = levels[i]

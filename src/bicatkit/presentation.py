@@ -422,4 +422,7 @@ def load_pseudofunctor(
             phi=phi,
         )
     except StructureError as exc:
-        raise ParseError(str(exc), 1) from exc
+        # the latest explicit map_arr line among the arrows at fault
+        lines = doc.where["map_arr"]
+        line = max((lines[f] for f in exc.arrows if f in lines), default=1)
+        raise ParseError(str(exc), line) from exc

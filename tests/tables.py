@@ -10,6 +10,7 @@ import itertools
 from bench import families
 from bicatkit.core import Bicategory
 from bicatkit.homotopy import ComposeGlue, identity_cylinder, make_homotopy
+from bicatkit.library import fixture_text
 from bicatkit.sigma import make_sigma
 
 # one object whose identity arrow carries Z/2 = {id, z}, with both unitors z
@@ -207,3 +208,22 @@ def grpd_lemma_instance(grpd):
         delta="id_id_P",
     )
     return sigma, h1, h2, glue
+
+
+def implicit_structure_cases():
+    """chain_f.pf edited so that an omitted xi or phi entry cannot be an
+    identity: (document, message, the map_arr line at fault).  An explicit
+    F(id_W) that is not id_W needs xi[W]; with no phi section, F(cba) moved
+    to the top needs phi[(c, ba)], whose latest arrow line is ba's; F(a)
+    that does not compose with F(id_W) needs phi[(a, id_W)], whose id_W is
+    left implicit."""
+    text = fixture_text("chain_f.pf")
+    no_phi = text.split("phi:")[0]
+    return [
+        (text.replace("  b -> b\n", "  b -> b\n  id_W -> a\n"),
+         "xi[W] required, F(id_W) is not id_{FW}", "id_W -> a"),
+        (no_phi.replace("map_arr:\n", "map_arr:\n  cba -> q\n").replace("  cba -> t\n", ""),
+         "phi[(c, ba)] required, Fc * Fba != F(c*ba)", "ba -> p"),
+        (no_phi.replace("  a -> a\n", "  a -> b\n"),
+         "phi[(a, id_W)] required, Fa * Fid_W != F(a*id_W)", "a -> b"),
+    ]

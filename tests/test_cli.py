@@ -12,6 +12,7 @@ from bicatkit import ho
 from bicatkit.cli import main
 from bicatkit.library import fixture_text
 
+from tests.tables import implicit_structure_cases
 from tests.test_index_differential import line_mutants
 
 QUERY_EQ = """
@@ -132,6 +133,16 @@ def test_validate_pseudofunctor(capsys, tmp_path):
         capsys, "validate", "--functor", str(pf), "--source", str(src), "--target", str(tgt)
     )
     assert code == 0 and "ok" in out
+
+
+@pytest.mark.parametrize("command", ["validate", "extend"])
+@pytest.mark.parametrize("doc, message, at", implicit_structure_cases(), ids=["xi", "phi", "phi-id"])
+def test_implicit_structure_errors_exit_3_at_their_line(capsys, tmp_path, command, doc, message, at):
+    pf = tmp_path / "f.pf"
+    pf.write_text(doc)
+    line = doc.splitlines().index(f"  {at}") + 1
+    argv = (command, "--functor", str(pf), "--source", "chain_src", "--target", "chain_tgt")
+    assert run(capsys, *argv) == (3, "", f"error: line {line}, column 1: f: {message}\n")
 
 
 def test_sigma_check_text_and_json(capsys, split_file):

@@ -11,8 +11,9 @@ where it finishes, into themselves, and the smaller families without
 the checks of composites are the only ones; two non-strict tables whose unitors or
 associator are non-identity cells, so that the coherence checks prune; and
 every change of one entry of a small table that still validates, as source
-and as target.  The lists include xi and phi, which the new enumerator reads
-off the cell map and the old one left to ``PseudofunctorData`` to fill in.
+and as target.  The lists include xi and phi, which each result of the new
+enumerator reads off its cell map when they are first asked for, and which
+the old one left to ``PseudofunctorData`` to fill in.
 Both tables must validate; every pair of the fixtures, the generated families
 at three seeds and the non-strict tables is compared, and so are the
 benchmark's larger tables with their probe targets, against the search that
@@ -488,7 +489,7 @@ def arrow_tries(src, dst):
 
 def test_search_extends_exactly_the_consistent_partial_maps(monkeypatch):
     # the results are not built, so only the search reads the target
-    monkeypatch.setattr(ho, "PseudofunctorData", lambda **kw: kw)
+    monkeypatch.setattr(ho.PseudofunctorData, "two_functor", lambda **kw: kw)
     fixtures = [load_fixture_bicategory(name) for name in BICATEGORIES]
     # chaotic_z2(2) has a Z/2 of cells on every arrow
     families_ = [family_table(*shape) for shape in (("chain", 3), ("chain_z2", 3), ("chaotic_z2", 2))]

@@ -648,3 +648,27 @@ def test_default_probe_targets_are_parsed_once_and_change_no_byte():
             for ps in (probes, fresh_probes)
         )
         assert cert == fresh_cert
+
+
+@pytest.mark.parametrize("family", ["chaotic", "chaotic_z2"])
+def test_localize_and_replay_build_no_probe_structure_cells(monkeypatch, family):
+    """Localize and replay read each default probe's name and maps alone: no
+    probe computes its xi or phi, which are read off its cell map on first
+    use, so neither appears among its attributes afterwards."""
+    doc = families.generate(family, 3, 1, marked=True)
+    pres = load_presentation_with_sigma(doc.text(), doc.name)
+    sigma = make_sigma(pres.bicategory, pres.sigma_names)
+    enumerated = []
+    enumerate_into = localize_module.enumerate_probes
+
+    def kept(*args):
+        found = enumerate_into(*args)
+        enumerated.extend(found.probes)
+        return found
+
+    monkeypatch.setattr(localize_module, "enumerate_probes", kept)
+    cert = localize(sigma)
+    assert cert.ok
+    assert replay_certificate(sigma, cert.to_json()) == (True, [])
+    assert len(enumerated) == 2 * len(cert.probes_used) > 0
+    assert not [fun.name for fun in enumerated if {"xi", "phi"} & vars(fun).keys()]

@@ -2,7 +2,10 @@ import pytest
 
 from bicatkit.core import validate_bicategory
 from bicatkit.elevator import load_computad
+from bicatkit.library import load_fixture_bicategory
 from bicatkit.presentation import ParseError, load_presentation, load_pseudofunctor
+
+from tests.tables import implicit_structure_cases
 
 TRIV_DOC = """
 # one object, everything else synthesized
@@ -116,6 +119,15 @@ def test_pseudofunctor_document_rejects_unknown_names(split, iso):
     doc = "map_obj:\n  X -> A\n  Y -> B\nmap_arr:\n  s -> nope\n"
     with pytest.raises(ParseError, match="dangling reference to target arrow"):
         load_pseudofunctor(doc, split.bicategory, iso.bicategory)
+
+
+@pytest.mark.parametrize("doc, message, at", implicit_structure_cases(), ids=["xi", "phi", "phi-id"])
+def test_implicit_structure_errors_name_the_map_arr_line_at_fault(doc, message, at):
+    src, tgt = load_fixture_bicategory("chain_src"), load_fixture_bicategory("chain_tgt")
+    line = doc.splitlines().index(f"  {at}") + 1
+    with pytest.raises(ParseError) as info:
+        load_pseudofunctor(doc, src, tgt)
+    assert str(info.value) == f"line {line}, column 1: functor: {message}"
 
 
 # one document per kind with a single entry in every keyed section; each case
