@@ -860,108 +860,6 @@ def comp_sub_f(
     return d.vertical_chain([phi_in, d.hcomp2(beta, alpha), fun.phi[(g2, f2)]])
 
 
-def _cf_cell(f: str, g: str, dcell: str) -> str:
-    return f"{f}|{g}|{dcell}"
-
-
-def factorize(
-    fun: PseudofunctorData,
-) -> tuple[Bicategory, PseudofunctorData, PseudofunctorData]:
-    """Split fun as a 2-functor into an intermediate bicategory, then a
-    pseudofunctor carrying the original xi/phi.
-
-    The intermediate bicategory keeps the source's objects and arrows; a 2-cell
-    f => g is a target 2-cell Ff => Fg, composed vertically in the target and
-    horizontally via comp_sub_f.  Returns (intermediate, f1, f2) with
-    f1 . f2 == fun.
-    """
-    c, d = fun.source, fun.target
-    name = f"{c.name}_{fun.name}"
-
-    cells: dict[str, tuple[str, str]] = {}
-    cells_to: dict[str, list[str]] = {}
-    for f in sorted(c.arrows):
-        for g in c.arrows_between(*c.arrows[f]):
-            for dc in d.cells_between(fun.arr_map[f], fun.arr_map[g]):
-                cell = _cf_cell(f, g, dc)
-                cells[cell] = (f, g)
-                cells_to.setdefault(g, []).append(cell)
-    idc = {f: _cf_cell(f, f, d.idc[fun.arr_map[f]]) for f in c.arrows}
-
-    def parts(cell: str) -> tuple[str, str, str]:
-        f, g, dc = cell.split("|", 2)
-        return f, g, dc
-
-    vcomp: dict[tuple[str, str], str] = {}
-    for b in cells:
-        fb, gb, db = parts(b)
-        for a in cells_to.get(fb, ()):
-            fa, _, da = parts(a)
-            vcomp[(b, a)] = _cf_cell(fa, gb, d.vertical(db, da))
-
-    lwhisk: dict[tuple[str, str], str] = {}
-    rwhisk: dict[tuple[str, str], str] = {}
-    for a in cells:
-        fa, ga, da = parts(a)
-        x, y = c.arrows[fa]
-        for g in c.out_arrows(y):
-            val = comp_sub_f(fun, d.idc[fun.arr_map[g]], da, g, fa, g, ga)
-            lwhisk[(g, a)] = _cf_cell(c.hcomp1[(g, fa)], c.hcomp1[(g, ga)], val)
-        for f in c.in_arrows(x):
-            val = comp_sub_f(fun, da, d.idc[fun.arr_map[f]], fa, f, ga, f)
-            rwhisk[(a, f)] = _cf_cell(c.hcomp1[(fa, f)], c.hcomp1[(ga, f)], val)
-
-    lunitor = {}
-    runitor = {}
-    for f, (x, y) in c.arrows.items():
-        lunitor[f] = _cf_cell(c.hcomp1[(f, c.id1[x])], f, fun.cell_map[c.lunitor[f]])
-        runitor[f] = _cf_cell(c.hcomp1[(c.id1[y], f)], f, fun.cell_map[c.runitor[f]])
-    assoc = {}
-    for h, g, f in c.composable_arrow_triples():
-        left = c.hcomp1[(h, c.hcomp1[(g, f)])]
-        right = c.hcomp1[(c.hcomp1[(h, g)], f)]
-        assoc[(h, g, f)] = _cf_cell(left, right, fun.cell_map[c.assoc[(h, g, f)]])
-
-    mid = Bicategory(
-        name=name,
-        objects=c.objects,
-        arrows=c.arrows,
-        id1=c.id1,
-        hcomp1=c.hcomp1,
-        cells=cells,
-        idc=idc,
-        vcomp=vcomp,
-        lwhisk=lwhisk,
-        rwhisk=rwhisk,
-        lunitor=lunitor,
-        runitor=runitor,
-        assoc=assoc,
-        strict=c.strict,
-    )
-
-    f2 = PseudofunctorData(
-        name=f"{fun.name}.head",
-        source=c,
-        target=mid,
-        obj_map={x: x for x in c.objects},
-        arr_map={f: f for f in c.arrows},
-        cell_map={
-            a: _cf_cell(c.cells[a][0], c.cells[a][1], fun.cell_map[a]) for a in c.cells
-        },
-    )
-    f1 = PseudofunctorData(
-        name=f"{fun.name}.tail",
-        source=mid,
-        target=d,
-        obj_map=dict(fun.obj_map),
-        arr_map=dict(fun.arr_map),
-        cell_map={cell: parts(cell)[2] for cell in cells},
-        xi=dict(fun.xi),
-        phi=dict(fun.phi),
-    )
-    return mid, f1, f2
-
-
 class TransformationData:
     """Arrow family theta_X: FX -> GX plus cell family theta_f: Gf*theta_X => theta_Y*Ff."""
 
@@ -1107,41 +1005,4 @@ def identity_pseudofunctor(bic: Bicategory) -> PseudofunctorData:
         obj_map={x: x for x in bic.objects},
         arr_map={f: f for f in bic.arrows},
         cell_map={a: a for a in bic.cells},
-    )
-
-
-def compose_pseudofunctors(
-    outer: PseudofunctorData, inner: PseudofunctorData, name: str | None = None
-) -> PseudofunctorData:
-    """Composite outer . inner; defined when at least one side is a 2-functor.
-
-    The general composite's phi mixes both structures; for this workbench the
-    composite is only ever taken against a 2-functor leg, which keeps the
-    structural cells equal to the pseudofunctor side's image.
-    """
-    if inner.target is not outer.source:
-        raise StructureError("compose_pseudofunctors: middle bicategories differ")
-    if not inner.is_2functor and not outer.is_2functor:
-        raise StructureError("compose_pseudofunctors: need a 2-functor on one side")
-    if inner.is_2functor:
-        xi = {x: outer.xi[inner.obj_map[x]] for x in inner.source.objects}
-        phi = {
-            (g, f): outer.phi[(inner.arr_map[g], inner.arr_map[f])]
-            for g, f in inner.source.composable_arrow_pairs()
-        }
-    else:
-        xi = {x: outer.cell_map[inner.xi[x]] for x in inner.source.objects}
-        phi = {
-            (g, f): outer.cell_map[inner.phi[(g, f)]]
-            for g, f in inner.source.composable_arrow_pairs()
-        }
-    return PseudofunctorData(
-        name=name or f"{outer.name}.{inner.name}",
-        source=inner.source,
-        target=outer.target,
-        obj_map={x: outer.obj_map[inner.obj_map[x]] for x in inner.source.objects},
-        arr_map={f: outer.arr_map[inner.arr_map[f]] for f in inner.source.arrows},
-        cell_map={a: outer.cell_map[inner.cell_map[a]] for a in inner.source.cells},
-        xi=xi,
-        phi=phi,
     )

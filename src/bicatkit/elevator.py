@@ -262,21 +262,6 @@ def stack(first: CellExpr, then: CellExpr) -> CellExpr:
     )
 
 
-def whisker_expr(left: Path, expr: CellExpr, right: Path) -> CellExpr:
-    """Whisker a whole expression by arrow paths on both sides."""
-    comp = expr.computad
-    if right:
-        comp.path_ends(right)
-    if left:
-        comp.path_ends(left)
-    layers = [Layer(left + l.left, l.cell, l.right + right) for l in expr.layers]
-    if not layers:
-        path = left + expr.src_path + right
-        anchor = comp.path_ends(right, expr.src_obj)[0] if not path else None
-        return make_expr(comp, [], path, anchor)
-    return make_expr(comp, layers)
-
-
 class ModelAssignment(NamedTuple):
     """Interpretation of a computad in a strict tabulated bicategory."""
 

@@ -29,12 +29,9 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .core import (
     Bicategory,
-    ModificationData,
     PseudofunctorData,
     StructureError,
-    TransformationData,
     comp_sub_f,
-    validate_modification,
     validate_pseudofunctor,
 )
 from .homotopy import (
@@ -257,11 +254,6 @@ def _require_admissible(fun: PseudofunctorData, sigma: SigmaClass) -> None:
             )
 
 
-def _require_2functor(fun: PseudofunctorData) -> None:
-    if not fun.is_2functor:
-        raise StructureError(f"{fun.name!r} is not a 2-functor")
-
-
 def enumerate_2functors(src: Bicategory, dst: Bicategory) -> list[PseudofunctorData]:
     """All 2-functors between two finite tabulated bicategories, both of which
     must pass `validate_bicategory`.
@@ -481,23 +473,16 @@ def source_hat(k: HoCell) -> str | None:
     )
 
 
-def probe_values(
-    probes: ProbeSet, k: HoCell
-) -> Iterator[tuple[PseudofunctorData, str]]:
-    """Each probe with its value on k, in probe order, computed when first
-    asked for.  A probe F sends each marked arrow s to a quasiequivalence, so
-    when s is one in the source too, F of the source hat of a cylinder on s
-    solves Fs * c = F(alpha_tilde) and is F's hat of it.  When that holds for
-    every cylinder of k, each value is F of k's ``source_hat``; otherwise
-    each probe hats the terms in its own target."""
-    if probes.probes:
-        yield from probe_values_given(probes, k, source_hat(k))
-
-
 def probe_values_given(
     probes: ProbeSet, k: HoCell, hat: str | None
 ) -> Iterator[tuple[PseudofunctorData, str]]:
-    """``probe_values`` of k, given ``hat``, k's ``source_hat``."""
+    """Each probe with its value on k, in probe order, computed when first
+    asked for, given ``hat``, k's ``source_hat``.  A probe F sends each marked
+    arrow s to a quasiequivalence, so when s is one in the source too, F of
+    the source hat of a cylinder on s solves Fs * c = F(alpha_tilde) and is
+    F's hat of it.  When that holds for every cylinder of k, each value is F
+    of ``hat``; otherwise ``hat`` is None and each probe hats the terms in
+    its own target."""
     for fun in probes.probes:
         yield fun, _value(fun, k, hat)
 
@@ -812,7 +797,29 @@ class ExtensionG:
     included, since [I(id_f)] = id_f and F(id_f) = id; the hat pins a lone
     homotopy, whose hat equation has exactly one solution; and the vertical
     split pins every longer sequence to the composite of values already
-    pinned."""
+    pinned.
+
+    The localization adds no objects or arrows, only 2-cells, so a
+    transformation theta: F => G between admissible strict 2-functors that
+    passes ``validate_transformation`` is already a transformation between
+    their extensions, with the same components: PN0 and PN1 read arrows
+    alone, and PN2 holds on every class.  On a term I(mu) it is PN2 on mu.
+    For a cylinder on s: d0 => d1 (d0, d1: x -> w) with hats cF = F's and
+    cG = G's, so Fs * cF = F(alpha_tilde) and Gs * cG = G(alpha_tilde), the
+    square is  theta_d1 o (cG * theta_x) = (theta_w * cF) o theta_d0.  PN1
+    on s * d gives  Gs * theta_d = (theta_s * Fd)^-1 o theta_(s*d),  with
+    theta_s invertible.  Whiskered by Gs, the left side becomes
+    (theta_s * Fd1)^-1 o theta_(s*d1) o (G(alpha_tilde) * theta_x), which PN2
+    on the source cell alpha_tilde turns into
+    (theta_s * Fd1)^-1 o (theta_z * F(alpha_tilde)) o theta_(s*d0); the right
+    side becomes the same cell by interchange with theta_s^-1.  Whiskering by
+    Gs is injective on cells into Gw, since G is admissible and Gs is a
+    quasiequivalence, so the square itself holds.  A homotopy's value is
+    F(eps) o (Fh * cF) o F(eta), and PN2 squares stay PN2 squares under
+    vertical pasting and, by PN1 and interchange, under whiskering by an
+    arrow; so every class satisfies PN2.  A modification between two such
+    transformations is one between their extensions, since PM reads arrows
+    alone and ``validate_modification`` checks it."""
 
     def __init__(
         self, fun: PseudofunctorData, sigma: SigmaClass, materialized: list[HoCell]
@@ -877,13 +884,6 @@ def _homotopies(sigma: SigmaClass) -> Iterator[Homotopy]:
                                                 yield make_homotopy(cyl, h, eta, eps)
 
 
-def _materialize(sigma: SigmaClass, cap: int) -> list[HoCell]:
-    """The projected cells and the sampled singleton homotopy classes."""
-    family = [i_cell(sigma, mu) for mu in sorted(sigma.bic.cells)]
-    family += [ho_cell(sigma, (hom,)) for hom in sample_homotopies(sigma, cap=cap)]
-    return family
-
-
 def _verified_extension(fun: PseudofunctorData, sigma: SigmaClass, cap: int) -> ExtensionG:
     """The extension of an admissible pseudofunctor, with the forced values
     checked on a materialized family for whiskering up to phi and for units.
@@ -891,7 +891,9 @@ def _verified_extension(fun: PseudofunctorData, sigma: SigmaClass, cap: int) -> 
     of for the tables it reads; vertical functoriality then holds by
     associativity of its ``vcomp``."""
     bic, d = sigma.bic, fun.target
-    family = _materialize(sigma, cap)
+    # the projected cells and the sampled singleton homotopy classes
+    family = [i_cell(sigma, mu) for mu in sorted(bic.cells)]
+    family += [ho_cell(sigma, (hom,)) for hom in sample_homotopies(sigma, cap=cap)]
     ext = ExtensionG(fun, sigma, family)
     whisk = 0
     whisk_ok = True
@@ -929,7 +931,8 @@ def extend_2functor(
     ``validate_pseudofunctor``, as ``make_probe_set`` and ``bicatkit extend``
     make sure of: values are read off source hats, which only a lawful
     functor carries to its own hats."""
-    _require_2functor(fun)
+    if not fun.is_2functor:
+        raise StructureError(f"{fun.name!r} is not a 2-functor")
     _require_admissible(fun, sigma)
     return _verified_extension(fun, sigma, cap)
 
@@ -944,48 +947,3 @@ def extend_pseudofunctor(
     ``validate_pseudofunctor``."""
     _require_admissible(fun, sigma)
     return _verified_extension(fun, sigma, cap)
-
-
-class TwoCellExtensionReport(NamedTuple):
-    kind: str
-    ok: bool
-    failures: list[str]
-
-    def to_json(self) -> dict:
-        return self._asdict()
-
-
-def extend_2cell_data(kind: str, data, sigma: SigmaClass, cap: int = 40):
-    """Extensions of transformations (checked against materialized classes via
-    the naturality square) and modifications (rechecked on arrows).  Values are
-    unchanged; what is verified is that they stay lawful over the homotopy
-    bicategory."""
-    failures: list[str] = []
-    if kind == "transformation":
-        assert isinstance(data, TransformationData)
-        f_, g_ = data.fun_from, data.fun_to
-        for fun in (f_, g_):
-            _require_2functor(fun)
-            _require_admissible(fun, sigma)
-        d = f_.target
-        for k in _materialize(sigma, cap):
-            x, y = sigma.bic.arrows[k.f]
-            lhs = d.vertical(
-                data.comp_arr[k.g],
-                d.whisker_r(f_hat_chain(g_, k), data.comp_obj[x]),
-            )
-            rhs = d.vertical(
-                d.whisker_l(data.comp_obj[y], f_hat_chain(f_, k)),
-                data.comp_arr[k.f],
-            )
-            if lhs != rhs:
-                failures.append(f"PN2 fails on {k}: {lhs} != {rhs}")
-        return data, TwoCellExtensionReport(kind, not failures, failures)
-    if kind == "modification":
-        assert isinstance(data, ModificationData)
-        failures = [
-            f"{v.axiom} fails on {' '.join(v.witness)}: {v.left} != {v.right}"
-            for v in validate_modification(data).violations
-        ]
-        return data, TwoCellExtensionReport(kind, not failures, failures)
-    raise StructureError(f"unknown extension kind {kind!r}")

@@ -295,7 +295,9 @@ def replay_certificate(
     bic = sigma.bic
     if not isinstance(cert_json, dict):
         return False, ["certificate is not a JSON object"]
-    if cert_json.get("schema_version") != SCHEMA_VERSION:
+    # 1 == 1.0 == True, so only the type check rejects a float or bool version
+    version = cert_json.get("schema_version")
+    if type(version) is not int or version != SCHEMA_VERSION:
         return False, ["schema_version mismatch"]
     if cert_json.get("status") != "ok":
         return False, [f"certificate status is {cert_json.get('status')!r}"]

@@ -8,10 +8,9 @@ witnesses are reproducible.
 from __future__ import annotations
 
 from collections import deque
-from functools import cached_property
 from typing import NamedTuple
 
-from .core import Bicategory, StructureError, _group
+from .core import Bicategory, StructureError, _SetOnFirstRead, _group
 
 
 class SigmaClass:
@@ -35,13 +34,13 @@ class SigmaClass:
     def sorted_members(self) -> tuple[str, ...]:
         return tuple(sorted(self.members))
 
-    @cached_property
+    @_SetOnFirstRead
     def w_splits(self) -> dict[str, WSplitResult]:
         """``find_w_split`` of every member, in sorted order, searched once
         per class."""
         return {g: find_w_split(self.bic, g) for g in self.sorted_members()}
 
-    @cached_property
+    @_SetOnFirstRead
     def w_split_pieces(self) -> dict[str, tuple[str, ...]]:
         """The w-split members grouped by source object; the pieces of every
         decomposition chain."""

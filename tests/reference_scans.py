@@ -11,7 +11,7 @@ has one possible value, and which ``ho.enumerate_2functors`` replaced, and the e
 each rule with its law at every step and wrote each adjacent-pair scan out
 in full, which ``ho.LAWS`` and ``ho._pairwise`` replaced, and the two probe
 loops that hatted each term in each probe's target, which
-``ho.probe_values`` replaced, kept as the reference for ``tests/test_index_differential.py``,
+``ho.probe_values_given`` replaced, kept as the reference for ``tests/test_index_differential.py``,
 ``tests/test_extension_differential.py``, ``tests/test_hat_differential.py``,
 ``tests/test_enumerate_differential.py``,
 ``tests/test_decider_differential.py`` and
@@ -33,8 +33,13 @@ ten ``_LAW_*`` strings, ``_flatten``, ``_w1_sort``, ``_decompose``,
 ``EqVerdict`` of the code under test, which it did not change.
 
 The extension route is ``ExtensionG`` with its ``head`` and ``tail`` fields
-(the record every function here builds), ``extend_pseudofunctor``,
-``extend_2cell_data`` and the two reports' ``to_json`` bodies;
+(the record every function here builds), ``extend_pseudofunctor`` through
+``factorize`` (with ``_cf_cell``, the head/tail factorization that
+``bicatkit.core`` no longer has), ``extend_2cell_data`` with
+``TwoCellExtensionReport``, whose class loop a validated transformation
+cannot fail (see ``bicatkit.ho.ExtensionG``), and the two reports'
+``to_json`` bodies; ``factorize`` also builds the bicategories of
+``tests/test_acceptance.py``'s criterion 3 and ``tests/test_homotopy.py``;
 ``perturbation_breaks`` is the scan version, which the index walk and the
 route change both left equal in result.  ``ExtensionReport`` is the old
 seven-field report, with the restriction and vertical checks and the
@@ -56,7 +61,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 from collections import deque
 from dataclasses import asdict, dataclass, field
 
@@ -72,7 +77,6 @@ from bicatkit.ho import (
     EqVerdict,
     HoCell,
     ProbeSet,
-    TwoCellExtensionReport,
     _require_admissible,
     f_hat_chain,
     ho_cell,
@@ -778,6 +782,117 @@ class ExtensionReport:
         return {"ok": self.ok, **asdict(self)}
 
 
+def _cf_cell(f: str, g: str, dcell: str) -> str:
+    return f"{f}|{g}|{dcell}"
+
+
+def factorize(
+    fun: PseudofunctorData,
+) -> tuple[Bicategory, PseudofunctorData, PseudofunctorData]:
+    """Split fun as a 2-functor into an intermediate bicategory, then a
+    pseudofunctor carrying the original xi/phi.
+
+    The intermediate bicategory keeps the source's objects and arrows; a 2-cell
+    f => g is a target 2-cell Ff => Fg, composed vertically in the target and
+    horizontally via comp_sub_f.  Returns (intermediate, f1, f2) with
+    f1 . f2 == fun.
+    """
+    c, d = fun.source, fun.target
+    name = f"{c.name}_{fun.name}"
+
+    cells: dict[str, tuple[str, str]] = {}
+    cells_to: dict[str, list[str]] = {}
+    for f in sorted(c.arrows):
+        for g in c.arrows_between(*c.arrows[f]):
+            for dc in d.cells_between(fun.arr_map[f], fun.arr_map[g]):
+                cell = _cf_cell(f, g, dc)
+                cells[cell] = (f, g)
+                cells_to.setdefault(g, []).append(cell)
+    idc = {f: _cf_cell(f, f, d.idc[fun.arr_map[f]]) for f in c.arrows}
+
+    def parts(cell: str) -> tuple[str, str, str]:
+        f, g, dc = cell.split("|", 2)
+        return f, g, dc
+
+    vcomp: dict[tuple[str, str], str] = {}
+    for b in cells:
+        fb, gb, db = parts(b)
+        for a in cells_to.get(fb, ()):
+            fa, _, da = parts(a)
+            vcomp[(b, a)] = _cf_cell(fa, gb, d.vertical(db, da))
+
+    lwhisk: dict[tuple[str, str], str] = {}
+    rwhisk: dict[tuple[str, str], str] = {}
+    for a in cells:
+        fa, ga, da = parts(a)
+        x, y = c.arrows[fa]
+        for g in c.out_arrows(y):
+            val = comp_sub_f(fun, d.idc[fun.arr_map[g]], da, g, fa, g, ga)
+            lwhisk[(g, a)] = _cf_cell(c.hcomp1[(g, fa)], c.hcomp1[(g, ga)], val)
+        for f in c.in_arrows(x):
+            val = comp_sub_f(fun, da, d.idc[fun.arr_map[f]], fa, f, ga, f)
+            rwhisk[(a, f)] = _cf_cell(c.hcomp1[(fa, f)], c.hcomp1[(ga, f)], val)
+
+    lunitor = {}
+    runitor = {}
+    for f, (x, y) in c.arrows.items():
+        lunitor[f] = _cf_cell(c.hcomp1[(f, c.id1[x])], f, fun.cell_map[c.lunitor[f]])
+        runitor[f] = _cf_cell(c.hcomp1[(c.id1[y], f)], f, fun.cell_map[c.runitor[f]])
+    assoc = {}
+    for h, g, f in c.composable_arrow_triples():
+        left = c.hcomp1[(h, c.hcomp1[(g, f)])]
+        right = c.hcomp1[(c.hcomp1[(h, g)], f)]
+        assoc[(h, g, f)] = _cf_cell(left, right, fun.cell_map[c.assoc[(h, g, f)]])
+
+    mid = Bicategory(
+        name=name,
+        objects=c.objects,
+        arrows=c.arrows,
+        id1=c.id1,
+        hcomp1=c.hcomp1,
+        cells=cells,
+        idc=idc,
+        vcomp=vcomp,
+        lwhisk=lwhisk,
+        rwhisk=rwhisk,
+        lunitor=lunitor,
+        runitor=runitor,
+        assoc=assoc,
+        strict=c.strict,
+    )
+
+    f2 = PseudofunctorData(
+        name=f"{fun.name}.head",
+        source=c,
+        target=mid,
+        obj_map={x: x for x in c.objects},
+        arr_map={f: f for f in c.arrows},
+        cell_map={
+            a: _cf_cell(c.cells[a][0], c.cells[a][1], fun.cell_map[a]) for a in c.cells
+        },
+    )
+    f1 = PseudofunctorData(
+        name=f"{fun.name}.tail",
+        source=mid,
+        target=d,
+        obj_map=dict(fun.obj_map),
+        arr_map=dict(fun.arr_map),
+        cell_map={cell: parts(cell)[2] for cell in cells},
+        xi=dict(fun.xi),
+        phi=dict(fun.phi),
+    )
+    return mid, f1, f2
+
+
+class TwoCellExtensionReport(NamedTuple):
+    kind: str
+    ok: bool
+    failures: list[str]
+
+    def to_json(self) -> dict:
+        return self._asdict()
+
+
 @dataclass
 class ExtensionG:
     """A functor out of the homotopy bicategory, determined by its restriction
@@ -931,8 +1046,6 @@ def extend_pseudofunctor(
 ) -> ExtensionG:
     """Extension for arbitrary pseudofunctors via the head/tail factorization:
     extend the 2-functor head, then push values through the tail."""
-    from bicatkit.core import factorize
-
     if not validate_pseudofunctor(fun).ok:
         raise StructureError(f"{fun.name!r} fails validation")
     if fun.is_2functor:

@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from bicatkit.core import Bicategory, factorize, validate_bicategory
+from bicatkit.core import Bicategory, validate_bicategory
 from bicatkit.elevator import evaluate, expr_equal, make_expr, normalize
 from bicatkit.homotopy import (
     ComposeGlue,
@@ -44,6 +44,7 @@ from bicatkit.localize import localize, replay_certificate
 from bicatkit.presentation import load_pseudofunctor
 from bicatkit.sigma import is_quasiequivalence, make_sigma
 
+from tests.reference_scans import factorize
 from tests.test_elevator import GRPD_COMPUTAD, cyclic_model, glayers, saturating_model
 from tests.test_ho import forced_solutions
 from tests.tables import grpd_lemma_instance, rebuild

@@ -15,7 +15,6 @@ from bicatkit.elevator import (
     parse_expr,
     render,
     stack,
-    whisker_expr,
     _exchange,
 )
 
@@ -254,14 +253,11 @@ def test_confluence_exhaustive_over_chain_interleavings():
             assert len(forms) == 1, subset
 
 
-def test_expr_equal_is_congruence_for_stack_and_whisker():
+def test_expr_equal_is_congruence_for_stack():
     e1 = make_expr(W1_COMPUTAD, [Layer((), "be", ("f1",)), Layer(("g2",), "al", ())])
     e2 = make_expr(W1_COMPUTAD, [Layer(("g1",), "al", ()), Layer((), "be", ("f2",))])
     ide = make_expr(W1_COMPUTAD, [], ("g2", "f2"))
     assert expr_equal(stack(e1, ide), e2)
-    w1 = whisker_expr((), e1, ())
-    w2 = whisker_expr((), e2, ())
-    assert expr_equal(w1, w2)
 
 
 def test_parse_and_render_roundtrip():

@@ -5,14 +5,14 @@
 body, which checks whiskering up to phi, serves 2-functors and
 pseudofunctors.  ``tests/reference_scans.py`` keeps the old route: the
 ``ExtensionG`` record with ``head`` and ``tail``, ``extend_pseudofunctor``
-through ``factorize``, ``extend_2cell_data`` running two full extensions and
-its own PM loop, and ``perturbation_breaks`` scanning every cell.  Both sides
-must give equal materialized families (the reference's samples truncated to
-the cap, see ``capped_reference``) and equal values on the family, on
-vertical composites of family pairs, on both whiskers of every member and on
-identity classes; equal ``extend_2cell_data`` reports; and equal report
-fields, in the record and in JSON, on the fields the report keeps
-(``KEPT_FIELDS``).  The reference's vertical check must hold on every
+through the head/tail factorization, the 2-cell extension that ran two full
+extensions and checked PN2 on every materialized class, and
+``perturbation_breaks`` scanning every cell.  Both sides must give equal
+materialized families (the reference's samples truncated to the cap, see
+``capped_reference``) and equal values on the family, on vertical composites
+of family pairs, on both whiskers of every member and on identity classes,
+and equal report fields, in the record and in JSON, on the fields the report
+keeps (``KEPT_FIELDS``).  The reference's vertical check must hold on every
 subject, and its restriction check may fail only where the units check does.
 On 2-functors every alternative value on the family breaks a forced equation:
 the reference's ``perturbation_breaks`` says so, and on lone identity-cell
@@ -21,10 +21,18 @@ to the identity.
 
 The subjects are the bundled ``chain_f``, a pseudofunctor whose arrow map is
 not functorial on the nose (where whiskers hold only up to phi), the
-transformation and modification fixtures of ``tests/test_ho.py``, and seeded
-pseudofunctors that are not
-2-functors: xi and phi drawn uniformly over the 2-functors between small Z/2
-tables, kept when ``validate_pseudofunctor`` passes.
+functors of the transformation and modification fixtures of
+``tests/test_ho.py``, and seeded pseudofunctors that are not 2-functors: xi
+and phi drawn uniformly over the 2-functors between small Z/2 tables, kept
+when ``validate_pseudofunctor`` passes.
+
+A transformation between admissible 2-functors that passes
+``validate_transformation`` is already its own extension (the proof is in
+``ExtensionG``'s docstring).  The reference's PN2 loop over materialized
+classes must pass every such transformation: those of ``tests/test_ho.py``
+and seeded draws on chaotic_z2(2), chaotic_z2(3), chain_z2(3) and split_z2,
+which lies outside the quasiequivalence regime.  Its PM loop must pass a
+modification exactly when ``validate_modification`` does.
 
 Every default probe of chaotic_z2(3), chain_z2(3) and split_z2 is extended
 too, and its values on the family and every whisker of a member must equal
@@ -33,6 +41,7 @@ which split_z2's homotopy classes take.
 """
 import random
 from collections import Counter
+from functools import cache
 
 import pytest
 
@@ -44,12 +53,13 @@ from bicatkit.core import (
     TransformationData,
     identity_pseudofunctor,
     validate_bicategory,
+    validate_modification,
     validate_pseudofunctor,
+    validate_transformation,
 )
 from bicatkit.ho import (
     enumerate_2functors,
     enumerate_probes,
-    extend_2cell_data,
     extend_2functor,
     extend_pseudofunctor,
     f_hat_chain,
@@ -62,7 +72,7 @@ from bicatkit.ho import (
 from bicatkit.homotopy import ICell
 from bicatkit.library import default_probe_targets, load_chain_pseudofunctor, load_fixture
 from bicatkit.presentation import load_presentation_with_sigma, load_pseudofunctor
-from bicatkit.sigma import make_sigma
+from bicatkit.sigma import is_quasiequivalence, make_sigma
 
 from tests import reference_scans as ref
 from tests.conftest import TWOCELL_DOC
@@ -345,21 +355,9 @@ def test_generated_2functor_extensions_match():
     assert perturbations > 100
 
 
-def same_2cell_data(kind, data, sigma):
-    new = outcome(extend_2cell_data, kind, data, sigma, cap=CAP)
-    old = outcome(ref.extend_2cell_data, kind, data, sigma, cap=CAP)
-    if isinstance(new, str):
-        assert new == old, data.name
-        return new
-    assert not isinstance(old, str), (data.name, old)
-    assert new[0] is data and old[0] is data
-    assert new[1] == old[1], data.name
-    assert new[1].to_json() == ref.two_cell_report_json(old[1]), data.name
-    return new[1]
-
-
 def fixture_2cell_data():
-    """The transformations and modifications of tests/test_ho.py."""
+    """The transformations and modifications of tests/test_ho.py, as
+    (label, sigma, transformations, modifications)."""
     sigma, straight, swapped = split_functors()
     tgt = straight.target
     src = sigma.bic
@@ -368,83 +366,137 @@ def fixture_2cell_data():
         f: tgt.idc[tgt.hcomp1[(swapped.arr_map[f], comp_obj[src.arrow_src(f)])]]
         for f in src.arrows
     }
-    yield "transformation", TransformationData("sym", straight, swapped, comp_obj, comp_arr), sigma
     ident = TransformationData(
         "ident", straight, straight,
         comp_obj={x: tgt.id1[straight.obj_map[x]] for x in src.objects},
         comp_arr={f: tgt.idc[straight.arr_map[f]] for f in src.arrows},
     )
-    yield "transformation", ident, sigma
-    # into split itself: the functor constant at X is admissible, the
-    # identity is not (e is no quasiequivalence), so the error names the
-    # second functor, as the old code's second extension did
-    split = sigma.bic
-    constant = load_pseudofunctor(
-        map_doc({"X": "X", "Y": "X"}, {"s": "id_X", "r": "id_X", "e": "id_X"}),
-        split, split, name="constant",
-    )
-    comp_arr = {f: split.idc[split.hcomp1[(f, "s" if split.arrow_src(f) == "Y" else "id_X")]]
-                for f in split.arrows}
-    yield "transformation", TransformationData(
-        "to-identity", constant, identity_pseudofunctor(split), {"X": "id_X", "Y": "s"}, comp_arr
-    ), sigma
+    yield "split", sigma, [TransformationData("sym", straight, swapped, comp_obj, comp_arr), ident], []
     sigma, ident_fun = twocell_subject()
     theta = TransformationData(
         "tw", ident_fun, ident_fun,
         comp_obj={"U": "id_U", "V": "id_V"},
         comp_arr={"id_U": "id_id_U", "id_V": "id_id_V", "m": "k"},
     )
-    yield "transformation", theta, sigma
-    yield "modification", ModificationData("iden", theta, theta, {"U": "id_id_U", "V": "id_id_V"}), sigma
-    yield "modification", ModificationData("pert", theta, theta, {"U": "id_id_U", "V": "j"}), sigma
-
-
-def generated_2cell_data(rng):
-    """Transformations with drawn components between the 2-functors of
-    chaotic_z2(2) into itself, modifications with drawn components between
-    them, and a transformation out of a pseudofunctor that is no 2-functor."""
-    sigma, pseudo = drawn_subjects("chaotic_z2", 2, draws=40)[0]
-    bic = sigma.bic
-    funs = enumerate_2functors(bic, bic)
-    transformations = []
-    for i in range(12):
-        f_, g_ = rng.choice(funs), rng.choice(funs)
-        comp_obj = {
-            x: rng.choice(bic.arrows_between(f_.obj_map[x], g_.obj_map[x])) for x in bic.objects
-        }
-        comp_arr = {}
-        for f, (x, y) in bic.arrows.items():
-            src = bic.hcomp1[(g_.arr_map[f], comp_obj[x])]
-            dst = bic.hcomp1[(comp_obj[y], f_.arr_map[f])]
-            comp_arr[f] = rng.choice(bic.cells_between(src, dst))
-        transformations.append(TransformationData(f"t{i}", f_, g_, comp_obj, comp_arr))
-        yield "transformation", transformations[-1], sigma
-    for i in range(12):
-        theta = rng.choice(transformations)
-        eta = TransformationData(
-            f"e{i}", theta.fun_from, theta.fun_to, theta.comp_obj,
-            {f: rng.choice(bic.cells_between(*bic.cells[c])) for f, c in theta.comp_arr.items()},
-        )
-        comp = {x: rng.choice(bic.cells_between(a, a)) for x, a in theta.comp_obj.items()}
-        yield "modification", ModificationData(f"m{i}", theta, eta, comp), sigma
-    t = transformations[0]
-    yield "transformation", TransformationData("p", pseudo, pseudo, t.comp_obj, t.comp_arr), sigma
-
-
-def test_two_cell_extensions_match_reference():
-    reports = [
-        same_2cell_data(kind, data, sigma)
-        for kind, data, sigma in [
-            *fixture_2cell_data(), *generated_2cell_data(random.Random("2cell"))
-        ]
+    modifications = [
+        ModificationData("iden", theta, theta, {"U": "id_id_U", "V": "id_id_V"}),
+        ModificationData("pert", theta, theta, {"U": "id_id_U", "V": "j"}),
     ]
-    errors = sorted(r for r in reports if isinstance(r, str))
-    assert len(errors) == 2
-    assert "is not a 2-functor" in errors[0] and "outside the quasiequivalences" in errors[1]
-    done = [r for r in reports if not isinstance(r, str)]
-    assert len(done) > 20
-    assert any(r.ok for r in done) and any(not r.ok for r in done)
-    assert {r.kind for r in done if not r.ok} == {"transformation", "modification"}
+    yield "twocell", sigma, [theta], modifications
+
+
+def admissible(fun, sigma):
+    return all(is_quasiequivalence(fun.target, fun.arr_map[s]) for s in sigma.members)
+
+
+def drawn_transformations(sigma, draws, rng):
+    """Transformations between admissible self-2-functors of sigma's table:
+    each object component uniform over its hom, and each arrow component
+    uniform over its cells, unless the arrow is the composite of two other
+    arrows drawn before it, whose components then give its own by PN1.  The
+    draws that pass ``validate_transformation``, without repeats."""
+    bic = sigma.bic
+    funs = [fun for fun in enumerate_2functors(bic, bic) if admissible(fun, sigma)]
+    kept = {}
+    for _ in range(draws):
+        f_, g_ = rng.choice(funs), rng.choice(funs)
+        homs = [bic.arrows_between(f_.obj_map[x], g_.obj_map[x]) for x in bic.objects]
+        if not all(homs):
+            continue
+        comp_obj = {x: rng.choice(hom) for x, hom in zip(bic.objects, homs)}
+        comp_arr = {}
+        for f in sorted(bic.arrows):
+            x, y = bic.arrows[f]
+            split = next(
+                (
+                    (g, h) for g, h in bic.composable_arrow_pairs()
+                    if bic.hcomp1[(g, h)] == f and f not in (g, h) and {g, h} <= comp_arr.keys()
+                ),
+                None,
+            )
+            if split is not None:
+                g, h = split
+                comp_arr[f] = bic.vertical(
+                    bic.whisker_r(comp_arr[g], f_.arr_map[h]),
+                    bic.whisker_l(g_.arr_map[g], comp_arr[h]),
+                )
+                continue
+            cells = bic.cells_between(
+                bic.hcomp1[(g_.arr_map[f], comp_obj[x])], bic.hcomp1[(comp_obj[y], f_.arr_map[f])]
+            )
+            if not cells:
+                break
+            comp_arr[f] = rng.choice(cells)
+        else:
+            key = (f_.name, g_.name, tuple(comp_obj.items()), tuple(sorted(comp_arr.items())))
+            theta = TransformationData(f"t{len(kept)}", f_, g_, comp_obj, comp_arr)
+            if key not in kept and validate_transformation(theta).ok:
+                kept[key] = theta
+    return list(kept.values())
+
+
+def drawn_modifications(transformations, draws, rng):
+    """Modifications between drawn pairs of parallel transformations, each
+    component uniform over its cells."""
+    parallel: dict = {}
+    for theta in transformations:
+        parallel.setdefault((theta.fun_from, theta.fun_to), []).append(theta)
+    groups = list(parallel.values())
+    out = []
+    for _ in range(draws):
+        group = rng.choice(groups)
+        theta, eta = rng.choice(group), rng.choice(group)
+        bic = theta.fun_from.target
+        cells = {x: bic.cells_between(a, eta.comp_obj[x]) for x, a in theta.comp_obj.items()}
+        if all(cells.values()):
+            comp = {x: rng.choice(choices) for x, choices in cells.items()}
+            out.append(ModificationData(f"m{len(out)}", theta, eta, comp))
+    return out
+
+
+def two_cell_subjects():
+    """(label, sigma, transformations, modifications) for the fixtures and
+    for seeded draws on chaotic_z2(2), chaotic_z2(3), chain_z2(3) and
+    split_z2, where no marked arrow is a quasiequivalence."""
+    yield from fixture_2cell_data()
+    pres = load_presentation_with_sigma(split_z2_doc(), "split_z2")
+    tables = {
+        "chaotic_z2(2)": marked_table("chaotic_z2", 2),
+        "chaotic_z2(3)": marked_table("chaotic_z2", 3),
+        "chain_z2(3)": marked_table("chain_z2", 3),
+        "split_z2": make_sigma(pres.bicategory, pres.sigma_names),
+    }
+    for label, sigma in tables.items():
+        rng = random.Random(f"2cell:{label}")
+        transformations = drawn_transformations(sigma, 1000, rng)
+        yield label, sigma, transformations, drawn_modifications(transformations, 40, rng)
+
+
+def test_two_cell_extensions_match_reference(monkeypatch):
+    """The reference's class loop, which checked PN2 on every materialized
+    class, never fails a transformation that passes
+    ``validate_transformation`` between admissible 2-functors, since such a
+    transformation is its own extension (see ``ExtensionG``); and the
+    reference's PM loop passes a modification exactly when
+    ``validate_modification`` does."""
+    # each functor's reference extension is a pure function of its inputs
+    monkeypatch.setattr(ref, "extend_2functor", cache(ref.extend_2functor))
+    counts: Counter = Counter()
+    for label, sigma, transformations, modifications in two_cell_subjects():
+        for theta in transformations:
+            assert admissible(theta.fun_from, sigma) and admissible(theta.fun_to, sigma)
+            assert validate_transformation(theta).ok, (label, theta.name)
+            _, report = ref.extend_2cell_data("transformation", theta, sigma, cap=CAP)
+            assert report.ok, (label, theta.name, report.failures)
+            counts[label] += 1
+        for mod in modifications:
+            _, report = ref.extend_2cell_data("modification", mod, sigma, cap=CAP)
+            valid = validate_modification(mod).ok
+            assert report.ok == valid, (label, mod.name)
+            counts["modification", valid] += 1
+    assert counts["split_z2"] >= 10 and counts["chain_z2(3)"] >= 10, counts
+    assert sum(counts[label] for label in counts if isinstance(label, str)) >= 200, counts
+    assert counts["modification", True] >= 20 and counts["modification", False] >= 20, counts
 
 
 def default_probe_subjects():

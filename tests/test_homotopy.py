@@ -265,7 +265,7 @@ def test_f_hat_agrees_with_apply_then_hat(split, split_sigma, iso, grpd, chain_f
 
 
 def test_f_hat_through_factorization(chain_f, split, split_sigma, iso):
-    from bicatkit.core import factorize
+    from tests.reference_scans import factorize
 
     for fun, sigma in (
         (chain_f, make_sigma(chain_f.source, ())),

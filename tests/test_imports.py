@@ -1,12 +1,15 @@
-"""Every module-level import in ``src/bicatkit`` is used in its module, and
-every module-level private name is read somewhere in ``src/``.
+"""Every module-level import in ``src/bicatkit`` is used in its module,
+every module-level private name is read somewhere in ``src/``, and every
+public top-level function or class is read in ``src/`` or ``bench/``, or is
+one that README promises.
 
 An import a module keeps for someone else carries ``# noqa: F401 -- <reason>``
 on its line, and the reason names the file of this repository that reads the
 name, which must mention it.  A bare re-export comment names no reader, so an
 import nothing reads cannot hide behind one.  A private name is read when code
 outside its own definition loads it, bare or as an attribute.  No module
-imports ``dataclasses``, at module level or inside a function.
+imports ``dataclasses``, at module level or inside a function, nor uses
+``functools.cached_property``.
 """
 import ast
 import re
@@ -101,13 +104,14 @@ def private_definitions(tree: ast.Module):
         yield from ((n, node) for n in names if n.startswith("_") and not n.startswith("__"))
 
 
-def unread_private_names(paths):
-    """(module stem, name) of each module-level private name in paths that no
-    module-level statement of paths other than its definition reads."""
+def unread_definitions(paths, definitions, named_elsewhere=frozenset()):
+    """(module stem, name) of each name that ``definitions`` finds in a module
+    of paths, that no module-level statement of paths other than its
+    definition reads, and that is not in ``named_elsewhere``."""
     defined, reads = [], []
     for path in paths:
         tree = ast.parse(path.read_text())
-        defined += [(path.stem, name, node) for name, node in private_definitions(tree)]
+        defined += [(path.stem, name, node) for name, node in definitions(tree)]
         for node in tree.body:
             inner = list(ast.walk(node))
             loaded = {n.id for n in inner if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
@@ -115,8 +119,15 @@ def unread_private_names(paths):
             reads.append((node, loaded))
     return [
         (stem, name) for stem, name, where in defined
-        if not any(name in loaded for node, loaded in reads if node is not where)
+        if name not in named_elsewhere
+        and not any(name in loaded for node, loaded in reads if node is not where)
     ]
+
+
+def unread_private_names(paths):
+    """(module stem, name) of each module-level private name in paths that no
+    module-level statement of paths other than its definition reads."""
+    return unread_definitions(paths, private_definitions)
 
 
 def test_every_private_name_is_read():
@@ -170,3 +181,110 @@ def test_the_check_finds_a_dataclasses_import_inside_a_function():
         "    import dataclasses as dc\n"
     )
     assert sorted(imported_modules(tree)) == [("dataclasses", 4), ("dataclasses", 5), ("os", 1)]
+
+
+def cached_property_uses(tree: ast.Module):
+    """The line of each import or attribute read of ``cached_property``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and any(a.name == "cached_property" for a in node.names):
+            yield node.lineno
+        elif isinstance(node, ast.Attribute) and node.attr == "cached_property":
+            yield node.lineno
+
+
+def test_no_module_uses_cached_property():
+    """``functools.cached_property`` writes through the instance ``__dict__``,
+    which on CPython 3.11 slows every later attribute read of the instance;
+    ``core._SetOnFirstRead`` is the package's one write-once attribute."""
+    found = [
+        f"{path.relative_to(ROOT)}:{line}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for line in cached_property_uses(ast.parse(path.read_text()))
+    ]
+    assert found == []
+
+
+def test_the_check_finds_cached_property_imported_or_read_as_an_attribute():
+    tree = ast.parse(
+        "import functools\n"
+        "from functools import cache, cached_property as cp\n"
+        "class A:\n"
+        "    @functools.cached_property\n"
+        "    def x(self): return cache\n"
+    )
+    assert list(cached_property_uses(tree)) == [2, 4]
+
+
+# the public names that nothing in src/ or bench/ reads, each with the README
+# phrase that promises it to library users
+README_PROMISES = {
+    "validate_transformation": "pseudonatural transformations (PN0–PN2)",
+    "validate_modification": "modifications (PM)",
+    "identity_pseudofunctor": "the identity 2-functor is itself an admissible probe",
+    "apply_functor": "the push-forward along pseudofunctors",
+    "expr_equal": "decides equality in the free 2-category",
+    "stack": "layered expressions and their vertical stacking",
+    "evaluate": "with evaluation into any strict tabulated model",
+    "load_chain_pseudofunctor": "`chain_f.pf`",
+    "load_presentation": "the one reader for `.bic`, `.pf` and `.cmp` documents",
+}
+
+
+def public_definitions(tree: ast.Module):
+    """(name, node) of each public function or class a module defines at
+    module level."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if not node.name.startswith("_"):
+                yield node.name, node
+
+
+def named_in(paths) -> set[str]:
+    """Every name a file of paths reads, bare, as an attribute, in an import,
+    or as a string, as ``bench/tracing.py`` names the functions it wraps."""
+    names = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names.add(node.value)
+    return names
+
+
+def unread_public_names(paths, reader_paths):
+    """(module stem, name) of each public top-level function or class in paths
+    that no module-level statement of paths other than its definition reads,
+    and that no file of reader_paths names."""
+    return unread_definitions(paths, public_definitions, named_in(reader_paths))
+
+
+def test_every_public_name_is_read_or_promised_by_readme():
+    unread = unread_public_names(
+        sorted(PACKAGE.rglob("*.py")), sorted((ROOT / "bench").rglob("*.py"))
+    )
+    assert sorted(name for _, name in unread) == sorted(README_PROMISES)
+    readme = " ".join((ROOT / "README.md").read_text().split())
+    assert [name for name, phrase in README_PROMISES.items() if phrase not in readme] == []
+
+
+def test_the_check_flags_a_public_name_only_tests_could_read(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "def used(): pass\n"
+        "def unused(): pass\n"
+        "def recursive(n):\n"
+        "    return recursive(n - 1)\n"
+        "class Traced: pass\n"
+        "class Imported: pass\n"
+        "def _private(): pass\n"
+    )
+    (tmp_path / "b.py").write_text("import a\ny = a.used\n")
+    bench = tmp_path / "bench"
+    bench.mkdir()
+    (bench / "run.py").write_text("from a import Imported\nWRAPPED = ('a', 'Traced')\n")
+    paths = sorted(tmp_path.glob("*.py"))
+    assert unread_public_names(paths, [bench / "run.py"]) == [("a", "unused"), ("a", "recursive")]

@@ -219,6 +219,9 @@ def split_z2_cert():
         ),
         (_claim_unknown, ["s/to_id_dst: cancel_left is not the re-derived verdict"]),
         (lambda cert: cert.update(schema_version=0), ["schema_version mismatch"]),
+        # 1 == True == 1.0, so only the type check catches these
+        (lambda cert: cert.update(schema_version=True), ["schema_version mismatch"]),
+        (lambda cert: cert.update(schema_version=1.0), ["schema_version mismatch"]),
         (
             lambda cert: cert.update(status="derivation-failed"),
             ["certificate status is 'derivation-failed'"],
@@ -257,6 +260,8 @@ def split_z2_cert():
         "quasiinverse-changed",
         "verdict-unknown",
         "schema-version",
+        "schema-version-bool",
+        "schema-version-float",
         "status",
         "budget-zero",
         "chain-apart",
@@ -274,7 +279,10 @@ def test_replay_names_each_tamper(split_z2_cert, tamper, problems):
     bad = json.loads(json.dumps(cert))
     tamper(bad)
     assert replay_certificate(sigma, bad, probes) == (False, problems)
-    assert reference_problems(problems) == ref.replay_certificate(sigma, bad, probes)[1]
+    # the reference compares the version with ==, so it takes true and 1.0
+    retyped = type(bad["schema_version"]) is not int
+    want = ref.replay_certificate(sigma, bad, probes)[1]
+    assert reference_problems([] if retyped else problems) == want
 
 
 def reference_problems(problems: list[str]) -> list[str]:

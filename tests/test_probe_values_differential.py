@@ -1,12 +1,13 @@
 """Probe values read off each side's source hat against the per-probe hats
 they replaced.
 
-``ho.probe_values`` hats a side once in the source, when every cylinder's
-marked arrow is a quasiequivalence there, and reads each probe's value as the
-probe's image of that hat; otherwise it falls back to ``ho.f_hat_chain`` per
-probe.  The reference is the verbatim copy, in ``tests/reference_scans.py``,
-of the two probe loops that called ``f_hat_chain`` for every probe: the one
-in ``ho_eq`` and the one in ``replay_certificate``; replay's problems are
+``ho.probe_values_given`` takes a side's ``ho.source_hat``, hatted once in
+the source when every cylinder's marked arrow is a quasiequivalence there,
+and reads each probe's value as the probe's image of that hat; otherwise the
+hat is None and it falls back to ``ho.f_hat_chain`` per probe.  The
+reference is the verbatim copy, in ``tests/reference_scans.py``, of the two
+probe loops that called ``f_hat_chain`` for every probe: the one in
+``ho_eq`` and the one in ``replay_certificate``; replay's problems are
 compared without the lines of the checks the reference predates.
 
 The corpus is chaotic(3), chaotic(3)xZ/2, chain(4), chain(4)xZ/2 and
@@ -127,7 +128,8 @@ def test_probe_values_match_per_probe_hats():
         rng = random.Random(f"{table}:probe-values")
         for k in _cells(sigma, rng):
             want = [(fun, ho.f_hat_chain(fun, k)) for fun in probes.probes]
-            assert list(ho.probe_values(probes, k)) == want, (table, str(k))
+            got = ho.probe_values_given(probes, k, ho.source_hat(k))
+            assert list(got) == want, (table, str(k))
             assert (ho.source_hat(k) is None) == (not _fast(k)), (table, str(k))
             paths[_fast(k), table == "split"] += len(want)
     # the fallback runs on split and only there; the fast path everywhere else
@@ -143,9 +145,8 @@ def test_probe_values_hat_each_side_once_when_asked(monkeypatch):
     calls: Counter = Counter()
     hat = ho.hat
     monkeypatch.setattr(ho, "hat", lambda *a: calls.update(["hat"]) or hat(*a))
-    values = ho.probe_values(probes, k)
-    assert list(ho.probe_values(ho.ProbeSet(()), k)) == []
-    assert not calls
+    values = ho.probe_values_given(probes, k, ho.source_hat(k))
+    assert calls == {"hat": 3}
     assert len(list(values)) == len(probes.probes) > 1
     assert calls == {"hat": 3}
 

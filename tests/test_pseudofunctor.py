@@ -6,16 +6,14 @@ from bicatkit.core import (
     StructureError,
     TransformationData,
     comp_sub_f,
-    compose_pseudofunctors,
-    factorize,
     identity_pseudofunctor,
     validate_bicategory,
     validate_modification,
     validate_pseudofunctor,
     validate_transformation,
 )
-from bicatkit.presentation import load_pseudofunctor
-from bicatkit.sigma import is_quasiequivalence
+from bench import families
+from bicatkit.presentation import load_presentation_with_sigma, load_pseudofunctor
 
 from tests.tables import rebuild
 
@@ -109,58 +107,6 @@ def test_comp_sub_f_equals_bruteforce_conjugation_on_chain(chain_f):
                             fun.phi[(g2, f2)], tgt.vertical(mid, phi_in)
                         )
                         assert got == want
-
-
-def test_factorize_identity_on_triv(triv):
-    fun = identity_pseudofunctor(triv.bicategory)
-    mid, f1, f2 = factorize(fun)
-    assert len(mid.objects) == 1
-    assert len(mid.arrows) == 1
-    assert len(mid.cells) == 1
-    assert validate_bicategory(mid).ok
-    assert f2.is_2functor
-    comp = compose_pseudofunctors(f1, f2)
-    assert comp.obj_map == fun.obj_map and comp.arr_map == fun.arr_map
-
-
-def test_factorize_collapse_has_five_arrows_and_identity_cells(split, iso):
-    fun = collapse(split, iso)
-    mid, f1, f2 = factorize(fun)
-    assert len(mid.arrows) == 5
-    assert validate_bicategory(mid).ok
-    # every 2-cell of the intermediate is carried by an identity target cell
-    for cell in mid.cells:
-        assert f1.cell_map[cell].startswith("id_")
-    assert validate_pseudofunctor(f1).ok
-    assert validate_pseudofunctor(f2).ok
-
-
-def test_factorize_chain_head_tail_laws(chain_f):
-    fun = chain_f
-    mid, f1, f2 = factorize(fun)
-    assert validate_bicategory(mid).ok
-    assert f2.is_2functor and not f1.is_2functor
-    comp = compose_pseudofunctors(f1, f2)
-    assert comp.arr_map == fun.arr_map
-    assert comp.cell_map == fun.cell_map
-    assert comp.phi == fun.phi and comp.xi == fun.xi
-    # the head computes the same conjugated composites as the original
-    src = fun.source
-    for (g, f) in src.composable_arrow_pairs():
-        beta = mid.idc[g]
-        alpha = mid.idc[f]
-        via_mid = comp_sub_f(f2, beta, alpha, g, f, g, f)
-        assert f1.cell_map[via_mid] == comp_sub_f(
-            fun, fun.target.idc[fun.arr_map[g]], fun.target.idc[fun.arr_map[f]], g, f, g, f
-        )
-
-
-def test_factorize_preserves_quasiequivalence(split, iso):
-    fun = collapse(split, iso)
-    mid, _, f2 = factorize(fun)
-    for f in split.bicategory.arrows:
-        if is_quasiequivalence(iso.bicategory, fun.arr_map[f]):
-            assert is_quasiequivalence(mid, f2.arr_map[f])
 
 
 def _swap_probe(split, iso):
@@ -268,3 +214,114 @@ def test_unmapped_ids_raise_structure_error(split, iso, obj_map, arr_map, missin
             arr_map=arr_map,
             cell_map={},
         )
+
+
+# one object whose identity arrow carries an idempotent cell n, n . n = n,
+# which has no inverse
+IDEMPOTENT_DOC = """
+strict true
+objects: U
+cells:
+  n : id_U => id_U
+vcomp:
+  n . n = n
+"""
+
+
+def chaotic_z2():
+    """chaotic_z2(2): two objects, mutually inverse arrows a0_1 and a1_0, and
+    a cell z_f, z_f . z_f = id_f, on every arrow f, whiskers sending z to z."""
+    doc = families.generate("chaotic_z2", 2, 1)
+    return load_presentation_with_sigma(doc.text(), doc.name).bicategory
+
+
+def identity_transformation(fun, **changed_arr):
+    """The identity transformation of fun, with the named cell components
+    replaced."""
+    c, d = fun.source, fun.target
+    comp_obj = {x: d.id1[fun.obj_map[x]] for x in c.objects}
+    comp_arr = {f: d.idc[fun.arr_map[f]] for f in c.arrows}
+    return TransformationData(fun.name, fun, fun, comp_obj, {**comp_arr, **changed_arr})
+
+
+def z_collapse(bic):
+    """The 2-functor on chaotic_z2 that fixes objects and arrows and sends
+    every z cell to an identity."""
+    return PseudofunctorData(
+        "collapse", bic, bic,
+        {x: x for x in bic.objects},
+        {f: f for f in bic.arrows},
+        {a: bic.idc[f] for a, (f, _) in bic.cells.items()},
+    )
+
+
+def failing_transformation(tag):
+    if tag == "strictness-required":
+        loose = rebuild(chaotic_z2(), strict=False)
+        return identity_transformation(identity_pseudofunctor(loose))
+    if tag == "transf-arr-invertible":
+        bic = load_presentation_with_sigma(IDEMPOTENT_DOC, "idempotent").bicategory
+        assert validate_bicategory(bic).ok
+        return identity_transformation(identity_pseudofunctor(bic), id_U="n")
+    bic = chaotic_z2()
+    ident = identity_pseudofunctor(bic)
+    if tag == "transf-obj-typing":
+        theta = identity_transformation(ident)
+        return TransformationData("t", ident, ident, {**theta.comp_obj, "o0": "a0_1"}, theta.comp_arr)
+    if tag == "transf-arr-typing":
+        return identity_transformation(ident, a0_1="id_a1_0")
+    if tag == "PN0":
+        # theta of an identity arrow must be the identity.  PN1 on (id_x, id_x)
+        # makes theta_(id_x) idempotent, so, being invertible, the identity:
+        # no input with invertible components fails PN0 without PN1
+        return identity_transformation(ident, id_o0="z_id_o0", id_o1="z_id_o1")
+    if tag == "PN1":
+        # theta of id_o0 = a1_0 . a0_1 must be a1_0 * z_a0_1 = z_id_o0
+        return identity_transformation(ident, a0_1="z_a0_1")
+    assert tag == "PN2"
+    # the two functors agree on arrows and differ on every z cell
+    collapse = z_collapse(bic)
+    assert validate_pseudofunctor(collapse).ok and collapse.is_2functor
+    theta = identity_transformation(ident)
+    return TransformationData("t", ident, collapse, theta.comp_obj, theta.comp_arr)
+
+
+@pytest.mark.parametrize(
+    "tag",
+    [
+        "strictness-required",
+        "transf-obj-typing",
+        "transf-arr-typing",
+        "transf-arr-invertible",
+        "PN0",
+        "PN1",
+        "PN2",
+    ],
+)
+def test_validate_transformation_reports_each_tag(tag):
+    """One failing input per tag, which fails that tag alone, and PN0 beside
+    PN1; the identity transformation of chaotic_z2, whose cells are not thin,
+    passes."""
+    bic = chaotic_z2()
+    assert validate_transformation(identity_transformation(identity_pseudofunctor(bic))).ok
+    want = {tag, "PN1"} if tag == "PN0" else {tag}
+    assert validate_transformation(failing_transformation(tag)).axioms() == want
+
+
+@pytest.mark.parametrize("tag", ["strictness-required", "modif-typing", "PM"])
+def test_validate_modification_reports_each_tag(tag):
+    """The identity modification of chaotic_z2's identity transformation
+    passes; one changed input fails each tag alone."""
+    bic = chaotic_z2()
+    theta = identity_transformation(identity_pseudofunctor(bic))
+    comp = {x: bic.idc[bic.id1[x]] for x in bic.objects}
+    assert validate_modification(ModificationData("m", theta, theta, comp)).ok
+    if tag == "strictness-required":
+        loose = rebuild(bic, strict=False)
+        theta = identity_transformation(identity_pseudofunctor(loose))
+    if tag == "modif-typing":
+        comp["o0"] = "z_a0_1"
+    if tag == "PM":
+        # a0_1 * z_id_o0 = z_a0_1, while rho_o1 * a0_1 is the identity
+        comp["o0"] = "z_id_o0"
+    assert validate_modification(ModificationData("m", theta, theta, comp)).axioms() == {tag}
