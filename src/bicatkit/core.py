@@ -292,12 +292,27 @@ def validate_bicategory(bic: Bicategory) -> ValidationReport:
     """Check every structural axiom of the tables, walking each axiom's
     witnesses through the incidence index.
 
-    Two sweeps run only where they can fire, so the report is the same as
-    if they always ran.  H2 runs only beside a ``vcomp-assoc`` violation:
-    W1, W3 and vertical associativity imply it.  On a ``strict`` table,
+    Sweeps run only where they can fire, so the report is the same as if
+    they always ran.  H2 runs only beside a ``vcomp-assoc`` violation: W1,
+    W3 and vertical associativity imply it.  On a ``strict`` table,
     pentagon and triangle run only beside a ``vcomp-unit`` or strictness
     violation: without one, every associator and unitor is an identity
-    cell, and W2 makes both sides of each instance that identity."""
+    cell, and W2 makes both sides of each instance that identity.
+
+    ``vcomp-assoc``, W1, W3, Nlambda/Nrho and Ntheta1-3 check only the
+    instances with no identity cell among their cell inputs while no
+    ``vcomp-unit`` violation exists and, past vertical associativity, no W2
+    one; otherwise they check every instance.  Typing and totality have
+    passed by then, and in an instance with an identity input both sides
+    reduce by ``vcomp-unit`` and W2 to one cell:
+      vcomp-assoc (c, b, a)  with the identity dropped, both are c.b, c.a or b.a
+      W1 (b, id_f)           (g2 id_f).(b f) = b f = (b f).(g1 id_f); (id_g, a) alike
+      W3 (g, b, id_f)        (g b).(g id_f) = g b = g (b.id_f); an identity b,
+                             or whiskering on the right, alike
+      Nlambda (id_f)         lam_f.(id_f id_x) = lam_f = id_f.lam_f; Nrho alike
+      Ntheta1 (h, g, id_f)   theta.(h (g id_f)) = theta = ((hg) id_f).theta;
+                             Ntheta2 and Ntheta3 alike
+    """
     out: list[Violation] = []
     add = out.append
     arrows = bic.arrows
@@ -370,9 +385,18 @@ def validate_bicategory(bic: Bicategory) -> ValidationReport:
             add(Violation("vcomp-unit", (a,), left=vcomp[(a, idc[f])], right=a))
         if vcomp[(idc[g], a)] != a:
             add(Violation("vcomp-unit", (a,), left=vcomp[(idc[g], a)], right=a))
-    for a in sorted_cells:
+    # nothing but vcomp-unit can have fired here; while identities are units,
+    # an instance with an identity input holds (see the docstring)
+    units_hold = not out
+    skip = bic._identity_cells if units_hold else frozenset()
+    sweep = [a for a in sorted_cells if a not in skip]
+    for a in sweep:
         for b in cells_from(cells[a][1]):
+            if b in skip:
+                continue
             for c in cells_from(cells[b][1]):
+                if c in skip:
+                    continue
                 lhs = vcomp[(c, vcomp[(b, a)])]
                 rhs = vcomp[(vcomp[(c, b)], a)]
                 if lhs != rhs:
@@ -412,28 +436,37 @@ def validate_bicategory(bic: Bicategory) -> ValidationReport:
     if any("whisk" in v.axiom for v in out):
         return ValidationReport(tuple(out))
 
+    # W2 / H1: whiskered identities are identities; computed first, since
+    # the identity-input skip below needs it, and reported after W1
+    w2_out: list[Violation] = []
+    for g, f in bic.composable_arrow_pairs():
+        gf = hcomp1[(g, f)]
+        if lwhisk[(g, idc[f])] != idc[gf]:
+            w2_out.append(Violation("W2", (g, f), left=lwhisk[(g, idc[f])], right=idc[gf]))
+        if rwhisk[(idc[g], f)] != idc[gf]:
+            w2_out.append(Violation("W2", (g, f), left=rwhisk[(idc[g], f)], right=idc[gf]))
+    if w2_out:
+        skip, sweep = frozenset(), sorted_cells
+
     # W1: both whisker orders of a horizontal composite agree
-    for a in sorted_cells:
+    for a in sweep:
         f1, f2 = cells[a]
         for b in out_cells(arrows[f1][1]):
+            if b in skip:
+                continue
             g1, g2 = cells[b]
             lhs = vcomp[(lwhisk[(g2, a)], rwhisk[(b, f1)])]
             rhs = vcomp[(rwhisk[(b, f2)], lwhisk[(g1, a)])]
             if lhs != rhs:
                 add(Violation("W1", (b, a), left=lhs, right=rhs))
-
-    # W2 / H1: whiskered identities are identities
-    for g, f in bic.composable_arrow_pairs():
-        gf = hcomp1[(g, f)]
-        if lwhisk[(g, idc[f])] != idc[gf]:
-            add(Violation("W2", (g, f), left=lwhisk[(g, idc[f])], right=idc[gf]))
-        if rwhisk[(idc[g], f)] != idc[gf]:
-            add(Violation("W2", (g, f), left=rwhisk[(idc[g], f)], right=idc[gf]))
+    out += w2_out
 
     # W3: whiskering is functorial in the cell
-    for a in sorted_cells:
+    for a in sweep:
         x, y = arrows[cells[a][0]]
         for b in cells_from(cells[a][1]):
+            if b in skip:
+                continue
             ba = vcomp[(b, a)]
             for g in out_arrows(y):
                 lhs = vcomp[(lwhisk[(g, b)], lwhisk[(g, a)])]
@@ -488,7 +521,7 @@ def validate_bicategory(bic: Bicategory) -> ValidationReport:
     if any(v.axiom.startswith("unitor") for v in out):
         return ValidationReport(tuple(out))
     lunitor, runitor = bic.lunitor, bic.runitor
-    for a in sorted_cells:
+    for a in sweep:
         f, g = cells[a]
         x, y = arrows[f]
         lhs = vcomp[(lunitor[g], rwhisk[(a, id1[x])])]
@@ -514,7 +547,7 @@ def validate_bicategory(bic: Bicategory) -> ValidationReport:
     if any(v.axiom.startswith("assoc") for v in out):
         return ValidationReport(tuple(out))
 
-    for a in sorted_cells:
+    for a in sweep:
         f1, f2 = cells[a]
         for g in out_arrows(arrows[f1][1]):
             for h in out_arrows(arrows[g][1]):
@@ -522,7 +555,7 @@ def validate_bicategory(bic: Bicategory) -> ValidationReport:
                 rhs = vcomp[(lwhisk[(hcomp1[(h, g)], a)], assoc[(h, g, f1)])]
                 if lhs != rhs:
                     add(Violation("Ntheta1", (h, g, a), left=lhs, right=rhs))
-    for b in sorted_cells:
+    for b in sweep:
         g1, g2 = cells[b]
         x, y = arrows[g1]
         for f in in_arrows(x):
@@ -531,7 +564,7 @@ def validate_bicategory(bic: Bicategory) -> ValidationReport:
                 rhs = vcomp[(rwhisk[(lwhisk[(h, b)], f)], assoc[(h, g1, f)])]
                 if lhs != rhs:
                     add(Violation("Ntheta2", (h, b, f), left=lhs, right=rhs))
-    for c in sorted_cells:
+    for c in sweep:
         h1, h2 = cells[c]
         for g in in_arrows(arrows[h1][0]):
             for f in in_arrows(arrows[g][0]):
@@ -557,7 +590,7 @@ def validate_bicategory(bic: Bicategory) -> ValidationReport:
                 strict_out.append(Violation("strict-assoc-cell", (h, g, f)))
 
     # pentagon and triangle; on a strict table they can fail only beside a premise
-    if not bic.strict or strict_out or any(v.axiom == "vcomp-unit" for v in out):
+    if not bic.strict or strict_out or not units_hold:
         for k in sorted_arrows:
             for h in in_arrows(arrows[k][0]):
                 kh = hcomp1[(k, h)]
@@ -881,6 +914,18 @@ class TransformationData:
 
 
 def validate_transformation(tr: TransformationData) -> ValidationReport:
+    """Check the components' typing and invertibility, then PN0, PN1 and PN2,
+    for functors that pass ``validate_pseudofunctor`` into a target that
+    passes ``validate_bicategory``.
+
+    Between 2-functors the PN0 loop runs only beside a PN1 violation, so the
+    report is the same as if it always ran.  There xi is an identity, so by
+    W2 and ``vcomp-unit`` PN0 at x says that theta_(id_x) is the identity
+    cell of the arrow theta_x.  In the
+    strict target, whiskering by an identity arrow is the identity (Nlambda
+    and Nrho with identity unitors), and phi is an identity, so PN1 on
+    (id_x, id_x) says theta_(id_x) . theta_(id_x) = theta_(id_x); an
+    invertible idempotent is the identity."""
     out: list[Violation] = []
     add = out.append
     f_, g_ = tr.fun_from, tr.fun_to
@@ -905,15 +950,8 @@ def validate_transformation(tr: TransformationData) -> ValidationReport:
     if out:
         return ValidationReport(tuple(out))
 
-    # PN0: unit compatibility
-    for x in c.objects:
-        tx = tr.comp_obj[x]
-        lhs = d.whisker_l(tx, f_.xi[x])
-        rhs = d.vertical(tr.comp_arr[c.id1[x]], d.whisker_r(g_.xi[x], tx))
-        if lhs != rhs:
-            add(Violation("PN0", (x,), left=lhs, right=rhs))
-
-    # PN1: composition compatibility
+    # PN1: composition compatibility; computed first, since PN0 needs it
+    pn1_out: list[Violation] = []
     for g, f in c.composable_arrow_pairs():
         x = c.arrow_src(f)
         z = c.arrow_dst(g)
@@ -932,7 +970,17 @@ def validate_transformation(tr: TransformationData) -> ValidationReport:
             ]
         )
         if lhs != rhs:
-            add(Violation("PN1", (g, f), left=lhs, right=rhs))
+            pn1_out.append(Violation("PN1", (g, f), left=lhs, right=rhs))
+
+    # PN0: unit compatibility; between 2-functors PN1 implies it (docstring)
+    if pn1_out or not (f_.is_2functor and g_.is_2functor):
+        for x in c.objects:
+            tx = tr.comp_obj[x]
+            lhs = d.whisker_l(tx, f_.xi[x])
+            rhs = d.vertical(tr.comp_arr[c.id1[x]], d.whisker_r(g_.xi[x], tx))
+            if lhs != rhs:
+                add(Violation("PN0", (x,), left=lhs, right=rhs))
+    out += pn1_out
 
     # PN2: naturality in cells
     for a, (f, g) in sorted(c.cells.items()):

@@ -281,9 +281,10 @@ def replay_certificate(
 ) -> tuple[bool, list[str]]:
     """Re-check every recorded derivation of a certificate against the loaded
     bicategory, which must pass ``validate_bicategory``, and a probe set,
-    freshly enumerated unless supplied.  The certificate must list exactly
-    that probe set, keep the passing 3-for-2 section and the projection's
-    functoriality section that the table re-derives, and hold one
+    freshly enumerated unless supplied.  The certificate must list the
+    marked arrows sorted and each once, as ``localize`` writes them, and
+    exactly that probe set, keep the passing 3-for-2 section and the
+    projection's functoriality section that the table re-derives, and hold one
     decomposition, no longer than ``max_len``, and one equivalence for each
     marked arrow, each side running from ``q * arrow`` or ``arrow * q`` to an
     identity, inverted by its stored inverse, with the stored cancellation
@@ -310,7 +311,7 @@ def replay_certificate(
             return False, [f"field {field!r} is below 1"]
     budget, max_len = cert_json["budget"], cert_json["max_len"]
     problems: list[str] = []
-    if set(cert_json["sigma"]) != set(sigma.members):
+    if cert_json["sigma"] != list(sigma.sorted_members()):
         problems.append("marked class does not match the certificate")
     if check_three_for_two(sigma) is not None:
         problems.append("3-for-2 no longer holds")

@@ -251,6 +251,15 @@ def split_z2_cert():
             lambda cert: cert["i_functoriality"].update(ok=1),
             ["field 'i_functoriality.ok' has the wrong type"],
         ),
+        # the same marked set, listed as localize never writes it
+        (
+            lambda cert: cert["sigma"].insert(1, cert["sigma"][1]),
+            ["marked class does not match the certificate"],
+        ),
+        (
+            lambda cert: cert["sigma"].reverse(),
+            ["marked class does not match the certificate"],
+        ),
     ],
     ids=[
         "inverse-swapped",
@@ -271,6 +280,8 @@ def split_z2_cert():
         "three-for-two-failed",
         "i-functoriality-changed",
         "i-functoriality-ok-int",
+        "sigma-repeated",
+        "sigma-unsorted",
     ],
 )
 def test_replay_names_each_tamper(split_z2_cert, tamper, problems):
@@ -288,14 +299,18 @@ def test_replay_names_each_tamper(split_z2_cert, tamper, problems):
 def reference_problems(problems: list[str]) -> list[str]:
     """The problems the reference replay reports too: it predates the check
     that each side runs from ``q * arrow`` or ``arrow * q`` to an identity,
-    the comparison of the stored cancellation sections, and the reads of
-    ``max_len``, ``three_for_two`` and ``i_functoriality``."""
+    the comparison of the stored cancellation sections, the reads of
+    ``max_len``, ``three_for_two`` and ``i_functoriality``, and the check
+    that ``sigma`` lists the marked arrows sorted and each once (it compares
+    sets, so where the sets differ both report the marked class, and a
+    comparison that can see a changed set filters both sides)."""
     newer = (
         ": hocell is not ",
         " re-derived verdict",
         "max_len",
         "'three_for_two'",
         "'i_functoriality'",
+        "marked class does not match the certificate",
     )
     return [p for p in problems if not any(line in p for line in newer)]
 
@@ -364,10 +379,14 @@ def test_single_edit_mutants_replay_as_the_reference(table, split_z2_cert):
     for bad in _single_edits(cert, names, random.Random(f"{table}:edits"), 250):
         ok, problems = replay_certificate(sigma, bad, probes)
         assert ok == (not problems)
-        assert reference_problems(problems) == ref.replay_certificate(sigma, bad, probes)[1]
+        want = ref.replay_certificate(sigma, bad, probes)[1]
+        assert reference_problems(problems) == reference_problems(want)
+        marked = bad["sigma"] == list(sigma.sorted_members())
+        assert ("marked class does not match the certificate" in problems) != marked
         outcomes[ok] += 1
+        outcomes["sigma edits"] += not marked
         outcomes["separates"] += any("separates" in p for p in problems)
-    assert outcomes[True] > 0 and outcomes[False] > 0
+    assert outcomes[True] > 0 and outcomes[False] > 0 and outcomes["sigma edits"] > 0
     if table == ("chaotic_z2", 2):
         assert outcomes["separates"] > 0
 

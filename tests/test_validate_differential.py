@@ -6,7 +6,11 @@ on the bundled fixtures, on the acceptance-1 mutation stream and on the
 benchmark's generated families, clean and with every mutation kind.  The
 reference runs every sweep; the validator skips H2, and on strict tables the
 pentagon and triangle, where they cannot fire, so the last tests give each
-premise of those skips a table where it alone fails.
+premise of those skips a table where it alone fails.  It also checks
+vertical associativity, W1, W3 and the unitor and associator naturality
+squares only on instances with no identity input while ``vcomp-unit`` and
+W2 hold, so further tests break each of those two laws and compare the
+reports, whose violations then include instances with identity inputs.
 """
 import ast
 import itertools
@@ -76,6 +80,7 @@ def test_generated_families_match_reference(family):
             rep = assert_same_report(mutant)
             assert m.expected in rep.axioms(), (mutant.name, m.expected)
             assert_same_enumeration(mutant)
+            assert_same_report(rebuild(mutant, strict=False))
 
 
 @pytest.mark.parametrize("family", ("chain_z2", "chaotic_z2"))
@@ -359,3 +364,102 @@ def test_interchange_runs_beside_a_vcomp_assoc_violation(hcomp2_calls):
     rep = assert_same_report(moved(grpd, "vcomp", ("id_id_P", "id_id_P"), "g"))
     assert {"vcomp-assoc", "H2"} <= rep.axioms()
     assert hcomp2_calls
+
+
+# -- instances with identity inputs -------------------------------------------
+
+
+def whisker_unit_broken(bic):
+    """The whisker g * id_f of the first composable pair moved to the other
+    cell of g*f: W2 fails once, and W3 on instances with identity inputs."""
+    g, f = bic.composable_arrow_pairs()[0]
+    gf = bic.hcomp1[(g, f)]
+    other = next(c for c in bic.cells_between(gf, gf) if c != bic.idc[gf])
+    return moved(bic, "lwhisk", (g, bic.idc[f]), other)
+
+
+def vcomp_unit_broken(bic):
+    """z . id_f, for the first non-identity cell z on f, moved to id_f:
+    ``vcomp-unit`` fails once, and vertical associativity, W1 and W3 on
+    instances with identity inputs."""
+    z = next(a for a in sorted(bic.cells) if not bic.is_identity_cell(a))
+    f = bic.cell_src(z)
+    return moved(bic, "vcomp", (z, bic.idc[f]), bic.idc[f])
+
+
+def both_units_broken(bic):
+    """Both of the above: W1 and W2 fire together, in their order."""
+    return vcomp_unit_broken(whisker_unit_broken(bic))
+
+
+def identity_input_tables():
+    for family, n in itertools.product(("chain_z2", "chaotic_z2"), (2, 3, 4)):
+        yield f"{family}({n})", generated(family, n, 1)
+    yield "grpd", load_fixture_bicategory("grpd")
+
+
+@pytest.mark.parametrize("strict", [True, False], ids=["strict", "non-strict"])
+@pytest.mark.parametrize("broken, tags", [
+    (whisker_unit_broken, {"W2", "W3"}),
+    (vcomp_unit_broken, {"vcomp-unit", "vcomp-assoc", "W1"}),
+    (both_units_broken, {"vcomp-unit", "vcomp-assoc", "W1", "W2"}),
+])
+def test_identity_inputs_are_checked_beside_a_unit_law_violation(broken, tags, strict):
+    """With ``vcomp-unit`` or W2 broken, every instance is checked again:
+    the reports equal the reference's, and the named axioms fire on
+    instances with an identity cell among their inputs."""
+    for label, bic in identity_input_tables():
+        if not strict:
+            bic = rebuild(bic, strict=False)
+        mutant = broken(bic)
+        rep = assert_same_report(mutant)
+        with_identity = {
+            v.axiom for v in rep.violations if any(map(mutant.is_identity_cell, v.witness))
+        }
+        assert tags - {"W2", "vcomp-unit"} <= with_identity, (label, rep.axioms())
+        assert tags <= rep.axioms(), (label, rep.axioms())
+        if label != "grpd":  # one arrow, where no W3 instance fails
+            assert "W3" in with_identity, (label, rep.axioms())
+        order = [v.axiom for v in rep.violations if v.axiom in ("W1", "W2", "W3")]
+        assert order == sorted(order), (label, order)
+
+
+@pytest.fixture
+def index_calls(monkeypatch):
+    calls = Counter()
+    for name in ("cells_from", "out_cells"):
+        real = getattr(Bicategory, name)
+
+        def counted(self, key, name=name, real=real):
+            calls[name, key] += 1
+            return real(self, key)
+
+        monkeypatch.setattr(Bicategory, name, counted)
+    return calls
+
+
+def test_clean_benchmark_tables_sweep_only_non_identity_cells(index_calls):
+    """On the clean validate-tables shapes the equation sweeps look up the
+    cells after a cell (``cells_from``: vertical associativity, twice, and
+    W3) and the cells composable with it (``out_cells``: W1) only for
+    non-identity cells, so never on chain and chaotic, whose cells are all
+    identities."""
+    shapes = validate_tables_shapes()
+    assert len(shapes) == 15
+    for family, n in shapes:
+        bic = generated(family, n, 1)
+        want = Counter()
+        for a in sorted(bic.cells):
+            if bic.is_identity_cell(a):
+                continue
+            f1, f2 = bic.cells[a]
+            want["cells_from", f2] += 2
+            want["out_cells", bic.arrow_dst(f1)] += 1
+            for b in bic.cells_from(f2):
+                if not bic.is_identity_cell(b):
+                    want["cells_from", bic.cell_dst(b)] += 1
+        index_calls.clear()
+        if not family.endswith("_z2"):
+            assert not want
+        assert validate_bicategory(bic).ok
+        assert index_calls == want, (family, n)
