@@ -914,18 +914,6 @@ class TransformationData:
 
 
 def validate_transformation(tr: TransformationData) -> ValidationReport:
-    """Check the components' typing and invertibility, then PN0, PN1 and PN2,
-    for functors that pass ``validate_pseudofunctor`` into a target that
-    passes ``validate_bicategory``.
-
-    Between 2-functors the PN0 loop runs only beside a PN1 violation, so the
-    report is the same as if it always ran.  There xi is an identity, so by
-    W2 and ``vcomp-unit`` PN0 at x says that theta_(id_x) is the identity
-    cell of the arrow theta_x.  In the
-    strict target, whiskering by an identity arrow is the identity (Nlambda
-    and Nrho with identity unitors), and phi is an identity, so PN1 on
-    (id_x, id_x) says theta_(id_x) . theta_(id_x) = theta_(id_x); an
-    invertible idempotent is the identity."""
     out: list[Violation] = []
     add = out.append
     f_, g_ = tr.fun_from, tr.fun_to
@@ -950,8 +938,15 @@ def validate_transformation(tr: TransformationData) -> ValidationReport:
     if out:
         return ValidationReport(tuple(out))
 
-    # PN1: composition compatibility; computed first, since PN0 needs it
-    pn1_out: list[Violation] = []
+    # PN0: unit compatibility
+    for x in c.objects:
+        tx = tr.comp_obj[x]
+        lhs = d.whisker_l(tx, f_.xi[x])
+        rhs = d.vertical(tr.comp_arr[c.id1[x]], d.whisker_r(g_.xi[x], tx))
+        if lhs != rhs:
+            add(Violation("PN0", (x,), left=lhs, right=rhs))
+
+    # PN1: composition compatibility
     for g, f in c.composable_arrow_pairs():
         x = c.arrow_src(f)
         z = c.arrow_dst(g)
@@ -970,17 +965,7 @@ def validate_transformation(tr: TransformationData) -> ValidationReport:
             ]
         )
         if lhs != rhs:
-            pn1_out.append(Violation("PN1", (g, f), left=lhs, right=rhs))
-
-    # PN0: unit compatibility; between 2-functors PN1 implies it (docstring)
-    if pn1_out or not (f_.is_2functor and g_.is_2functor):
-        for x in c.objects:
-            tx = tr.comp_obj[x]
-            lhs = d.whisker_l(tx, f_.xi[x])
-            rhs = d.vertical(tr.comp_arr[c.id1[x]], d.whisker_r(g_.xi[x], tx))
-            if lhs != rhs:
-                add(Violation("PN0", (x,), left=lhs, right=rhs))
-    out += pn1_out
+            add(Violation("PN1", (g, f), left=lhs, right=rhs))
 
     # PN2: naturality in cells
     for a, (f, g) in sorted(c.cells.items()):

@@ -4,14 +4,12 @@ replaced, kept as the reference for the differential tests.
 ``reference_validate_bicategory`` is the old ``validate_bicategory`` copied
 verbatim, except that the composable pairs and triples come from the old
 double and triple scans below instead of from the ``Bicategory`` methods.
-``reference_validate_transformation`` is the old ``validate_transformation``
-copied verbatim, which ran the PN0 loop between 2-functors too.
 """
 from __future__ import annotations
 
 from typing import Iterator
 
-from bicatkit.core import Bicategory, TransformationData, ValidationReport, Violation
+from bicatkit.core import Bicategory, ValidationReport, Violation
 
 
 def composable_arrow_pairs(bic: Bicategory) -> Iterator[tuple[str, str]]:
@@ -334,74 +332,5 @@ def reference_validate_bicategory(bic: Bicategory) -> ValidationReport:
                 add(Violation("strict-assoc", (h, g, f)))
             elif bic.assoc[(h, g, f)] not in bic._identity_cells:
                 add(Violation("strict-assoc-cell", (h, g, f)))
-
-    return ValidationReport(tuple(out))
-
-
-def reference_validate_transformation(tr: TransformationData) -> ValidationReport:
-    out: list[Violation] = []
-    add = out.append
-    f_, g_ = tr.fun_from, tr.fun_to
-    c, d = f_.source, f_.target
-    if not (c.strict and d.strict):
-        return ValidationReport((Violation("strictness-required", (tr.name,)),))
-
-    for x in c.objects:
-        t = tr.comp_obj.get(x)
-        if t is None or t not in d.arrows or d.arrows[t] != (f_.obj_map[x], g_.obj_map[x]):
-            add(Violation("transf-obj-typing", (x,), left=str(t)))
-    if out:
-        return ValidationReport(tuple(out))
-    for f, (x, y) in sorted(c.arrows.items()):
-        t = tr.comp_arr.get(f)
-        src = d.hcomp1[(g_.arr_map[f], tr.comp_obj[x])]
-        dst = d.hcomp1[(tr.comp_obj[y], f_.arr_map[f])]
-        if t is None or t not in d.cells or d.cells[t] != (src, dst):
-            add(Violation("transf-arr-typing", (f,), left=str(t)))
-        elif not d.is_invertible(t):
-            add(Violation("transf-arr-invertible", (f,), left=t))
-    if out:
-        return ValidationReport(tuple(out))
-
-    # PN0: unit compatibility
-    for x in c.objects:
-        tx = tr.comp_obj[x]
-        lhs = d.whisker_l(tx, f_.xi[x])
-        rhs = d.vertical(tr.comp_arr[c.id1[x]], d.whisker_r(g_.xi[x], tx))
-        if lhs != rhs:
-            add(Violation("PN0", (x,), left=lhs, right=rhs))
-
-    # PN1: composition compatibility
-    for g, f in c.composable_arrow_pairs():
-        x = c.arrow_src(f)
-        z = c.arrow_dst(g)
-        tz = tr.comp_obj[z]
-        lhs = d.vertical_chain(
-            [
-                d.whisker_l(g_.arr_map[g], tr.comp_arr[f]),
-                d.whisker_r(tr.comp_arr[g], f_.arr_map[f]),
-                d.whisker_l(tz, f_.phi[(g, f)]),
-            ]
-        )
-        rhs = d.vertical_chain(
-            [
-                d.whisker_r(g_.phi[(g, f)], tr.comp_obj[x]),
-                tr.comp_arr[c.hcomp1[(g, f)]],
-            ]
-        )
-        if lhs != rhs:
-            add(Violation("PN1", (g, f), left=lhs, right=rhs))
-
-    # PN2: naturality in cells
-    for a, (f, g) in sorted(c.cells.items()):
-        x, y = c.arrows[f]
-        lhs = d.vertical(
-            tr.comp_arr[g], d.whisker_r(g_.cell_map[a], tr.comp_obj[x])
-        )
-        rhs = d.vertical(
-            d.whisker_l(tr.comp_obj[y], f_.cell_map[a]), tr.comp_arr[f]
-        )
-        if lhs != rhs:
-            add(Violation("PN2", (a,), left=lhs, right=rhs))
 
     return ValidationReport(tuple(out))

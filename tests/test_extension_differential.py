@@ -389,12 +389,12 @@ def admissible(fun, sigma):
     return all(is_quasiequivalence(fun.target, fun.arr_map[s]) for s in sigma.members)
 
 
-def drawn_transformation_data(sigma, draws, rng):
-    """Transformation data between admissible self-2-functors of sigma's
-    table: each object component uniform over its hom, and each arrow
-    component uniform over its cells, unless the arrow is the composite of
-    two other arrows drawn before it, whose components then give its own by
-    PN1.  Every draw, valid or not, without repeats."""
+def drawn_transformations(sigma, draws, rng):
+    """Transformations between admissible self-2-functors of sigma's table:
+    each object component uniform over its hom, and each arrow component
+    uniform over its cells, unless the arrow is the composite of two other
+    arrows drawn before it, whose components then give its own by PN1.  The
+    draws that pass ``validate_transformation``, without repeats."""
     bic = sigma.bic
     funs = [fun for fun in enumerate_2functors(bic, bic) if admissible(fun, sigma)]
     kept = {}
@@ -429,16 +429,10 @@ def drawn_transformation_data(sigma, draws, rng):
             comp_arr[f] = rng.choice(cells)
         else:
             key = (f_.name, g_.name, tuple(comp_obj.items()), tuple(sorted(comp_arr.items())))
-            if key not in kept:
-                kept[key] = TransformationData(f"t{len(kept)}", f_, g_, comp_obj, comp_arr)
+            theta = TransformationData(f"t{len(kept)}", f_, g_, comp_obj, comp_arr)
+            if key not in kept and validate_transformation(theta).ok:
+                kept[key] = theta
     return list(kept.values())
-
-
-def drawn_transformations(sigma, draws, rng):
-    """The draws of ``drawn_transformation_data`` that pass
-    ``validate_transformation``."""
-    data = drawn_transformation_data(sigma, draws, rng)
-    return [theta for theta in data if validate_transformation(theta).ok]
 
 
 def drawn_modifications(transformations, draws, rng):
@@ -465,13 +459,6 @@ def two_cell_subjects():
     for seeded draws on chaotic_z2(2), chaotic_z2(3), chain_z2(3) and
     split_z2, where no marked arrow is a quasiequivalence."""
     yield from fixture_2cell_data()
-    for label, sigma, rng in drawn_2cell_tables():
-        transformations = drawn_transformations(sigma, 1000, rng)
-        yield label, sigma, transformations, drawn_modifications(transformations, 40, rng)
-
-
-def drawn_2cell_tables():
-    """(label, sigma, rng) for the seeded draws of ``two_cell_subjects``."""
     pres = load_presentation_with_sigma(split_z2_doc(), "split_z2")
     tables = {
         "chaotic_z2(2)": marked_table("chaotic_z2", 2),
@@ -480,7 +467,9 @@ def drawn_2cell_tables():
         "split_z2": make_sigma(pres.bicategory, pres.sigma_names),
     }
     for label, sigma in tables.items():
-        yield label, sigma, random.Random(f"2cell:{label}")
+        rng = random.Random(f"2cell:{label}")
+        transformations = drawn_transformations(sigma, 1000, rng)
+        yield label, sigma, transformations, drawn_modifications(transformations, 40, rng)
 
 
 def test_two_cell_extensions_match_reference(monkeypatch):

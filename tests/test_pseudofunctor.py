@@ -1,5 +1,3 @@
-from collections import Counter
-
 import pytest
 
 from bicatkit.core import (
@@ -17,13 +15,7 @@ from bicatkit.core import (
 from bench import families
 from bicatkit.presentation import load_presentation_with_sigma, load_pseudofunctor
 
-from tests.reference_validator import reference_validate_transformation
 from tests.tables import rebuild
-from tests.test_extension_differential import (
-    drawn_2cell_tables,
-    drawn_transformation_data,
-    fixture_2cell_data,
-)
 
 COLLAPSE_DOC = """
 map_obj:
@@ -333,24 +325,3 @@ def test_validate_modification_reports_each_tag(tag):
         # a0_1 * z_id_o0 = z_a0_1, while rho_o1 * a0_1 is the identity
         comp["o0"] = "z_id_o0"
     assert validate_modification(ModificationData("m", theta, theta, comp)).axioms() == {tag}
-
-
-def test_pn0_between_2functors_matches_the_ungated_loop():
-    """Between 2-functors the PN0 loop runs only beside a PN1 violation.  On
-    every draw of the transformation sweep of
-    ``tests/test_extension_differential.py`` (2,153 distinct draws, 216 of
-    them valid, beside the 3 valid fixture transformations), each report
-    equals the old validator's, which ran the PN0 loop always."""
-    subjects = [theta for _, _, thetas, _ in fixture_2cell_data() for theta in thetas]
-    for _, sigma, rng in drawn_2cell_tables():
-        subjects += drawn_transformation_data(sigma, 1000, rng)
-    seen = Counter()
-    for theta in subjects:
-        assert theta.fun_from.is_2functor and theta.fun_to.is_2functor, theta.name
-        rep = validate_transformation(theta)
-        assert rep == reference_validate_transformation(theta), theta.name
-        seen["ok" if rep.ok else tuple(sorted(rep.axioms()))] += 1
-    assert len(subjects) == 2156 and seen["ok"] == 219, seen
-    # PN0 fires, always beside PN1; PN1 fires alone; the loop is skipped
-    assert seen["PN0", "PN1"] > 100 and seen["PN1",] > 10 and seen["PN2",] > 100, seen
-    assert not any("PN0" in tags and "PN1" not in tags for tags in seen if tags != "ok"), seen
