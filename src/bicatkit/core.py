@@ -3,9 +3,10 @@
 Everything is a lookup table over string ids: objects, arrows (with a source
 and a target object), 2-cells (between parallel arrows), vertical composition,
 whiskering by arrows, unitors and associators.  Construction builds an
-incidence index (arrows by endpoint, cells by 1-cell and by the endpoints of
-their 1-cells, composable pairs and triples), and every axiom check loops over
-the index, so each axiom visits exactly its witnesses.
+incidence index (arrows and cells in id order, arrows by endpoint, cells by
+1-cell and by the endpoints of their 1-cells, composable pairs), and every
+axiom check loops over the index, so each axiom visits exactly its
+witnesses; composable triples are walked from the pairs, not stored.
 
 Conventions.  Composition is written right-to-left: ``hcomp1[(g, f)]`` is the
 composite "g after f" and needs dst(f) == src(g); ``vcomp[(b, a)]`` is "b after
@@ -107,8 +108,8 @@ class Bicategory:
         # under their endpoint ids as given and cells under their 1-cell ids;
         # a cell whose 1-cell is unknown has no objects to be filed under, so
         # it stays out of the by-object lists and validation reports it.
-        sorted_arrows = sorted(self.arrows)
-        sorted_cells = sorted(self.cells)
+        self._sorted_arrows = sorted_arrows = tuple(sorted(self.arrows))
+        self._sorted_cells = sorted_cells = tuple(sorted(self.cells))
         self._arrows_between = _group(sorted_arrows, self.arrows.get)
         self._out_arrows = _group(sorted_arrows, lambda f: self.arrows[f][0])
         self._in_arrows = _group(sorted_arrows, lambda f: self.arrows[f][1])
@@ -120,9 +121,6 @@ class Bicategory:
         self._in_cells = _group(typed_cells, lambda a: self.arrows[self.cells[a][0]][1])
         self._pairs = tuple(
             (g, f) for g in sorted_arrows for f in self.in_arrows(self.arrows[g][0])
-        )
-        self._triples = tuple(
-            (h, g, f) for h, g in self._pairs for f in self.in_arrows(self.arrows[g][0])
         )
         self._inv_cache: dict[str, str | None] = {}
         self._qe_cache: dict[str, dict[tuple[str, str, str], str] | None] = {}
@@ -277,7 +275,9 @@ class Bicategory:
 
     def composable_arrow_triples(self) -> tuple[tuple[str, str, str], ...]:
         """Every (h, g, f) with h after g after f, in id order."""
-        return self._triples
+        return tuple(
+            (h, g, f) for h, g in self._pairs for f in self.in_arrows(self.arrows[g][0])
+        )
 
 
 def _group(ids: Iterable[_T], key: Callable[[_T], Hashable]) -> dict[Hashable, tuple[_T, ...]]:
@@ -286,6 +286,11 @@ def _group(ids: Iterable[_T], key: Callable[[_T], Hashable]) -> dict[Hashable, t
     for i in ids:
         groups.setdefault(key(i), []).append(i)
     return {k: tuple(v) for k, v in groups.items()}
+
+
+def _in_key_order(found: dict) -> list[Violation]:
+    """The violations filed under their table keys, in key order."""
+    return [found[key] for key in sorted(found)]
 
 
 def validate_bicategory(bic: Bicategory) -> ValidationReport:
@@ -312,6 +317,18 @@ def validate_bicategory(bic: Bicategory) -> ValidationReport:
       Nlambda (id_f)         lam_f.(id_f id_x) = lam_f = id_f.lam_f; Nrho alike
       Ntheta1 (h, g, id_f)   theta.(h (g id_f)) = theta = ((hg) id_f).theta;
                              Ntheta2 and Ntheta3 alike
+
+    One walk of the composable triples checks the associators and, on a
+    ``strict`` table, ``strict-assoc`` and ``strict-assoc-cell``.  A triple
+    with h(gf) = (hg)f = s and theta = id_s passes all five while no
+    ``vcomp-unit`` violation exists, and the walk skips it: idc typing makes
+    id_s a cell s => s, and ``vcomp-unit`` makes id_s . id_s = id_s, so id_s
+    is its own inverse.  The test is theta == id_s, not "theta is an
+    identity cell": the identity of another arrow is mistyped.
+
+    The typing checks of hcomp1, vcomp, lwhisk and rwhisk walk each table in
+    storage order and file at most one violation per key; the violations are
+    reported in key order, so only they are sorted.
     """
     out: list[Violation] = []
     add = out.append
@@ -321,11 +338,11 @@ def validate_bicategory(bic: Bicategory) -> ValidationReport:
     assoc, idc, id1 = bic.assoc, bic.idc, bic.id1
     out_arrows, in_arrows = bic.out_arrows, bic.in_arrows
     cells_from, out_cells = bic.cells_from, bic.out_cells
-    sorted_arrows = sorted(arrows)
-    sorted_cells = sorted(cells)
+    sorted_arrows, sorted_cells = bic._sorted_arrows, bic._sorted_cells
 
     # reference integrity and identity pointers
-    for f, (x, y) in sorted(arrows.items()):
+    for f in sorted_arrows:
+        x, y = arrows[f]
         if x not in bic.objects or y not in bic.objects:
             add(Violation("arrow-typing", (f, x, y)))
     for x in bic.objects:
@@ -334,7 +351,8 @@ def validate_bicategory(bic: Bicategory) -> ValidationReport:
             add(Violation("id1-missing", (x,)))
         elif arrows[i] != (x, x):
             add(Violation("id1-typing", (x, i)))
-    for a, (f, g) in sorted(cells.items()):
+    for a in sorted_cells:
+        f, g = cells[a]
         if f not in arrows or g not in arrows:
             add(Violation("cell-typing", (a, f, g)))
         elif arrows[f] != arrows[g]:
@@ -349,15 +367,17 @@ def validate_bicategory(bic: Bicategory) -> ValidationReport:
         # tables below would only cascade noise on broken references
         return ValidationReport(tuple(out))
 
-    # hcomp1: defined iff composable, total, boundary-correct
-    for (g, f), h in sorted(hcomp1.items()):
+    # hcomp1: defined iff composable, total, boundary-correct; each typing
+    # loop files at most one violation per key and reports them in key order
+    bad: dict = {}
+    for (g, f), h in hcomp1.items():
         if g not in arrows or f not in arrows or h not in arrows:
-            add(Violation("hcomp1-ref", (g, f, str(h))))
-            continue
-        if not bic.composable1(g, f):
-            add(Violation("hcomp1-typing", (g, f), left="not composable"))
+            bad[g, f] = Violation("hcomp1-ref", (g, f, str(h)))
+        elif not bic.composable1(g, f):
+            bad[g, f] = Violation("hcomp1-typing", (g, f), left="not composable")
         elif arrows[h] != (arrows[f][0], arrows[g][1]):
-            add(Violation("hcomp1-typing", (g, f), left=h))
+            bad[g, f] = Violation("hcomp1-typing", (g, f), left=h)
+    out += _in_key_order(bad)
     for g, f in bic.composable_arrow_pairs():
         if (g, f) not in hcomp1:
             add(Violation("hcomp1-totality", (g, f)))
@@ -365,14 +385,15 @@ def validate_bicategory(bic: Bicategory) -> ValidationReport:
         return ValidationReport(tuple(out))
 
     # vcomp: category structure on every hom
-    for (b, a), c in sorted(vcomp.items()):
+    bad = {}
+    for (b, a), c in vcomp.items():
         if b not in cells or a not in cells or c not in cells:
-            add(Violation("vcomp-ref", (b, a, str(c))))
-            continue
-        if cells[a][1] != cells[b][0]:
-            add(Violation("vcomp-typing", (b, a), left="not composable"))
+            bad[b, a] = Violation("vcomp-ref", (b, a, str(c)))
+        elif cells[a][1] != cells[b][0]:
+            bad[b, a] = Violation("vcomp-typing", (b, a), left="not composable")
         elif cells[c] != (cells[a][0], cells[b][1]):
-            add(Violation("vcomp-typing", (b, a), left=c))
+            bad[b, a] = Violation("vcomp-typing", (b, a), left=c)
+    out += _in_key_order(bad)
     for b in sorted_cells:
         for a in bic.cells_to(cells[b][0]):
             if (b, a) not in vcomp:
@@ -403,32 +424,36 @@ def validate_bicategory(bic: Bicategory) -> ValidationReport:
                     add(Violation("vcomp-assoc", (c, b, a), left=lhs, right=rhs))
 
     # whisker tables: typing and totality
-    for (g, a), c in sorted(lwhisk.items()):
+    bad = {}
+    for (g, a), c in lwhisk.items():
         if g not in arrows or a not in cells or c not in cells:
-            add(Violation("lwhisk-ref", (g, a, str(c))))
+            bad[g, a] = Violation("lwhisk-ref", (g, a, str(c)))
             continue
         f1, f2 = cells[a]
         if arrows[f1][1] != arrows[g][0]:
-            add(Violation("lwhisk-typing", (g, a), left="not composable"))
+            bad[g, a] = Violation("lwhisk-typing", (g, a), left="not composable")
             continue
         want = (hcomp1.get((g, f1)), hcomp1.get((g, f2)))
         if None in want or cells[c] != want:
-            add(Violation("lwhisk-typing", (g, a), left=c))
+            bad[g, a] = Violation("lwhisk-typing", (g, a), left=c)
+    out += _in_key_order(bad)
     for g in sorted_arrows:
         for a in bic.in_cells(arrows[g][0]):
             if (g, a) not in lwhisk:
                 add(Violation("lwhisk-totality", (g, a)))
-    for (a, f), c in sorted(rwhisk.items()):
+    bad = {}
+    for (a, f), c in rwhisk.items():
         if f not in arrows or a not in cells or c not in cells:
-            add(Violation("rwhisk-ref", (a, f, str(c))))
+            bad[a, f] = Violation("rwhisk-ref", (a, f, str(c)))
             continue
         g1, g2 = cells[a]
         if arrows[f][1] != arrows[g1][0]:
-            add(Violation("rwhisk-typing", (a, f), left="not composable"))
+            bad[a, f] = Violation("rwhisk-typing", (a, f), left="not composable")
             continue
         want = (hcomp1.get((g1, f)), hcomp1.get((g2, f)))
         if None in want or cells[c] != want:
-            add(Violation("rwhisk-typing", (a, f), left=c))
+            bad[a, f] = Violation("rwhisk-typing", (a, f), left=c)
+    out += _in_key_order(bad)
     for a in sorted_cells:
         for f in in_arrows(arrows[cells[a][0]][0]):
             if (a, f) not in rwhisk:
@@ -533,17 +558,30 @@ def validate_bicategory(bic: Bicategory) -> ValidationReport:
         if lhs != rhs:
             add(Violation("Nrho", (a,), left=lhs, right=rhs))
 
-    # associator: typing, invertibility, naturality, pentagon, triangle
-    for h, g, f in bic.composable_arrow_triples():
-        th = assoc.get((h, g, f))
-        src = hcomp1[(h, hcomp1[(g, f)])]
-        dst = hcomp1[(hcomp1[(h, g)], f)]
-        if th is None or th not in cells:
-            add(Violation("assoc-missing", (h, g, f)))
-        elif cells[th] != (src, dst):
-            add(Violation("assoc-typing", (h, g, f), left=th))
-        elif not bic.is_invertible(th):
-            add(Violation("assoc-invertible", (h, g, f), left=th))
+    # associator: typing, invertibility, naturality, pentagon, triangle; one
+    # walk of the triples also files strict-assoc and strict-assoc-cell
+    strict, identity_cells = bic.strict, bic._identity_cells
+    strict_assoc_out: list[Violation] = []
+    for h, g in bic.composable_arrow_pairs():
+        hg = hcomp1[(h, g)]
+        for f in in_arrows(arrows[g][0]):
+            th = assoc.get((h, g, f))
+            src = hcomp1[(h, hcomp1[(g, f)])]
+            dst = hcomp1[(hg, f)]
+            if units_hold and src == dst and th == idc[src]:
+                continue
+            if th is None or th not in cells:
+                add(Violation("assoc-missing", (h, g, f)))
+            elif cells[th] != (src, dst):
+                add(Violation("assoc-typing", (h, g, f), left=th))
+            elif not bic.is_invertible(th):
+                add(Violation("assoc-invertible", (h, g, f), left=th))
+            if not strict:
+                continue
+            if src != dst:
+                strict_assoc_out.append(Violation("strict-assoc", (h, g, f)))
+            elif th not in identity_cells:
+                strict_assoc_out.append(Violation("strict-assoc-cell", (h, g, f)))
     if any(v.axiom.startswith("assoc") for v in out):
         return ValidationReport(tuple(out))
 
@@ -576,21 +614,17 @@ def validate_bicategory(bic: Bicategory) -> ValidationReport:
 
     # strictness, when claimed; reported after the triangle
     strict_out: list[Violation] = []
-    if bic.strict:
+    if strict:
         for f in sorted_arrows:
             x, y = arrows[f]
             if hcomp1[(f, id1[x])] != f or hcomp1[(id1[y], f)] != f:
                 strict_out.append(Violation("strict-unital", (f,)))
             if lunitor[f] != idc[f] or runitor[f] != idc[f]:
                 strict_out.append(Violation("strict-unitors", (f,)))
-        for h, g, f in bic.composable_arrow_triples():
-            if hcomp1[(h, hcomp1[(g, f)])] != hcomp1[(hcomp1[(h, g)], f)]:
-                strict_out.append(Violation("strict-assoc", (h, g, f)))
-            elif assoc[(h, g, f)] not in bic._identity_cells:
-                strict_out.append(Violation("strict-assoc-cell", (h, g, f)))
+        strict_out += strict_assoc_out
 
     # pentagon and triangle; on a strict table they can fail only beside a premise
-    if not bic.strict or strict_out or not units_hold:
+    if not strict or strict_out or not units_hold:
         for k in sorted_arrows:
             for h in in_arrows(arrows[k][0]):
                 kh = hcomp1[(k, h)]

@@ -11,6 +11,11 @@ vertical associativity, W1, W3 and the unitor and associator naturality
 squares only on instances with no identity input while ``vcomp-unit`` and
 W2 hold, so further tests break each of those two laws and compare the
 reports, whose violations then include instances with identity inputs.
+Its one walk of the composable triples passes a triple whose associator is
+the identity of both composites while ``vcomp-unit`` holds, so the last
+tests move associators off that identity, with and without the unit law,
+and insert the composition tables in other orders, since the typing loops
+sort only the violations they report.
 """
 import ast
 import itertools
@@ -23,7 +28,7 @@ from pathlib import Path
 import pytest
 
 from bench import families
-from bicatkit.core import Bicategory, validate_bicategory
+from bicatkit.core import Bicategory, Violation, validate_bicategory
 from bicatkit.library import BICATEGORIES, load_fixture_bicategory
 from bicatkit.presentation import load_presentation_with_sigma
 
@@ -33,7 +38,7 @@ from tests.reference_validator import (
     reference_validate_bicategory,
 )
 from tests.test_acceptance import _mutations
-from tests.tables import rebuild
+from tests.tables import UNITOR_DOC, rebuild
 
 # generated sizes kept small: the reference validator is quartic
 SIZES = {"chain": (3, 4, 8), "chain_z2": (4, 7), "chaotic": (2, 3, 5), "chaotic_z2": (2, 3, 5)}
@@ -463,3 +468,185 @@ def test_clean_benchmark_tables_sweep_only_non_identity_cells(index_calls):
             assert not want
         assert validate_bicategory(bic).ok
         assert index_calls == want, (family, n)
+
+
+# -- one walk of the composable triples ---------------------------------------
+
+# Z/2 x {1, e} with e idempotent: element (s, t) is z^s e^t
+MONOID = [(s, t) for s in (0, 1) for t in (0, 1)]
+ONE, Z, E = (0, 0), (1, 0), (0, 1)
+
+
+def chaotic_monoid(n, unit):
+    """chaotic(n), one arrow aij : Xi -> Xj for each pair of objects with aii
+    the identity, where every hom is the commutative monoid Z/2 x {1, e}:
+    c_f_st is z^s e^t on f, vcomp multiplies, whiskering keeps the element.
+    idc, the unitors and the associators all name the element ``unit``.
+    With ONE this is a valid strict table.  With Z, not a unit, only
+    ``vcomp-unit``, pentagon and triangle fail, so the associator walk runs
+    without its fast path.  An e cell is invertible under neither."""
+    objects = [f"X{i}" for i in range(n)]
+    arrows = {f"a{i}{j}": (objects[i], objects[j]) for i in range(n) for j in range(n)}
+    pairs = [(g, f) for g in arrows for f in arrows if f[2] == g[1]]
+
+    def comp(g, f):
+        return f"a{f[1]}{g[2]}"
+
+    def cell(f, m):
+        return f"c_{f}_{m[0]}{m[1]}"
+
+    def mul(k, m):
+        return ((k[0] + m[0]) % 2, k[1] | m[1])
+
+    return Bicategory(
+        name=f"chaotic_monoid({n}, {unit})",
+        objects=objects,
+        arrows=arrows,
+        id1={x: f"a{i}{i}" for i, x in enumerate(objects)},
+        hcomp1={(g, f): comp(g, f) for g, f in pairs},
+        cells={cell(f, m): (f, f) for f in arrows for m in MONOID},
+        idc={f: cell(f, unit) for f in arrows},
+        vcomp={(cell(f, k), cell(f, m)): cell(f, mul(k, m)) for f in arrows for k in MONOID for m in MONOID},
+        lwhisk={(g, cell(f, m)): cell(comp(g, f), m) for g, f in pairs for m in MONOID},
+        rwhisk={(cell(g, m), f): cell(comp(g, f), m) for g, f in pairs for m in MONOID},
+        lunitor={f: cell(f, unit) for f in arrows},
+        runitor={f: cell(f, unit) for f in arrows},
+        assoc={(h, g, f): cell(comp(h, comp(g, f)), unit) for h, g in pairs for f in arrows if f[2] == g[1]},
+        strict=True,
+    )
+
+
+def associators_set(bic, entry):
+    """bic with the associators of its first, middle and last composable
+    triples set to entry(bic, composite), or deleted where that is None."""
+    triples = bic.composable_arrow_triples()
+    assoc = dict(bic.assoc)
+    for t in (triples[0], triples[len(triples) // 2], triples[-1]):
+        h, g, f = t
+        cell = entry(bic, bic.hcomp1[(h, bic.hcomp1[(g, f)])])
+        if cell is None:
+            del assoc[t]
+        else:
+            assoc[t] = cell
+    return rebuild(bic, assoc=assoc)
+
+
+def another_arrows_identity(bic, s):
+    return bic.idc[next(f for f in sorted(bic.arrows) if f != s)]
+
+
+def element(m):
+    return lambda bic, s: f"c_{s}_{m[0]}{m[1]}"
+
+
+@pytest.mark.parametrize("strict", [True, False], ids=["strict", "non-strict"])
+@pytest.mark.parametrize("unit", [ONE, Z], ids=["units-hold", "vcomp-unit-broken"])
+@pytest.mark.parametrize("entry, tag", [
+    (lambda bic, s: None, "assoc-missing"),
+    (another_arrows_identity, "assoc-typing"),
+    (element(E), "assoc-invertible"),
+    (None, "strict-assoc-cell"),
+])
+def test_associator_walk_slow_path_matches_reference(entry, tag, unit, strict):
+    """Associators of triples whose two composites agree, each moved off the
+    identity of that composite: deleted, the identity of another arrow (an
+    identity cell, but mistyped), an e cell (not invertible), or the other
+    unit-like cell, invertible but no identity cell (strict-assoc-cell,
+    reported only on a strict table).  With ``vcomp-unit`` broken the walk
+    checks every triple."""
+    if entry is None:
+        entry = element(ONE if unit == Z else Z)
+    bic = chaotic_monoid(3, unit)
+    if not strict:
+        bic = rebuild(bic, strict=False)
+    assert assert_same_report(bic).ok == (unit == ONE)
+    rep = assert_same_report(associators_set(bic, entry))
+    if tag == "strict-assoc-cell" and not strict:
+        assert not {"assoc-missing", "assoc-typing", "assoc-invertible"} & rep.axioms()
+    else:
+        assert axiom_counts(rep)[tag] == 3, rep.axioms()
+    assert ("vcomp-unit" in rep.axioms()) == (unit == Z)
+
+
+@pytest.mark.parametrize("strict", [True, False], ids=["strict", "non-strict"])
+def test_identity_associator_is_checked_without_vcomp_units(strict):
+    """The fast path needs ``vcomp-unit``: with id . id = z on the one hom,
+    the associator id_id_X is its own composite's identity but has no
+    inverse, and the report says so."""
+    bic = load_presentation_with_sigma(UNITOR_DOC, name="unitor_z").bicategory
+    bic = moved(rebuild(bic, strict=strict), "vcomp", ("id_id_X", "id_id_X"), "z")
+    rep = assert_same_report(bic)
+    assert axiom_counts(rep)["assoc-invertible"] == 1
+    assert rep.violations[-1] == Violation(
+        "assoc-invertible", ("id_X", "id_X", "id_X"), left="id_id_X"
+    )
+
+
+@pytest.mark.parametrize("strict", [True, False], ids=["strict", "non-strict"])
+def test_non_associative_compose_matches_reference(strict):
+    """anti_associative: h . (g . f) != (h . g) . f on its triples of
+    non-identity arrows, so the walk never takes its fast path there, not
+    even for an associator that is the identity of h . (g . f); strict-assoc
+    is filed in the walk and reported after the triangle."""
+    bic = anti_associative(strict)
+    rep = assert_same_report(bic)
+    assert axiom_counts(rep)["strict-assoc"] == (8 if strict else 0)
+    if strict:
+        assert [v.axiom for v in rep.violations][-8:] == ["strict-assoc"] * 8
+    # the identity of h . (g . f) as an associator is mistyped there
+    src = bic.hcomp1[("a", bic.hcomp1[("b", "a")])]
+    rep = assert_same_report(moved(bic, "assoc", ("a", "b", "a"), bic.idc[src]))
+    assert axiom_counts(rep) == {"assoc-typing": 1}
+
+
+# -- typing violations in key order -------------------------------------------
+
+
+def reordered(bic, order):
+    """bic rebuilt with every dict in another insertion order."""
+    names = ("arrows", "id1", "hcomp1", "cells", "idc", "vcomp", "lwhisk", "rwhisk",
+             "lunitor", "runitor", "assoc")
+    return rebuild(bic, **{name: dict(order(list(getattr(bic, name).items()))) for name in names})
+
+
+def typing_broken(bic, rng, name):
+    """Entries of one composition table made wrong: three name an unknown
+    arrow or cell, four name another one, and up to three new keys pair an
+    arrow or cell with one it may not compose with."""
+    table = dict(getattr(bic, name))
+    pool = sorted(bic.arrows if name == "hcomp1" else bic.cells)
+    keys = sorted(table)
+    for key in rng.sample(keys, 3):
+        table[key] = "ghost"
+    for key in rng.sample(keys, 4):
+        table[key] = rng.choice([v for v in pool if v != table[key]])
+    left = sorted(bic.arrows) if name == "lwhisk" else pool
+    right = sorted(bic.arrows) if name == "rwhisk" else pool
+    for _ in range(3):
+        table.setdefault((rng.choice(left), rng.choice(right)), rng.choice(pool))
+    return rebuild(bic, **{name: table})
+
+
+@pytest.mark.parametrize("order", ["reversed", "shuffled"])
+@pytest.mark.parametrize("names, tags", [
+    (("hcomp1",), {"hcomp1-ref", "hcomp1-typing"}),
+    (("vcomp",), {"vcomp-ref", "vcomp-typing"}),
+    (("lwhisk", "rwhisk"), {"lwhisk-ref", "lwhisk-typing", "rwhisk-ref", "rwhisk-typing"}),
+])
+def test_typing_violations_are_reported_in_key_order(names, tags, order):
+    """The typing loops walk each table in storage order and sort only the
+    violations: with every dict of the table inserted in reversed or
+    shuffled order, the reports still equal the reference's, entry for
+    entry."""
+    rng = random.Random(f"key-order:{names}:{order}")
+    permute = {"reversed": lambda items: items[::-1],
+               "shuffled": lambda items: rng.sample(items, len(items))}[order]
+    for family, n in (("chaotic_z2", 3), ("chain_z2", 4)):
+        bic = generated(family, n, 1)
+        for name in names:
+            bic = typing_broken(bic, rng, name)
+        mutant = reordered(bic, permute)
+        rep = assert_same_report(mutant)
+        assert rep == validate_bicategory(bic)
+        assert tags <= rep.axioms(), (family, rep.axioms())
+        assert sum(v.axiom in tags for v in rep.violations) >= 6 * len(names)
