@@ -21,7 +21,7 @@ from typing import Callable, Hashable, Iterable, NamedTuple, TypeVar
 _T = TypeVar("_T")
 
 # the version every JSON report and certificate carries as "schema_version"
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 class StructureError(Exception):

@@ -181,13 +181,18 @@ def ho_inverse(k: HoCell) -> HoCell:
 def require_json(value: object, shape: object, where: str = "") -> None:
     """Raise a StructureError naming the first field where value departs from
     shape.  A shape is a type, a one-element list (a list of that shape) or a
-    dict (an object with at least those keys)."""
+    dict (an object with exactly those keys: a missing or mistyped field is
+    named first, then the first unknown one)."""
     if isinstance(shape, dict) and type(value) is dict:
         for key, sub in shape.items():
             path = f"{where}.{key}" if where else key
             if key not in value:
                 raise StructureError(f"field {path!r} is missing")
             require_json(value[key], sub, path)
+        for key in value:
+            if key not in shape:
+                path = f"{where}.{key}" if where else key
+                raise StructureError(f"field {path!r} is unknown")
     elif isinstance(shape, list) and type(value) is list:
         for i, item in enumerate(value):
             require_json(item, shape[0], f"{where}[{i}]")
@@ -196,6 +201,7 @@ def require_json(value: object, shape: object, where: str = "") -> None:
 
 
 HOCELL_JSON = {"f": str, "g": str, "terms": [dict]}
+_ICELL_JSON = {"kind": str, "cell": str}
 _CYLINDER_JSON = dict.fromkeys(("d0", "d1", "x", "s", "alpha0", "alpha1"), str)
 _HOMOTOPY_JSON = {"cylinder": _CYLINDER_JSON, "h": str, "eta": str, "eps": str}
 
@@ -209,7 +215,7 @@ def hocell_from_json(sigma: SigmaClass, data: dict) -> HoCell:
     for i, td in enumerate(data["terms"]):
         at = f"hocell.terms[{i}]"
         if td.get("kind") == "icell":
-            require_json(td, {"cell": str}, at)
+            require_json(td, _ICELL_JSON, at)
             if td["cell"] not in bic.cells:
                 raise StructureError(f"{at}: unknown cell {td['cell']!r}")
             terms.append(ICell(bic, td["cell"]))
@@ -513,7 +519,8 @@ LAWS = {
 
 
 class TraceStep(NamedTuple):
-    """One rewrite of the decider; its law is its rule's entry in ``LAWS``."""
+    """One rewrite of the decider; its law is its rule's entry in ``LAWS``,
+    so the JSON carries the rule alone."""
 
     side: str
     rule: str
@@ -524,7 +531,7 @@ class TraceStep(NamedTuple):
         return LAWS[self.rule]
 
     def to_json(self) -> dict:
-        return {"side": self.side, "rule": self.rule, "law": self.law, "detail": self.detail}
+        return {"side": self.side, "rule": self.rule, "detail": self.detail}
 
 
 class EqVerdict(NamedTuple):

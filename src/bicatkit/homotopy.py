@@ -56,9 +56,8 @@ class Cylinder(NamedTuple):
         return self.bic.vertical(inv, self.alpha0)
 
     def to_json(self) -> dict:
+        # make_cylinder derives W and Z from d0 and s
         return {
-            "W": self.w,
-            "Z": self.z,
             "d0": self.d0,
             "d1": self.d1,
             "x": self.x,

@@ -1,11 +1,12 @@
 """End-to-end localization pipeline and replayable certificates.
 
-A certificate records everything needed to re-check that the projection into
-the homotopy bicategory turns the marked arrows into equivalences: the 3-for-2
-sweep, a w-split decomposition chain per marked arrow, an equivalence witness
-in the homotopy bicategory per marked arrow (quasiinverse plus two invertible
-classes with their equality derivations), the projection's functoriality
-section, which a validated table settles, and the probe family used.
+A certificate records what replay re-checks to see that the projection into
+the homotopy bicategory turns the marked arrows into equivalences: a w-split
+decomposition chain per marked arrow, an equivalence witness in the homotopy
+bicategory per marked arrow (quasiinverse plus two invertible classes with
+their equality derivations), and the probe family used.  Replay re-runs the
+3-for-2 sweep, so only a failed certificate carries its witness, and the
+projection's functoriality, which a validated table settles, is not written.
 Sections are deterministic, so equal inputs give byte-identical JSON.
 """
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import NamedTuple
 
-from .core import SCHEMA_VERSION, Bicategory, StructureError
+from .core import SCHEMA_VERSION, StructureError
 from .homotopy import cylinder_homotopy, retraction_cylinder
 from .ho import (
     EqVerdict,
@@ -85,10 +86,10 @@ class LocalizationCertificate:
         # ok | three-for-two-failed | decomposition-failed | derivation-failed,
         # where the decider does not cancel some witness side
         self.status = "ok"
-        self.three_for_two: dict = {"ok": True, "witness": None}
+        # replay re-runs the sweep, so only a failed one is written
+        self.three_for_two: dict | None = None
         self.decompositions: list[dict] = []
         self.equivalences: list[HoEquivalence] = []
-        self.i_functoriality: dict = {}
         self.probes_used: list[str] = []
         self.max_len = max_len
         self.budget = budget
@@ -98,19 +99,20 @@ class LocalizationCertificate:
         return self.status == "ok"
 
     def to_json(self) -> dict:
-        return {
+        out = {
             "schema_version": SCHEMA_VERSION,
             "bicategory": self.bicategory,
             "sigma": sorted(self.sigma),
             "status": self.status,
-            "three_for_two": self.three_for_two,
             "decompositions": self.decompositions,
             "equivalences": [e.to_json() for e in self.equivalences],
-            "i_functoriality": self.i_functoriality,
             "probes_used": sorted(self.probes_used),
             "max_len": self.max_len,
             "budget": self.budget,
         }
+        if self.three_for_two is not None:
+            out["three_for_two"] = self.three_for_two
+        return out
 
 
 class _Witness(NamedTuple):
@@ -180,17 +182,6 @@ def _attach_derivations(wit: _Witness, budget: int) -> HoEquivalence | None:
     return HoEquivalence(wit.arrow, wit.quasiinverse, sides[0], sides[1])
 
 
-def _i_functoriality(bic: Bicategory) -> dict:
-    """The projection is functorial on every table entry of a validated table:
-    ``i_cell`` sends an identity cell to the identity class; ``icell-merge``
-    composes ``[I(a), I(b)]`` by the ``vcomp`` entry itself and
-    ``icell-identity`` drops an identity result; ``ho_whisk`` whiskers
-    ``I(a)`` by the whisker entry itself, and W2 sends identities to
-    identities.  So the section counts the entries and lists no failure."""
-    checked = len(bic.arrows) + len(bic.vcomp) + len(bic.lwhisk) + len(bic.rwhisk)
-    return {"ok": True, "checked": checked, "failures": []}
-
-
 def localize(
     sigma: SigmaClass,
     probes: ProbeSet | None = None,
@@ -238,17 +229,19 @@ def localize(
             cert.status = "derivation-failed"
             return cert
         cert.equivalences.append(eq)
-
-    cert.i_functoriality = _i_functoriality(bic)
     return cert
 
 
-# the fields replay reads, beyond schema_version and status
-_SIDE_JSON = {"hocell": HOCELL_JSON, "inverse": HOCELL_JSON}
+# every field of an ok certificate: replay reads each but the label
+# "bicategory", and compares the cancellation sections whole
+_SIDE_JSON = {
+    "hocell": HOCELL_JSON, "inverse": HOCELL_JSON, "cancel_left": dict, "cancel_right": dict
+}
 _CERT_JSON = {
+    "schema_version": int,
+    "bicategory": str,
     "sigma": [str],
-    "three_for_two": {"ok": bool},
-    "i_functoriality": {"ok": bool, "checked": int, "failures": list},
+    "status": str,
     "max_len": int,
     "budget": int,
     "decompositions": [{"arrow": str, "chain": [str], "cell": str}],
@@ -283,16 +276,15 @@ def replay_certificate(
     bicategory, which must pass ``validate_bicategory``, and a probe set,
     freshly enumerated unless supplied.  The certificate must list the
     marked arrows sorted and each once, as ``localize`` writes them, and
-    exactly that probe set, keep the passing 3-for-2 section and the
-    projection's functoriality section that the table re-derives, and hold one
-    decomposition, no longer than ``max_len``, and one equivalence for each
-    marked arrow, each side running from ``q * arrow`` or ``arrow * q`` to an
-    identity, inverted by its stored inverse, with the stored cancellation
-    sections those of the verdicts replay re-derives, and not separated by a
-    probe.  When the source hat of ``inverse o hocell`` is the identity cell,
-    no probe separates, since each sends it to an identity, and the
-    per-probe check is read off that hat; otherwise every probe is
-    evaluated."""
+    exactly that probe set, carry no field that ``localize`` does not write
+    on an ok certificate, and hold one decomposition, no longer than
+    ``max_len``, and one equivalence for each marked arrow, each side running
+    from ``q * arrow`` or ``arrow * q`` to an identity, inverted by its
+    stored inverse, with the stored cancellation sections those of the
+    verdicts replay re-derives, and not separated by a probe.  When the
+    source hat of ``inverse o hocell`` is the identity cell, no probe
+    separates, since each sends it to an identity, and the per-probe check
+    is read off that hat; otherwise every probe is evaluated."""
     bic = sigma.bic
     if not isinstance(cert_json, dict):
         return False, ["certificate is not a JSON object"]
@@ -315,10 +307,6 @@ def replay_certificate(
         problems.append("marked class does not match the certificate")
     if check_three_for_two(sigma) is not None:
         problems.append("3-for-2 no longer holds")
-    if cert_json["three_for_two"] != {"ok": True, "witness": None}:
-        problems.append("field 'three_for_two' is not the passing 3-for-2 section")
-    if cert_json["i_functoriality"] != _i_functoriality(bic):
-        problems.append("field 'i_functoriality' is not the re-derived section")
     if probes is None:
         probes = enumerate_probes(sigma, default_probe_targets(sigma))
     if cert_json["probes_used"] != sorted(probes.names()):
@@ -360,7 +348,7 @@ def replay_certificate(
                     problems += [
                         f"{arrow}/{side_name}: {key} is not the re-derived verdict"
                         for key, verdict in (("cancel_left", left), ("cancel_right", right))
-                        if side.get(key) != verdict.to_json()
+                        if side[key] != verdict.to_json()
                     ]
                 # a probe is a 2-functor, so it sends an identity hat to an identity
                 if probes.probes and (hat := source_hat(back)) != bic.idc[cell.f]:

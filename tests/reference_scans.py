@@ -23,11 +23,12 @@ The probe loops are the one at the end of ``ho_eq`` and the one in
 ``_i_functoriality`` and takes its other helpers (``_coverage_problems`` and
 the JSON shape) from ``bicatkit.localize``.  ``_i_functoriality`` is the
 section that decided the projection's functoriality with one ``ho_eq`` per
-arrow, ``vcomp``, ``lwhisk`` and ``rwhisk`` entry, which the count that a
-validated table settles replaced; it is the reference for
-``tests/test_localize.py``.
+arrow, ``vcomp``, ``lwhisk`` and ``rwhisk`` entry; certificates no longer
+carry it, since a validated table settles it, and ``tests/test_localize.py``
+runs it on every validated table of the corpus.
 
-The decider is ``TraceStep`` (the old record, whose ``law`` is a field), the
+The decider is ``TraceStep`` (the old record, whose ``law`` is a field that
+the differentials compare with the steps' ``ho.LAWS`` entries), the
 ten ``_LAW_*`` strings, ``_flatten``, ``_w1_sort``, ``_decompose``,
 ``_simplify``, ``_normalize_side`` and ``ho_eq``; it builds the
 ``EqVerdict`` of the code under test, which it did not change.
@@ -1459,7 +1460,8 @@ class TraceStep:
     detail: str
 
     def to_json(self) -> dict:
-        return {"side": self.side, "rule": self.rule, "law": self.law, "detail": self.detail}
+        # the schema-2 JSON: the rule alone names the law
+        return {"side": self.side, "rule": self.rule, "detail": self.detail}
 
 
 _LAW_ICELL_ID = "[I(id_f)] = id_f"

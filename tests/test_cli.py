@@ -165,7 +165,7 @@ def test_localize_and_replay(capsys, split_file, tmp_path):
     assert code == 0
     payload = json.loads(cert.read_text())
     assert payload["status"] == "ok"
-    assert payload["schema_version"] == 1
+    assert payload["schema_version"] == 2
     code, out, _ = run(capsys, "localize", split_file, "--replay", str(cert))
     assert code == 0 and "replay ok" in out
 
@@ -199,6 +199,12 @@ def test_replay_of_json_that_is_not_an_object_fails(capsys, tmp_path, split_cert
     code, out, _ = replay(capsys, tmp_path, split_cert, "[1, 2]")
     assert code == 1
     assert "replay FAILED" in out and "not a JSON object" in out
+
+
+def test_replay_of_a_schema_1_certificate_fails(capsys, tmp_path, split_cert):
+    cert = dict(split_cert[1], schema_version=1)
+    code, out, _ = replay(capsys, tmp_path, split_cert, json.dumps(cert))
+    assert (code, out) == (1, "replay FAILED:\n  schema_version mismatch\n")
 
 
 def test_replay_names_a_missing_decomposition_field(capsys, tmp_path, split_cert):
@@ -457,7 +463,7 @@ def test_elevator_with_one_expression_prints_its_normal_form(capsys, tmp_path):
     normal = "1 * be * f1 ; g2 * al * 1"
     assert code == 0 and out.startswith(f"normal form: {normal}\n\ng1 . f1\n[be]")
     code, out, _ = run(capsys, "elevator", str(c), "--expr", expr, "--format", "json")
-    assert (code, json.loads(out)) == (0, {"normal_form": normal, "schema_version": 1})
+    assert (code, json.loads(out)) == (0, {"normal_form": normal, "schema_version": 2})
 
 
 def test_elevator_identities_on_different_objects_are_not_equal(capsys, tmp_path):

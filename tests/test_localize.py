@@ -16,7 +16,7 @@ from bicatkit.library import (
     load_fixture,
     load_fixture_bicategory,
 )
-from bicatkit.localize import _i_functoriality, localize, replay_certificate
+from bicatkit.localize import localize, replay_certificate
 from bicatkit.presentation import load_presentation_with_sigma
 from bicatkit.sigma import make_sigma
 
@@ -39,13 +39,12 @@ def test_trivial_localization(triv):
     cert = localize(sigma)
     assert cert.ok
     assert [e.arrow for e in cert.equivalences] == ["id_pt"]
-    assert cert.i_functoriality["ok"]
 
 
 def test_split_full_sigma_certificate(split_sigma, split_probeset):
     cert = localize(split_sigma, split_probeset, max_len=2)
     assert cert.ok
-    assert cert.three_for_two == {"ok": True, "witness": None}
+    assert cert.three_for_two is None
     decs = {d["arrow"]: d["chain"] for d in cert.decompositions}
     assert decs["e"] == ["s", "r"]
     assert decs["s"] == ["s"]
@@ -56,8 +55,9 @@ def test_split_full_sigma_certificate(split_sigma, split_probeset):
     side = eqs["s"].to_id_dst
     assert (side.cell.f, side.cell.g) == ("e", "id_Y")
     assert side.cancel_left.is_equal and side.cancel_right.is_equal
-    assert cert.i_functoriality["ok"]
     assert cert.probes_used
+    # replay re-runs the passing sweep, so the JSON leaves it out
+    assert "three_for_two" not in cert.to_json()
 
 
 def test_split_underclosed_sigma_rejected(split):
@@ -67,6 +67,7 @@ def test_split_underclosed_sigma_rejected(split):
     w = cert.three_for_two["witness"]
     assert (w["g"], w["f"], w["h"]) == ("s", "r", "e")
     assert not cert.equivalences
+    assert cert.to_json()["three_for_two"] == {"ok": False, "witness": w}
 
 
 def test_decomposition_bound_respected(split_sigma, split_probeset):
@@ -166,6 +167,13 @@ def _chain_apart(cert: dict) -> None:
     _e_chain(cert)["chain"] = ["r", "r"]
 
 
+def _cylinder_with_w(cert: dict) -> None:
+    """Give s's cylinder class its true W, which ``make_cylinder`` derives
+    from d0."""
+    terms = _s(cert)["to_id_dst"]["hocell"]["terms"]
+    next(t for t in terms if "cylinder" in t)["cylinder"]["W"] = "Y"
+
+
 def _chain_through_e(cert: dict) -> None:
     """e is marked but not w-split; a_e is an invertible e => e, so only the
     chain arrow check can object."""
@@ -219,9 +227,9 @@ def split_z2_cert():
         ),
         (_claim_unknown, ["s/to_id_dst: cancel_left is not the re-derived verdict"]),
         (lambda cert: cert.update(schema_version=0), ["schema_version mismatch"]),
-        # 1 == True == 1.0, so only the type check catches these
+        # 2 == 2.0, so only the type check catches the float
         (lambda cert: cert.update(schema_version=True), ["schema_version mismatch"]),
-        (lambda cert: cert.update(schema_version=1.0), ["schema_version mismatch"]),
+        (lambda cert: cert.update(schema_version=2.0), ["schema_version mismatch"]),
         (
             lambda cert: cert.update(status="derivation-failed"),
             ["certificate status is 'derivation-failed'"],
@@ -238,19 +246,16 @@ def split_z2_cert():
             lambda cert: cert.update(max_len=1),
             ["decomposition chain for e is longer than max_len"],
         ),
+        # fields that replay re-derives, which localize no longer writes
         (
-            lambda cert: cert["three_for_two"].update(ok=False),
-            ["field 'three_for_two' is not the passing 3-for-2 section"],
+            lambda cert: cert.update(three_for_two={"ok": True, "witness": None}),
+            ["field 'three_for_two' is unknown"],
         ),
         (
-            lambda cert: cert["i_functoriality"].update(checked=0),
-            ["field 'i_functoriality' is not the re-derived section"],
+            lambda cert: cert.update(i_functoriality={"ok": True, "checked": 50, "failures": []}),
+            ["field 'i_functoriality' is unknown"],
         ),
-        # 1 == True, so only the type check catches it
-        (
-            lambda cert: cert["i_functoriality"].update(ok=1),
-            ["field 'i_functoriality.ok' has the wrong type"],
-        ),
+        (_cylinder_with_w, ["s/to_id_dst: field 'hocell.terms[1].cylinder.W' is unknown"]),
         # the same marked set, listed as localize never writes it
         (
             lambda cert: cert["sigma"].insert(1, cert["sigma"][1]),
@@ -277,9 +282,9 @@ def split_z2_cert():
         "chain-not-w-split",
         "max-len-zero",
         "max-len-below-chain",
-        "three-for-two-failed",
-        "i-functoriality-changed",
-        "i-functoriality-ok-int",
+        "three-for-two-kept",
+        "i-functoriality-kept",
+        "cylinder-w-kept",
         "sigma-repeated",
         "sigma-unsorted",
     ],
@@ -290,26 +295,26 @@ def test_replay_names_each_tamper(split_z2_cert, tamper, problems):
     bad = json.loads(json.dumps(cert))
     tamper(bad)
     assert replay_certificate(sigma, bad, probes) == (False, problems)
-    # the reference compares the version with ==, so it takes true and 1.0
-    retyped = type(bad["schema_version"]) is not int
-    want = ref.replay_certificate(sigma, bad, probes)[1]
-    assert reference_problems([] if retyped else problems) == want
+    # the reference compares the version with ==, so there only the shape
+    # check rejects 2.0
+    version = bad["schema_version"]
+    if type(version) is not int and version == ref.SCHEMA_VERSION:
+        problems = ["field 'schema_version' has the wrong type"]
+    assert reference_problems(problems) == ref.replay_certificate(sigma, bad, probes)[1]
 
 
 def reference_problems(problems: list[str]) -> list[str]:
     """The problems the reference replay reports too: it predates the check
     that each side runs from ``q * arrow`` or ``arrow * q`` to an identity,
-    the comparison of the stored cancellation sections, the reads of
-    ``max_len``, ``three_for_two`` and ``i_functoriality``, and the check
-    that ``sigma`` lists the marked arrows sorted and each once (it compares
-    sets, so where the sets differ both report the marked class, and a
-    comparison that can see a changed set filters both sides)."""
+    the comparison of the stored cancellation sections, the read of
+    ``max_len``, and the check that ``sigma`` lists the marked arrows sorted
+    and each once (it compares sets, so where the sets differ both report the
+    marked class, and a comparison that can see a changed set filters both
+    sides)."""
     newer = (
         ": hocell is not ",
         " re-derived verdict",
         "max_len",
-        "'three_for_two'",
-        "'i_functoriality'",
         "marked class does not match the certificate",
     )
     return [p for p in problems if not any(line in p for line in newer)]
@@ -321,10 +326,11 @@ def _family_sigma(family: str, n: int, seed: int = 1):
     return make_sigma(pres.bicategory, pres.sigma_names)
 
 
-def _single_edits(cert: dict, names: list[str], rng, count: int):
-    """A seeded sample of count single-edit mutants of cert: a string leaf
-    renamed to another name of the table, a bool flipped, an int moved by
-    -1, +1 or +1000, or a list entry dropped or repeated."""
+def _single_edits(cert: dict, names: list[str], rng, count: int | None = None):
+    """Each single edit of cert with its mutant, or a seeded sample of count
+    of them: a string leaf renamed to another name of the table, a bool
+    flipped, an int moved by -1, +1 or +1000, or a list entry dropped or
+    repeated."""
     edits = []
 
     def walk(node, path):
@@ -341,7 +347,7 @@ def _single_edits(cert: dict, names: list[str], rng, count: int):
             edits.append(("rename", path, None))
 
     walk(cert, ())
-    for kind, path, arg in rng.sample(edits, count):
+    for kind, path, arg in edits if count is None else rng.sample(edits, count):
         bad = json.loads(json.dumps(cert))
         *outer, last = path
         parent = bad
@@ -357,7 +363,7 @@ def _single_edits(cert: dict, names: list[str], rng, count: int):
             parent[last] += arg
         else:
             parent[last] = rng.choice([n for n in names if n != parent[last]])
-        yield bad
+        yield (kind, path, arg), bad
 
 
 @pytest.mark.parametrize("table", [("chaotic_z2", 2), ("chaotic", 3), "split_z2"], ids=str)
@@ -376,7 +382,7 @@ def test_single_edit_mutants_replay_as_the_reference(table, split_z2_cert):
     bic = sigma.bic
     names = sorted({*bic.objects, *bic.arrows, *bic.cells})
     outcomes = Counter()
-    for bad in _single_edits(cert, names, random.Random(f"{table}:edits"), 250):
+    for _, bad in _single_edits(cert, names, random.Random(f"{table}:edits"), 250):
         ok, problems = replay_certificate(sigma, bad, probes)
         assert ok == (not problems)
         want = ref.replay_certificate(sigma, bad, probes)[1]
@@ -389,6 +395,49 @@ def test_single_edit_mutants_replay_as_the_reference(table, split_z2_cert):
     assert outcomes[True] > 0 and outcomes[False] > 0 and outcomes["sigma edits"] > 0
     if table == ("chaotic_z2", 2):
         assert outcomes["separates"] > 0
+
+
+@pytest.mark.parametrize(
+    "table, identities",
+    [("split_z2", ["id_X", "id_Y"]), (("chaotic", 3), ["id_o0", "id_o1", "id_o2"])],
+    ids=str,
+)
+def test_every_single_edit_that_replays_ok_leaves_the_certificate_true(
+    table, identities, split_z2_cert
+):
+    """Replay every single edit of the certificate.  Exactly these replay ok,
+    each because the edited certificate is still true:
+    - ``bicategory`` renamed: it is a label;
+    - ``max_len`` moved to 3, 5 or 1004, which every chain still fits (the
+      longest has 2 arrows), or ``budget`` to 7, 9 or 1008, which every
+      derivation still fits;
+    - an identity's chain ``[id_x]`` repeated: ``[id_x, id_x]`` composes to
+      id_x again.
+    Every other field is read, so no other edit goes unseen."""
+    if table == "split_z2":
+        sigma, probes, cert = split_z2_cert
+    else:
+        sigma = _family_sigma(*table)
+        probes = enumerate_probes(sigma, default_probe_targets(sigma))
+        cert = localize(sigma, probes).to_json()
+    bic = sigma.bic
+    names = sorted({*bic.objects, *bic.arrows, *bic.cells})
+    replayed_ok = []
+    for edit, bad in _single_edits(cert, names, random.Random(f"{table}:sweep")):
+        ok, problems = replay_certificate(sigma, bad, probes)
+        assert ok == (not problems)
+        if ok:
+            replayed_ok.append(edit)
+    repeats = [
+        ("repeat", ("decompositions", i, "chain"), 0)
+        for i, dec in enumerate(cert["decompositions"])
+        if dec["chain"] == [dec["arrow"]] and dec["arrow"] in identities
+    ]
+    bounds = [("add", (field,), d) for field in ("max_len", "budget") for d in (-1, 1, 1000)]
+    assert len(repeats) == len(identities)
+    assert sorted(replayed_ok, key=repr) == sorted(
+        [("rename", ("bicategory",), None), *bounds, *repeats], key=repr
+    )
 
 
 def _count_probe_values(monkeypatch) -> list:
@@ -566,16 +615,16 @@ def _validated_pairs():
                 yield name, make_sigma(bic, names)
 
 
-def test_i_functoriality_matches_the_decided_section():
-    """On a validated table the section the decider built entry by entry is
-    the count of entries with no failure, with or without probes."""
+def test_i_functoriality_holds_on_every_validated_table():
+    """The projection is functorial on every entry of a validated table, so
+    certificates do not record it: the decider, run entry by entry, finds no
+    failure, with or without probes."""
     seen = set()
     for name, sigma in _validated_pairs():
         seen.add(name)
-        section = _i_functoriality(sigma.bic)
-        assert ref._i_functoriality(sigma, None, 8) == section, name
-        probes = enumerate_probes(sigma, default_probe_targets(sigma))
-        assert ref._i_functoriality(sigma, probes, 8) == section, name
+        for probes in (None, enumerate_probes(sigma, default_probe_targets(sigma))):
+            section = ref._i_functoriality(sigma, probes, 8)
+            assert section["ok"] and section["failures"] == [], name
     assert {"split", "unit", "chaotic_z23"} <= seen and "coherence" not in seen
 
 

@@ -332,6 +332,7 @@ def test_ho_eq_verdicts_with_probes_match_reference():
                 got = ho.ho_eq(k1, k2, probes, budget)
                 want = ref.ho_eq(k1, k2, probes, budget)
                 assert json.dumps(got.to_json()) == json.dumps(want.to_json())
+                assert [s.law for s in got.trace] == [s.law for s in want.trace]
                 assert (got.probe, got.left_value, got.right_value) == (
                     want.probe,
                     want.left_value,
