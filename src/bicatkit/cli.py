@@ -210,7 +210,7 @@ def _cmd_localize(args) -> int:
         payload = {"replay_ok": ok, "problems": problems}
         _emit(args, payload, ("replay ok\n" if ok else "replay FAILED:\n  " + "\n  ".join(problems) + "\n"))
         return EXIT_OK if ok else EXIT_FAIL
-    cert = localize(sigma, probes, max_len=args.max_len, budget=args.budget)
+    cert = localize(sigma, probes, max_len=args.max_len)
     payload = cert.to_json()
     lines = [f"localize {pres.bicategory.name} at {{{', '.join(sorted(sigma.members))}}}: {cert.status}"]
     if cert.status == "three-for-two-failed":
@@ -241,7 +241,7 @@ def _cmd_ho_eq(args) -> int:
         raise _Usage("query must define sequences 'lhs' and 'rhs'")
     probes = _probes(args, sigma)
     try:
-        verdict = ho_eq(doc.sequences["lhs"], doc.sequences["rhs"], probes, budget=args.budget)
+        verdict = ho_eq(doc.sequences["lhs"], doc.sequences["rhs"], probes)
     except StructureError as exc:
         raise _Usage(str(exc)) from exc
     payload = verdict.to_json()
@@ -333,7 +333,7 @@ def _cmd_elevator(args) -> int:
 
 
 def _bound(text: str) -> int:
-    """argparse type of --max-len, --budget and --cap: an integer >= 1."""
+    """argparse type of --max-len and --cap: an integer >= 1."""
     if not text.isdigit() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"must be an integer >= 1, not {text!r}")
     return int(text)
@@ -367,7 +367,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma")
     p.add_argument("--probes", help="comma-separated probe target names or .bic paths")
     p.add_argument("--max-len", type=_bound, default=4)
-    p.add_argument("--budget", type=_bound, default=8)
     p.add_argument("--replay", help="re-verify a stored certificate")
     common(p)
     p.set_defaults(fn=_cmd_localize)
@@ -377,7 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("query", help="query document defining lhs and rhs")
     p.add_argument("--sigma")
     p.add_argument("--probes")
-    p.add_argument("--budget", type=_bound, default=8)
     common(p)
     p.set_defaults(fn=_cmd_ho_eq)
 

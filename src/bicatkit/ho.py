@@ -9,11 +9,16 @@ That relation quantifies over all functors, so equality is decided three-ways:
              carries the algebraic law that justifies it into the trace.
 * Distinct-- some probe (an admissible 2-functor into a finite target)
              evaluates the two sides to different cells; the first such
-             probe is reported.  A probe's value on a side is its image of
-             the side's hat in the source when every cylinder's marked arrow
-             is a quasiequivalence there, and otherwise the composite of
-             its own hats of the terms.
+             probe is reported.  A probe's value on a side, ``probe_value``,
+             is its image of the side's hat in the source when every
+             cylinder's marked arrow is a quasiequivalence there, and
+             otherwise the composite of its own hats of the terms.
 * Unknown -- neither; an honest outcome, reported with exit code 2 by the CLI.
+
+``separations`` is the one walk that compares probe values: the decider
+reports its first item, and certificate replay lists every item for a
+witness side against the identity.  Sides whose source hats exist and are
+equal get one value from every probe, so the walk evaluates none.
 
 When every marked arrow is a quasiequivalence, the identity 2-functor is
 admissible, so sides with different source hats are distinct classes; the
@@ -206,14 +211,14 @@ _CYLINDER_JSON = dict.fromkeys(("d0", "d1", "x", "s", "alpha0", "alpha1"), str)
 _HOMOTOPY_JSON = {"cylinder": _CYLINDER_JSON, "h": str, "eta": str, "eps": str}
 
 
-def hocell_from_json(sigma: SigmaClass, data: dict) -> HoCell:
+def hocell_from_json(sigma: SigmaClass, data: dict, where: str = "hocell") -> HoCell:
     """The HoCell that to_json stored; StructureError names a field that is
-    missing, mistyped or unknown to the bicategory."""
+    missing, mistyped or unknown to the bicategory, under ``where``."""
     bic = sigma.bic
-    require_json(data, HOCELL_JSON, "hocell")
+    require_json(data, HOCELL_JSON, where)
     terms: list[HomotopyTerm] = []
     for i, td in enumerate(data["terms"]):
-        at = f"hocell.terms[{i}]"
+        at = f"{where}.terms[{i}]"
         if td.get("kind") == "icell":
             require_json(td, _ICELL_JSON, at)
             if td["cell"] not in bic.cells:
@@ -479,25 +484,28 @@ def source_hat(k: HoCell) -> str | None:
     )
 
 
-def probe_values_given(
-    probes: ProbeSet, k: HoCell, hat: str | None
-) -> Iterator[tuple[PseudofunctorData, str]]:
-    """Each probe with its value on k, in probe order, computed when first
-    asked for, given ``hat``, k's ``source_hat``.  A probe F sends each marked
-    arrow s to a quasiequivalence, so when s is one in the source too, F of
-    the source hat of a cylinder on s solves Fs * c = F(alpha_tilde) and is
-    F's hat of it.  When that holds for every cylinder of k, each value is F
-    of ``hat``; otherwise ``hat`` is None and each probe hats the terms in
-    its own target."""
-    for fun in probes.probes:
-        yield fun, _value(fun, k, hat)
-
-
-def _value(fun: PseudofunctorData, k: HoCell, hat: str | None) -> str:
+def probe_value(fun: PseudofunctorData, k: HoCell, hat: str | None) -> str:
     """The one value rule: a validated admissible F sends k to F of ``hat``,
     k's ``source_hat``, when it exists, and otherwise to the composite of F's
-    own hats of k's terms."""
+    own hats of k's terms.  F sends each marked arrow s to a
+    quasiequivalence, so when s is one in the source too, F of the source hat
+    of a cylinder on s solves Fs * c = F(alpha_tilde) and is F's hat of it."""
     return f_hat_chain(fun, k) if hat is None else fun.cell_map[hat]
+
+
+def separations(
+    probes: ProbeSet, k1: HoCell, k2: HoCell, hats: tuple[str | None, str | None]
+) -> Iterator[tuple[PseudofunctorData, str, str]]:
+    """Each probe whose values on k1 and k2 differ, in probe order, with the
+    two values, given the sides' source hats; each probe is evaluated when
+    the walk reaches it.  Equal hats that exist give every probe F one value,
+    F of that hat, on both sides, so then no probe is evaluated."""
+    if hats[0] is not None and hats[0] == hats[1]:
+        return
+    for fun in probes.probes:
+        v1, v2 = probe_value(fun, k1, hats[0]), probe_value(fun, k2, hats[1])
+        if v1 != v2:
+            yield fun, v1, v2
 
 
 # -- the equality decider ----------------------------------------------------
@@ -743,30 +751,17 @@ def ho_eq(
     hats = None
     if probes is not None and identity_is_admissible(k1.sigma):
         hats = source_hat(k1), source_hat(k2)
-        if hats[0] != hats[1]:
-            return _first_separation(probes, k1, k2, hats)
-    trace: list[TraceStep] = []
-    left = _normalize_side(k1, "left", trace, budget)
-    right = _normalize_side(k2, "right", trace, budget)
-    if left == right:
-        return EqVerdict("equal", tuple(trace))
-    if probes is None:
-        return EqVerdict("unknown")
-    return _first_separation(probes, k1, k2, hats or (source_hat(k1), source_hat(k2)))
-
-
-def _first_separation(
-    probes: ProbeSet, k1: HoCell, k2: HoCell, hats: tuple[str | None, str | None]
-) -> EqVerdict:
-    """The first probe whose values on k1 and k2 differ, given their source
-    hats; ``Unknown`` when none does.  Equal hats that exist give each probe
-    F one value, F of that hat, on both sides, so no probe is walked."""
-    if hats[0] is not None and hats[0] == hats[1]:
-        return EqVerdict("unknown")
-    values = zip(probe_values_given(probes, k1, hats[0]), probe_values_given(probes, k2, hats[1]))
-    for (fun, v1), (_, v2) in values:
-        if v1 != v2:
-            return EqVerdict("distinct", (), fun.name, v1, v2)
+    if hats is None or hats[0] == hats[1]:
+        trace: list[TraceStep] = []
+        left = _normalize_side(k1, "left", trace, budget)
+        right = _normalize_side(k2, "right", trace, budget)
+        if left == right:
+            return EqVerdict("equal", tuple(trace))
+        if probes is None:
+            return EqVerdict("unknown")
+        hats = hats or (source_hat(k1), source_hat(k2))
+    for fun, v1, v2 in separations(probes, k1, k2, hats):
+        return EqVerdict("distinct", (), fun.name, v1, v2)
     return EqVerdict("unknown")
 
 
@@ -847,7 +842,7 @@ class ExtensionG:
         break: whiskering and units."""
         key = (k.f, k.terms)
         if key not in self._values:
-            self._values[key] = _value(self.fun, k, source_hat(k))
+            self._values[key] = probe_value(self.fun, k, source_hat(k))
         return self._values[key]
 
 
@@ -891,12 +886,32 @@ def _homotopies(sigma: SigmaClass) -> Iterator[Homotopy]:
                                                 yield make_homotopy(cyl, h, eta, eps)
 
 
-def _verified_extension(fun: PseudofunctorData, sigma: SigmaClass, cap: int) -> ExtensionG:
-    """The extension of an admissible pseudofunctor, with the forced values
-    checked on a materialized family for whiskering up to phi and for units.
-    The target must be a validated bicategory, as every CLI command makes sure
-    of for the tables it reads; vertical functoriality then holds by
-    associativity of its ``vcomp``."""
+def extend_2functor(
+    fun: PseudofunctorData, sigma: SigmaClass, cap: int = 60
+) -> ExtensionG:
+    """Extend a 2-functor along the projection and check, on a materialized
+    family of cells, that the forced values whisker and keep units.  The
+    target must be a validated bicategory, and the 2-functor must pass
+    ``validate_pseudofunctor``, as ``make_probe_set`` and ``bicatkit extend``
+    make sure of: values are read off source hats, which only a lawful
+    functor carries to its own hats."""
+    if not fun.is_2functor:
+        raise StructureError(f"{fun.name!r} is not a 2-functor")
+    return extend_pseudofunctor(fun, sigma, cap)
+
+
+def extend_pseudofunctor(
+    fun: PseudofunctorData, sigma: SigmaClass, cap: int = 60
+) -> ExtensionG:
+    """Extend a validated pseudofunctor along the projection, with the forced
+    values checked on a materialized family for whiskering up to phi, which
+    for a 2-functor is the plain whisker, and for units.  Values are the
+    composites of F's hats of the terms, ``ExtensionG.value``.  The target
+    must be a validated bicategory, as every CLI command makes sure of for
+    the tables it reads, so vertical functoriality holds by associativity of
+    its ``vcomp``; and the pseudofunctor must pass
+    ``validate_pseudofunctor``."""
+    _require_admissible(fun, sigma)
     bic, d = sigma.bic, fun.target
     # the projected cells and the sampled singleton homotopy classes
     family = [i_cell(sigma, mu) for mu in sorted(bic.cells)]
@@ -927,30 +942,3 @@ def _verified_extension(fun: PseudofunctorData, sigma: SigmaClass, cap: int) -> 
     )
     ext.report = ExtensionReport(whisk_ok, units_ok, whisk)
     return ext
-
-
-def extend_2functor(
-    fun: PseudofunctorData, sigma: SigmaClass, cap: int = 60
-) -> ExtensionG:
-    """Extend a 2-functor along the projection and check, on a materialized
-    family of cells, that the forced values whisker and keep units.  The
-    target must be a validated bicategory, and the 2-functor must pass
-    ``validate_pseudofunctor``, as ``make_probe_set`` and ``bicatkit extend``
-    make sure of: values are read off source hats, which only a lawful
-    functor carries to its own hats."""
-    if not fun.is_2functor:
-        raise StructureError(f"{fun.name!r} is not a 2-functor")
-    _require_admissible(fun, sigma)
-    return _verified_extension(fun, sigma, cap)
-
-
-def extend_pseudofunctor(
-    fun: PseudofunctorData, sigma: SigmaClass, cap: int = 60
-) -> ExtensionG:
-    """Extend a validated pseudofunctor along the projection.  Values are the
-    composites of term hats, as for 2-functors; whiskering is checked up to
-    phi, which for a 2-functor is the plain whisker.  The target must be a
-    validated bicategory, and the pseudofunctor must pass
-    ``validate_pseudofunctor``."""
-    _require_admissible(fun, sigma)
-    return _verified_extension(fun, sigma, cap)

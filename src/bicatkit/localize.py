@@ -31,8 +31,8 @@ from .ho import (
     ho_whisk,
     hocell_from_json,
     i_cell,
-    probe_values_given,
     require_json,
+    separations,
     source_hat,
 )
 from .library import default_probe_targets
@@ -281,10 +281,10 @@ def replay_certificate(
     ``max_len``, and one equivalence for each marked arrow, each side running
     from ``q * arrow`` or ``arrow * q`` to an identity, inverted by its
     stored inverse, with the stored cancellation sections those of the
-    verdicts replay re-derives, and not separated by a probe.  When the
-    source hat of ``inverse o hocell`` is the identity cell, no probe
-    separates, since each sends it to an identity, and the per-probe check
-    is read off that hat; otherwise every probe is evaluated."""
+    verdicts replay re-derives, and not separated by a probe from the
+    identity class: ``separations`` with the source hat of ``inverse o
+    hocell`` and the identity cell as the two hats, so no probe is evaluated
+    when that source hat is the identity cell."""
     bic = sigma.bic
     if not isinstance(cert_json, dict):
         return False, ["certificate is not a JSON object"]
@@ -339,7 +339,7 @@ def replay_certificate(
                 cell = hocell_from_json(sigma, side["hocell"])
                 if (cell.f, cell.g) != (bic.hcomp1.get(pair), bic.id1.get(end)):
                     problems.append(f"{arrow}/{side_name}: hocell is not {pair[0]} * {pair[1]} => id")
-                inv = hocell_from_json(sigma, side["inverse"])
+                inv = hocell_from_json(sigma, side["inverse"], "inverse")
                 back = ho_vcomp(inv, cell)
                 left, right = _derive_side(cell, inv, budget, back)
                 if not (left.is_equal and right.is_equal):
@@ -350,11 +350,11 @@ def replay_certificate(
                         for key, verdict in (("cancel_left", left), ("cancel_right", right))
                         if side[key] != verdict.to_json()
                     ]
-                # a probe is a 2-functor, so it sends an identity hat to an identity
-                if probes.probes and (hat := source_hat(back)) != bic.idc[cell.f]:
-                    for fun, value in probe_values_given(probes, back, hat):
-                        if value != fun.target.idc[fun.arr_map[cell.f]]:
-                            problems.append(f"{arrow}/{side_name}: probe {fun.name} separates")
+                hats = source_hat(back), bic.idc[cell.f]
+                problems += [
+                    f"{arrow}/{side_name}: probe {fun.name} separates"
+                    for fun, _, _ in separations(probes, back, ho_identity(sigma, cell.f), hats)
+                ]
             except StructureError as exc:
                 problems.append(f"{arrow}/{side_name}: {exc}")
     return not problems, problems

@@ -11,14 +11,16 @@ has one possible value, and which ``ho.enumerate_2functors`` replaced, and the e
 each rule with its law at every step and wrote each adjacent-pair scan out
 in full, which ``ho.LAWS`` and ``ho._pairwise`` replaced, and the two probe
 loops that hatted each term in each probe's target, which
-``ho.probe_values_given`` replaced, kept as the reference for ``tests/test_index_differential.py``,
+``ho.separations`` replaced, kept as the reference for ``tests/test_index_differential.py``,
 ``tests/test_extension_differential.py``, ``tests/test_hat_differential.py``,
 ``tests/test_enumerate_differential.py``,
 ``tests/test_decider_differential.py`` and
 ``tests/test_probe_values_differential.py``.
 
 The probe loops are the one at the end of ``ho_eq`` and the one in
-``replay_certificate``; both call ``ho.f_hat_chain`` for every probe.
+``replay_certificate``; both call ``ho.f_hat_chain`` for every probe.  The
+replay here names a fault in a side's ``inverse`` under ``hocell``, as
+``ho.hocell_from_json`` did before it took the field name.
 ``replay_certificate`` calls this module's ``ho_eq`` and
 ``_i_functoriality`` and takes its other helpers (``_coverage_problems`` and
 the JSON shape) from ``bicatkit.localize``.  ``_i_functoriality`` is the

@@ -297,17 +297,23 @@ EXTEND_SPLIT = ("extend", "--functor", "f.pf", "--source", "SPLIT", "--target", 
     (
         ("sigma-check", "SPLIT", "--max-len", "0"),
         ("localize", "SPLIT", "--max-len", "0"),
-        ("localize", "SPLIT", "--budget", "-1"),
         (*EXTEND_SPLIT, "--cap", "0"),
         (*EXTEND_SPLIT, "--cap", "-3"),
     ),
-    ids=("sigma-check-max-len", "localize-max-len", "localize-budget", "extend-cap-0",
-         "extend-cap-negative"),
+    ids=("sigma-check-max-len", "localize-max-len", "extend-cap-0", "extend-cap-negative"),
 )
 def test_bounds_below_one_are_usage(capsys, split_file, argv):
     code, _, err = run(capsys, *(split_file if a == "SPLIT" else a for a in argv))
     assert code == 3
     assert "must be an integer >= 1" in err
+
+
+@pytest.mark.parametrize("command", (("localize", "SPLIT"), ("ho-eq", "SPLIT", "query.txt")))
+def test_budget_is_not_an_option(capsys, split_file, command):
+    # the CLI always decides with the library default, which certificates record
+    code, out, err = run(capsys, *(split_file if a == "SPLIT" else a for a in command), "--budget", "8")
+    assert code == 3 and out == ""
+    assert "unrecognized arguments: --budget 8" in err
 
 
 def test_localize_underclosed_sigma_fails_with_witness(capsys, split_file):
@@ -400,8 +406,8 @@ def test_extend_solves_each_class_once(capsys, tmp_path, monkeypatch):
     # the report's whisker checks and the JSON values share one value per
     # class, from the value rule that probes use too
     solved = []
-    value = ho._value
-    monkeypatch.setattr(ho, "_value", lambda fun, k, hat: solved.append((k.f, k.terms))
+    value = ho.probe_value
+    monkeypatch.setattr(ho, "probe_value", lambda fun, k, hat: solved.append((k.f, k.terms))
                         or value(fun, k, hat))
     paths = []
     for name in ("chain_f.pf", "chain_src.bic", "chain_tgt.bic"):
@@ -776,7 +782,7 @@ README_COMMANDS = (
      0, _FIXTURES | _HO | {"bicatkit.localize"}),
     ("localize-replay", ["localize", "split", "--replay", "cert.json"],
      0, _FIXTURES | _HO | {"bicatkit.localize"}),
-    ("ho-eq", ["ho-eq", "split", "query.txt", "--budget", "8"],
+    ("ho-eq", ["ho-eq", "split", "query.txt"],
      0, _FIXTURES | _HO | {"bicatkit.queries"}),
     ("hat", ["hat", "iso", "hat.txt"], 0, _FIXTURES | _HO | {"bicatkit.queries"}),
     ("extend", ["extend", "--functor", "f.pf", "--source", "src.bic", "--target", "tgt.bic"],

@@ -1,7 +1,8 @@
 """Every module-level import in ``src/bicatkit`` is used in its module,
 every module-level private name is read somewhere in ``src/``, and every
 public top-level function or class is read in ``src/`` or ``bench/``, or is
-one that README promises.
+one that README promises.  Every library name that the benchmark under
+``bench/`` reads exists.
 
 An import a module keeps for someone else carries ``# noqa: F401 -- <reason>``
 on its line, and the reason names the file of this repository that reads the
@@ -12,6 +13,7 @@ imports ``dataclasses``, at module level or inside a function, nor uses
 ``functools.cached_property``.
 """
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -288,3 +290,61 @@ def test_the_check_flags_a_public_name_only_tests_could_read(tmp_path):
     (bench / "run.py").write_text("from a import Imported\nWRAPPED = ('a', 'Traced')\n")
     paths = sorted(tmp_path.glob("*.py"))
     assert unread_public_names(paths, [bench / "run.py"]) == [("a", "unused"), ("a", "recursive")]
+
+
+def bench_reads(paths) -> set[tuple[str, str]]:
+    """(module, name) of each library name a file of paths reads: an
+    ``import`` from ``bicatkit.<module>``, and in ``bench/workloads.py``'s
+    style, ``lib.<module>.<name>`` or ``alias.<name>`` after
+    ``alias = lib.<module>``."""
+    reads = set()
+    for path in paths:
+        tree = ast.parse(path.read_text())
+        modules = {}  # alias -> module
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("bicatkit."):
+                reads |= {(node.module.split(".", 1)[1], a.name) for a in node.names}
+            elif isinstance(node, ast.Assign) and _lib_module(node.value):
+                modules |= {t.id: node.value.attr for t in node.targets if isinstance(t, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and _lib_module(node.value):
+                reads.add((node.value.attr, node.attr))
+            elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in modules:
+                reads.add((modules[node.value.id], node.attr))
+    return reads
+
+
+def _lib_module(node: ast.AST) -> bool:
+    """node is ``lib.<module>``."""
+    return isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "lib"
+
+
+def missing_names(reads) -> list[tuple[str, str]]:
+    return sorted(
+        (module, name) for module, name in reads
+        if not hasattr(importlib.import_module(f"bicatkit.{module}"), name)
+    )
+
+
+def test_every_name_the_benchmark_reads_exists():
+    """The benchmark runs the library from outside the tests, so a name it
+    reads that the library drops fails every op of a workload and no test;
+    this test reads ``bench/tracing.py``'s ``TRACED`` and the library names
+    of every file under ``bench/``."""
+    from bench.tracing import TRACED
+
+    reads = bench_reads(sorted((ROOT / "bench").glob("*.py")))
+    assert ("ho", "ho_eq") in reads and ("homotopy", "ICell") in reads
+    assert missing_names(reads | {(module, attr) for module, attr, _, _ in TRACED}) == []
+
+
+def test_the_bench_check_finds_a_missing_name(tmp_path):
+    (tmp_path / "w.py").write_text(
+        "from bicatkit.ho import ho_eq, gone_a\n"
+        "def setup(lib):\n"
+        "    ho = lib.ho\n"
+        "    lib.localize.localize, lib.localize.gone_b\n"
+        "    return ho.ho_cell, ho.gone_c\n"
+    )
+    reads = bench_reads([tmp_path / "w.py"])
+    assert missing_names(reads) == [("ho", "gone_a"), ("ho", "gone_c"), ("localize", "gone_b")]

@@ -174,6 +174,16 @@ def _cylinder_with_w(cert: dict) -> None:
     next(t for t in terms if "cylinder" in t)["cylinder"]["W"] = "Y"
 
 
+def _inverse_cylinder_with_w(cert: dict) -> None:
+    terms = _s(cert)["to_id_dst"]["inverse"]["terms"]
+    next(t for t in terms if "cylinder" in t)["cylinder"]["W"] = "Y"
+
+
+def _inverse_unknown_cell(cert: dict) -> None:
+    terms = _s(cert)["to_id_dst"]["inverse"]["terms"]
+    next(t for t in terms if "cell" in t)["cell"] = "nope"
+
+
 def _chain_through_e(cert: dict) -> None:
     """e is marked but not w-split; a_e is an invertible e => e, so only the
     chain arrow check can object."""
@@ -256,6 +266,12 @@ def split_z2_cert():
             ["field 'i_functoriality' is unknown"],
         ),
         (_cylinder_with_w, ["s/to_id_dst: field 'hocell.terms[1].cylinder.W' is unknown"]),
+        # a fault in a side's inverse is named under that field
+        (
+            _inverse_cylinder_with_w,
+            ["s/to_id_dst: field 'inverse.terms[0].cylinder.W' is unknown"],
+        ),
+        (_inverse_unknown_cell, ["s/to_id_dst: inverse.terms[1]: unknown cell 'nope'"]),
         # the same marked set, listed as localize never writes it
         (
             lambda cert: cert["sigma"].insert(1, cert["sigma"][1]),
@@ -285,6 +301,8 @@ def split_z2_cert():
         "three-for-two-kept",
         "i-functoriality-kept",
         "cylinder-w-kept",
+        "inverse-cylinder-w",
+        "inverse-unknown-cell",
         "sigma-repeated",
         "sigma-unsorted",
     ],
@@ -310,14 +328,19 @@ def reference_problems(problems: list[str]) -> list[str]:
     ``max_len``, and the check that ``sigma`` lists the marked arrows sorted
     and each once (it compares sets, so where the sets differ both report the
     marked class, and a comparison that can see a changed set filters both
-    sides)."""
+    sides).  It also predates naming a fault in a side's ``inverse`` under
+    that field, and names it under ``hocell``."""
     newer = (
         ": hocell is not ",
         " re-derived verdict",
         "max_len",
         "marked class does not match the certificate",
     )
-    return [p for p in problems if not any(line in p for line in newer)]
+    return [
+        p.replace("'inverse.", "'hocell.").replace(": inverse.", ": hocell.")
+        for p in problems
+        if not any(line in p for line in newer)
+    ]
 
 
 def _family_sigma(family: str, n: int, seed: int = 1):
@@ -442,13 +465,13 @@ def test_every_single_edit_that_replays_ok_leaves_the_certificate_true(
 
 def _count_probe_values(monkeypatch) -> list:
     calls = []
-    values = localize_module.probe_values_given
+    value = ho.probe_value
 
-    def counted(probes, k, hat):
+    def counted(fun, k, hat):
         calls.append(k)
-        return values(probes, k, hat)
+        return value(fun, k, hat)
 
-    monkeypatch.setattr(localize_module, "probe_values_given", counted)
+    monkeypatch.setattr(ho, "probe_value", counted)
     return calls
 
 
@@ -458,7 +481,7 @@ def test_honest_replay_reads_no_probe_value_where_every_hat_is_the_identity(
     """In chaotic(3) each side's ``inverse o class`` has the identity as its
     source hat, so replay evaluates no probe; in split_z2 the marked arrows
     are not quasiequivalences, so the sides with homotopies evaluate every
-    probe, as before."""
+    probe, on ``inverse o class`` and on the identity class."""
     sigma = _family_sigma("chaotic", 3)
     probes = enumerate_probes(sigma, default_probe_targets(sigma))
     assert len(probes.probes) == families.chaotic_probe_count(3, False)
@@ -468,7 +491,9 @@ def test_honest_replay_reads_no_probe_value_where_every_hat_is_the_identity(
     assert calls == []
     sigma, probes, cert = split_z2_cert
     assert replay_certificate(sigma, cert, probes) == (True, [])
-    assert calls and all(ho.source_hat(k) is None for k in calls)
+    # each probe evaluates inverse o class, then the identity class it must match
+    assert calls and all(ho.source_hat(k) is None for k in calls[::2])
+    assert all(not k.terms for k in calls[1::2])
 
 
 def test_replay_hats_each_side_once(monkeypatch, split_z2_cert):

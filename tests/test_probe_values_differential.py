@@ -1,10 +1,11 @@
 """Probe values read off each side's source hat against the per-probe hats
 they replaced.
 
-``ho.probe_values_given`` takes a side's ``ho.source_hat``, hatted once in
-the source when every cylinder's marked arrow is a quasiequivalence there,
-and reads each probe's value as the probe's image of that hat; otherwise the
-hat is None and it falls back to ``ho.f_hat_chain`` per probe.  The
+``ho.probe_value`` takes a side's ``ho.source_hat``, hatted once in the
+source when every cylinder's marked arrow is a quasiequivalence there, and
+reads the probe's value as the probe's image of that hat; otherwise the hat
+is None and it falls back to ``ho.f_hat_chain``.  ``ho.separations`` walks
+the probes with it for both the decider and replay.  The
 reference is the verbatim copy, in ``tests/reference_scans.py``, of the two
 probe loops that called ``f_hat_chain`` for every probe: the one in
 ``ho_eq`` and the one in ``replay_certificate``; replay's problems are
@@ -128,8 +129,9 @@ def test_probe_values_match_per_probe_hats():
         rng = random.Random(f"{table}:probe-values")
         for k in _cells(sigma, rng):
             want = [(fun, ho.f_hat_chain(fun, k)) for fun in probes.probes]
-            got = ho.probe_values_given(probes, k, ho.source_hat(k))
-            assert list(got) == want, (table, str(k))
+            hat = ho.source_hat(k)
+            got = [(fun, ho.probe_value(fun, k, hat)) for fun in probes.probes]
+            assert got == want, (table, str(k))
             assert (ho.source_hat(k) is None) == (not _fast(k)), (table, str(k))
             paths[_fast(k), table == "split"] += len(want)
     # the fallback runs on split and only there; the fast path everywhere else
@@ -145,9 +147,10 @@ def test_probe_values_hat_each_side_once_when_asked(monkeypatch):
     calls: Counter = Counter()
     hat = ho.hat
     monkeypatch.setattr(ho, "hat", lambda *a: calls.update(["hat"]) or hat(*a))
-    values = ho.probe_values_given(probes, k, ho.source_hat(k))
+    source = ho.source_hat(k)
     assert calls == {"hat": 3}
-    assert len(list(values)) == len(probes.probes) > 1
+    values = [ho.probe_value(fun, k, source) for fun in probes.probes]
+    assert len(values) == len(probes.probes) > 1
     assert calls == {"hat": 3}
 
 
@@ -250,9 +253,9 @@ def test_an_unknown_with_one_source_hat_walks_no_probe(monkeypatch):
     hats, or without one, still walk the probes.  chaotic(3)xZ/2 lies in the
     regime, split_z2 outside it."""
     walked = []
-    real = ho.probe_values_given
+    real = ho.probe_value
     monkeypatch.setattr(
-        ho, "probe_values_given", lambda probes, k, hat: walked.append(k) or real(probes, k, hat)
+        ho, "probe_value", lambda fun, k, hat: walked.append(k) or real(fun, k, hat)
     )
     seen: Counter = Counter()
     for table in (("chaotic_z2", 3, 1), "split_z2"):
