@@ -257,7 +257,7 @@ def _cmd_ho_eq(args) -> int:
         )
         code = EXIT_FAIL
     else:
-        text = "Unknown (budget exhausted or outside the congruence)\n"
+        text = "Unknown (the rewrites do not join the sides and no probe separates them)\n"
         code = EXIT_UNKNOWN
     _emit(args, payload, text)
     return code

@@ -326,6 +326,16 @@ def validate_bicategory(bic: Bicategory) -> ValidationReport:
     is its own inverse.  The test is theta == id_s, not "theta is an
     identity cell": the identity of another arrow is mistyped.
 
+    When the structure cells are identities, the naturality squares are
+    checked as whiskering laws.  If ``vcomp-unit`` holds and lam_f = rho_f
+    = id_f for every arrow f, Nlambda and Nrho compare a*id_x with a and
+    id_y*a with a.  If every triple passed the walk at once, Ntheta1-3
+    compare h*(g*a) with (hg)*a, h*(b*f) with (h*b)*f and c*(gf) with
+    (c*g)*f.  Unitor and whisker typing have passed, so each identity in a
+    square sits on an end of the whiskered cell beside it, and ``vcomp-unit``
+    drops it: the two sides are the ones the full square computes, and so
+    are the witnesses and their order.  Otherwise the full squares run.
+
     The typing checks of hcomp1, vcomp, lwhisk and rwhisk walk each table in
     storage order and file at most one violation per key; the violations are
     reported in key order, so only they are sorted.
@@ -525,10 +535,13 @@ def validate_bicategory(bic: Bicategory) -> ValidationReport:
                             add(Violation("H2", (d, c, b, a), left=lhs, right=rhs))
 
     # unitors: typing, invertibility, naturality
+    unitors_identity = units_hold
     for f in sorted_arrows:
         x, y = arrows[f]
         lam = bic.lunitor.get(f)
         rho = bic.runitor.get(f)
+        if lam != idc[f] or rho != idc[f]:
+            unitors_identity = False
         fid = hcomp1[(f, id1[x])]
         idf = hcomp1[(id1[y], f)]
         if lam is None or lam not in cells:
@@ -546,22 +559,34 @@ def validate_bicategory(bic: Bicategory) -> ValidationReport:
     if any(v.axiom.startswith("unitor") for v in out):
         return ValidationReport(tuple(out))
     lunitor, runitor = bic.lunitor, bic.runitor
-    for a in sweep:
-        f, g = cells[a]
-        x, y = arrows[f]
-        lhs = vcomp[(lunitor[g], rwhisk[(a, id1[x])])]
-        rhs = vcomp[(a, lunitor[f])]
-        if lhs != rhs:
-            add(Violation("Nlambda", (a,), left=lhs, right=rhs))
-        lhs = vcomp[(runitor[g], lwhisk[(id1[y], a)])]
-        rhs = vcomp[(a, runitor[f])]
-        if lhs != rhs:
-            add(Violation("Nrho", (a,), left=lhs, right=rhs))
+    if unitors_identity:
+        # lam_f = rho_f = id_f: the squares are a*id_x = a and id_y*a = a
+        for a in sweep:
+            x, y = arrows[cells[a][0]]
+            lhs = rwhisk[(a, id1[x])]
+            if lhs != a:
+                add(Violation("Nlambda", (a,), left=lhs, right=a))
+            lhs = lwhisk[(id1[y], a)]
+            if lhs != a:
+                add(Violation("Nrho", (a,), left=lhs, right=a))
+    else:
+        for a in sweep:
+            f, g = cells[a]
+            x, y = arrows[f]
+            lhs = vcomp[(lunitor[g], rwhisk[(a, id1[x])])]
+            rhs = vcomp[(a, lunitor[f])]
+            if lhs != rhs:
+                add(Violation("Nlambda", (a,), left=lhs, right=rhs))
+            lhs = vcomp[(runitor[g], lwhisk[(id1[y], a)])]
+            rhs = vcomp[(a, runitor[f])]
+            if lhs != rhs:
+                add(Violation("Nrho", (a,), left=lhs, right=rhs))
 
     # associator: typing, invertibility, naturality, pentagon, triangle; one
     # walk of the triples also files strict-assoc and strict-assoc-cell
     strict, identity_cells = bic.strict, bic._identity_cells
     strict_assoc_out: list[Violation] = []
+    assoc_identity = True  # until a triple does not pass at once, which needs vcomp-unit
     for h, g in bic.composable_arrow_pairs():
         hg = hcomp1[(h, g)]
         for f in in_arrows(arrows[g][0]):
@@ -570,6 +595,7 @@ def validate_bicategory(bic: Bicategory) -> ValidationReport:
             dst = hcomp1[(hg, f)]
             if units_hold and src == dst and th == idc[src]:
                 continue
+            assoc_identity = False
             if th is None or th not in cells:
                 add(Violation("assoc-missing", (h, g, f)))
             elif cells[th] != (src, dst):
@@ -585,32 +611,60 @@ def validate_bicategory(bic: Bicategory) -> ValidationReport:
     if any(v.axiom.startswith("assoc") for v in out):
         return ValidationReport(tuple(out))
 
-    for a in sweep:
-        f1, f2 = cells[a]
-        for g in out_arrows(arrows[f1][1]):
-            for h in out_arrows(arrows[g][1]):
-                lhs = vcomp[(assoc[(h, g, f2)], lwhisk[(h, lwhisk[(g, a)])])]
-                rhs = vcomp[(lwhisk[(hcomp1[(h, g)], a)], assoc[(h, g, f1)])]
-                if lhs != rhs:
-                    add(Violation("Ntheta1", (h, g, a), left=lhs, right=rhs))
-    for b in sweep:
-        g1, g2 = cells[b]
-        x, y = arrows[g1]
-        for f in in_arrows(x):
-            for h in out_arrows(y):
-                lhs = vcomp[(assoc[(h, g2, f)], lwhisk[(h, rwhisk[(b, f)])])]
-                rhs = vcomp[(rwhisk[(lwhisk[(h, b)], f)], assoc[(h, g1, f)])]
-                if lhs != rhs:
-                    add(Violation("Ntheta2", (h, b, f), left=lhs, right=rhs))
-    for c in sweep:
-        h1, h2 = cells[c]
-        for g in in_arrows(arrows[h1][0]):
-            for f in in_arrows(arrows[g][0]):
-                gf = hcomp1[(g, f)]
-                lhs = vcomp[(assoc[(h2, g, f)], rwhisk[(c, gf)])]
-                rhs = vcomp[(rwhisk[(rwhisk[(c, g)], f)], assoc[(h1, g, f)])]
-                if lhs != rhs:
-                    add(Violation("Ntheta3", (c, g, f), left=lhs, right=rhs))
+    if assoc_identity:
+        # every theta is id_s: the squares are whiskering laws
+        for a in sweep:
+            for g in out_arrows(arrows[cells[a][0]][1]):
+                ga = lwhisk[(g, a)]
+                for h in out_arrows(arrows[g][1]):
+                    lhs = lwhisk[(h, ga)]
+                    rhs = lwhisk[(hcomp1[(h, g)], a)]
+                    if lhs != rhs:
+                        add(Violation("Ntheta1", (h, g, a), left=lhs, right=rhs))
+        for b in sweep:
+            x, y = arrows[cells[b][0]]
+            for f in in_arrows(x):
+                bf = rwhisk[(b, f)]
+                for h in out_arrows(y):
+                    lhs = lwhisk[(h, bf)]
+                    rhs = rwhisk[(lwhisk[(h, b)], f)]
+                    if lhs != rhs:
+                        add(Violation("Ntheta2", (h, b, f), left=lhs, right=rhs))
+        for c in sweep:
+            for g in in_arrows(arrows[cells[c][0]][0]):
+                cg = rwhisk[(c, g)]
+                for f in in_arrows(arrows[g][0]):
+                    lhs = rwhisk[(c, hcomp1[(g, f)])]
+                    rhs = rwhisk[(cg, f)]
+                    if lhs != rhs:
+                        add(Violation("Ntheta3", (c, g, f), left=lhs, right=rhs))
+    else:
+        for a in sweep:
+            f1, f2 = cells[a]
+            for g in out_arrows(arrows[f1][1]):
+                for h in out_arrows(arrows[g][1]):
+                    lhs = vcomp[(assoc[(h, g, f2)], lwhisk[(h, lwhisk[(g, a)])])]
+                    rhs = vcomp[(lwhisk[(hcomp1[(h, g)], a)], assoc[(h, g, f1)])]
+                    if lhs != rhs:
+                        add(Violation("Ntheta1", (h, g, a), left=lhs, right=rhs))
+        for b in sweep:
+            g1, g2 = cells[b]
+            x, y = arrows[g1]
+            for f in in_arrows(x):
+                for h in out_arrows(y):
+                    lhs = vcomp[(assoc[(h, g2, f)], lwhisk[(h, rwhisk[(b, f)])])]
+                    rhs = vcomp[(rwhisk[(lwhisk[(h, b)], f)], assoc[(h, g1, f)])]
+                    if lhs != rhs:
+                        add(Violation("Ntheta2", (h, b, f), left=lhs, right=rhs))
+        for c in sweep:
+            h1, h2 = cells[c]
+            for g in in_arrows(arrows[h1][0]):
+                for f in in_arrows(arrows[g][0]):
+                    gf = hcomp1[(g, f)]
+                    lhs = vcomp[(assoc[(h2, g, f)], rwhisk[(c, gf)])]
+                    rhs = vcomp[(rwhisk[(rwhisk[(c, g)], f)], assoc[(h1, g, f)])]
+                    if lhs != rhs:
+                        add(Violation("Ntheta3", (c, g, f), left=lhs, right=rhs))
 
     # strictness, when claimed; reported after the triangle
     strict_out: list[Violation] = []

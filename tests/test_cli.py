@@ -352,7 +352,8 @@ def test_ho_eq_unknown_exit_two(capsys, tmp_path):
     q.write_text("homotopy H = h0(g)\nlhs = [H]\nrhs = id id_P\n")
     # only trivial probes: the two classes cannot be separated
     code, out, _ = run(capsys, "ho-eq", str(g), str(q), "--probes", "triv")
-    assert code == 2 and out.startswith("Unknown")
+    assert code == 2
+    assert out == "Unknown (the rewrites do not join the sides and no probe separates them)\n"
 
 
 def test_ho_eq_boundary_mismatch_is_usage(capsys, split_file, tmp_path):

@@ -125,13 +125,14 @@ def _queries(sigma, terms: dict[str, list], rng: random.Random):
         yield seq(f), seq(f)
         yield k, k
         # a W1 square K*f, g*H between two sequences on g f
-        f, g = rng.choice(squares)
-        gf = bic.hcomp1[(g, f)]
-        square = ho.ho_cell(sigma, (
-            transform_homotopy("rwhisk", f, rng.choice(homs[g])),
-            transform_homotopy("lwhisk", g, rng.choice(homs[f])),
-        ))
-        yield ho.ho_vcomp(seq(gf, 0), ho.ho_vcomp(square, seq(gf, 0))), seq(gf)
+        if squares:
+            f, g = rng.choice(squares)
+            gf = bic.hcomp1[(g, f)]
+            square = ho.ho_cell(sigma, (
+                transform_homotopy("rwhisk", f, rng.choice(homs[g])),
+                transform_homotopy("lwhisk", g, rng.choice(homs[f])),
+            ))
+            yield ho.ho_vcomp(seq(gf, 0), ho.ho_vcomp(square, seq(gf, 0))), seq(gf)
         # a homotopy next to one over the inverse cylinder, with any mediator
         if cancels:
             t = rng.choice(cancels)
@@ -183,6 +184,20 @@ def test_decider_matches_reference_on_the_corpus(grpd):
     _assert_same(ho.ho_vcomp(ho.ho_inverse(k), k), ho.ho_identity(sigma, k.f), fired)
 
     assert set(fired) == set(ho.LAWS)
+
+
+def test_corpus_draws_on_a_table_without_w1_squares():
+    """chain_z2(4) at seed 1, sampled at cap 200, has no composable pair of
+    arrows that both carry a sampled homotopy: the W1-square draw is left
+    out and every other kind is still drawn and compared."""
+    sigma = _sigma(("chain_z2", 4, 1))
+    rng = random.Random("no-squares:decider")
+    queries = list(_queries(sigma, _terms(sigma, cap=200), rng))
+    assert len(queries) == 5 * QUERIES_PER_KIND
+    fired: Counter = Counter()
+    for k1, k2 in queries:
+        _assert_same(k1, k2, fired)
+    assert "w1-exchange" not in fired
 
 
 def test_laws_are_the_known_rules_and_the_benchmark_counters():

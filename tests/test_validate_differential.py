@@ -15,7 +15,10 @@ Its one walk of the composable triples passes a triple whose associator is
 the identity of both composites while ``vcomp-unit`` holds, so the last
 tests move associators off that identity, with and without the unit law,
 and insert the composition tables in other orders, since the typing loops
-sort only the violations they report.
+sort only the violations they report.  Where every unitor, or every
+associator, is an identity, the naturality squares are checked as
+whiskering laws, so tests project one whisker of a monoid-valued table and
+move a unitor or an associator off the identity.
 """
 import ast
 import itertools
@@ -597,6 +600,96 @@ def test_non_associative_compose_matches_reference(strict):
     src = bic.hcomp1[("a", bic.hcomp1[("b", "a")])]
     rep = assert_same_report(moved(bic, "assoc", ("a", "b", "a"), bic.idc[src]))
     assert axiom_counts(rep) == {"assoc-typing": 1}
+
+
+# -- naturality squares of identity structure cells ---------------------------
+
+
+def projected(bic, name, arrow, on):
+    """bic with the whisker by ``arrow`` of the cells on ``on`` (in lwhisk or
+    rwhisk) sent to the endomorphism z^s e^t -> z^s of Z/2 x {1, e}.  It
+    fixes both unit-like cells, so W1-W3 still hold, while the naturality
+    squares that whisker it fail.  It moves two entries, e and z e: no
+    endomorphism of the monoid moves one element alone."""
+    table = dict(getattr(bic, name))
+    for key, c in table.items():
+        by, cell = key if name == "lwhisk" else key[::-1]
+        if by == arrow and bic.cell_src(cell) == on:
+            table[key] = c[:-1] + "0"
+    return rebuild(bic, **{name: table})
+
+
+def associator_z(bic, rep):
+    """bic with the associator that the first Ntheta violation of rep reads
+    set to z, invertible but no identity cell."""
+    v = next(v for v in rep.violations if v.axiom.startswith("Ntheta"))
+    h, g, f = (bic.cell_src(w) if w in bic.cells else w for w in v.witness)
+    s = bic.hcomp1[(h, bic.hcomp1[(g, f)])]
+    return moved(bic, "assoc", (h, g, f), f"c_{s}_10")
+
+
+def unitor_z(bic, name, on):
+    """bic with the unitor of ``on`` that the squares whiskering by an
+    identity on that side read (lambda for rwhisk, rho for lwhisk) set to z."""
+    return moved(bic, {"rwhisk": "lunitor", "lwhisk": "runitor"}[name], on, f"c_{on}_10")
+
+
+@pytest.mark.parametrize("strict", [True, False], ids=["strict", "non-strict"])
+@pytest.mark.parametrize("variant", ["identities", "associator-z", "unitor-z", "vcomp-unit-broken"])
+@pytest.mark.parametrize("move, tags", [
+    (("rwhisk", "a00", "a01"), {"Nlambda", "Ntheta2", "Ntheta3"}),
+    (("lwhisk", "a11", "a01"), {"Nrho", "Ntheta1", "Ntheta2"}),
+    (("lwhisk", "a12", "a01"), {"Ntheta1", "Ntheta2"}),
+    (("rwhisk", "a01", "a12"), {"Ntheta2", "Ntheta3"}),
+])
+def test_structure_cell_squares_match_reference(move, tags, variant, strict):
+    """chaotic_monoid(3) with one whisker projected.  With every unitor and
+    associator an identity and ``vcomp-unit`` holding, the validator checks
+    Nlambda, Nrho and Ntheta1-3 as whiskering laws, and exactly the squares
+    that read the whisker fail.  One associator set to z sends Ntheta, and
+    one unitor set to z sends Nlambda/Nrho, down the full squares, whose
+    sides then carry the z; so does ``vcomp-unit`` broken (unit Z)."""
+    bic = chaotic_monoid(3, Z if variant == "vcomp-unit-broken" else ONE)
+    if not strict:
+        bic = rebuild(bic, strict=False)
+    mutant = projected(bic, *move)
+    rep = assert_same_report(mutant)
+    if variant == "identities":
+        assert rep.axioms() == tags
+    elif variant == "associator-z":
+        rep = assert_same_report(associator_z(mutant, rep))
+    elif variant == "unitor-z":
+        rep = assert_same_report(unitor_z(mutant, move[0], move[2]))
+    assert tags <= rep.axioms(), rep.axioms()
+
+
+class ReadCounting(dict):
+    """A table that counts its reads by key."""
+
+    def __init__(self, table):
+        super().__init__(table)
+        self.reads = Counter()
+
+    def get(self, key, default=None):
+        self.reads[key] += 1
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        self.reads[key] += 1
+        return super().__getitem__(key)
+
+
+def test_clean_benchmark_tables_read_each_associator_once():
+    """On the clean Z/2 validate-tables shapes every associator is an
+    identity, so the walk reads each one once and the naturality squares,
+    checked as whiskering laws, read none."""
+    shapes = [(f, n) for f, n in validate_tables_shapes() if f.endswith("_z2")]
+    assert {f for f, _ in shapes} == {"chain_z2", "chaotic_z2"}
+    for family, n in shapes:
+        bic = generated(family, n, 1)
+        bic.assoc = assoc = ReadCounting(bic.assoc)
+        assert validate_bicategory(bic).ok
+        assert assoc.reads == Counter(bic.composable_arrow_triples()), (family, n)
 
 
 # -- typing violations in key order -------------------------------------------
