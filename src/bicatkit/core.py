@@ -26,7 +26,7 @@ SCHEMA_VERSION = 2
 
 class StructureError(Exception):
     """Raised for malformed references or ill-typed constructions.  `arrows`
-    names the source arrows whose images are at fault, when there are such."""
+    names the document keys at fault, when there are such."""
 
     def __init__(self, message: str, arrows: tuple[str, ...] = ()) -> None:
         super().__init__(message)

@@ -58,7 +58,8 @@ def make_computad(
     """Validate and close generator data; cell boundaries must be parallel.
 
     A cell value may carry a third component naming the boundary object, which
-    is required when both paths are empty.
+    is required when both paths are empty; an error in a cell's data names
+    that cell in the `StructureError`'s second argument.
     """
     for f, (x, y) in arrows.items():
         if x not in objects or y not in objects:
@@ -68,16 +69,14 @@ def make_computad(
     for c, spec in cells.items():
         pin, pout = spec[0], spec[1]
         anchor = spec[2] if len(spec) > 2 else None
-        if anchor is not None and anchor not in objects:
-            raise StructureError(f"{name}: cell {c!r} anchored at unknown object")
-        if pin:
-            ends = tmp.path_ends(pin)
-        elif pout:
-            ends = tmp.path_ends(pout)
-        else:
-            ends = tmp.path_ends(pin, anchor)
-        if tmp.path_ends(pin, ends[0]) != ends or tmp.path_ends(pout, ends[0]) != ends:
-            raise StructureError(f"{name}: cell {c!r} boundary paths not parallel")
+        try:
+            if anchor is not None and anchor not in objects:
+                raise StructureError(f"{name}: cell {c!r} anchored at unknown object")
+            ends = tmp.path_ends(pin or pout, anchor)
+            if tmp.path_ends(pin, ends[0]) != ends or tmp.path_ends(pout, ends[0]) != ends:
+                raise StructureError(f"{name}: cell {c!r} boundary paths not parallel")
+        except StructureError as exc:
+            raise StructureError(str(exc), (c,)) from None
         full[c] = (tuple(pin), tuple(pout), ends[0], ends[1])
     return Computad(name, tuple(objects), dict(arrows), full)
 
@@ -353,7 +352,8 @@ def load_computad(text: str, name: str = "computad") -> Computad:
     try:
         return make_computad(name, list(objects), arrows, cells)
     except StructureError as exc:
-        raise ParseError(str(exc), 1) from exc
+        line = doc.where["cells"][exc.arrows[0]] if exc.arrows else 1
+        raise ParseError(str(exc), line) from exc
 
 
 def render(expr: CellExpr) -> str:

@@ -487,7 +487,7 @@ def source_hat(k: HoCell) -> str | None:
 def probe_value(fun: PseudofunctorData, k: HoCell, hat: str | None) -> str:
     """The one value rule: a validated admissible F sends k to F of ``hat``,
     k's ``source_hat``, when it exists, and otherwise to the composite of F's
-    own hats of k's terms.  F sends each marked arrow s to a
+    hats of k's terms (``f_hat``).  F sends each marked arrow s to a
     quasiequivalence, so when s is one in the source too, F of the source hat
     of a cylinder on s solves Fs * c = F(alpha_tilde) and is F's hat of it."""
     return f_hat_chain(fun, k) if hat is None else fun.cell_map[hat]
@@ -835,11 +835,11 @@ class ExtensionG:
     def value(self, k: HoCell) -> str:
         """The composite of F's hats of the terms, once per class: F of k's
         ``source_hat`` when it exists (F is validated and admissible, so F of
-        each source hat solves F's hat equation), and otherwise each term
-        solved in F's target.  On a validated target this is vertically
-        functorial by associativity of ``vcomp``, and on a lone cell term it
-        is F of the cell, so ``extend`` checks only what F's own data can
-        break: whiskering and units."""
+        each source hat solves F's hat equation), and otherwise the hat of
+        each term's push-forward, kept on F's target.  On a validated
+        target this is vertically functorial by associativity of ``vcomp``,
+        and on a lone cell term it is F of the cell, so ``extend`` checks
+        only what F's own data can break: whiskering and units."""
         key = (k.f, k.terms)
         if key not in self._values:
             self._values[key] = probe_value(self.fun, k, source_hat(k))

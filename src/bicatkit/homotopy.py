@@ -6,9 +6,9 @@ essential content is the composite cell alpha_tilde: s*d0 => s*d1.  A homotopy
 is a would-be 2-cell f => g mediated by a cylinder: cells eta: f => h*d0 and
 eps: h*d1 => g for some arrow h out of W.  When s is a quasiequivalence,
 whiskering by s is a bijection on each hom; ``is_quasiequivalence`` verifies
-that bijection and keeps its inverse, and every hat, of a cylinder or of a
-functor's image of one, is read off it.  Pseudofunctors push all of this
-into their targets.
+that bijection and keeps its inverse, and every hat is read off it.
+Pseudofunctors push all of this into their targets, and a functor's hat of
+a homotopy is the hat of its push-forward.
 
 Each homotopy carries its construction provenance (transform kind or lemma
 gluing) in its ``origin`` field, so the equality decider can replay it;
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Union
 
-from .core import Bicategory, PseudofunctorData, StructureError, comp_sub_f
+from .core import Bicategory, PseudofunctorData, StructureError
 from .sigma import SigmaClass, whisker_preimages
 
 
@@ -324,61 +324,33 @@ def hat(bic: Bicategory, obj: Cylinder | Homotopy) -> str:
     cyl = obj
     if cyl.bic is not bic:
         raise StructureError("cylinder does not live in the given bicategory")
-    c = _preimage(bic, cyl.s, cyl.d0, cyl.d1, cyl.alpha_tilde(), None)
+    preimages = whisker_preimages(bic, cyl.s)
+    if preimages is None:
+        raise HatError(f"arrow {cyl.s!r} is not a quasiequivalence in {bic.name}")
+    c = preimages.get((cyl.d0, cyl.d1, cyl.alpha_tilde()))
+    if c is None:
+        raise HatError(
+            f"hat of cylinder on {cyl.s!r} has 0 solutions; "
+            "tables are corrupted (uniqueness is guaranteed)"
+        )
     if not bic.is_invertible(c):
         raise HatError(f"hat solution {c!r} is not invertible")
     return c
 
 
-def _preimage(
-    bic: Bicategory, s: str, d0: str, d1: str, want: str | None, source_s: str | None
-) -> str:
-    """The hat solver: the unique cell c: d0 => d1 with s * c = want.  s is
-    the image of source_s under a functor, or source_s is None."""
-    preimages = whisker_preimages(bic, s)
-    if preimages is None:
-        what = f"arrow {s!r}" if source_s is None else f"image {s!r} of {source_s!r}"
-        raise HatError(f"{what} is not a quasiequivalence in {bic.name}")
-    c = preimages.get((d0, d1, want))
-    if c is None:
-        raise HatError(
-            f"hat of cylinder on {s!r} has 0 solutions; "
-            "tables are corrupted (uniqueness is guaranteed)"
-            if source_s is None
-            else f"functor hat of cylinder on {source_s!r} has 0 solutions"
-        )
-    return c
-
-
 def f_hat(fun: PseudofunctorData, term: HomotopyTerm) -> str:
-    """The target 2-cell a homotopy term induces through a pseudofunctor.  Its
-    cylinder's hat is that of F's image cylinder: the unique target cell c with
-    Fs * c = phi(s, d1)^-1 o F(alpha_tilde) o phi(s, d0).  A composite that the
-    target's tables lack has no preimage."""
+    """The target 2-cell a homotopy term induces through a pseudofunctor: F
+    of a cell term, and for a homotopy the hat of its push-forward.  ``hat``
+    keeps that hat on F's target, so the target must not be mutated
+    afterwards; the push-forward itself is rebuilt on every call."""
     if isinstance(term, ICell):
         return fun.cell_map[term.cell]
-    cyl, d, amap = term.cyl, fun.target, fun.arr_map
-    if cyl.bic is not fun.source:
-        raise StructureError("cylinder does not live in the functor's source")
-    moved = d.vcomp.get((fun.cell_map[cyl.alpha_tilde()], fun.phi[(cyl.s, cyl.d0)]))
-    want = d.vcomp.get((d.inverse(fun.phi[(cyl.s, cyl.d1)]), moved))
-    c_hat = _preimage(d, amap[cyl.s], amap[cyl.d0], amap[cyl.d1], want, cyl.s)
-    mid = comp_sub_f(
-        fun,
-        d.idc[amap[term.h]],
-        c_hat,
-        term.h,
-        cyl.d0,
-        term.h,
-        cyl.d1,
-    )
-    return d.vertical_chain(
-        [fun.cell_map[term.eta], mid, fun.cell_map[term.eps]]
-    )
+    return hat(fun.target, apply_functor(fun, term))
 
 
 def apply_functor(fun: PseudofunctorData, obj: Cylinder | Homotopy) -> Cylinder | Homotopy:
-    """Image of a cylinder or homotopy, with phi corrections on the cells."""
+    """Image of a cylinder or homotopy of F's source, with phi corrections on
+    the cells."""
     d = fun.target
     if isinstance(obj, Homotopy):
         fc = apply_functor(fun, obj.cyl)
@@ -392,6 +364,8 @@ def apply_functor(fun: PseudofunctorData, obj: Cylinder | Homotopy) -> Cylinder 
             d.vertical(fun.cell_map[obj.eps], fun.phi[(obj.h, obj.cyl.d1)]),
         )
     cyl = obj
+    if cyl.bic is not fun.source:
+        raise StructureError("cylinder does not live in the functor's source")
     return make_cylinder(
         d,
         d0=fun.arr_map[cyl.d0],

@@ -100,6 +100,8 @@ def parse_query(sigma: SigmaClass, text: str) -> QueryDoc:
             require_unbound(name, doc.cylinders, "cylinder", lineno)
             try:
                 doc.homotopies[name] = _parse_homotopy(sigma, rhs, lineno, cyl_of, hom_of)
+            except QueryError:
+                raise
             except StructureError as exc:
                 raise QueryError(str(exc), lineno) from exc
             continue

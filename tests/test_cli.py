@@ -549,8 +549,15 @@ def test_query_rebinding_is_usage(capsys, split_file, tmp_path, query, message):
         ("hat = Nope", "unknown hat target 'Nope'"),
         ("lhs = []", "empty sequence needs 'id f' form"),
         ("what is this", "cannot parse 'what is this'"),
+        ("homotopy H = cyl(Nope)", "unknown cylinder 'Nope'"),
+        ("homotopy H = invert(Nope)", "unknown homotopy 'Nope'"),
+        ("homotopy H = h0(nope)", "unknown cell 'nope'"),
+        ("homotopy H = (Nope, id_Y, id_e, id_e)", "unknown cylinder 'Nope'"),
+        ("homotopy H = frob(C0)", "cannot parse homotopy expression 'frob(C0)'"),
     ),
-    ids=("cylinder-arity", "cylinder-ends", "hat-target", "empty-sequence", "unparsable"),
+    ids=("cylinder-arity", "cylinder-ends", "hat-target", "empty-sequence", "unparsable",
+         "homotopy-cylinder", "homotopy-base", "homotopy-cell", "homotopy-literal",
+         "homotopy-unparsable"),
 )
 def test_query_errors_name_their_line(capsys, split_file, tmp_path, line, message):
     q = tmp_path / "q.txt"

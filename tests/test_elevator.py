@@ -17,6 +17,7 @@ from bicatkit.elevator import (
     stack,
     _exchange,
 )
+from bicatkit.presentation import ParseError
 
 W1_COMPUTAD = make_computad(
     "w1",
@@ -281,6 +282,24 @@ cells:
     comp = load_computad(doc, name="doc")
     assert comp.cells["a"] == (("f",), ("f",), "X", "Y")
     assert comp.cells["sc"] == ((), (), "X", "X")
+
+
+@pytest.mark.parametrize(
+    "cell, message",
+    (
+        ("b : f => 1", "cell 'b' boundary paths not parallel"),
+        ("b : f . f => f", "path breaks at 'f' . 'f'"),
+    ),
+    ids=("not-parallel", "path-breaks"),
+)
+def test_computad_errors_name_the_line_of_the_cell_at_fault(cell, message):
+    doc = f"objects: X Y\narrows:\n  f : X -> Y\n  g : Y -> X\ncells:\n  a : f => f\n  {cell}\n"
+    with pytest.raises(ParseError) as err:
+        load_computad(doc, name="doc")
+    assert str(err.value) == f"line 7, column 1: doc: {message}"
+    with pytest.raises(StructureError) as err:
+        make_computad("doc", ["X", "Y"], {"f": ("X", "Y")}, {"b": (("f",), ())})
+    assert err.value.arrows == ("b",)
 
 
 def test_render_places_a_cell_without_inputs_mid_row_and_at_the_right_end():

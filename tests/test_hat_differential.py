@@ -1,24 +1,30 @@
 """The hat solver against the scans it replaced.
 
-``hat`` and ``f_hat`` read every cylinder hat off the inverse of whiskering
-that ``is_quasiequivalence`` keeps.  ``tests/reference_scans.py`` holds the
-old ``hat``, ``functor_cylinder_hat``, ``f_hat`` and ``_is_quasiequivalence``,
-which scanned the candidate cells with one whisker or one ``comp_sub_f`` per
-candidate and counted the solutions.  Both sides must give equal values or
-equal ``HatError`` text on every sampled homotopy and its right whiskers and
-inverse, under ``hat`` in the source and ``f_hat`` under each functor: the
-extension fixtures, the drawn pseudofunctors that are not 2-functors, and
-every probe of three generated tables.  Quasiequivalence verdicts must agree
-on every arrow of those tables, and each kept inverse must invert
-whiskering.  Hand-built tables reach each ``HatError``, and a guard checks
-that a second pass over the same terms scans no cells.
+``hat`` is the one hat solver: it reads every cylinder hat off the inverse
+of whiskering that ``is_quasiequivalence`` keeps, and ``f_hat`` is the hat
+of a homotopy's push-forward, solved once per target table.
+``tests/reference_scans.py`` holds the old ``hat``, ``functor_cylinder_hat``,
+``f_hat`` and ``_is_quasiequivalence``, which scanned the candidate cells
+with one whisker or one ``comp_sub_f`` per candidate and counted the
+solutions.  Both sides must give equal values or equal ``HatError`` text on
+every sampled homotopy and its right whiskers and inverse, under ``hat`` in
+the source and ``f_hat`` under each functor: the extension fixtures, the
+drawn pseudofunctors that are not 2-functors, and every probe of three
+generated tables.  Quasiequivalence verdicts must agree on every arrow of
+those tables, and each kept inverse must invert whiskering.  Hand-built
+tables reach each ``HatError``, and a functor that is not admissible or not
+validated fails with the push-forward's own text; a guard checks that a
+second pass over the same terms scans no cells.
 
-``hat`` keeps each homotopy's hat in a memo on its table.  On the fixtures,
-the four families at n = 2-4 and split_z2, the memoized hat of every sampled
-homotopy and of each of its transforms equals the reference's, on the first
-call and on a repeated one; a failing hat raises on every call, runs the
-solver again and is never kept; and two parses of one table keep separate
-memos, each of which dies with its table.
+``hat`` keeps each homotopy's hat in a memo on its table, so ``f_hat``
+keeps the hat of each push-forward on the functor's target.  On the
+fixtures, the four families at n = 2-4 and split_z2, the memoized hat of
+every sampled homotopy and of each of its transforms equals the
+reference's, on the first call and on a repeated one; a failing hat raises
+on every call, runs the solver again and is never kept; and two parses of
+one table keep separate memos, each of which dies with its table.  Likewise
+a failing ``f_hat`` is kept nowhere, and a successful one is kept on the
+target, so a second pass solves no cylinder hat.
 """
 from __future__ import annotations
 
@@ -29,7 +35,7 @@ import pytest
 
 from bench import families
 from bicatkit import homotopy
-from bicatkit.core import PseudofunctorData, identity_pseudofunctor
+from bicatkit.core import PseudofunctorData, StructureError, identity_pseudofunctor
 from bicatkit.ho import enumerate_probes, sample_homotopies
 from bicatkit.homotopy import (
     HatError,
@@ -167,21 +173,21 @@ def test_hat_errors_match_reference():
     bic = load_presentation_with_sigma(COLLAPSE_DOC, "collapse").bicategory
     cyl = make_cylinder(bic, "f", "f", "h", "g", "id_h", "id_h")
     assert hat_error(hat, bic, cyl) == "arrow 'g' is not a quasiequivalence in collapse"
-    assert hat_error(f_hat, identity_pseudofunctor(bic), cylinder_homotopy(cyl)) == (
-        "image 'g' of 'g' is not a quasiequivalence in collapse"
-    )
+    with pytest.raises(HatError, match="^arrow 'g' is not a quasiequivalence in collapse$"):
+        f_hat(identity_pseudofunctor(bic), cylinder_homotopy(cyl))
     # alpha_tilde read as a cell on id_A, which no cell on p whiskers to
     bic, cyl = stray(corrupt="id_id_A")
     assert hat_error(hat, bic, cyl) == (
         "hat of cylinder on 'id_B' has 0 solutions; "
         "tables are corrupted (uniqueness is guaranteed)"
     )
-    # F(alpha_tilde) is a cell on id_A
+    # F(alpha1) is a cell on id_A, so the image cylinder has no alpha1
     bic, cyl = stray()
     assert hat(bic, cyl) == "z"
-    assert hat_error(f_hat, bent(bic, "z", "id_id_A"), cylinder_homotopy(cyl)) == (
-        "functor hat of cylinder on 'id_B' has 0 solutions"
-    )
+    with pytest.raises(StructureError) as err:
+        f_hat(bent(bic, "z", "id_id_A"), cylinder_homotopy(cyl))
+    assert type(err.value) is StructureError
+    assert str(err.value) == "stray: vertical composite id_id_A . id_p not in vcomp table"
     # alpha_tilde read as the idempotent n, which is its own preimage
     bic, cyl = stray(corrupt="n")
     assert hat_error(hat, bic, cyl) == "hat solution 'n' is not invertible"
@@ -250,11 +256,12 @@ def memo_terms(sigma):
 
 
 def count_solver(monkeypatch) -> list:
-    """Record the table of each ``homotopy._preimage`` call."""
+    """Record the table of each cylinder hat ``hat`` solves: one
+    ``whisker_preimages`` lookup each."""
     calls: list = []
-    real = homotopy._preimage
+    real = homotopy.whisker_preimages
     monkeypatch.setattr(
-        homotopy, "_preimage", lambda bic, *a: calls.append(bic) or real(bic, *a)
+        homotopy, "whisker_preimages", lambda bic, s: calls.append(bic) or real(bic, s)
     )
     return calls
 
@@ -322,3 +329,51 @@ def test_two_parses_keep_separate_memos(monkeypatch):
     del first, homs
     gc.collect()
     assert gone() is None
+
+
+def count_push_forwards(monkeypatch) -> list:
+    """Record the functor of each homotopy ``homotopy.apply_functor`` pushes
+    forward (its cylinder's push-forward is not recorded)."""
+    calls: list = []
+    real = homotopy.apply_functor
+
+    def counted(fun, obj):
+        if isinstance(obj, homotopy.Homotopy):
+            calls.append(fun)
+        return real(fun, obj)
+
+    monkeypatch.setattr(homotopy, "apply_functor", counted)
+    return calls
+
+
+def test_failing_f_hat_is_kept_nowhere_and_raises_again(monkeypatch):
+    """The identity functor on collapse sends g to g, which is no
+    quasiequivalence: every call pushes the homotopy forward and runs the
+    solver again, and the table's memo does not keep it."""
+    bic = load_presentation_with_sigma(COLLAPSE_DOC, "collapse").bicategory
+    hom = cylinder_homotopy(make_cylinder(bic, "f", "f", "h", "g", "id_h", "id_h"))
+    fun = identity_pseudofunctor(bic)
+    pushed, solver = count_push_forwards(monkeypatch), count_solver(monkeypatch)
+    for _ in range(3):
+        with pytest.raises(HatError, match="^arrow 'g' is not a quasiequivalence"):
+            f_hat(fun, hom)
+    assert pushed == [fun] * 3 and solver == [bic] * 3
+    assert hom not in bic._hat_cache
+
+
+def test_f_hat_keeps_the_image_hat_on_the_target(monkeypatch):
+    """Under a probe into another table, f_hat's value is the hat of the
+    push-forward, kept in the target's memo and not in the source's; a
+    second pass pushes every homotopy forward again but solves no
+    cylinder hat."""
+    sigma = marked_table("chaotic_z2", 3)
+    probes = enumerate_probes(sigma, default_probe_targets(sigma)).probes
+    fun = next(p for p in probes if p.target is not sigma.bic)
+    homs = memo_terms(sigma)
+    first = [f_hat(fun, t) for t in homs]
+    images = [homotopy.apply_functor(fun, t) for t in homs]
+    assert [fun.target._hat_cache[m] for m in images] == first
+    assert not sigma.bic._hat_cache
+    pushed, solver = count_push_forwards(monkeypatch), count_solver(monkeypatch)
+    assert [f_hat(fun, t) for t in homs] == first
+    assert pushed == [fun] * len(homs) and solver == []

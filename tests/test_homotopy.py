@@ -1,6 +1,6 @@
 import pytest
 
-from bicatkit.core import identity_pseudofunctor
+from bicatkit.core import StructureError, identity_pseudofunctor
 from bicatkit.elevator import Layer, make_computad, make_expr, normalize
 from bicatkit.homotopy import (
     ComposeGlue,
@@ -21,6 +21,7 @@ from bicatkit.homotopy import (
     retraction_cylinder,
     transform_homotopy,
 )
+from bicatkit.library import load_fixture
 from bicatkit.localize import LocalizationCertificate
 from bicatkit.presentation import load_pseudofunctor
 from bicatkit.queries import QueryDoc
@@ -156,6 +157,18 @@ def test_apply_identity_functor_is_noop(split, split_sigma):
     assert apply_functor(fun, cyl) == cyl
     hc = cylinder_homotopy(cyl)
     assert apply_functor(fun, hc) == hc
+
+
+def test_push_forward_rejects_a_cylinder_of_another_table(split_sigma):
+    """A second parse of one table has the same names but is another table,
+    so neither the push-forward nor f_hat, which reads it, takes its
+    cylinders."""
+    fun = identity_pseudofunctor(load_fixture("split").bicategory)
+    hc = cylinder_homotopy(retraction_cylinder(split_sigma, "s", "r", "id_id_X"))
+    for route, obj in ((apply_functor, hc.cyl), (apply_functor, hc), (f_hat, hc)):
+        with pytest.raises(StructureError, match="^cylinder does not live in the functor's source$"):
+            route(fun, obj)
+    assert not fun.target._hat_cache
 
 
 def test_apply_collapse_to_retraction_cylinder(split, split_sigma, iso):

@@ -1,5 +1,6 @@
-"""Every module-level import in ``src/bicatkit`` is used in its module,
-every module-level private name is read somewhere in ``src/``, and every
+"""Every import in ``src/bicatkit`` is read in its scope (a module-level
+import in its module, one inside a function in that function), every
+module-level private name is read somewhere in ``src/``, and every
 public top-level function or class is read in ``src/`` or ``bench/``, or is
 one that README promises.  Every library name that the benchmark under
 ``bench/`` reads exists.
@@ -22,29 +23,33 @@ PACKAGE = ROOT / "src" / "bicatkit"
 NOQA = re.compile(r"#\s*noqa:\s*F401\s*--\s*(?P<reason>\S.*)$")
 
 
-def module_imports(tree: ast.Module):
-    """(bound name, line) of each import at module level, in the module body
-    or under a module-level ``if`` or ``try``."""
-    stack = list(tree.body)
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (ast.If, ast.Try)):
-            stack += node.body + node.orelse + getattr(node, "finalbody", [])
-        elif isinstance(node, ast.Import):
-            for alias in node.names:
-                yield (alias.asname or alias.name.split(".")[0]), alias.lineno
-        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
-            for alias in node.names:
-                yield (alias.asname or alias.name), alias.lineno
+def scoped_imports(node: ast.AST, scope: ast.AST):
+    """(bound name, line, scope) of each import under node: its scope is the
+    innermost function that holds it, or else the given scope."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from scoped_imports(child, child)
+        elif isinstance(child, ast.Import):
+            for alias in child.names:
+                yield (alias.asname or alias.name.split(".")[0]), alias.lineno, scope
+        elif isinstance(child, ast.ImportFrom):
+            if child.module != "__future__":
+                for alias in child.names:
+                    yield (alias.asname or alias.name), alias.lineno, scope
+        else:
+            yield from scoped_imports(child, scope)
 
 
 def unused_imports(path: Path):
-    """(name, line text) of each module-level import the module never reads."""
+    """(name, line text) of each import that its scope never reads."""
     source = path.read_text()
     tree = ast.parse(source)
-    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     lines = source.splitlines()
-    return [(name, lines[lineno - 1]) for name, lineno in module_imports(tree) if name not in used]
+    return [
+        (name, lines[lineno - 1])
+        for name, lineno, scope in scoped_imports(tree, tree)
+        if not any(isinstance(n, ast.Name) and n.id == name for n in ast.walk(scope))
+    ]
 
 
 def kept_for(name: str, line: str) -> str | None:
@@ -89,6 +94,26 @@ def test_the_check_flags_an_unused_import_and_a_reason_without_a_reader(tmp_path
     assert found["path"] == "the reason 're-exported' names no file that reads 'path'"
     assert found["json"] == "unused, and no '# noqa: F401 -- <reason>' comment"
     assert found["Any"] is None
+
+
+def test_the_check_flags_an_import_its_function_does_not_read(tmp_path):
+    """An import inside a function counts as read only where that function
+    reads it, not where another function or the module does."""
+    mod = tmp_path / "mod.py"
+    mod.write_text(
+        "import os\n"
+        "def f():\n"
+        "    import math\n"
+        "    from os import getcwd, sep\n"
+        "    if os:\n"
+        "        from json import dumps\n"
+        "    return getcwd(), dumps\n"
+        "def g():\n"
+        "    def inner():\n"
+        "        import re\n"
+        "    return math.pi, sep, re\n"
+    )
+    assert [name for name, _ in unused_imports(mod)] == ["math", "sep", "re"]
 
 
 def private_definitions(tree: ast.Module):
@@ -223,7 +248,6 @@ README_PROMISES = {
     "validate_transformation": "pseudonatural transformations (PN0–PN2)",
     "validate_modification": "modifications (PM)",
     "identity_pseudofunctor": "the identity 2-functor is itself an admissible probe",
-    "apply_functor": "the push-forward along pseudofunctors",
     "expr_equal": "decides equality in the free 2-category",
     "stack": "layered expressions and their vertical stacking",
     "evaluate": "with evaluation into any strict tabulated model",

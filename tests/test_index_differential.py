@@ -243,12 +243,15 @@ COMPUTADS = (
 )
 
 
-# a cell's anchor and path arrows are checked at the cell's line; the old
-# code reported them at line 1 through make_computad, prefixed by the
-# computad's name, so these two errors are compared without location
+# a cell's anchor and path arrows are checked at the cell's line, and
+# make_computad names the cell of a path that breaks or of boundaries that
+# are not parallel, which are reported at its line too; the old code
+# reported all four at line 1 through make_computad, prefixed by the
+# computad's name, so these errors are compared without location
 MOVED_TO_CELL_LINE = re.compile(
     r"ParseError: line \d+, column \d+: (?:c: )?"
-    r"(unknown arrow '[^']*' in path|cell '[^']*' anchored at unknown object)$"
+    r"(unknown arrow '[^']*' in path|cell '[^']*' anchored at unknown object"
+    r"|path breaks at '[^']*' \. '[^']*'|cell '[^']*' boundary paths not parallel)$"
 )
 
 
