@@ -104,21 +104,33 @@ class Bicategory:
         self.assoc = dict(assoc)
         self.strict = bool(strict)
         self._identity_cells = frozenset(self.idc.values())
-        # The incidence index.  Every list is sorted by id.  Arrows are filed
-        # under their endpoint ids as given and cells under their 1-cell ids;
-        # a cell whose 1-cell is unknown has no objects to be filed under, so
-        # it stays out of the by-object lists and validation reports it.
+        # The incidence index: one pass over the sorted arrows and one over the
+        # sorted cells, so every list is sorted by id.  Arrows are filed under
+        # their endpoint ids as given and cells under their 1-cell ids; a cell
+        # whose 1-cell is unknown stays out of the by-object lists, and
+        # validation reports it.
         self._sorted_arrows = sorted_arrows = tuple(sorted(self.arrows))
         self._sorted_cells = sorted_cells = tuple(sorted(self.cells))
-        self._arrows_between = _group(sorted_arrows, self.arrows.get)
-        self._out_arrows = _group(sorted_arrows, lambda f: self.arrows[f][0])
-        self._in_arrows = _group(sorted_arrows, lambda f: self.arrows[f][1])
-        self._cells_between = _group(sorted_cells, self.cells.get)
-        self._cells_from = _group(sorted_cells, lambda a: self.cells[a][0])
-        self._cells_to = _group(sorted_cells, lambda a: self.cells[a][1])
-        typed_cells = [a for a in sorted_cells if self.cells[a][0] in self.arrows]
-        self._out_cells = _group(typed_cells, lambda a: self.arrows[self.cells[a][0]][0])
-        self._in_cells = _group(typed_cells, lambda a: self.arrows[self.cells[a][0]][1])
+        arrow_index = arrows_between, out_arrows, in_arrows = {}, {}, {}
+        cell_index = cells_between, cells_from, cells_to, out_cells, in_cells = {}, {}, {}, {}, {}
+        for f in sorted_arrows:
+            ends = self.arrows[f]
+            arrows_between.setdefault(ends, []).append(f)
+            out_arrows.setdefault(ends[0], []).append(f)
+            in_arrows.setdefault(ends[1], []).append(f)
+        for a in sorted_cells:
+            ends = self.cells[a]
+            cells_between.setdefault(ends, []).append(a)
+            cells_from.setdefault(ends[0], []).append(a)
+            cells_to.setdefault(ends[1], []).append(a)
+            if ends[0] in self.arrows:
+                f_ends = self.arrows[ends[0]]
+                out_cells.setdefault(f_ends[0], []).append(a)
+                in_cells.setdefault(f_ends[1], []).append(a)
+        (
+            self._arrows_between, self._out_arrows, self._in_arrows, self._cells_between,
+            self._cells_from, self._cells_to, self._out_cells, self._in_cells,
+        ) = ({k: tuple(v) for k, v in groups.items()} for groups in (*arrow_index, *cell_index))
         self._pairs = tuple(
             (g, f) for g in sorted_arrows for f in self.in_arrows(self.arrows[g][0])
         )

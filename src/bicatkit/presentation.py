@@ -16,10 +16,13 @@ must already be declared in the named space: objects, arrows, cells, or the
 source or target ones of a pseudofunctor; a path ``_Ref`` is a computad arrow
 path whose every arrow must be declared) or ``None`` (free text); an optional
 name left out is not checked.  ``Document.read`` is the one reader every
-section goes through: it matches each line, checks its names in order (a
-repeated ``_NEW`` name first, any other repeated key after the references)
-and stores key -> value, so every keyed section rejects duplicates the same
-way.
+section goes through: it checks a section column by column (every entry
+matches, no key repeats, each reference column lies in its space) and stores
+key -> value, so every keyed section rejects duplicates the same way.  Of
+several errors the first in line order is reported; within a line, syntax
+first, then names left to right, a repeated ``_NEW`` name at its place and any
+other repeated key after the references.  Columns count from the start of the
+raw line.
 
 Bicategory sections: ``objects:`` (names), ``arrows:`` (``name : src ->
 dst``), ``compose:`` (``g . f = h``), ``cells:`` (``name : f => g``),
@@ -48,6 +51,7 @@ from .core import Bicategory, PseudofunctorData, StructureError, _group
 
 _NAME = r"[A-Za-z0-9_.'-]+"
 _N = f"({_NAME})"
+_TOKEN = re.compile(r"\S+")
 
 
 class ParseError(Exception):
@@ -95,17 +99,19 @@ class _Grammar(NamedTuple):
     duplicate: str | None  # message for a repeated key; None: repeats merge
     many: bool = False  # whitespace-separated names, each one entry
 
-    def entries(self, line: str, lineno: int) -> list[tuple[str, ...]]:
-        if not self.many:
-            m = self.pattern.fullmatch(line)
-            if m is None:
-                raise ParseError(f"expected {self.shape!r}", lineno)
-            return [m.groups()]
-        toks = line.split()
-        for t in toks:
-            if not self.pattern.fullmatch(t):
-                raise ParseError(f"bad name {t!r}", lineno, line.find(t) + 1)
-        return [(t,) for t in toks]
+    def rows(self, entries: list[tuple[int, int, str]]) -> tuple[list, list, list]:
+        """(lines, rows, errors): the line numbers and captured names of the
+        entries before the first that does not match, and that one's error."""
+        if self.many:  # each name an entry of its own
+            entries = [(n, c + m.start(), m[0]) for n, c, t in entries for m in _TOKEN.finditer(t)]
+        matches = list(map(self.pattern.fullmatch, [text for _, _, text in entries]))
+        k = matches.index(None) if None in matches else len(entries)
+        errors = []
+        if k < len(entries):  # syntax comes first in its line
+            lineno, at, text = entries[k]
+            bad = (f"bad name {text!r}", at + 1) if self.many else (f"expected {self.shape!r}", 1)
+            errors.append((lineno, -1, -1, *bad))
+        return [n for n, _, _ in entries[:k]], list(map(re.Match.groups, matches[:k])), errors
 
 
 class DocumentKind(NamedTuple):
@@ -198,9 +204,7 @@ COMPUTAD = DocumentKind("computad", sections={
     ),
 })
 
-_HEADER = re.compile(
-    rf"^({'|'.join(dict.fromkeys([*BICATEGORY.sections, *PSEUDOFUNCTOR.sections]))}):(.*)$"
-)
+_HEADERS = frozenset([*BICATEGORY.sections, *PSEUDOFUNCTOR.sections])
 _STRICT = re.compile(r"^strict\s+(true|false)$")
 
 
@@ -209,16 +213,29 @@ class Document:
 
     def __init__(self, kind: DocumentKind, text: str) -> None:
         self.kind = kind
-        self.sections: dict[str, list[tuple[int, str]]] = {k: [] for k in kind.sections}
+        # section -> (line number, column offset in the raw line, entry text)
+        self.sections: dict[str, list[tuple[int, int, str]]] = {k: [] for k in kind.sections}
         self.strict = True
         self.where: dict[str, dict] = {}  # section -> key -> line number
-        current: str | None = None
+        current: list | None = None  # the open section's entries
         for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
+            if "#" in raw:
+                raw = raw.partition("#")[0]
+            line = raw.strip()
             if not line:
                 continue
-            m = _STRICT.match(line)
-            if m:
+            colon = line.find(":")
+            if colon > 0 and line[:colon] in _HEADERS:
+                current = self.sections.get(line[:colon])
+                if current is None:
+                    raise ParseError(
+                        f"section {line[:colon]!r} not allowed in a {kind.noun} file", lineno
+                    )
+                rest = line[colon + 1 :].lstrip()
+                if rest:
+                    current.append((lineno, raw.find(line) + len(line) - len(rest), rest))
+                continue
+            if line.startswith("strict") and (m := _STRICT.match(line)):
                 if not kind.strict:
                     raise ParseError(
                         f"directive 'strict' not allowed in a {kind.noun} file", lineno
@@ -226,56 +243,52 @@ class Document:
                 self.strict = m.group(1) == "true"
                 current = None
                 continue
-            m = _HEADER.match(line)
-            if m:
-                current = m.group(1)
-                if current not in self.sections:
-                    raise ParseError(
-                        f"section {current!r} not allowed in a {kind.noun} file", lineno
-                    )
-                rest = m.group(2).strip()
-                if rest:
-                    self.sections[current].append((lineno, rest))
-                continue
             if current is None:
                 raise ParseError(f"content outside any section: {line!r}", lineno)
-            self.sections[current].append((lineno, line))
+            current.append((lineno, raw.find(line), line))
 
     def read(self, section: str, spaces: dict[str, Container[str]] | None = None) -> dict:
         """The section's entries as key -> value, in document order; the line
-        of each key is kept in ``where[section]``."""
+        of each key is kept in ``where[section]``.
+
+        Only a failed column test finds its first failing row, as an error
+        (line, row, place in the row, message, column); the least is raised."""
         grammar = self.kind.sections[section]
-        width, duplicate = grammar.key, grammar.duplicate
-        checks = [(i, kind) for i, kind in enumerate(grammar.kinds) if kind is not None]
-        # a key that is no _NEW name is checked for repeats after the references
-        repeat_last = duplicate is not None and all(kind is not _NEW for kind in grammar.kinds)
-        table: dict = {}
-        where = self.where[section] = {}
-        for lineno, line in self.sections[section]:
-            for groups in grammar.entries(line, lineno):
-                key = groups[0] if width == 1 else groups[:width]
-                values = list(groups)
-                for i, kind in checks:
-                    if kind is _NEW:
-                        if key in table:
-                            raise ParseError(duplicate.format(*groups), lineno)
-                        continue
-                    refs = () if groups[i] is None else (groups[i],)
-                    if kind.path:
-                        try:
-                            values[i] = refs = parse_path(groups[i])
-                        except StructureError as exc:
-                            raise ParseError(str(exc), lineno) from exc
-                    for ref in refs:
-                        if ref not in spaces[kind.space]:
-                            msg = kind.dangling.format(*groups, space=kind.space, ref=ref)
-                            raise ParseError(msg, lineno)
-                if repeat_last and key in table:
-                    raise ParseError(duplicate.format(*groups), lineno)
-                rest = values[width:]
-                table[key] = rest[0] if len(rest) == 1 else tuple(rest)
-                where[key] = lineno
-        return table
+        lines, rows, errors = grammar.rows(self.sections[section])
+        columns = list(zip(*rows)) or [()] * len(grammar.kinds)
+        width = grammar.key
+        keys = columns[0] if width == 1 else list(zip(*columns[:width]))
+        where = dict(zip(keys, lines))
+        if grammar.duplicate is not None and len(where) < len(keys):
+            first: dict = {}  # key -> its first row
+            r = next(r for r, key in enumerate(keys) if first.setdefault(key, r) != r)
+            # a repeated _NEW name (always the first) at its place, any other key last
+            place = 0 if grammar.kinds[0] is _NEW else len(grammar.kinds)
+            errors.append((lines[r], r, place, grammar.duplicate.format(*rows[r]), 1))
+        for i, kind in enumerate(grammar.kinds):
+            if not isinstance(kind, _Ref):
+                continue
+            if kind.path:  # a computad's paths, parsed up to the first bad one
+                texts, columns[i] = columns[i], []
+                try:
+                    for text in texts:
+                        columns[i].append(parse_path(text))
+                except StructureError as exc:
+                    errors.append((lines[len(columns[i])], len(columns[i]), i, str(exc), 1))
+            names = set().union(*columns[i]) if kind.path else set(columns[i])
+            missing = names.difference(spaces[kind.space]) - {None}  # None: left out
+            if missing:
+                refs = columns[i] if kind.path else [(ref,) for ref in columns[i]]
+                r, ref = next((r, ref) for r, rr in enumerate(refs) for ref in rr if ref in missing)
+                msg = kind.dangling.format(*rows[r], space=kind.space, ref=ref)
+                errors.append((lines[r], r, i, msg, 1))
+        if errors:
+            lineno, _, _, message, col = min(errors)
+            raise ParseError(message, lineno, col)
+        rest = columns[width:]
+        values = rest[0] if len(rest) == 1 else list(zip(*rest)) or [()] * len(keys)
+        self.where[section] = where
+        return dict(zip(keys, values))
 
 
 def load_presentation_with_sigma(text: str, name: str = "bicategory") -> Presentation:

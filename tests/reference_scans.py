@@ -1,5 +1,7 @@
 """The scan-and-filter code that the incidence-index walks replaced, the
 hand-written section loops that the table-driven document reader replaced,
+that reader's per-entry loop, which the column-wise ``presentation.Document``
+replaced,
 the head/tail extension route that ``f_hat_chain`` on every pseudofunctor
 replaced, the hat scans that the whiskering bijection replaced, the
 enumerator that checked tables only on complete maps, which forward checking
@@ -50,20 +52,26 @@ seven-field report, with the restriction and vertical checks and the
 dropped; the functions here build it, and the differential tests compare the
 fields that remain.  The hat scans are ``hat``,
 ``functor_cylinder_hat`` and ``f_hat``, over the last scan's
-``_is_quasiequivalence``.
+``_is_quasiequivalence``.  ``Document`` is the per-entry reader: its
+``read`` checks each entry's names in turn and raises at the first that
+fails; the tests put it in place of ``presentation.Document`` to load the
+same documents through the same fills.
 
-Each function is the old one copied verbatim, with four departures:
+Each function is the old one copied verbatim, with five departures:
 ``ReferenceDocBuilder`` is the old ``_DocBuilder`` (``__init__`` included, its
 ``build`` with the old scan fill); ``load_computad`` uses this module's copy
 of the old ``_split_sections`` instead of importing it; ``is_quasiequivalence``
 and the hat scans do not read or write the bicategory's memo, which the code
 under test shares, so the hat scans call ``_is_quasiequivalence`` directly;
-and the old functions call each other here rather than their replacements.
+the per-entry ``Document`` calls ``_entries``, the old ``_Grammar.entries``
+method, on the section grammars of ``bicatkit.presentation``; and the old
+functions call each other here rather than their replacements.
 """
 from __future__ import annotations
 
 import itertools
 import re
+from collections.abc import Container
 from typing import Callable, Iterable, NamedTuple
 from collections import deque
 from dataclasses import asdict, dataclass, field
@@ -112,7 +120,14 @@ from bicatkit.localize import (
     hocell_from_json,
     require_json,
 )
-from bicatkit.presentation import ParseError, Presentation
+from bicatkit.presentation import (
+    _NEW,
+    BICATEGORY,
+    PSEUDOFUNCTOR,
+    DocumentKind,
+    ParseError,
+    Presentation,
+)
 from bicatkit.sigma import (
     Decomposition,
     SigmaClass,
@@ -544,6 +559,99 @@ def load_computad(text: str, name: str = "computad") -> Computad:
         return make_computad(name, objects, arrows, cells)  # type: ignore[arg-type]
     except StructureError as exc:
         raise ParseError(str(exc), 1) from exc
+
+
+_HEADER = re.compile(
+    rf"^({'|'.join(dict.fromkeys([*BICATEGORY.sections, *PSEUDOFUNCTOR.sections]))}):(.*)$"
+)
+_STRICT = re.compile(r"^strict\s+(true|false)$")
+
+
+def _entries(grammar, line: str, lineno: int) -> list[tuple[str, ...]]:
+    if not grammar.many:
+        m = grammar.pattern.fullmatch(line)
+        if m is None:
+            raise ParseError(f"expected {grammar.shape!r}", lineno)
+        return [m.groups()]
+    toks = line.split()
+    for t in toks:
+        if not grammar.pattern.fullmatch(t):
+            raise ParseError(f"bad name {t!r}", lineno, line.find(t) + 1)
+    return [(t,) for t in toks]
+
+
+class Document:
+    """One document split into the sections its kind accepts."""
+
+    def __init__(self, kind: DocumentKind, text: str) -> None:
+        self.kind = kind
+        self.sections: dict[str, list[tuple[int, str]]] = {k: [] for k in kind.sections}
+        self.strict = True
+        self.where: dict[str, dict] = {}  # section -> key -> line number
+        current: str | None = None
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            m = _STRICT.match(line)
+            if m:
+                if not kind.strict:
+                    raise ParseError(
+                        f"directive 'strict' not allowed in a {kind.noun} file", lineno
+                    )
+                self.strict = m.group(1) == "true"
+                current = None
+                continue
+            m = _HEADER.match(line)
+            if m:
+                current = m.group(1)
+                if current not in self.sections:
+                    raise ParseError(
+                        f"section {current!r} not allowed in a {kind.noun} file", lineno
+                    )
+                rest = m.group(2).strip()
+                if rest:
+                    self.sections[current].append((lineno, rest))
+                continue
+            if current is None:
+                raise ParseError(f"content outside any section: {line!r}", lineno)
+            self.sections[current].append((lineno, line))
+
+    def read(self, section: str, spaces: dict[str, Container[str]] | None = None) -> dict:
+        """The section's entries as key -> value, in document order; the line
+        of each key is kept in ``where[section]``."""
+        grammar = self.kind.sections[section]
+        width, duplicate = grammar.key, grammar.duplicate
+        checks = [(i, kind) for i, kind in enumerate(grammar.kinds) if kind is not None]
+        # a key that is no _NEW name is checked for repeats after the references
+        repeat_last = duplicate is not None and all(kind is not _NEW for kind in grammar.kinds)
+        table: dict = {}
+        where = self.where[section] = {}
+        for lineno, line in self.sections[section]:
+            for groups in _entries(grammar, line, lineno):
+                key = groups[0] if width == 1 else groups[:width]
+                values = list(groups)
+                for i, kind in checks:
+                    if kind is _NEW:
+                        if key in table:
+                            raise ParseError(duplicate.format(*groups), lineno)
+                        continue
+                    refs = () if groups[i] is None else (groups[i],)
+                    if kind.path:
+                        try:
+                            values[i] = refs = parse_path(groups[i])
+                        except StructureError as exc:
+                            raise ParseError(str(exc), lineno) from exc
+                    for ref in refs:
+                        if ref not in spaces[kind.space]:
+                            msg = kind.dangling.format(*groups, space=kind.space, ref=ref)
+                            raise ParseError(msg, lineno)
+                if repeat_last and key in table:
+                    raise ParseError(duplicate.format(*groups), lineno)
+                rest = values[width:]
+                table[key] = rest[0] if len(rest) == 1 else tuple(rest)
+                where[key] = lineno
+        return table
 
 
 def w_split_decompose(sigma: SigmaClass, f: str, max_len: int) -> Decomposition | None:

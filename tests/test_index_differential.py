@@ -15,17 +15,28 @@ the benchmark's generated families, clean and with every mutation kind,
 strict and not, and on documents one line off them.  The only inputs allowed
 to differ are those the reader newly rejects (see ``newly_rejected``), a
 computad cell's unknown anchor or path arrow, now reported at the cell's line
-(see ``without_location``), and perturbations of a lone identity-cell term,
-which the unit pins and the reference left to its whisker loop.
+(see ``without_location``), a bad name's column, now counted from the start
+of its raw line (see ``in_raw_columns``), and perturbations of a lone
+identity-cell term, which the unit pins and the reference left to its whisker
+loop.
+
+The column-wise reader is also held to the per-entry reader it replaced
+(``reference_scans.Document``), loading every document of these corpora
+through the same fills: the same tables in storage order, the same ``where``
+maps and the same first error up to ``in_raw_columns``, also on documents two
+edits off the seeds, which can hold two errors at once.  Its incidence index
+equals the one ``core._group`` files over the sorted ids.
 """
 import itertools
 import random
 import re
+from unittest import mock
 
 import pytest
 
 from bench import families
-from bicatkit.core import StructureError
+from bicatkit import elevator, presentation
+from bicatkit.core import StructureError, _group
 from bicatkit.elevator import load_computad
 from bicatkit.ho import (
     enumerate_probes,
@@ -97,7 +108,12 @@ def parse_both(text, name):
 
 
 def assert_same_parse(text, name):
+    """The parse of text equals the hand-written builder's, and the per-entry
+    reader's in storage order too, with the same where maps and the same
+    first error; the incidence index is the one _group files."""
+    assert_same_reading(lambda: load_presentation_with_sigma(text, name), text, bicategory_view)
     new, old = parse_both(text, name)
+    old = in_raw_columns(old, text)
     if newly_rejected("bic", new, old):
         return None
     if isinstance(old, str):
@@ -107,7 +123,93 @@ def assert_same_parse(text, name):
     assert new.sigma_names == old.sigma_names, name
     for field in TABLE_FIELDS:
         assert getattr(new.bicategory, field) == getattr(old.bicategory, field), (name, field)
+    assert index_of(new.bicategory) == regrouped(new.bicategory), name
     return new
+
+
+def in_order(value):
+    """A table as its items in storage order; any other field as it is."""
+    return list(value.items()) if isinstance(value, dict) else value
+
+
+def bicategory_view(pres):
+    bic = pres.bicategory
+    return pres.sigma_names, [in_order(getattr(bic, field)) for field in TABLE_FIELDS]
+
+
+INDEX = (
+    "_arrows_between", "_out_arrows", "_in_arrows", "_cells_between", "_cells_from",
+    "_cells_to", "_out_cells", "_in_cells",
+)
+
+
+def index_of(bic):
+    """The incidence index: the sorted ids and each grouping's items in order."""
+    return bic._sorted_arrows, bic._sorted_cells, [in_order(getattr(bic, g)) for g in INDEX]
+
+
+def regrouped(bic):
+    """The incidence index rebuilt with one _group pass per grouping over the
+    sorted ids."""
+    arrows, cells = tuple(sorted(bic.arrows)), tuple(sorted(bic.cells))
+    typed = [a for a in cells if bic.cells[a][0] in bic.arrows]
+    groups = (
+        _group(arrows, bic.arrows.get),
+        _group(arrows, lambda f: bic.arrows[f][0]),
+        _group(arrows, lambda f: bic.arrows[f][1]),
+        _group(cells, bic.cells.get),
+        _group(cells, lambda a: bic.cells[a][0]),
+        _group(cells, lambda a: bic.cells[a][1]),
+        _group(typed, lambda a: bic.arrows[bic.cells[a][0]][0]),
+        _group(typed, lambda a: bic.arrows[bic.cells[a][0]][1]),
+    )
+    return arrows, cells, [in_order(g) for g in groups]
+
+
+def read_with(reader, load, view):
+    """view(load()) or its ParseError text, with every document that load
+    opens read by reader, and the where maps of those documents."""
+    docs = []
+
+    class Recorded(reader):
+        def __init__(self, *args):
+            super().__init__(*args)
+            docs.append(self)
+
+    with mock.patch.object(presentation, "Document", Recorded):
+        with mock.patch.object(elevator, "Document", Recorded):
+            result = parsed(load, view)
+    return result, [doc.where for doc in docs]
+
+
+def assert_same_reading(load, text, view):
+    """The column-wise reader and the per-entry reader it replaced give the
+    same view of load() and the same where maps, or the same first error up to
+    in_raw_columns."""
+    new, new_where = read_with(presentation.Document, load, view)
+    old, where = read_with(ref.Document, load, view)
+    assert new == in_raw_columns(old, text), text
+    if not isinstance(new, str):
+        assert new_where == where, text
+    return new
+
+
+BAD_NAME = re.compile(r"ParseError: line (\d+), column (\d+): (bad name .*)")
+HEADER = re.compile(rf"(?:{'|'.join(ref._SECTIONS)}):\s*")
+
+
+def in_raw_columns(result, text):
+    """result with the column of a bad-name error counted from the start of
+    its raw line: the older readers count it from the start of the entry, the
+    one way the reader's errors may differ from theirs."""
+    m = isinstance(result, str) and BAD_NAME.fullmatch(result)
+    if not m:
+        return result
+    line, column, message = m.groups()
+    code = text.splitlines()[int(line) - 1].split("#", 1)[0]
+    header = HEADER.match(code.strip())
+    start = len(code) - len(code.lstrip()) + (header.end() if header else 0)
+    return f"ParseError: line {line}, column {start + int(column)}: {message}"
 
 
 def as_non_strict(text):
@@ -130,6 +232,20 @@ def documents():
                 yield mutant.name, mutant.text()
 
 
+def edit(lines, i, rng, names, kind=None):
+    """Drop line i, double it, or replace one of its names by one of names."""
+    kind = rng.randrange(3) if kind is None else kind
+    if kind == 0:
+        del lines[i]
+    elif kind == 1:
+        lines.insert(i, lines[i])
+    else:
+        toks = lines[i].split(" ")
+        j = rng.randrange(len(toks))
+        toks[j] = rng.choice(names)
+        lines[i] = " ".join(toks)
+
+
 def line_mutants(text, rng, count):
     """Documents that differ from text in one line: dropped, doubled, or with
     one name replaced by another name of the document."""
@@ -137,17 +253,26 @@ def line_mutants(text, rng, count):
     names = sorted(set(doc_names(text)))
     for _ in range(count):
         out = list(lines)
-        i = rng.randrange(len(out))
-        kind = rng.randrange(3)
-        if kind == 0:
-            del out[i]
-        elif kind == 1:
-            out.insert(i, out[i])
+        edit(out, rng.randrange(len(out)), rng, names)
+        yield "\n".join(out) + "\n"
+
+
+def two_edit_mutants(text, rng, count):
+    """Documents two edits off text, alternately on two different lines (the
+    later edited first, so each edit lands on the line drawn for it) and two
+    name replacements on one line."""
+    lines = text.splitlines()
+    names = sorted(set(doc_names(text)))
+    for n in range(count):
+        out = list(lines)
+        if n % 2:
+            i, j = sorted(rng.sample(range(len(out)), 2))
+            edit(out, j, rng, names)
+            edit(out, i, rng, names)
         else:
-            toks = out[i].split(" ")
-            j = rng.randrange(len(toks))
-            toks[j] = rng.choice(names)
-            out[i] = " ".join(toks)
+            i = rng.randrange(len(out))
+            edit(out, i, rng, names, kind=2)
+            edit(out, i, rng, names, kind=2)
         yield "\n".join(out) + "\n"
 
 
@@ -168,19 +293,23 @@ def test_parser_fill_matches_reference(strict):
     assert parsed > 100
 
 
-@pytest.mark.parametrize("strict", (True, False), ids=("strict", "non-strict"))
-def test_parser_line_mutants_match_reference(strict):
-    rng = random.Random(f"line-mutants:{strict}")
+def mutant_seeds(strict):
+    """(name, text) of the fixtures, the coherence document and the generated
+    families at n = 3, strict or not."""
     seeds = [(n, fixture_text(f"{n}.bic")) for n in BICATEGORIES]
     seeds.append(("coherence", COHERENCE_DOC))
     seeds += [
         (doc.name, doc.text())
         for doc in (families.generate(f, 3, 1, marked=True) for f in families.FAMILIES)
     ]
+    return [(name, text if strict else as_non_strict(text)) for name, text in seeds]
+
+
+@pytest.mark.parametrize("strict", (True, False), ids=("strict", "non-strict"))
+def test_parser_line_mutants_match_reference(strict):
+    rng = random.Random(f"line-mutants:{strict}")
     errors = 0
-    for name, text in seeds:
-        if not strict:
-            text = as_non_strict(text)
+    for name, text in mutant_seeds(strict):
         for mutant in line_mutants(text, rng, 40):
             errors += assert_same_parse(mutant, name) is None
     assert errors >= 20, f"only {errors} mutants fail to parse"
@@ -210,6 +339,14 @@ def functor_view(fun):
     return fun.obj_map, fun.arr_map, fun.cell_map, fun.xi, fun.phi
 
 
+def ordered_functor_view(fun):
+    return [in_order(table) for table in functor_view(fun)]
+
+
+def computad_view(comp):
+    return comp.objects, in_order(comp.arrows), in_order(comp.cells)
+
+
 def test_pseudofunctor_reader_matches_reference():
     src, tgt = load_fixture_bicategory("chain_src"), load_fixture_bicategory("chain_tgt")
     # the fixture, and the fixture with explicit xi entries
@@ -218,6 +355,7 @@ def test_pseudofunctor_reader_matches_reference():
     seen = {"same": 0, "error": 0, "new": 0}
     docs = [fixture_text("chain_f.pf"), with_xi]
     for doc in docs + [m for text in docs for m in line_mutants(text, rng, 200)]:
+        assert_same_reading(lambda: load_pseudofunctor(doc, src, tgt), doc, ordered_functor_view)
         new = parsed(lambda: load_pseudofunctor(doc, src, tgt), functor_view)
         old = parsed(lambda: ref.load_pseudofunctor(doc, src, tgt), functor_view)
         if new == old:
@@ -265,6 +403,7 @@ def test_computad_reader_matches_reference():
     seen = {"same": 0, "error": 0, "new": 0, "moved": 0}
     for text in COMPUTADS:
         for doc in [text, *line_mutants(text, rng, 150)]:
+            assert_same_reading(lambda: load_computad(doc, "c"), doc, computad_view)
             located = parsed(lambda: load_computad(doc, "c"))
             new = without_location(located)
             old = without_location(parsed(lambda: ref.load_computad(doc, "c")))
@@ -276,6 +415,39 @@ def test_computad_reader_matches_reference():
                 seen["new"] += 1
     assert seen["same"] > 100 and seen["error"] > 100 and seen["new"] > 0, seen
     assert seen["moved"] > 10, seen
+
+
+def two_edit_cases(kind):
+    """(documents, load, view) per document kind: the documents whose two-edit
+    mutants are read, how to load one, and what of it to compare."""
+    if kind == "bic":
+        for strict in (True, False):
+            for name, text in mutant_seeds(strict):
+                load = lambda doc, name=name: load_presentation_with_sigma(doc, name)  # noqa: E731
+                yield [text], load, bicategory_view
+    elif kind == "pf":
+        src, tgt = load_fixture_bicategory("chain_src"), load_fixture_bicategory("chain_tgt")
+        docs = [fixture_text("chain_f.pf"), fixture_text("chain_f.pf") + "xi:\n  W = id_id_W\n"]
+        yield docs, lambda doc: load_pseudofunctor(doc, src, tgt), ordered_functor_view
+    else:
+        yield COMPUTADS, lambda doc: load_computad(doc, "c"), computad_view
+
+
+@pytest.mark.parametrize("kind", ("bic", "pf", "cmp"))
+def test_two_edit_mutants_fail_where_the_per_entry_reader_fails(kind):
+    """With two edits a document can hold two errors, so the first one
+    reported pins the order of the checks: the lowest failing row, and within
+    it syntax, then names left to right, a repeated _NEW name at its place and
+    any other repeated key last.  The hand-written builder is not the
+    reference here: it checks arrow endpoints after the whole section."""
+    rng = random.Random(f"two-edit-mutants:{kind}")
+    errors = set()
+    for docs, load, view in two_edit_cases(kind):
+        for mutant in (m for text in docs for m in two_edit_mutants(text, rng, 60)):
+            result = assert_same_reading(lambda: load(mutant), mutant, view)
+            if isinstance(result, str):
+                errors.add(re.sub(r"'[^']*'|\d+| entry .*|\[.*\]", "_", result))
+    assert len(errors) >= {"bic": 15, "pf": 9, "cmp": 8}[kind], sorted(errors)
 
 
 def outcome(fn, *args):
